@@ -10,7 +10,6 @@ from .sysmodel import (
     DelayKernel,
     NeutralSystem,
     ValidationReport,
-    kernel_eval,
     load_system,
     save_system,
     serialize_system,
@@ -42,7 +41,6 @@ from .stability import (
     ScanOptions,
     StabilityVerdict,
     classify_asymptotic,
-    exponential_stability,
     matrix_spectral_structure,
 )
 from .structural import (

@@ -3,15 +3,31 @@
 For d/dt[z(t) - A z(t-h)] = L z_t + B u(t) the characteristic matrix is
 
     D(lam) = -lam I + lam e^{-lam h} A
-             + sum_seg [ e^{lam a} (e^{lam (b-a)} - 1) ] A2_seg
-             + sum_seg [ (b-a) e^{lam a} phi((b-a) lam) ] A3_seg
+             + sum_seg [ e^{lam a} (e^{lam w} - 1) ] A2_seg
+             + sum_seg [ w e^{lam a} phi0(w lam) ] A3_seg
              + sum_atoms e^{lam theta_j} A3_j
 
-with phi(x) = (e^x - 1)/x.  Both segment coefficients are closed forms of the
-exponential integrals over [a, b], written so that the removable singularity
-at lam = 0 never produces cancellation: phi and its derivative switch to a
-short Taylor series for small arguments.  D is therefore evaluated with no
+over segments [a, a + w], with phi0(x) = (e^x - 1)/x.  Both segment
+coefficients are closed forms of the exponential integrals, so D has no
 quadrature error and is an entire function of lam.
+
+Every term has the shape c_k(lam) M_k with c_k(lam) = e^{lam a_k} R_k(lam):
+a location a_k (0 for I, -h for A, the segment start, the atom location) and
+a factor R_k that is -lam, lam, 1, e^{lam w} - 1 or w phi0(w lam).  Hence
+
+    D(lam)  = sum_k e^{lam a_k} R_k(lam) M_k,
+    D'(lam) = sum_k e^{lam a_k} (a_k R_k(lam) + R_k'(lam)) M_k.
+
+A system is compiled once, on first use, into a TermTable (the cached
+NeutralSystem.terms) that stacks the M_k, dropping zero density segments,
+beside the a_k, the linear factors of the point terms and the segment
+widths.  delta_and_derivative evaluates D and D' together at a batch of
+points: one set of exponentials e^{lam a_k} and e^{lam w}, phi0 and
+phi1 = phi0' computed from the latter, and one contraction of the stacked
+coefficients of D and D' with the M_k.  phi0 and phi1 switch to a short
+Taylor series for |w lam| below _SERIES_CUT, so the removable singularity at
+lam = 0 never produces cancellation.  delta, delta_batch, delta_derivative
+and delta_derivative_batch are views of that one evaluation.
 
 Root chains: every eigenvalue mu != 0 of A generates the vertical sequence of
 asymptotic root locations (ln|mu| + i(arg mu + 2 pi k))/h, k integer.  Large-k
@@ -33,110 +49,114 @@ from .sysmodel import NeutralSystem
 _SERIES_CUT = 1e-4
 
 
-def _phi0(x: np.ndarray) -> np.ndarray:
-    """(e^x - 1)/x, series-guarded near 0."""
-    x = np.asarray(x, dtype=complex)
-    out = np.empty_like(x)
+def _phi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^x, phi0(x) = (e^x - 1)/x and phi1(x) = phi0'(x) from one exponential.
+
+    phi0 and phi1 switch to their Taylor series for |x| < _SERIES_CUT, where
+    the closed forms cancel.
+    """
+    ex = np.exp(x)
     small = np.abs(x) < _SERIES_CUT
-    xs = x[small]
-    out[small] = 1.0 + xs / 2.0 + xs**2 / 6.0 + xs**3 / 24.0 + xs**4 / 120.0
-    xl = x[~small]
-    out[~small] = (np.exp(xl) - 1.0) / xl
-    return out
+    xl = np.where(small, 1.0, x)  # the series overwrites these entries below
+    phi0 = (ex - 1.0) / xl
+    phi1 = ((xl - 1.0) * ex + 1.0) / xl**2
+    if small.any():
+        xs = x[small]
+        phi0[small] = 1.0 + xs / 2.0 + xs**2 / 6.0 + xs**3 / 24.0 + xs**4 / 120.0
+        phi1[small] = 0.5 + xs / 3.0 + xs**2 / 8.0 + xs**3 / 30.0 + xs**4 / 144.0
+    return ex, phi0, phi1
 
 
-def _phi1(x: np.ndarray) -> np.ndarray:
-    """d/dx[(e^x - 1)/x], series-guarded near 0."""
-    x = np.asarray(x, dtype=complex)
-    out = np.empty_like(x)
-    small = np.abs(x) < _SERIES_CUT
-    xs = x[small]
-    out[small] = 0.5 + xs / 3.0 + xs**2 / 8.0 + xs**3 / 30.0 + xs**4 / 144.0
-    xl = x[~small]
-    out[~small] = ((xl - 1.0) * np.exp(xl) + 1.0) / xl**2
-    return out
+def _readonly(arr) -> np.ndarray:
+    arr = np.array(arr)
+    arr.setflags(write=False)
+    return arr
 
 
-def _expm1c(x: np.ndarray) -> np.ndarray:
-    """e^x - 1 computed as x * phi0(x) so it stays accurate near 0."""
-    x = np.asarray(x, dtype=complex)
-    return x * _phi0(x)
+@dataclass(frozen=True)
+class TermTable:
+    """The K terms e^{lam a_k} R_k(lam) M_k of D(lam) for one system.
+
+    The P point terms come first: I, A_minus1 and the A3 atoms.  Their
+    factors are linear, R_k = r0_k + r1_k lam, so (R_k, a_k R_k + R_k') is
+    point0 + lam * point1.  The segment terms follow, the nonzero A2
+    segments and then the nonzero A3 segments, with R_k a segment integral
+    of width w_k.  mats holds the M_k flattened to rows, stored complex so
+    the contraction needs no cast.
+    """
+
+    n: int
+    mats: np.ndarray     # (K, n*n)
+    locs: np.ndarray     # (K,) a_k
+    point0: np.ndarray   # (2, 1, P) (r0, a r0 + r1)
+    point1: np.ndarray   # (2, 1, P) (r1, a r1)
+    widths: np.ndarray   # (K - P,) w_k of the segment terms
+    is_a2: np.ndarray    # (K - P,) A2 (True) or A3 (False) segment
+
+    @classmethod
+    def of(cls, sys_: NeutralSystem) -> "TermTable":
+        n, atoms = sys_.n, sys_.A3.atoms
+        mats = [np.eye(n), sys_.A_minus1] + [M for _, M in atoms]
+        a = np.array([0.0, -sys_.h] + [theta for theta, _ in atoms])
+        r0 = np.array([0.0, 0.0] + [1.0] * len(atoms))
+        r1 = np.array([-1.0, 1.0] + [0.0] * len(atoms))
+        starts, widths, is_a2 = [], [], []
+        for ker, a2 in ((sys_.A2, True), (sys_.A3, False)):
+            bp = ker.breakpoints
+            for i, M in enumerate(ker.segments):
+                if np.any(M):
+                    mats.append(M)
+                    starts.append(bp[i])
+                    widths.append(bp[i + 1] - bp[i])
+                    is_a2.append(a2)
+        return cls(
+            n=n,
+            mats=_readonly(np.array(mats, dtype=complex).reshape(len(mats), n * n)),
+            locs=_readonly(np.concatenate([a, starts])),
+            point0=_readonly(np.stack([r0, a * r0 + r1])[:, None, :]),
+            point1=_readonly(np.stack([r1, a * r1])[:, None, :]),
+            widths=_readonly(np.array(widths, dtype=float)),
+            is_a2=_readonly(np.array(is_a2, dtype=bool)),
+        )
+
+
+def delta_and_derivative(sys_: NeutralSystem, lams) -> tuple[np.ndarray, np.ndarray]:
+    """D(lam) and D'(lam) at an array of points; two arrays of shape (N, n, n)."""
+    t = sys_.terms
+    lam = np.asarray(lams, dtype=complex).reshape(-1, 1)
+    p = t.point0.shape[-1]
+    x = lam * t.widths
+    ex, phi0, phi1 = _phi(x)
+    # Row 0 collects R_k, row 1 a_k R_k + R_k'; times e^{lam a_k} they are the
+    # coefficients of D and D', and one contraction gives both.
+    coeff = np.empty((2, lam.shape[0], t.locs.size), dtype=complex)
+    coeff[:, :, :p] = t.point0 + lam * t.point1
+    # A2 segments integrate lam e^{lam s} to e^{lam a} (e^{lam w} - 1), exact at
+    # lam = 0; A3 segments integrate e^{lam s} to e^{lam a} w phi0(lam w).
+    R = coeff[0, :, p:] = np.where(t.is_a2, x, t.widths) * phi0
+    coeff[1, :, p:] = t.locs[p:] * R + t.widths * np.where(t.is_a2, ex, t.widths * phi1)
+    coeff *= np.exp(lam * t.locs)
+    D, dD = (coeff @ t.mats).reshape(2, lam.shape[0], t.n, t.n)
+    return D, dD
 
 
 def delta_batch(sys_: NeutralSystem, lams) -> np.ndarray:
     """Characteristic matrix at an array of points; shape (N, n, n)."""
-    lam = np.atleast_1d(np.asarray(lams, dtype=complex))
-    n = sys_.n
-    eye = np.eye(n)
-    out = np.zeros((lam.size, n, n), dtype=complex)
-    out -= lam[:, None, None] * eye
-    out += (lam * np.exp(-lam * sys_.h))[:, None, None] * sys_.A_minus1
-
-    bp2, seg2 = sys_.A2.breakpoints, sys_.A2.segments
-    for i in range(seg2.shape[0]):
-        M = seg2[i]
-        if not np.any(M):
-            continue
-        a, b = bp2[i], bp2[i + 1]
-        # lam * integral_a^b e^{lam s} ds = e^{lam a}(e^{lam (b-a)} - 1), exact at lam = 0
-        coeff = np.exp(lam * a) * _expm1c(lam * (b - a))
-        out += coeff[:, None, None] * M
-
-    bp3, seg3 = sys_.A3.breakpoints, sys_.A3.segments
-    for i in range(seg3.shape[0]):
-        M = seg3[i]
-        if not np.any(M):
-            continue
-        a, b = bp3[i], bp3[i + 1]
-        coeff = (b - a) * np.exp(lam * a) * _phi0(lam * (b - a))
-        out += coeff[:, None, None] * M
-
-    for theta, M in sys_.A3.atoms:
-        out += np.exp(lam * theta)[:, None, None] * M
-    return out
+    return delta_and_derivative(sys_, lams)[0]
 
 
 def delta(sys_: NeutralSystem, lam: complex) -> np.ndarray:
     """Characteristic matrix at a single point; shape (n, n)."""
-    return delta_batch(sys_, [lam])[0]
+    return delta_and_derivative(sys_, lam)[0][0]
 
 
 def delta_derivative_batch(sys_: NeutralSystem, lams) -> np.ndarray:
-    """Entrywise d/dlam of the characteristic matrix, term by term in closed form."""
-    lam = np.atleast_1d(np.asarray(lams, dtype=complex))
-    n = sys_.n
-    h = sys_.h
-    out = np.zeros((lam.size, n, n), dtype=complex)
-    out -= np.eye(n)
-    out += ((1.0 - lam * h) * np.exp(-lam * h))[:, None, None] * sys_.A_minus1
-
-    bp2, seg2 = sys_.A2.breakpoints, sys_.A2.segments
-    for i in range(seg2.shape[0]):
-        M = seg2[i]
-        if not np.any(M):
-            continue
-        a, b = bp2[i], bp2[i + 1]
-        w = b - a
-        coeff = np.exp(lam * a) * (a * _expm1c(lam * w) + w * np.exp(lam * w))
-        out += coeff[:, None, None] * M
-
-    bp3, seg3 = sys_.A3.breakpoints, sys_.A3.segments
-    for i in range(seg3.shape[0]):
-        M = seg3[i]
-        if not np.any(M):
-            continue
-        a, b = bp3[i], bp3[i + 1]
-        w = b - a
-        coeff = w * np.exp(lam * a) * (a * _phi0(lam * w) + w * _phi1(lam * w))
-        out += coeff[:, None, None] * M
-
-    for theta, M in sys_.A3.atoms:
-        out += (theta * np.exp(lam * theta))[:, None, None] * M
-    return out
+    """Entrywise d/dlam of the characteristic matrix at an array of points."""
+    return delta_and_derivative(sys_, lams)[1]
 
 
 def delta_derivative(sys_: NeutralSystem, lam: complex) -> np.ndarray:
-    return delta_derivative_batch(sys_, [lam])[0]
+    return delta_and_derivative(sys_, lam)[1][0]
 
 
 def det_delta(sys_: NeutralSystem, lam: complex) -> complex:
@@ -259,7 +279,10 @@ def kernel_basis(sys_: NeutralSystem, lam: complex, tol: float = 1e-6) -> np.nda
     tol is relative to the largest singular value; at refined roots of
     det D the null directions sit many orders below the cutoff.
     """
-    D = delta(sys_, lam)
+    return _null_basis(delta(sys_, lam), tol)
+
+
+def _null_basis(D: np.ndarray, tol: float) -> np.ndarray:
     _, sigma, vh = np.linalg.svd(D)
     smax = sigma[0] if sigma.size else 0.0
     null = sigma <= tol * max(smax, 1e-300)
@@ -270,8 +293,8 @@ def eigenvector_candidates(
     sys_: NeutralSystem, lam: complex, tol: float = 1e-6
 ) -> list[EigenvectorCandidate]:
     """One candidate per null direction of D(lam); empty if D is regular there."""
-    basis = kernel_basis(sys_, lam, tol)
     D = delta(sys_, lam)
+    basis = _null_basis(D, tol)
     scale = float(np.linalg.norm(D, 2))
     out = []
     for j in range(basis.shape[1]):

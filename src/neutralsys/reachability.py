@@ -36,6 +36,26 @@ class SteeringProbe:
         return int(np.count_nonzero(s >= tau * s[0]))
 
 
+class _BasisControls:
+    """Samples of the piecewise-constant control basis, made one step at a time.
+
+    Indexing by step k gives the (r, ncols) slice a stored (nsteps, r, ncols)
+    array would hold: 1 at channel c, column j * r + c for the interval j
+    that contains step k, 0 elsewhere.
+    """
+
+    def __init__(self, interval: np.ndarray, r: int, ncols: int):
+        self.interval = interval
+        self.r = r
+        self.ncols = ncols
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        u = np.zeros((self.r, self.ncols))
+        channels = np.arange(self.r)
+        u[channels, int(self.interval[k]) * self.r + channels] = 1.0
+        return u
+
+
 def build_steering_probe(
     sys_: NeutralSystem, T: float, m: int = 100, q: int = 400
 ) -> SteeringProbe:
@@ -60,15 +80,11 @@ def build_steering_probe(
     r = sys_.r
     q = min(q, nsteps)
     ncols = q * r
-    controls = np.zeros((nsteps, r, ncols))
     interval = np.minimum((np.arange(nsteps) * q) // nsteps, q - 1)
-    for k in range(nsteps):
-        j = int(interval[k])
-        for c in range(r):
-            controls[k, c, j * r + c] = 1.0
-
-    hist0 = np.zeros((m + 1, sys_.n, ncols))
-    Z = _integrate(sys_, hist0, controls, nsteps, m)
+    # Neither the zero history nor the one-hot controls is stored in full: at
+    # the report's horizons they would be the largest arrays of the probe.
+    hist0 = np.broadcast_to(0.0, (m + 1, sys_.n, ncols))
+    Z = _integrate(sys_, hist0, _BasisControls(interval, r, ncols), nsteps, m)
 
     tail = Z[nsteps : nsteps + m + 1]                  # z(T + theta) on the grid
     head = Z[nsteps + m] - sys_.A_minus1 @ Z[nsteps]   # z(T) - A z(T - h)
@@ -155,6 +171,7 @@ def rank_profile(
             )
         )
         sigmas[probe.T] = s
+        del probe  # its matrix would otherwise stay alive through the next build
     ranks = [e.effective_rank for e in entries]
     monotone = all(b >= a for a, b in zip(ranks, ranks[1:]))
     return RankProfile(entries=tuple(entries), tau=tau, monotone=monotone), sigmas

@@ -26,14 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charmatrix import (
-    ChainGrid,
-    chain_grid,
-    delta,
-    delta_batch,
-    delta_derivative,
-    delta_derivative_batch,
-)
+from .charmatrix import ChainGrid, chain_grid, delta, delta_and_derivative
 from .errors import NoChainsError, PhaseTrackingError, RootOnContourError
 from .sysmodel import NeutralSystem
 
@@ -178,12 +171,12 @@ def _sample_nodes(sys_: NeutralSystem, pts: np.ndarray, log_floor: float):
     phase turn between its endpoints (the aliasing case the plain pi/2 rule
     cannot see).
     """
-    D = delta_batch(sys_, pts)
+    D, dD = delta_and_derivative(sys_, pts)
     sign, logabs = np.linalg.slogdet(D)
     if np.any(logabs < log_floor) or np.any(~np.isfinite(logabs)):
         raise RootOnContourError("contour sample too close to a root")
     try:
-        X = np.linalg.solve(D, delta_derivative_batch(sys_, pts))
+        X = np.linalg.solve(D, dD)
     except np.linalg.LinAlgError as exc:
         raise RootOnContourError(f"singular characteristic matrix on contour: {exc}")
     trace = np.trace(X, axis1=-2, axis2=-1)
@@ -289,7 +282,8 @@ def newton_root(
     best = (np.inf, lam)
     stall = 0
     for _ in range(opts.newton_max_iter):
-        D = delta(sys_, lam)
+        D, dD = delta_and_derivative(sys_, lam)
+        D, dD = D[0], dD[0]
         det = complex(np.linalg.det(D))
         absdet = abs(det)
         if not np.isfinite(absdet):
@@ -303,7 +297,7 @@ def newton_root(
                 break
         step = None
         try:
-            trace = np.trace(np.linalg.solve(D, delta_derivative(sys_, lam)))
+            trace = np.trace(np.linalg.solve(D, dD))
             if np.isfinite(trace) and trace != 0.0:
                 step = 1.0 / trace
         except np.linalg.LinAlgError:

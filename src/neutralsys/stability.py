@@ -224,16 +224,6 @@ def _exponential_verdict(
     return "undetermined_window", detail
 
 
-def exponential_stability(
-    sys_: NeutralSystem,
-    scan: ScanOptions | None = None,
-    unit_tol: float = UNIT_CIRCLE_TOL,
-) -> StabilityVerdict:
-    """Exponential stability from the Schur test on the difference matrix plus
-    a rightmost-root scan; asymptotic_case is filled in alongside."""
-    return classify_asymptotic(sys_, scan, unit_tol)
-
-
 def classify_asymptotic(
     sys_: NeutralSystem,
     scan: ScanOptions | None = None,

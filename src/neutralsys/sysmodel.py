@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -102,11 +103,6 @@ class DelayKernel:
         return self.segments[idx]
 
 
-def kernel_eval(kernel: DelayKernel, theta: float) -> np.ndarray:
-    """Density value at theta (atoms excluded); segments half-open per DelayKernel."""
-    return kernel.eval(theta)
-
-
 @dataclass(frozen=True)
 class NeutralSystem:
     """Immutable description of one neutral-type delay system."""
@@ -139,6 +135,14 @@ class NeutralSystem:
             raise ValueError("A2 must not carry point terms")
         object.__setattr__(self, "A_minus1", _freeze(A))
         object.__setattr__(self, "B", _freeze(B))
+
+    @cached_property
+    def terms(self):
+        """Stacked terms of the characteristic matrix (charmatrix.TermTable),
+        compiled on first use and kept with the system."""
+        from .charmatrix import TermTable  # charmatrix imports this module
+
+        return TermTable.of(self)
 
 
 @dataclass(frozen=True)

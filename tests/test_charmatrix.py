@@ -1,5 +1,10 @@
+import cmath
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from neutralsys import charmatrix as cm
 from neutralsys.errors import NoChainsError
@@ -146,6 +151,129 @@ def test_conjugate_symmetry():
         d1 = cm.det_delta_batch(sys_, np.conj(pts))
         d2 = np.conj(cm.det_delta_batch(sys_, pts))
         assert np.allclose(d1, d2, rtol=1e-12, atol=1e-12)
+
+
+def reference_terms(sys_, lam):
+    """(c_k, c_k', M_k) for every term of D(lam), one segment at a time with
+    scalar arithmetic: the closed forms and series guards the term table
+    evaluates in bulk.
+
+    Also returns the term magnitudes sum |c_k| |M_k| and sum |c_k'| |M_k|,
+    which scale rounding errors, and the extra rounding in D' from phi1: just
+    above the series cut its closed form cancels down to x^2 / 2, so a
+    rounding difference in e^x reaches c_k' amplified by 1/|x|^2.
+    """
+
+    def phi0(x):
+        if abs(x) < cm._SERIES_CUT:
+            return 1.0 + x / 2.0 + x**2 / 6.0 + x**3 / 24.0 + x**4 / 120.0
+        return (cmath.exp(x) - 1.0) / x
+
+    def phi1(x):
+        if abs(x) < cm._SERIES_CUT:
+            return 0.5 + x / 3.0 + x**2 / 8.0 + x**3 / 30.0 + x**4 / 144.0
+        return ((x - 1.0) * cmath.exp(x) + 1.0) / x**2
+
+    h = sys_.h
+    eh = cmath.exp(-lam * h)
+    terms = [(-lam, -1.0, np.eye(sys_.n)), (lam * eh, (1.0 - lam * h) * eh, sys_.A_minus1)]
+    amplified = 0.0
+    for ker, is_a2 in ((sys_.A2, True), (sys_.A3, False)):
+        bp = ker.breakpoints
+        for i, M in enumerate(ker.segments):
+            a, w = bp[i], bp[i + 1] - bp[i]
+            x, ea = lam * w, cmath.exp(lam * a)
+            if is_a2:
+                c = ea * x * phi0(x)
+                dc = ea * (a * x * phi0(x) + w * cmath.exp(x))
+            else:
+                c = w * ea * phi0(x)
+                dc = w * ea * (a * phi0(x) + w * phi1(x))
+                if abs(x) >= cm._SERIES_CUT:
+                    amplified += abs(w * w * ea) * np.max(np.abs(M)) / abs(x) ** 2
+            terms.append((c, dc, M))
+    for theta, M in sys_.A3.atoms:
+        e = cmath.exp(lam * theta)
+        terms.append((e, theta * e, M))
+    scale = sum(abs(c) * np.max(np.abs(M)) for c, _, M in terms)
+    dscale = sum(abs(dc) * np.max(np.abs(M)) for _, dc, M in terms)
+    return terms, scale, dscale, 1e-14 * amplified
+
+
+@hst.composite
+def density_systems(draw):
+    """n <= 4, one to three A2 and A3 segments (some of them zero), up to two atoms."""
+    n = draw(hst.integers(1, 4))
+    h = draw(hst.floats(0.25, 3.0))
+    q2, q3 = draw(hst.integers(1, 3)), draw(hst.integers(1, 3))
+    n_atoms = draw(hst.integers(0, 2))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+
+    def kernel(q, atoms):
+        bp = np.concatenate([[-h], -h + h * np.cumsum(rng.dirichlet(np.ones(q)))])
+        bp[-1] = 0.0
+        segs = rng.uniform(-1, 1, (q, n, n)) * (rng.random((q, 1, 1)) < 0.8)
+        return DelayKernel(bp, segs, atoms)
+
+    atoms = tuple(
+        (float(rng.choice([rng.uniform(-h, 0.0), 0.0, -h])), rng.uniform(-1, 1, (n, n)))
+        for _ in range(n_atoms)
+    )
+    return NeutralSystem(
+        n=n, r=0, h=h,
+        A_minus1=rng.uniform(-1, 1, (n, n)),
+        A2=kernel(q2, ()),
+        A3=kernel(q3, atoms),
+        B=np.zeros((n, 0)),
+    )
+
+
+@given(density_systems(), hst.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_fused_evaluation_agrees_with_views_reference_and_differences(sys_, seed):
+    rng = np.random.default_rng(seed)
+    widths = np.concatenate([np.diff(sys_.A2.breakpoints), np.diff(sys_.A3.breakpoints)])
+    # lam = 0 exactly, |lam w| just inside and just outside the series cut for
+    # one segment width, and scattered points
+    w = rng.choice(widths)
+    cut = cm._SERIES_CUT / w * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+    pts = np.concatenate([
+        [0.0],
+        (1.0 - 1e-3) * cut,
+        (1.0 + 1e-3) * cut,
+        rng.uniform(-2, 2, 6) + 1j * rng.uniform(-15, 15, 6),
+    ])
+    D, dD = cm.delta_and_derivative(sys_, pts)
+    batch = cm.delta_batch(sys_, pts), cm.delta_derivative_batch(sys_, pts)
+    eps = 1e-5
+    for i, lam in enumerate(pts):
+        terms, scale, dscale, phi1_err = reference_terms(sys_, complex(lam))
+        single = cm.delta(sys_, lam), cm.delta_derivative(sys_, lam)
+        for view in (batch[0][i], single[0], sum(c * M for c, _, M in terms)):
+            assert np.max(np.abs(D[i] - view)) <= 1e-13 * scale
+        for view in (batch[1][i], single[1], sum(dc * M for _, dc, M in terms)):
+            assert np.max(np.abs(dD[i] - view)) <= 1e-13 * dscale + phi1_err
+        fd = (cm.delta(sys_, lam + eps) - cm.delta(sys_, lam - eps)) / (2 * eps)
+        assert np.max(np.abs(dD[i] - fd)) <= 1e-6 * (scale + dscale)
+
+
+def test_term_table_is_built_once_and_does_not_pin_the_system():
+    sys_ = make_density_system()
+    assert sys_.terms is sys_.terms
+    cm.delta(sys_, 0.5j)
+    ref = weakref.ref(sys_)
+    del sys_
+    gc.collect()
+    assert ref() is None
+
+
+def test_eigenvector_candidates_evaluate_delta_once(monkeypatch):
+    calls = []
+    real = cm.delta
+    monkeypatch.setattr(cm, "delta", lambda s, lam: calls.append(lam) or real(s, lam))
+    cands = cm.eigenvector_candidates(make_example1(0.0, 0.0), 2j * np.pi, tol=1e-8)
+    assert len(cands) == 1
+    assert len(calls) == 1
 
 
 def test_chain_grid_example2():

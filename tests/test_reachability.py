@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neutralsys.reachability import build_steering_probe, rank_profile
+from neutralsys.reachability import _BasisControls, build_steering_probe, rank_profile
 from neutralsys.sysmodel import DelayKernel, NeutralSystem
 
 from conftest import make_reach_fixture
@@ -15,6 +15,17 @@ def make_scalar_ode_with_input():
         A3=DelayKernel.from_atoms([(0.0, np.array([[-1.0]]))], 1, 1.0),
         B=np.array([[1.0]]),
     )
+
+
+def test_basis_controls_match_dense_one_hot_layout():
+    nsteps, q, r = 7, 3, 2
+    interval = np.minimum((np.arange(nsteps) * q) // nsteps, q - 1)
+    dense = np.zeros((nsteps, r, q * r))
+    for k in range(nsteps):
+        for c in range(r):
+            dense[k, c, interval[k] * r + c] = 1.0
+    controls = _BasisControls(interval, r, q * r)
+    assert all(np.array_equal(controls[k], dense[k]) for k in range(nsteps))
 
 
 def test_zero_input_matrix_gives_zero_probe():

@@ -58,7 +58,7 @@ def test_structure_multiplicity_sums_to_n():
 
 
 def test_exponential_scalar_decay():
-    v = st.exponential_stability(make_scalar_decay())
+    v = st.classify_asymptotic(make_scalar_decay())
     assert v.exponential == "stable"
     assert v.asymptotic_case == "exp_regime"
 
@@ -66,8 +66,8 @@ def test_exponential_scalar_decay():
 def test_exponential_fails_on_unit_circle():
     # spectral radius exactly 1 rules out exponential stability regardless of
     # the root scan
-    assert st.exponential_stability(make_example1(-1.0, -1.0)).exponential == "not_stable"
-    assert st.exponential_stability(make_example2(0.0)).exponential == "not_stable"
+    assert st.classify_asymptotic(make_example1(-1.0, -1.0)).exponential == "not_stable"
+    assert st.classify_asymptotic(make_example2(0.0)).exponential == "not_stable"
 
 
 def test_classify_example1_jordan_unstable():

@@ -8,7 +8,6 @@ from neutralsys.errors import SystemParseError, SystemValidationError
 from neutralsys.sysmodel import (
     DelayKernel,
     NeutralSystem,
-    kernel_eval,
     load_system,
     serialize_system,
     system_from_document,
@@ -94,13 +93,13 @@ def test_roundtrip_serialization(example1_file, example2_file, tmp_path):
 def test_kernel_eval_zero():
     k = DelayKernel.zero(2, 1.0)
     for theta in (-1.0, -0.3, 0.0):
-        assert np.array_equal(kernel_eval(k, theta), np.zeros((2, 2)))
+        assert np.array_equal(k.eval(theta), np.zeros((2, 2)))
 
 
 def test_kernel_eval_single_segment():
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
     k = DelayKernel(np.array([-1.0, 0.0]), M[None, :, :])
-    assert np.array_equal(kernel_eval(k, -0.5), M)
+    assert np.array_equal(k.eval(-0.5), M)
 
 
 def test_kernel_eval_boundary_convention():
@@ -109,18 +108,18 @@ def test_kernel_eval_boundary_convention():
     k = DelayKernel(np.array([-1.0, -0.5, 0.0]), np.stack([M1, M2]))
     # segments are half-open from the left; the shared breakpoint belongs to
     # the right segment, and the last segment is closed at 0
-    assert np.array_equal(kernel_eval(k, -0.5), M2)
-    assert np.array_equal(kernel_eval(k, -0.500001), M1)
-    assert np.array_equal(kernel_eval(k, 0.0), M2)
-    assert np.array_equal(kernel_eval(k, -1.0), M1)
+    assert np.array_equal(k.eval(-0.5), M2)
+    assert np.array_equal(k.eval(-0.500001), M1)
+    assert np.array_equal(k.eval(0.0), M2)
+    assert np.array_equal(k.eval(-1.0), M1)
 
 
 def test_kernel_eval_domain_error():
     k = DelayKernel.zero(2, 1.0)
     with pytest.raises(ValueError):
-        kernel_eval(k, 0.1)
+        k.eval(0.1)
     with pytest.raises(ValueError):
-        kernel_eval(k, -1.1)
+        k.eval(-1.1)
 
 
 @given(
@@ -135,7 +134,7 @@ def test_kernel_eval_piecewise_constant(theta_a, theta_b):
         max(int(np.searchsorted(bp, t, side="right")) - 1, 0), 2
     )
     if seg_of(theta_a) == seg_of(theta_b):
-        assert np.array_equal(kernel_eval(k, theta_a), kernel_eval(k, theta_b))
+        assert np.array_equal(k.eval(theta_a), k.eval(theta_b))
 
 
 def test_neutral_system_rejects_a2_atoms():
