@@ -38,8 +38,8 @@ from .rootfinder import (
 )
 from .stability import (
     MatrixSpectralStructure,
-    ScanOptions,
     StabilityVerdict,
+    SystemAnalysis,
     classify_asymptotic,
     matrix_spectral_structure,
 )

@@ -34,7 +34,7 @@ from .rootfinder import (
 from .charmatrix import chain_grid
 from .simulate import HistorySegment, norm_profile, simulate
 from .reachability import rank_profile
-from .stability import ScanOptions, classify_asymptotic
+from .stability import SystemAnalysis, classify_asymptotic
 from .structural import check_stabilizability, controllability_report
 from .sysmodel import NeutralSystem, load_system
 
@@ -84,10 +84,6 @@ def _root_options(cfg: RunConfig) -> RootFindOptions:
     return RootFindOptions(localization_tol=cfg.tol_root, seed=cfg.seed)
 
 
-def _scan_options(cfg: RunConfig) -> ScanOptions:
-    return ScanOptions(im_cap=cfg.im_max, root_options=_root_options(cfg))
-
-
 def _control_function(cfg: RunConfig, sys_: NeutralSystem):
     if sys_.r == 0 or cfg.control == "zero":
         return None
@@ -120,7 +116,8 @@ def _history(cfg: RunConfig, sys_: NeutralSystem) -> HistorySegment:
     raise ValueError(f"unknown history spec '{cfg.history}'")
 
 
-def _cmd_spectrum(cfg: RunConfig, sys_: NeutralSystem, out: Path) -> int:
+def _cmd_spectrum(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
+    sys_, opts = analysis.sys_, analysis.root_options
     grid = None
     try:
         k_span = int(np.ceil((cfg.im_max * sys_.h + np.pi) / (2 * np.pi))) + 1
@@ -129,7 +126,7 @@ def _cmd_spectrum(cfg: RunConfig, sys_: NeutralSystem, out: Path) -> int:
     except NoChainsError:
         pass
     report = find_roots_in_region(
-        sys_, Rect(cfg.re_min, cfg.re_max, -cfg.im_max, cfg.im_max), _root_options(cfg), grid
+        sys_, Rect(cfg.re_min, cfg.re_max, -cfg.im_max, cfg.im_max), opts, grid
     )
     doc = report.to_json_dict()
     if grid is not None:
@@ -138,7 +135,7 @@ def _cmd_spectrum(cfg: RunConfig, sys_: NeutralSystem, out: Path) -> int:
         for m_idx in range(len(grid.eigenvalues)):
             for k in range(k_lo, k_hi + 1):
                 count, expected, match = verify_cluster_multiplicity(
-                    sys_, grid, k, m_idx, _root_options(cfg)
+                    sys_, grid, k, m_idx, opts
                 )
                 checks.append(
                     {"m": m_idx, "k": k, "count": count, "expected": expected, "match": match}
@@ -157,8 +154,8 @@ def _cmd_spectrum(cfg: RunConfig, sys_: NeutralSystem, out: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_stability(cfg: RunConfig, sys_: NeutralSystem, out: Path) -> int:
-    verdict = classify_asymptotic(sys_, _scan_options(cfg))
+def _cmd_stability(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
+    verdict = classify_asymptotic(analysis)
     _write_json(out / "stability.json", verdict.to_json_dict())
     print(f"exponential: {verdict.exponential}; asymptotic: {verdict.asymptotic_case}")
     if verdict.evidence["scan"]["unresolved_cells"]:
@@ -166,24 +163,24 @@ def _cmd_stability(cfg: RunConfig, sys_: NeutralSystem, out: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_stabilizability(cfg: RunConfig, sys_: NeutralSystem, out: Path) -> int:
-    report = check_stabilizability(sys_, _scan_options(cfg), cfg.tol_rank)
+def _cmd_stabilizability(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
+    report = check_stabilizability(analysis, cfg.tol_rank)
     _write_json(out / "stabilizability.json", report.to_json_dict())
     print(f"stabilizability: {report.verdict}")
     return EXIT_OK
 
 
-def _cmd_controllability(cfg: RunConfig, sys_: NeutralSystem, out: Path) -> int:
+def _cmd_controllability(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
     report = controllability_report(
-        sys_, _scan_options(cfg), policy=cfg.basis_policy, seed=cfg.seed,
-        rank_tol=cfg.tol_rank,
+        analysis, policy=cfg.basis_policy, seed=cfg.seed, rank_tol=cfg.tol_rank
     )
     _write_json(out / "controllability.json", report.to_json_dict())
     print(report.summary())
     return EXIT_OK
 
 
-def _cmd_simulate(cfg: RunConfig, sys_: NeutralSystem, out: Path) -> int:
+def _cmd_simulate(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
+    sys_ = analysis.sys_
     phi = _history(cfg, sys_)
     traj = simulate(sys_, phi, _control_function(cfg, sys_), T=cfg.T, m=cfg.grid_m)
     (out / "trajectory.csv").write_text(traj.to_csv())
@@ -193,7 +190,8 @@ def _cmd_simulate(cfg: RunConfig, sys_: NeutralSystem, out: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_reach(cfg: RunConfig, sys_: NeutralSystem, out: Path) -> int:
+def _cmd_reach(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
+    sys_ = analysis.sys_
     T_list = cfg.T_list or tuple(sys_.h * f for f in (0.5, 1.5, 2.5, 3.5))
     profile, sigmas = rank_profile(
         sys_, T_list, m=cfg.grid_m, q=cfg.control_intervals, tau=cfg.rank_tau
@@ -205,13 +203,13 @@ def _cmd_reach(cfg: RunConfig, sys_: NeutralSystem, out: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_report(cfg: RunConfig, sys_: NeutralSystem, out: Path) -> int:
-    codes = [_cmd_spectrum(cfg, sys_, out), _cmd_stability(cfg, sys_, out)]
-    if sys_.r >= 1:
-        codes.append(_cmd_stabilizability(cfg, sys_, out))
-        codes.append(_cmd_controllability(cfg, sys_, out))
-        codes.append(_cmd_reach(cfg, sys_, out))
-    codes.append(_cmd_simulate(cfg, sys_, out))
+def _cmd_report(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
+    codes = [_cmd_spectrum(cfg, analysis, out), _cmd_stability(cfg, analysis, out)]
+    if analysis.sys_.r >= 1:
+        codes.append(_cmd_stabilizability(cfg, analysis, out))
+        codes.append(_cmd_controllability(cfg, analysis, out))
+        codes.append(_cmd_reach(cfg, analysis, out))
+    codes.append(_cmd_simulate(cfg, analysis, out))
 
     stability_doc = json.loads((out / "stability.json").read_text())
     consistency = {
@@ -265,9 +263,10 @@ def run(cfg: RunConfig) -> int:
         _diag("error", "io_error", path=str(out), detail=str(exc))
         return EXIT_IO
 
+    analysis = SystemAnalysis(sys_, im_cap=cfg.im_max, root_options=_root_options(cfg))
     started = time.time()
     try:
-        code = _COMMANDS[cfg.command](cfg, sys_, out)
+        code = _COMMANDS[cfg.command](cfg, analysis, out)
     except SimulationBlowUpError as exc:
         _diag("error", "simulation_blowup", t=exc.t_blowup)
         return EXIT_NUMERICAL

@@ -625,7 +625,6 @@ def rightmost_root_scan(
     re_floor: float,
     im_cap: float,
     opts: RootFindOptions | None = None,
-    radius_fraction: float = 0.5,
 ) -> SpectrumReport:
     """Scan the window [re_floor, re_ceiling] x [-im_cap, im_cap] for roots.
 
@@ -641,7 +640,7 @@ def rightmost_root_scan(
     abscissas: list[float] = []
     try:
         k_span = int(np.ceil((im_cap * sys_.h + np.pi) / (2.0 * np.pi))) + 1
-        grid = chain_grid(sys_, -k_span, k_span, radius_fraction)
+        grid = chain_grid(sys_, -k_span, k_span)
         abscissas = [float(np.log(abs(e.mu)) / sys_.h) for e in grid.eigenvalues]
     except NoChainsError:
         pass

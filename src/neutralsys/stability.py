@@ -20,6 +20,7 @@ explicitly a statement about the scanned window; the evidence records it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,14 +117,6 @@ def matrix_spectral_structure(
     )
 
 
-@dataclass(frozen=True)
-class ScanOptions:
-    im_cap: float = 40.0
-    re_floor: float | None = None   # default: max(-1, top chain abscissa - margin)
-    margin: float = 0.5
-    root_options: RootFindOptions = field(default_factory=RootFindOptions)
-
-
 _CASE_EXPLANATIONS = {
     "exp_regime": "no unit-circle eigenvalues in the difference matrix; "
                   "stability is governed by the exponential verdict",
@@ -167,48 +160,71 @@ def _stability_gap(abscissa: float | None) -> float:
     return min(0.1, -0.5 * abscissa)
 
 
-def _run_scan(sys_: NeutralSystem, structure, scan: ScanOptions) -> tuple[SpectrumReport, float]:
-    abscissa = _chain_abscissa(structure, sys_.h)
-    if scan.re_floor is not None:
-        floor = scan.re_floor
-    elif abscissa is None:
-        floor = -1.0
-    else:
-        floor = max(-1.0, abscissa - scan.margin)
-    report = rightmost_root_scan(sys_, floor, scan.im_cap, scan.root_options)
-    return report, floor
+@dataclass(frozen=True)
+class SystemAnalysis:
+    """One system with the scan settings every verdict shares.
+
+    The difference-matrix structure and the rightmost root scan are computed
+    on first use and then kept, so the verdicts of one system see the same
+    objects and a verdict that needs neither computes neither.
+    """
+
+    sys_: NeutralSystem
+    im_cap: float = 40.0
+    root_options: RootFindOptions = field(default_factory=RootFindOptions)
+
+    @cached_property
+    def structure(self) -> MatrixSpectralStructure:
+        return matrix_spectral_structure(self.sys_.A_minus1)
+
+    @cached_property
+    def scan(self) -> tuple[SpectrumReport, float]:
+        """The scan report and its floor: half a unit left of the top chain
+        abscissa, but no lower than -1."""
+        abscissa = _chain_abscissa(self.structure, self.sys_.h)
+        floor = -1.0 if abscissa is None else max(-1.0, abscissa - 0.5)
+        return rightmost_root_scan(self.sys_, floor, self.im_cap, self.root_options), floor
+
+    def window_note(self, claim: str, caveat: str) -> str:
+        """'<claim> [floor, ceiling] x [-cap, cap]; <caveat>', plus the number
+        of unresolved scan cells when there are any."""
+        report, floor = self.scan
+        note = (
+            f"{claim} [{floor:.6g}, {report.window.re_max:.6g}] x "
+            f"[-{self.im_cap:.6g}, {self.im_cap:.6g}]; {caveat}"
+        )
+        if report.unresolved_cells:
+            note += f"; {len(report.unresolved_cells)} unresolved scan cell(s)"
+        return note
+
+    def scan_evidence(self) -> dict:
+        report, floor = self.scan
+        roots = report.all_roots()
+        rightmost = max((r.lam.real for r in roots), default=None)
+        return {
+            "window": {
+                "re_min": report.window.re_min,
+                "re_max": report.window.re_max,
+                "im_max": report.window.im_max,
+            },
+            "re_floor": floor,
+            "roots_found": len(roots),
+            "total_multiplicity": report.total_count,
+            "rightmost_root_re": rightmost,
+            "unresolved_cells": len(report.unresolved_cells),
+            "completeness_note": report.completeness_note,
+        }
 
 
-def _scan_evidence(report: SpectrumReport, floor: float) -> dict:
-    roots = report.all_roots()
-    rightmost = max((r.lam.real for r in roots), default=None)
-    return {
-        "window": {
-            "re_min": report.window.re_min,
-            "re_max": report.window.re_max,
-            "im_max": report.window.im_max,
-        },
-        "re_floor": floor,
-        "roots_found": len(roots),
-        "total_multiplicity": report.total_count,
-        "rightmost_root_re": rightmost,
-        "unresolved_cells": len(report.unresolved_cells),
-        "completeness_note": report.completeness_note,
-    }
-
-
-def _exponential_verdict(
-    sys_: NeutralSystem,
-    structure: MatrixSpectralStructure,
-    report: SpectrumReport,
-    unit_tol: float,
-) -> tuple[str, dict]:
+def _exponential_verdict(analysis: SystemAnalysis) -> tuple[str, dict]:
+    structure = analysis.structure
+    report, _ = analysis.scan
     rho = structure.spectral_radius
     roots = report.all_roots()
     has_rhp_root = any(r.lam.real >= 0.0 for r in roots)
-    gap = _stability_gap(_chain_abscissa(structure, sys_.h))
-    detail = {"spectral_radius": rho, "unit_tol": unit_tol, "gap": gap}
-    if rho >= 1.0 - unit_tol:
+    gap = _stability_gap(_chain_abscissa(structure, analysis.sys_.h))
+    detail = {"spectral_radius": rho, "unit_tol": UNIT_CIRCLE_TOL, "gap": gap}
+    if rho >= 1.0 - UNIT_CIRCLE_TOL:
         detail["reason"] = "difference matrix spectral radius at or above 1"
         return "not_stable", detail
     if has_rhp_root:
@@ -224,21 +240,16 @@ def _exponential_verdict(
     return "undetermined_window", detail
 
 
-def classify_asymptotic(
-    sys_: NeutralSystem,
-    scan: ScanOptions | None = None,
-    unit_tol: float = UNIT_CIRCLE_TOL,
-) -> StabilityVerdict:
+def classify_asymptotic(analysis: SystemAnalysis) -> StabilityVerdict:
     """Full verdict: exponential field plus the asymptotic trichotomy.
 
     The left-half-plane premise of the trichotomy is only checkable on the
     scanned window; the evidence records the window and the rightmost root
     seen, and the case_i/case_iii labels are conditional on it.
     """
-    scan = scan or ScanOptions()
-    structure = matrix_spectral_structure(sys_.A_minus1, unit_tol=unit_tol)
-    report, floor = _run_scan(sys_, structure, scan)
-    exp_verdict, exp_detail = _exponential_verdict(sys_, structure, report, unit_tol)
+    structure = analysis.structure
+    report, _ = analysis.scan
+    exp_verdict, exp_detail = _exponential_verdict(analysis)
 
     roots = report.all_roots()
     sigma1 = structure.sigma1
@@ -254,7 +265,7 @@ def classify_asymptotic(
         case = "case_iii_indeterminate"
 
     evidence = {
-        "scan": _scan_evidence(report, floor),
+        "scan": analysis.scan_evidence(),
         "matrix_structure": structure.to_json_dict(),
         "exponential_detail": exp_detail,
     }

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._linalg import rank_tolerance, svd_rank
 from .charmatrix import delta
-from .stability import ScanOptions, matrix_spectral_structure, _run_scan
+from .stability import UNIT_CIRCLE_TOL, SystemAnalysis
 from .sysmodel import NeutralSystem
 
 
@@ -88,19 +88,23 @@ def hautus_matrix_pair(A, B, mu: complex, tol: float | None = None) -> RankTestR
     return _rank_test(M, mu, n, tol)
 
 
+def _kalman_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[B, AB, ..., A^{n-1}B]."""
+    blocks = [B]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(A @ blocks[-1])
+    return np.hstack(blocks)
+
+
 def kalman_rank(A, B_cols, tol: float | None = None) -> int:
     """Rank of [B, AB, ..., A^{n-1}B]; zero-width B gives 0."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B_cols, dtype=float)
-    n = A.shape[0]
     if B.ndim == 1:
-        B = B.reshape(n, 1)
+        B = B.reshape(A.shape[0], 1)
     if B.shape[1] == 0:
         return 0
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    rank, _ = svd_rank(np.hstack(blocks), tol)
+    rank, _ = svd_rank(_kalman_matrix(A, B), tol)
     return rank
 
 
@@ -139,22 +143,19 @@ class StabilizabilityReport:
 
 
 def check_stabilizability(
-    sys_: NeutralSystem,
-    scan: ScanOptions | None = None,
+    analysis: SystemAnalysis,
     rank_tol: float | None = None,
-    unit_tol: float = 1e-9,
 ) -> StabilizabilityReport:
     """Regular-stabilizability test: two hypotheses on the difference matrix,
     then the two rank conditions, the first checked at every scanned root with
     Re >= 0 (rank can only drop there) and the second at unit-circle
     eigenvalues (elsewhere mu I - A is invertible)."""
-    scan = scan or ScanOptions()
-    structure = matrix_spectral_structure(sys_.A_minus1, unit_tol=unit_tol)
-    cond1 = structure.spectral_radius <= 1.0 + unit_tol
+    sys_, structure = analysis.sys_, analysis.structure
+    cond1 = structure.spectral_radius <= 1.0 + UNIT_CIRCLE_TOL
     sigma1 = structure.sigma1
     cond2 = all(e.algebraic == 1 for e in sigma1)
 
-    report, floor = _run_scan(sys_, structure, scan)
+    report, _ = analysis.scan
     rhp_roots = [r for r in report.all_roots() if r.lam.real >= 0.0]
     tests3 = tuple(
         hautus_at(sys_, r.lam, rank_tol, rel_tol=ROOT_SITE_REL_TOL) for r in rhp_roots
@@ -173,13 +174,10 @@ def check_stabilizability(
     else:
         verdict = "sufficient_conditions_fail"
 
-    note = (
-        f"condition 3 checked at {len(tests3)} root(s) with Re >= 0 inside "
-        f"[{floor:.6g}, {report.window.re_max:.6g}] x [-{scan.im_cap:.6g}, {scan.im_cap:.6g}]; "
-        "roots outside the window are not covered"
+    note = analysis.window_note(
+        f"condition 3 checked at {len(tests3)} root(s) with Re >= 0 inside",
+        "roots outside the window are not covered",
     )
-    if report.unresolved_cells:
-        note += f"; {len(report.unresolved_cells)} unresolved scan cell(s)"
     return StabilizabilityReport(
         condition_1=cond1,
         condition_2=cond2,
@@ -217,24 +215,19 @@ class NullControllabilityResult:
 
 
 def check_null_controllability(
-    sys_: NeutralSystem,
-    scan: ScanOptions | None = None,
+    analysis: SystemAnalysis,
     rank_tol: float | None = None,
 ) -> NullControllabilityResult:
     """Null-controllability for some horizon: Kalman condition on (A, B) exact,
     Hautus condition checked at every scanned root.  An invertible B settles
     the Hautus condition globally, hence verdict 'yes' without a window caveat."""
+    sys_ = analysis.sys_
     if sys_.r < 1:
         raise ValueError("null-controllability test needs at least one input")
-    scan = scan or ScanOptions()
 
     n = sys_.n
-    kal = kalman_rank(sys_.A_minus1, sys_.B, rank_tol)
-    blocks = [sys_.B]
-    for _ in range(n - 1):
-        blocks.append(sys_.A_minus1 @ blocks[-1])
-    K = np.hstack(blocks)
-    _, sigma = svd_rank(K, rank_tol)
+    K = _kalman_matrix(sys_.A_minus1, sys_.B)
+    kal, sigma = svd_rank(K, rank_tol)
     cond_ii = RankTestResult(
         test_point=0.0,
         matrix_shape=K.shape,
@@ -256,8 +249,7 @@ def check_null_controllability(
             window_note=note,
         )
 
-    structure = matrix_spectral_structure(sys_.A_minus1)
-    report, floor = _run_scan(sys_, structure, scan)
+    report, _ = analysis.scan
     tests = tuple(
         hautus_at(sys_, r.lam, rank_tol, rel_tol=ROOT_SITE_REL_TOL)
         for r in report.all_roots()
@@ -271,13 +263,10 @@ def check_null_controllability(
         verdict = "no"
     else:
         verdict = "yes_within_window"
-    note = (
-        f"Hautus condition checked at {len(tests)} scanned root(s) in "
-        f"[{floor:.6g}, {report.window.re_max:.6g}] x [-{scan.im_cap:.6g}, {scan.im_cap:.6g}]; "
-        "rank can only drop at roots of det D"
+    note = analysis.window_note(
+        f"Hautus condition checked at {len(tests)} scanned root(s) in",
+        "rank can only drop at roots of det D",
     )
-    if report.unresolved_cells:
-        note += f"; {len(report.unresolved_cells)} unresolved scan cell(s)"
     return NullControllabilityResult(
         condition_i=tests,
         condition_i_passes=cond_i,
@@ -389,20 +378,20 @@ def _enumerate_bases(sys_: NeutralSystem, policy: str, seed: int = 0):
 
 
 def controllability_time_bounds(
-    sys_: NeutralSystem,
+    analysis: SystemAnalysis,
     policy: str = "permutations",
     seed: int = 0,
     verdict: NullControllabilityResult | None = None,
-    scan: ScanOptions | None = None,
 ) -> tuple[TimeBounds, tuple[BasisIndices, ...]]:
     """Index bounds m_min = max over bases of m_1 and m_max = min over bases of
     max_i m_i, with times (m_min h, m_max h).  Refuses to bound the time when
     the system is not null-controllable.  For one input the time nh is sharp:
     controllable for T > nh and not controllable at T = nh."""
+    sys_ = analysis.sys_
     if sys_.r < 1:
         raise ValueError("time bounds need at least one input")
     if verdict is None:
-        verdict = check_null_controllability(sys_, scan)
+        verdict = check_null_controllability(analysis)
     if verdict.verdict == "no":
         bounds = TimeBounds(
             m_min=None,
@@ -498,16 +487,15 @@ class ControllabilityReport:
 
 
 def controllability_report(
-    sys_: NeutralSystem,
-    scan: ScanOptions | None = None,
+    analysis: SystemAnalysis,
     policy: str = "permutations",
     seed: int = 0,
     rank_tol: float | None = None,
 ) -> ControllabilityReport:
     """Full controllability analysis: verdict, per-basis indices, time bounds."""
-    verdict = check_null_controllability(sys_, scan, rank_tol)
+    verdict = check_null_controllability(analysis, rank_tol)
     bounds, records = controllability_time_bounds(
-        sys_, policy=policy, seed=seed, verdict=verdict
+        analysis, policy=policy, seed=seed, verdict=verdict
     )
     return ControllabilityReport(
         null_controllability=verdict, indices=records, bounds=bounds

@@ -96,12 +96,12 @@ def test_criterion_04_stability_trichotomy():
     # Example-1 parameters must put the spectrum in the open left half-plane
     # for the trichotomy to apply; alpha = beta = -1 does (verified by the
     # windowed winding count), while e.g. alpha = 1 has a real root near 1.35
-    v1 = st.classify_asymptotic(make_example1(-1.0, -1.0))
+    v1 = st.classify_asymptotic(st.SystemAnalysis(make_example1(-1.0, -1.0)))
     assert v1.asymptotic_case == "case_ii_unstable"
     for gamma in (0.0, 1.0):
-        v2 = st.classify_asymptotic(make_example2(gamma))
+        v2 = st.classify_asymptotic(st.SystemAnalysis(make_example2(gamma)))
         assert v2.asymptotic_case == "case_iii_indeterminate"
-    v3 = st.classify_asymptotic(make_scalar_decay())
+    v3 = st.classify_asymptotic(st.SystemAnalysis(make_scalar_decay()))
     assert v3.exponential == "stable"
     assert v3.asymptotic_case == "exp_regime"
     _passline(4, "case_ii / case_iii (both gammas) / exponential-stable labels exact")
@@ -131,10 +131,11 @@ def test_criterion_05_example2_dynamic_evidence():
 
 
 def test_criterion_06_controllability_verdicts():
-    good = sr.check_null_controllability(make_example1(1.0, 1.0, [[0.0], [1.0]]))
+    good_sys = make_example1(1.0, 1.0, [[0.0], [1.0]])
+    good = sr.check_null_controllability(st.SystemAnalysis(good_sys))
     assert good.verdict == "yes_within_window"
     bad_sys = make_example1(1.0, 1.0, [[1.0], [0.0]])
-    bad = sr.check_null_controllability(bad_sys)
+    bad = sr.check_null_controllability(st.SystemAnalysis(bad_sys))
     assert bad.verdict == "no"
     assert bad.witness is not None and bad.witness.rank == 1
     lam = bad.witness.test_point
@@ -145,7 +146,7 @@ def test_criterion_06_controllability_verdicts():
 
 def test_criterion_07_indices_and_times():
     s1 = make_example1(1.0, 1.0, [[0.0], [1.0]])
-    bounds1, _ = sr.controllability_time_bounds(s1)
+    bounds1, _ = sr.controllability_time_bounds(st.SystemAnalysis(s1))
     assert (bounds1.m_min, bounds1.m_max) == (2, 2)
     assert (bounds1.time_lower, bounds1.time_sufficient) == (2.0, 2.0)
     assert bounds1.single_input_exact
@@ -157,7 +158,7 @@ def test_criterion_07_indices_and_times():
         A3=DelayKernel.from_atoms([(0.0, -np.eye(3))], 3, 1.0),
         B=np.eye(3),
     )
-    bounds2, _ = sr.controllability_time_bounds(s2)
+    bounds2, _ = sr.controllability_time_bounds(st.SystemAnalysis(s2))
     assert (bounds2.m_min, bounds2.m_max) == (1, 1)
     _passline(7, "single input: m_min = m_max = n = 2, times (2h, 2h), sharp; "
               "free 3x3 with B = I: m_min = m_max = 1")

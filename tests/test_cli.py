@@ -3,13 +3,41 @@ import json
 
 import numpy as np
 
+from neutralsys import stability
 from neutralsys.cli import main
 
 from conftest import EXAMPLE1_DOC
 
+REPORT_FLAGS = ("--grid-m", "64", "--T", "3", "--k-range", "5:6")
+
 
 def run_cli(*args):
     return main(list(args))
+
+
+def _system_with_inputs(tmp_path):
+    doc = json.loads(json.dumps(EXAMPLE1_DOC))
+    doc["r"] = 1
+    doc["B"] = [[0.0], [1.0]]
+    # stable-spectrum variant so every analysis completes quickly
+    doc["A3"]["atoms"][0]["matrix"] = [[-1.0, 0.0], [0.0, -1.0]]
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _count_spectral_work(monkeypatch):
+    """Count the calls the verdicts make to the two shared spectral objects."""
+    counts = {"rightmost_root_scan": 0, "matrix_spectral_structure": 0}
+    for name in counts:
+        fn = getattr(stability, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(stability, name, counted)
+    return counts
 
 
 def test_spectrum_example1(example1_file, tmp_path, capsys):
@@ -145,18 +173,50 @@ def test_report_example2(example2_file, tmp_path):
 
 
 def test_report_with_inputs(tmp_path):
-    doc = json.loads(json.dumps(EXAMPLE1_DOC))
-    doc["r"] = 1
-    doc["B"] = [[0.0], [1.0]]
-    # stable-spectrum variant so every analysis completes quickly
-    doc["A3"]["atoms"][0]["matrix"] = [[-1.0, 0.0], [0.0, -1.0]]
-    path = tmp_path / "sys.json"
-    path.write_text(json.dumps(doc))
     out = tmp_path / "rep"
-    code = run_cli("report", "--input", str(path), "--out", str(out),
-                   "--grid-m", "64", "--T", "3", "--k-range", "5:6")
+    code = run_cli("report", "--input", str(_system_with_inputs(tmp_path)), "--out", str(out),
+                   *REPORT_FLAGS)
     assert code == 0
     index = json.loads((out / "index.json").read_text())
     for name in ("stabilizability.json", "controllability.json",
                  "rank_profile.csv", "rank_profile.json"):
         assert name in index["files"]
+
+
+def test_report_scans_each_system_once(tmp_path, monkeypatch):
+    counts = _count_spectral_work(monkeypatch)
+    assert run_cli("report", "--input", str(_system_with_inputs(tmp_path)),
+                   "--out", str(tmp_path / "rep"), *REPORT_FLAGS) == 0
+    # stability, stabilizability and controllability share one scan
+    assert counts == {"rightmost_root_scan": 1, "matrix_spectral_structure": 1}
+
+
+def test_controllability_with_full_row_rank_input_runs_no_scan(tmp_path, monkeypatch):
+    doc = {
+        "n": 3, "r": 3, "h": 1.0,
+        "A_minus1": np.zeros((3, 3)).tolist(),
+        "A2": {"breakpoints": [-1.0, 0.0], "segments": [np.zeros((3, 3)).tolist()]},
+        "A3": {"breakpoints": [-1.0, 0.0], "segments": [np.zeros((3, 3)).tolist()],
+               "atoms": [{"theta": 0.0, "matrix": (-np.eye(3)).tolist()}]},
+        "B": np.eye(3).tolist(),
+    }
+    path = tmp_path / "free3.json"
+    path.write_text(json.dumps(doc))
+    counts = _count_spectral_work(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli("controllability", "--input", str(path), "--out", str(out)) == 0
+    assert counts == {"rightmost_root_scan": 0, "matrix_spectral_structure": 0}
+    verdict = json.loads((out / "controllability.json").read_text())
+    assert verdict["null_controllability"]["verdict"] == "yes"
+
+
+def test_report_verdicts_match_standalone_commands(tmp_path):
+    path = _system_with_inputs(tmp_path)
+    report_out = tmp_path / "report"
+    assert run_cli("report", "--input", str(path), "--out", str(report_out),
+                   *REPORT_FLAGS) == 0
+    for command in ("stability", "stabilizability", "controllability"):
+        out = tmp_path / command
+        assert run_cli(command, "--input", str(path), "--out", str(out), *REPORT_FLAGS) == 0
+        name = f"{command}.json"
+        assert (out / name).read_bytes() == (report_out / name).read_bytes()

@@ -58,7 +58,7 @@ def test_structure_multiplicity_sums_to_n():
 
 
 def test_exponential_scalar_decay():
-    v = st.classify_asymptotic(make_scalar_decay())
+    v = st.classify_asymptotic(st.SystemAnalysis(make_scalar_decay()))
     assert v.exponential == "stable"
     assert v.asymptotic_case == "exp_regime"
 
@@ -66,30 +66,32 @@ def test_exponential_scalar_decay():
 def test_exponential_fails_on_unit_circle():
     # spectral radius exactly 1 rules out exponential stability regardless of
     # the root scan
-    assert st.classify_asymptotic(make_example1(-1.0, -1.0)).exponential == "not_stable"
-    assert st.classify_asymptotic(make_example2(0.0)).exponential == "not_stable"
+    jordan = st.SystemAnalysis(make_example1(-1.0, -1.0))
+    repeated = st.SystemAnalysis(make_example2(0.0))
+    assert st.classify_asymptotic(jordan).exponential == "not_stable"
+    assert st.classify_asymptotic(repeated).exponential == "not_stable"
 
 
 def test_classify_example1_jordan_unstable():
-    v = st.classify_asymptotic(make_example1(-1.0, -1.0))
+    v = st.classify_asymptotic(st.SystemAnalysis(make_example1(-1.0, -1.0)))
     assert v.asymptotic_case == "case_ii_unstable"
 
 
 def test_classify_example2_indeterminate_both_gammas():
     for gamma in (0.0, 1.0):
-        v = st.classify_asymptotic(make_example2(gamma))
+        v = st.classify_asymptotic(st.SystemAnalysis(make_example2(gamma)))
         assert v.asymptotic_case == "case_iii_indeterminate"
         assert "warning" in v.evidence
 
 
 def test_classify_rhp_spectrum():
-    v = st.classify_asymptotic(make_example1(1.0, 2.0))
+    v = st.classify_asymptotic(st.SystemAnalysis(make_example1(1.0, 2.0)))
     assert v.asymptotic_case == "spectrum_in_RHP_unstable"
     assert v.exponential == "not_stable"
 
 
 def test_classify_case_i():
-    v = st.classify_asymptotic(make_rotation_case_i(1.0))
+    v = st.classify_asymptotic(st.SystemAnalysis(make_rotation_case_i(1.0)))
     assert v.asymptotic_case == "case_i_stable"
     assert v.exponential == "not_stable"  # unit-circle difference matrix
     assert "premise" in v.evidence
@@ -111,7 +113,7 @@ def test_trichotomy_exclusive_labels():
         "spectrum_in_RHP_unstable",
     }
     for sys_ in fixtures:
-        v = st.classify_asymptotic(sys_)
+        v = st.classify_asymptotic(st.SystemAnalysis(sys_))
         assert v.asymptotic_case in valid
         if v.exponential == "stable":
             assert v.asymptotic_case == "exp_regime"
@@ -119,7 +121,8 @@ def test_trichotomy_exclusive_labels():
 
 def test_similarity_invariance():
     rng = np.random.default_rng(5)
-    base_label = st.classify_asymptotic(make_example1(-1.0, -1.0)).asymptotic_case
+    base = st.SystemAnalysis(make_example1(-1.0, -1.0))
+    base_label = st.classify_asymptotic(base).asymptotic_case
     for _ in range(2):
         while True:
             S = rng.uniform(-1.0, 1.0, (2, 2)) + 2.0 * np.eye(2)
@@ -135,18 +138,18 @@ def test_similarity_invariance():
             A3=DelayKernel.from_atoms([(0.0, A0)], 2, 1.0),
             B=np.zeros((2, 0)),
         )
-        assert st.classify_asymptotic(transformed).asymptotic_case == base_label
+        assert st.classify_asymptotic(st.SystemAnalysis(transformed)).asymptotic_case == base_label
 
 
 def test_verdict_serialization():
-    v = st.classify_asymptotic(make_scalar_decay())
+    v = st.classify_asymptotic(st.SystemAnalysis(make_scalar_decay()))
     doc = v.to_json_dict()
     assert doc["exponential"] == "stable"
     assert doc["evidence"]["scan"]["roots_found"] >= 1
 
 
 def test_evidence_records_window():
-    v = st.classify_asymptotic(make_example2(0.0), st.ScanOptions(im_cap=25.0))
+    v = st.classify_asymptotic(st.SystemAnalysis(make_example2(0.0), im_cap=25.0))
     scan = v.evidence["scan"]
     assert scan["window"]["im_max"] == 25.0
     assert scan["rightmost_root_re"] < 0.0

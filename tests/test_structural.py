@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as hst
 from neutralsys import charmatrix as cm
 from neutralsys import rootfinder as rf
 from neutralsys import structural as sr
+from neutralsys.stability import SystemAnalysis
 from neutralsys.sysmodel import DelayKernel, NeutralSystem
 
 from conftest import make_example1, make_example2
@@ -114,7 +115,7 @@ def test_hautus_matrix_pair_cases():
 
 
 def test_stabilizability_example2_hypotheses_fail():
-    report = sr.check_stabilizability(make_example2(0.0, np.eye(2)))
+    report = sr.check_stabilizability(SystemAnalysis(make_example2(0.0, np.eye(2))))
     assert report.condition_1
     assert not report.condition_2  # repeated unit-circle eigenvalue
     assert report.verdict == "hypotheses_not_satisfied"
@@ -122,7 +123,7 @@ def test_stabilizability_example2_hypotheses_fail():
 
 def test_stabilizability_spectral_radius_above_one():
     s = plain_system(np.diag([1.5, 0.2]), np.eye(2))
-    report = sr.check_stabilizability(s)
+    report = sr.check_stabilizability(SystemAnalysis(s))
     assert not report.condition_1
     assert report.verdict == "hypotheses_not_satisfied"
 
@@ -131,7 +132,7 @@ def test_stabilizability_diag_fixture():
     # difference matrix diag(1, 0.5): unit eigenvalue simple, condition 4
     # passes, but lam = 0 is a root where [D(0) | B] = [0 | B] has rank 1
     s = plain_system(np.diag([1.0, 0.5]), np.array([[1.0], [1.0]]))
-    report = sr.check_stabilizability(s)
+    report = sr.check_stabilizability(SystemAnalysis(s))
     assert report.condition_1 and report.condition_2
     assert report.condition_4_passes
     assert not report.condition_3_passes
@@ -143,7 +144,7 @@ def test_stabilizability_diag_fixture():
 def test_stabilizability_passing_fixture():
     # Schur difference matrix, stable-ish state term, full-rank input
     s = plain_system(np.diag([0.5, -0.25]), np.eye(2), state_feedback=-np.eye(2))
-    report = sr.check_stabilizability(s)
+    report = sr.check_stabilizability(SystemAnalysis(s))
     assert report.verdict == "regularly_stabilizable_within_window"
 
 
@@ -151,19 +152,19 @@ def test_stabilizability_passing_fixture():
 
 
 def test_null_controllability_identity_input():
-    report = sr.check_null_controllability(make_example2(0.0, np.eye(2)))
+    report = sr.check_null_controllability(SystemAnalysis(make_example2(0.0, np.eye(2))))
     assert report.verdict == "yes"
     assert report.condition_ii.passes
 
 
 def test_null_controllability_example1_good_column():
-    report = sr.check_null_controllability(make_example1(1.0, 1.0, [[0.0], [1.0]]))
+    report = sr.check_null_controllability(SystemAnalysis(make_example1(1.0, 1.0, [[0.0], [1.0]])))
     assert report.verdict == "yes_within_window"
     assert report.condition_i_passes and report.condition_ii.passes
 
 
 def test_null_controllability_example1_bad_column():
-    report = sr.check_null_controllability(make_example1(1.0, 1.0, [[1.0], [0.0]]))
+    report = sr.check_null_controllability(SystemAnalysis(make_example1(1.0, 1.0, [[1.0], [0.0]])))
     assert report.verdict == "no"
     assert report.witness is not None
     assert report.witness.rank == 1
@@ -175,14 +176,14 @@ def test_null_controllability_example1_bad_column():
 def test_null_controllability_kalman_failure():
     s = plain_system(np.zeros((3, 3)), np.array([[1.0], [0.0], [0.0]]),
                      state_feedback=-np.eye(3))
-    report = sr.check_null_controllability(s)
+    report = sr.check_null_controllability(SystemAnalysis(s))
     assert report.verdict == "no"
     assert not report.condition_ii.passes
 
 
 def test_null_controllability_requires_input():
     with pytest.raises(ValueError):
-        sr.check_null_controllability(make_example1(1.0, 1.0))
+        sr.check_null_controllability(SystemAnalysis(make_example1(1.0, 1.0)))
 
 
 # ------------------------------------------------------- indices and bounds
@@ -222,7 +223,7 @@ def test_indices_reject_bad_basis():
 
 def test_time_bounds_single_input_sharp():
     s = make_example1(1.0, 1.0, [[0.0], [1.0]])
-    bounds, records = sr.controllability_time_bounds(s)
+    bounds, records = sr.controllability_time_bounds(SystemAnalysis(s))
     assert (bounds.m_min, bounds.m_max) == (2, 2)
     assert (bounds.time_lower, bounds.time_sufficient) == (2.0, 2.0)
     assert bounds.single_input_exact
@@ -232,7 +233,7 @@ def test_time_bounds_single_input_sharp():
 
 def test_time_bounds_identity_input():
     s = plain_system(np.zeros((3, 3)), np.eye(3), state_feedback=-np.eye(3))
-    bounds, records = sr.controllability_time_bounds(s)
+    bounds, records = sr.controllability_time_bounds(SystemAnalysis(s))
     assert (bounds.m_min, bounds.m_max) == (1, 1)
     assert len(records) == 6  # all orderings of the three columns
     assert all(tuple(rec.m) == (1, 1, 1) for rec in records)
@@ -241,7 +242,7 @@ def test_time_bounds_identity_input():
 def test_time_bounds_jordan_identity_input():
     s = plain_system(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2),
                      state_feedback=-np.eye(2))
-    bounds, records = sr.controllability_time_bounds(s)
+    bounds, records = sr.controllability_time_bounds(SystemAnalysis(s))
     assert bounds.m_min == 1
     assert bounds.m_max == 1  # ordering (e2, e1) achieves max_i m_i = 1
     assert {tuple(rec.m) for rec in records} == {(0, 2), (1, 1)}
@@ -249,7 +250,7 @@ def test_time_bounds_jordan_identity_input():
 
 def test_time_bounds_refused_when_not_controllable():
     s = make_example1(1.0, 1.0, [[1.0], [0.0]])
-    bounds, records = sr.controllability_time_bounds(s)
+    bounds, records = sr.controllability_time_bounds(SystemAnalysis(s))
     assert bounds.refused
     assert bounds.m_min is None and bounds.time_lower is None
     assert records == ()
@@ -257,7 +258,7 @@ def test_time_bounds_refused_when_not_controllable():
 
 def test_time_bounds_random_policy_labels():
     s = plain_system(np.zeros((2, 2)), np.eye(2), state_feedback=-np.eye(2))
-    bounds, records = sr.controllability_time_bounds(s, policy="random:3", seed=9)
+    bounds, records = sr.controllability_time_bounds(SystemAnalysis(s), policy="random:3", seed=9)
     assert bounds.policy == "random:3"
     assert len(records) == 2 + 3  # permutations plus random draws
 
@@ -266,11 +267,11 @@ def test_h_scaling_of_times():
     s = plain_system(np.zeros((2, 2)), np.array([[0.0], [1.0]]), h=0.25,
                      state_feedback=np.array([[0.0, 1.0], [0.0, 0.0]]))
     # kalman rank of (0 matrix, single column) is 1 < 2: not controllable
-    report = sr.check_null_controllability(s)
+    report = sr.check_null_controllability(SystemAnalysis(s))
     assert report.verdict == "no"
     s2 = plain_system(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]),
                       h=0.25, state_feedback=-np.eye(2))
-    bounds, _ = sr.controllability_time_bounds(s2)
+    bounds, _ = sr.controllability_time_bounds(SystemAnalysis(s2))
     assert bounds.time_sufficient == pytest.approx(2 * 0.25)
 
 
@@ -297,7 +298,7 @@ def test_telescoping_and_monotone_chain(seed):
 
 def test_report_assembly():
     s = make_example1(1.0, 1.0, [[0.0], [1.0]])
-    report = sr.controllability_report(s)
+    report = sr.controllability_report(SystemAnalysis(s))
     doc = report.to_json_dict()
     assert doc["null_controllability"]["verdict"] == "yes_within_window"
     assert doc["bounds"]["m_min"] == 2
