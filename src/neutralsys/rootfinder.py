@@ -10,11 +10,17 @@ phase by a full turn that the pi/2 rule alone cannot see.  The count is the
 accumulated phase over 2 pi, asserted integral; no quadrature of the
 logarithmic derivative is involved.
 
-Location: recursive quadrisection of a rectangle discards root-free cells and
-seeds Newton iterations in small cells.  Multiplicity of a converged root is
-recovered by counting in a tight circle around it, and each cell is accepted
-only when its located multiplicities add up to its winding count.  Cells that
-cannot be resolved are reported, never dropped.
+Location: quadrisection of a rectangle, one level at a time, discards
+root-free cells and seeds Newton iterations in small cells.  The seeds of every
+such cell on a level run through one batched Newton solve (`newton_roots`):
+each iterate evaluates D and D' once, takes one batched det and one batched
+solve for all seeds still running, while each seed keeps its own stopping
+rules.  A cell then takes its seeds' results in seed order.  Multiplicity of a
+converged root is recovered by counting in a tight circle around it, and each
+cell is accepted only when its located multiplicities add up to its winding
+count; the cells that fail are split, and their children's winding counts
+must add up to theirs.  Cells that cannot be resolved are reported, never
+dropped, in depth-first order.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charmatrix import ChainGrid, chain_grid, delta, delta_and_derivative
+from .charmatrix import ChainGrid, chain_grid, delta_and_derivative
 from .errors import NoChainsError, PhaseTrackingError, RootOnContourError
 from .sysmodel import NeutralSystem
 
@@ -264,58 +270,98 @@ def count_roots_in_contour(sys_: NeutralSystem, contour, opts: RootFindOptions |
 # ------------------------------------------------------------------- Newton
 
 
+def newton_roots(
+    sys_: NeutralSystem, seeds, opts: RootFindOptions | None = None
+) -> list[tuple[complex, float, bool]]:
+    """Newton iteration on det D from every seed at once.
+
+    Returns one (lam, |det D(lam)|, converged) per seed, in seed order.  The
+    Newton correction uses the Jacobi identity det' = det * trace(D^{-1} D'),
+    so the step is 1/trace(D^{-1} D') and no determinant magnitudes enter until
+    convergence is checked.  A seed falls back to a secant step when D is
+    singular at its iterate.  Multiple roots converge linearly, hence the
+    generous iteration budget.  Each seed keeps its own best iterate, stall
+    count and iteration budget; the seeds still running share one evaluation
+    of D and D', one det and one solve per iterate.
+    """
+    opts = opts or RootFindOptions()
+    lam = np.array(seeds, dtype=complex).reshape(-1)
+    best_abs = np.full(lam.size, np.inf)
+    best_lam = lam.copy()
+    prev_lam = np.zeros_like(lam)
+    prev_det = np.zeros_like(lam)
+    has_prev = np.zeros(lam.size, dtype=bool)
+    stall = np.zeros(lam.size, dtype=int)
+    failed = np.zeros(lam.size, dtype=bool)   # det went non-finite
+    running = np.ones(lam.size, dtype=bool)
+    # A seed whose step fell below 1e-12 (1 + |lam|) takes one more det at the
+    # new iterate, in the next batch, and stops.
+    final = np.zeros(lam.size, dtype=bool)
+    for it in range(opts.newton_max_iter + 1):
+        if it == opts.newton_max_iter:
+            running[:] = False
+        idx = np.flatnonzero(running | final)
+        if idx.size == 0:
+            break
+        D, dD = delta_and_derivative(sys_, lam[idx])
+        det = np.linalg.det(D)
+        absdet = np.abs(det)
+        better = absdet < best_abs[idx]
+        best_abs[idx[better]] = absdet[better]
+        best_lam[idx[better]] = lam[idx[better]]
+        final[idx] = False
+        iterating = running[idx]
+        finite = np.isfinite(absdet)
+        failed[idx[iterating & ~finite]] = True
+        stall[idx[iterating & better]] = 0
+        stall[idx[iterating & finite & ~better]] += 1
+        go = iterating & finite & (stall[idx] <= 12)
+        running[idx[~go]] = False
+        g, D, dD, det = idx[go], D[go], dD[go], det[go]
+        if g.size == 0:
+            continue
+        trace = _solve_traces(D, dD)
+        newton = np.isfinite(trace) & (trace != 0.0)
+        step = np.empty_like(det)
+        step[newton] = 1.0 / trace[newton]
+        secant = ~newton & has_prev[g] & (det != prev_det[g])
+        gs = g[secant]
+        step[secant] = det[secant] * (lam[gs] - prev_lam[gs]) / (det[secant] - prev_det[gs])
+        nudge = ~newton & ~secant
+        step[nudge] = 1e-7 * (1.0 + np.abs(lam[g[nudge]])) * (0.6 + 0.8j)
+        prev_lam[g], prev_det[g] = lam[g], det
+        has_prev[g] = True
+        lam[g] -= step
+        done = g[np.abs(step) <= 1e-12 * (1.0 + np.abs(lam[g]))]
+        running[done] = False
+        final[done] = True
+    ok = ~failed & (best_abs <= residual_bound(best_lam, sys_.n, opts))
+    return [(best_lam[i], float(best_abs[i]), bool(ok[i])) for i in range(lam.size)]
+
+
+def _solve_traces(D: np.ndarray, dD: np.ndarray) -> np.ndarray:
+    """trace(D^{-1} D') for a stack of matrices; NaN where D is singular."""
+    try:
+        return np.trace(np.linalg.solve(D, dD), axis1=-2, axis2=-1)
+    except np.linalg.LinAlgError:
+        # The batched solve fails as a whole; only the singular ones lose the step.
+        trace = np.full(len(D), np.nan, dtype=complex)
+        for i in range(len(D)):
+            try:
+                trace[i] = np.trace(np.linalg.solve(D[i], dD[i]))
+            except np.linalg.LinAlgError:
+                pass
+        return trace
+
+
 def newton_root(
     sys_: NeutralSystem, lam0: complex, opts: RootFindOptions | None = None
 ) -> tuple[complex, float, bool]:
     """Newton iteration on det D from lam0; returns (lam, |det D(lam)|, converged).
 
-    The Newton correction uses the Jacobi identity det' = det * trace(D^{-1} D'),
-    so the step is 1/trace(D^{-1} D') and no determinant magnitudes enter until
-    convergence is checked.  Falls back to a secant step when D is singular at
-    the iterate.  Multiple roots converge linearly, hence the generous
-    iteration budget.
+    The one-seed view of `newton_roots`.
     """
-    opts = opts or RootFindOptions()
-    lam = complex(lam0)
-    prev_lam: complex | None = None
-    prev_det: complex | None = None
-    best = (np.inf, lam)
-    stall = 0
-    for _ in range(opts.newton_max_iter):
-        D, dD = delta_and_derivative(sys_, lam)
-        D, dD = D[0], dD[0]
-        det = complex(np.linalg.det(D))
-        absdet = abs(det)
-        if not np.isfinite(absdet):
-            return best[1], best[0], False
-        if absdet < best[0]:
-            best = (absdet, lam)
-            stall = 0
-        else:
-            stall += 1
-            if stall > 12:
-                break
-        step = None
-        try:
-            trace = np.trace(np.linalg.solve(D, dD))
-            if np.isfinite(trace) and trace != 0.0:
-                step = 1.0 / trace
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None:
-            if prev_lam is not None and det != prev_det:
-                step = det * (lam - prev_lam) / (det - prev_det)
-            else:
-                step = 1e-7 * (1.0 + abs(lam)) * (0.6 + 0.8j)
-        prev_lam, prev_det = lam, det
-        lam = lam - step
-        if abs(step) <= 1e-12 * (1.0 + abs(lam)):
-            absdet = abs(complex(np.linalg.det(delta(sys_, lam))))
-            if absdet < best[0]:
-                best = (absdet, lam)
-            break
-    absdet, lam = best
-    return lam, absdet, absdet <= residual_bound(lam, sys_.n, opts)
+    return newton_roots(sys_, [lam0], opts)[0]
 
 
 # ----------------------------------------------------------- report objects
@@ -447,9 +493,7 @@ def _multiplicity_of(sys_, lam: complex, cell: Rect, others, opts: RootFindOptio
     return count_roots_in_contour(sys_, Circle(lam, radius), opts)
 
 
-def _try_resolve_cell(sys_, cell: Rect, cnt: int, opts: RootFindOptions, out: list) -> bool:
-    if cell.diameter() > opts.newton_cell_size and cnt > opts.newton_max_count:
-        return False
+def _cell_seeds(cell: Rect, opts: RootFindOptions) -> list[complex]:
     rng = _cell_rng(opts, cell)
     w, v = cell.widths()
     seeds = [cell.center]
@@ -458,10 +502,15 @@ def _try_resolve_cell(sys_, cell: Rect, cnt: int, opts: RootFindOptions, out: li
             cell.center
             + complex(rng.uniform(-0.4, 0.4) * w, rng.uniform(-0.4, 0.4) * v)
         )
+    return seeds
+
+
+def _accept_cell(sys_, cell: Rect, cnt: int, results, opts: RootFindOptions):
+    """The roots that the Newton results of a cell's seeds, taken in seed
+    order, locate in it; None unless their multiplicities reach its count."""
     found: list[LocatedRoot] = []
     total = 0
-    for s in seeds:
-        lam, absdet, ok = newton_root(sys_, s, opts)
+    for lam, absdet, ok in results:
         if not ok or not cell.contains(lam):
             continue
         if any(abs(lam - f.lam) <= opts.merge_tol for f in found):
@@ -472,11 +521,10 @@ def _try_resolve_cell(sys_, cell: Rect, cnt: int, opts: RootFindOptions, out: li
         found.append(LocatedRoot(lam, mult, absdet))
         total += mult
         if total == cnt:
-            out.extend(found)
-            return True
+            return found
         if total > cnt:
-            return False
-    return False
+            return None
+    return None
 
 
 def _merge_roots(roots: list[LocatedRoot], merge_tol: float) -> list[LocatedRoot]:
@@ -510,24 +558,48 @@ def find_roots_in_region(
     """
     opts = opts or RootFindOptions()
     total = count_roots_in_contour(sys_, rect, opts)
+    per_cell = 1 + opts.newton_restarts
+    # A cell is (rect, count, path); the path numbers each quadrant last child
+    # first, so sorting unresolved cells by path gives the order of a
+    # depth-first scan.
+    level = [(rect, total, ())] if total > 0 else []
     roots: list[LocatedRoot] = []
-    unresolved: list[UnresolvedCell] = []
-    stack: list[tuple[Rect, int, int]] = [(rect, total, 0)]
-    while stack:
-        cell, cnt, depth = stack.pop()
-        if cnt == 0:
-            continue
-        if _try_resolve_cell(sys_, cell, cnt, opts, roots):
-            continue
-        if depth >= opts.max_depth or cell.diameter() <= opts.localization_tol:
-            unresolved.append(
-                UnresolvedCell(cell, cnt, "refinement limit reached with roots unmatched")
+    unmatched: list[tuple[tuple, UnresolvedCell]] = []
+    nonadditive: list[tuple[Rect, int, int]] = []   # (cell, count, children's sum)
+    depth = 0
+    while level:
+        tries = [
+            (cell, cnt, path) for cell, cnt, path in level
+            if cell.diameter() <= opts.newton_cell_size or cnt <= opts.newton_max_count
+        ]
+        seeds = [s for cell, _, _ in tries for s in _cell_seeds(cell, opts)]
+        results = newton_roots(sys_, seeds, opts) if seeds else []
+        resolved = set()
+        for j, (cell, cnt, path) in enumerate(tries):
+            found = _accept_cell(sys_, cell, cnt, results[j * per_cell:(j + 1) * per_cell], opts)
+            if found is not None:
+                roots.extend(found)
+                resolved.add(path)
+        next_level = []
+        for cell, cnt, path in level:
+            if path in resolved:
+                continue
+            if depth >= opts.max_depth or cell.diameter() <= opts.localization_tol:
+                unmatched.append((path, UnresolvedCell(
+                    cell, cnt, "refinement limit reached with roots unmatched")))
+                continue
+            children = cell.quadrants()
+            counts = [count_roots_in_contour(sys_, child, opts) for child in children]
+            if sum(counts) != cnt:
+                nonadditive.append((cell, cnt, sum(counts)))
+            next_level.extend(
+                (child, c, path + (3 - i,))
+                for i, (child, c) in enumerate(zip(children, counts))
+                if c > 0
             )
-            continue
-        for child in cell.quadrants():
-            c = count_roots_in_contour(sys_, child, opts)
-            if c > 0:
-                stack.append((child, c, depth + 1))
+        level = next_level
+        depth += 1
+    unresolved = [u for _, u in sorted(unmatched, key=lambda e: e[0])]
 
     merged = _merge_roots(roots, opts.merge_tol)
 
@@ -558,8 +630,14 @@ def find_roots_in_region(
         f"finite slice of an infinite spectrum; winding count {total}, located "
         f"multiplicity {located}"
     )
-    if located != total:
-        note += " (mismatch: contour inflation near shared cell edges can double-count)"
+    if nonadditive:
+        note += " (winding counts not additive: " + "; ".join(
+            f"cell [{c.re_min}, {c.re_max}] x [{c.im_min}, {c.im_max}] counts {cnt}, "
+            f"its children {s}"
+            for c, cnt, s in nonadditive
+        ) + "; a child contour was inflated across a root on a split line)"
+    elif located != total:
+        note += " (mismatch: roots in neighbouring cells merged at merge_tol)"
 
     return SpectrumReport(
         window=rect,

@@ -302,3 +302,150 @@ def test_root_on_contour_inflation():
 def test_rect_requires_nondegenerate():
     with pytest.raises(ValueError):
         rf.Rect(1.0, 1.0, -1.0, 1.0)
+
+
+def scalar_newton_reference(sys_, lam0, opts):
+    """Newton iteration on det D from one seed, one point at a time."""
+    lam = complex(lam0)
+    prev_lam = prev_det = None
+    best = (np.inf, lam)
+    stall = 0
+    for _ in range(opts.newton_max_iter):
+        D, dD = cm.delta(sys_, lam), cm.delta_derivative(sys_, lam)
+        det = complex(np.linalg.det(D))
+        if not np.isfinite(abs(det)):
+            return best[1], best[0], False
+        if abs(det) < best[0]:
+            best = (abs(det), lam)
+            stall = 0
+        else:
+            stall += 1
+            if stall > 12:
+                break
+        step = None
+        try:
+            trace = np.trace(np.linalg.solve(D, dD))
+            if np.isfinite(trace) and trace != 0.0:
+                step = 1.0 / trace
+        except np.linalg.LinAlgError:
+            pass
+        if step is None:
+            if prev_lam is not None and det != prev_det:
+                step = det * (lam - prev_lam) / (det - prev_det)
+            else:
+                step = 1e-7 * (1.0 + abs(lam)) * (0.6 + 0.8j)
+        prev_lam, prev_det = lam, det
+        lam = lam - step
+        if abs(step) <= 1e-12 * (1.0 + abs(lam)):
+            absdet = abs(complex(np.linalg.det(cm.delta(sys_, lam))))
+            if absdet < best[0]:
+                best = (absdet, lam)
+            break
+    absdet, lam = best
+    return lam, absdet, absdet <= rf.residual_bound(lam, sys_.n, opts)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("opts", [rf.RootFindOptions(), rf.RootFindOptions(newton_max_iter=2)])
+@pytest.mark.parametrize(
+    "sys_, seeds",
+    [
+        # D(-1) = 0: the batched solve fails for the whole stack at the first iterate
+        (make_scalar_decay(), [0.3 + 0.2j, -1.0, -3.0 + 1.0j, 5.0j, -0.999]),
+        # D(0) = 0; -800 overflows e^{-lam h} and stops on a non-finite det
+        (make_example1(0.0, 0.0), [0.1 + 0.1j, 0.0, 0.2 + 6.0j, -0.5 - 6.5j, 2.0, -800.0]),
+    ],
+)
+def test_newton_roots_match_newton_root_seed_for_seed(sys_, seeds, opts):
+    # With newton_max_iter=2 a seed that lost its Newton step to the singular
+    # one would stop before reaching the root.
+    batch = rf.newton_roots(sys_, seeds, opts)
+    assert len(batch) == len(seeds)
+    for seed, (lam, absdet, ok) in zip(seeds, batch):
+        assert isinstance(lam, np.complex128)
+        for lam1, absdet1, ok1 in (
+            rf.newton_root(sys_, seed, opts),
+            scalar_newton_reference(sys_, seed, opts),
+        ):
+            assert ok == ok1
+            assert abs(lam - lam1) <= 1e-12 * (1.0 + abs(lam1))
+            assert absdet == pytest.approx(absdet1, rel=1e-12, abs=1e-12)
+
+
+def test_region_scan_batches_newton_once_per_level(monkeypatch):
+    # Each cell's depth comes from the quadrisection that made it; the first
+    # of each cell's seeds is its center.
+    s = make_example2(0.0)
+    rect = rf.Rect(-0.6, 1.0, -40.0, 40.0)
+    depth_of = {rect.center: 0}
+    quadrants = rf.Rect.quadrants
+
+    def recording_quadrants(cell, *args, **kwargs):
+        children = quadrants(cell, *args, **kwargs)
+        for child in children:
+            depth_of[child.center] = depth_of[cell.center] + 1
+        return children
+
+    call_depths = []
+    newton_roots = rf.newton_roots
+    per_cell = 1 + rf.RootFindOptions().newton_restarts
+
+    def recording_newton_roots(sys_, seeds, opts=None):
+        call_depths.append({depth_of[c] for c in seeds[::per_cell]})
+        return newton_roots(sys_, seeds, opts)
+
+    def no_single_seed(*args, **kwargs):
+        raise AssertionError("region scan ran a single-seed Newton iteration")
+
+    monkeypatch.setattr(rf.Rect, "quadrants", recording_quadrants)
+    monkeypatch.setattr(rf, "newton_roots", recording_newton_roots)
+    monkeypatch.setattr(rf, "newton_root", no_single_seed)
+    report = rf.find_roots_in_region(s, rect)
+    assert sum(r.multiplicity for r in report.all_roots()) == report.total_count == 26
+    assert all(len(depths) == 1 for depths in call_depths)
+    levels = [depths.pop() for depths in call_depths]
+    assert levels == sorted(set(levels))
+    assert len(levels) > 1
+
+
+def test_unresolved_cells_keep_depth_first_order():
+    # The list a depth-first stack scan gives: last child first.
+    s = make_example2(0.0)
+    report = rf.find_roots_in_region(
+        s, rf.Rect(-0.6, 1.0, -40.0, 40.0), rf.RootFindOptions(max_depth=2)
+    )
+    x0, x1, x2 = -0.6, -0.17777969599999988, 0.22192000000000012
+    y0, y1, y2 = -18.888984799999996, 1.0960000000000036, 21.080984800000003
+    assert [
+        (u.cell.re_min, u.cell.re_max, u.cell.im_min, u.cell.im_max, u.count)
+        for u in report.unresolved_cells
+    ] == [
+        (x1, x2, y2, 40.0, 6),
+        (x1, x2, y1, y2, 6),
+        (x1, x2, y0, y1, 6),
+        (x0, x1, y0, y1, 2),
+        (x1, x2, -40.0, y0, 6),
+    ]
+    assert report.total_count == 26
+
+
+def test_root_on_split_line_names_the_nonadditive_cell():
+    # The first split of this rectangle runs through the root at -1; both
+    # children touching it inflate past it and count it.
+    s = make_scalar_decay()
+    rect = rf.Rect(-1.0 - 0.5137 * 2.0, -1.0 + 0.4863 * 2.0, -1.0, 1.0)
+    assert rect.quadrants()[0].re_max == -1.0
+    opts = rf.RootFindOptions(newton_max_count=0)   # no Newton before the split
+    report = rf.find_roots_in_region(s, rect, opts)
+    roots = report.all_roots()
+    assert len(roots) == 1 and roots[0].multiplicity == 1
+    assert roots[0].lam == pytest.approx(-1.0, abs=1e-12)
+    assert (
+        f"winding counts not additive: cell [{rect.re_min}, {rect.re_max}] x "
+        f"[{rect.im_min}, {rect.im_max}] counts 1, its children 2;"
+    ) in report.completeness_note
+    assert "merged" not in report.completeness_note
+
+    clear = rf.Rect(rect.re_min + 0.1, rect.re_max + 0.1, -1.0, 1.0)
+    report = rf.find_roots_in_region(s, clear, opts)
+    assert report.completeness_note.endswith("winding count 1, located multiplicity 1")
