@@ -43,6 +43,10 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
+# Grid intervals per delay when --grid-m is not given, per command that uses it.
+SIMULATE_GRID_M = 200
+REACH_GRID_M = 100
+
 
 @dataclass
 class RunConfig:
@@ -55,7 +59,7 @@ class RunConfig:
     tol_rank: float | None = None
     tol_root: float | None = None
     T: float = 10.0
-    grid_m: int = 200
+    grid_m: int | None = None
     seed: int = 0
     k_range: tuple[int, int] = (5, 20)
     basis_policy: str = "permutations"
@@ -65,7 +69,6 @@ class RunConfig:
     control_table: str | None = None
     history: str = "random"
     T_list: tuple[float, ...] = ()
-    control_intervals: int = 400
     rank_tau: float = 1e-6
 
 
@@ -107,12 +110,13 @@ def _control_function(cfg: RunConfig, sys_: NeutralSystem):
 
 
 def _history(cfg: RunConfig, sys_: NeutralSystem) -> HistorySegment:
+    m = SIMULATE_GRID_M if cfg.grid_m is None else cfg.grid_m
     if cfg.history == "zero":
-        return HistorySegment.zero(sys_, cfg.grid_m)
+        return HistorySegment.zero(sys_, m)
     if cfg.history == "ones":
-        return HistorySegment.constant(sys_, np.ones(sys_.n), cfg.grid_m)
+        return HistorySegment.constant(sys_, np.ones(sys_.n), m)
     if cfg.history == "random":
-        return HistorySegment.random(sys_, cfg.grid_m, cfg.seed)
+        return HistorySegment.random(sys_, m, cfg.seed)
     raise ValueError(f"unknown history spec '{cfg.history}'")
 
 
@@ -182,10 +186,10 @@ def _cmd_controllability(cfg: RunConfig, analysis: SystemAnalysis, out: Path) ->
 def _cmd_simulate(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
     sys_ = analysis.sys_
     phi = _history(cfg, sys_)
-    traj = simulate(sys_, phi, _control_function(cfg, sys_), T=cfg.T, m=cfg.grid_m)
+    traj = simulate(sys_, phi, _control_function(cfg, sys_), T=cfg.T, m=phi.m)
     (out / "trajectory.csv").write_text(traj.to_csv())
     prof = norm_profile(traj)
-    print(f"simulated to T={traj.times[-1]:.6g} with m={cfg.grid_m}; "
+    print(f"simulated to T={traj.times[-1]:.6g} with m={phi.m}; "
           f"norm start {prof[0, 1]:.6g}, end {prof[-1, 1]:.6g}")
     return EXIT_OK
 
@@ -193,9 +197,8 @@ def _cmd_simulate(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
 def _cmd_reach(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
     sys_ = analysis.sys_
     T_list = cfg.T_list or tuple(sys_.h * f for f in (0.5, 1.5, 2.5, 3.5))
-    profile, sigmas = rank_profile(
-        sys_, T_list, m=cfg.grid_m, q=cfg.control_intervals, tau=cfg.rank_tau
-    )
+    m = REACH_GRID_M if cfg.grid_m is None else cfg.grid_m
+    profile, sigmas = rank_profile(sys_, T_list, m=m, tau=cfg.rank_tau)
     (out / "rank_profile.csv").write_text(profile.to_csv(sigmas))
     _write_json(out / "rank_profile.json", profile.to_json_dict())
     marks = ", ".join(f"T={e.T:.6g}: rank {e.effective_rank}" for e in profile.entries)
@@ -312,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-root", type=float, default=None)
         p.add_argument("--T", type=float, default=10.0)
         p.add_argument("--grid-m", type=int, default=None,
-                       help="grid intervals per delay (default: 200 simulate, 100 reach)")
+                       help=f"grid intervals per delay (default: {SIMULATE_GRID_M} "
+                            f"simulate, {REACH_GRID_M} reach, each also within report)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--k-range", default="5:20", help="chain index range, MIN:MAX")
         p.add_argument("--basis-policy", default="permutations",
@@ -324,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--history", default="random", help="zero | ones | random")
         p.add_argument("--T-list", default=None,
                        help="comma-separated horizons for reach")
-        p.add_argument("--control-intervals", type=int, default=400)
         p.add_argument("--rank-tau", type=float, default=1e-6)
     return parser
 
@@ -334,9 +337,6 @@ def _config_from_args(args) -> RunConfig:
     T_list = ()
     if args.T_list:
         T_list = tuple(float(x) for x in args.T_list.split(","))
-    grid_m = args.grid_m
-    if grid_m is None:
-        grid_m = 100 if args.command == "reach" else 200
     return RunConfig(
         command=args.command,
         input_path=args.input,
@@ -347,7 +347,7 @@ def _config_from_args(args) -> RunConfig:
         tol_rank=args.tol_rank,
         tol_root=args.tol_root,
         T=args.T,
-        grid_m=grid_m,
+        grid_m=args.grid_m,
         seed=args.seed,
         k_range=(int(k_lo or 5), int(k_hi or 20)),
         basis_policy=args.basis_policy,
@@ -357,7 +357,6 @@ def _config_from_args(args) -> RunConfig:
         control_table=args.control_table,
         history=args.history,
         T_list=T_list,
-        control_intervals=args.control_intervals,
         rank_tau=args.rank_tau,
     )
 

@@ -1,11 +1,19 @@
 """Discretized steering-operator probe for reachability growth over time.
 
 Each column of the probe matrix is the terminal state (head vector plus the
-trailing delay segment of z) reached from zero history by one element of a
-piecewise-constant control basis on [0, T].  Singular values of that matrix
+trailing delay segment of z) reached from zero history by a unit pulse on
+one simulation step and one input channel.  Singular values of that matrix
 show how the reachable set fills out as T grows; the effective rank at a
 relative cliff is the auditable summary.  This is numerical evidence on a
 finite grid, not a proof about the infinite-dimensional reachable set.
+
+The stepper's coefficients do not depend on the step and the history is
+zero, so a pulse on step j gives the step-0 pulse response P delayed by j
+steps (the first j steps compute exact zeros), and at T = nsteps*dt its
+terminal state is that of P at age nsteps - j.  One simulation of P yields
+every column, and the probe at an earlier horizon of s steps is the last s*r
+columns of a later one: the column blocks, and the reachable sets they span,
+nest.
 """
 
 from __future__ import annotations
@@ -30,72 +38,51 @@ class SteeringProbe:
 
     def effective_rank(self, tau: float = 1e-6) -> int:
         """Number of singular values above tau relative to the largest."""
-        s = self.singular_values
-        if s.size == 0 or s[0] <= 0.0:
-            return 0
-        return int(np.count_nonzero(s >= tau * s[0]))
+        return _effective_rank(self.singular_values, tau)
 
 
-class _BasisControls:
-    """Samples of the piecewise-constant control basis, made one step at a time.
-
-    Indexing by step k gives the (r, ncols) slice a stored (nsteps, r, ncols)
-    array would hold: 1 at channel c, column j * r + c for the interval j
-    that contains step k, 0 elsewhere.
-    """
-
-    def __init__(self, interval: np.ndarray, r: int, ncols: int):
-        self.interval = interval
-        self.r = r
-        self.ncols = ncols
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        u = np.zeros((self.r, self.ncols))
-        channels = np.arange(self.r)
-        u[channels, int(self.interval[k]) * self.r + channels] = 1.0
-        return u
+def _effective_rank(s: np.ndarray, tau: float) -> int:
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s >= tau * s[0]))
 
 
-def build_steering_probe(
-    sys_: NeutralSystem, T: float, m: int = 100, q: int = 400
-) -> SteeringProbe:
+def _steps(sys_: NeutralSystem, T: float, m: int) -> int:
+    """Simulation steps of dt = h/m that reach horizon T, at least one."""
+    return max(1, int(round(T / (sys_.h / m))))
+
+
+def build_steering_probe(sys_: NeutralSystem, T: float, m: int = 100) -> SteeringProbe:
     """Assemble the control-to-terminal-state matrix from zero initial history.
 
-    The control basis has q intervals per input channel (capped at the number
-    of simulation steps so no basis element vanishes); column order is
-    interval-major, then channel.  T is rounded to the simulation grid.  For
-    rank questions the control side must not bind, so the default q exceeds
-    the default state dimension n(m+1) + n for small n.
+    One column per simulation step and input channel, step-major, all from
+    one simulated pulse response.  T is rounded to the simulation grid.
     """
     if sys_.r < 1:
         raise ValueError("steering probe needs at least one input channel")
     if not (T > 0):
         raise ValueError("horizon must be positive")
-    if m < 8 or q < 1:
-        raise ValueError("need m >= 8 history points and q >= 1 control intervals")
-    dt = sys_.h / m
-    nsteps = max(1, int(round(T / dt)))
-    t_eff = nsteps * dt
+    if m < 8:
+        raise ValueError("need m >= 8 history points")
+    n, r = sys_.n, sys_.r
+    nsteps = _steps(sys_, T, m)
+    controls = np.zeros((nsteps, r, r))
+    controls[0] = np.eye(r)
+    P = _integrate(sys_, np.zeros((m + 1, n, r)), controls, nsteps, m)
 
-    r = sys_.r
-    q = min(q, nsteps)
-    ncols = q * r
-    interval = np.minimum((np.arange(nsteps) * q) // nsteps, q - 1)
-    # Neither the zero history nor the one-hot controls is stored in full: at
-    # the report's horizons they would be the largest arrays of the probe.
-    hist0 = np.broadcast_to(0.0, (m + 1, sys_.n, ncols))
-    Z = _integrate(sys_, hist0, _BasisControls(interval, r, ncols), nsteps, m)
-
-    tail = Z[nsteps : nsteps + m + 1]                  # z(T + theta) on the grid
-    head = Z[nsteps + m] - sys_.A_minus1 @ Z[nsteps]   # z(T) - A z(T - h)
-    state = np.concatenate([head, tail.reshape(-1, ncols)], axis=0)
-    sigma = np.linalg.svd(state, compute_uv=False)
+    # The pulse on step j is s = nsteps - j steps old at T; its terminal
+    # segment is P[s : s + m + 1], i.e. z(T + theta) on the grid.
+    ages = nsteps - np.arange(nsteps)
+    tail = P[np.arange(m + 1)[:, None] + ages]            # (m+1, nsteps, n, r)
+    tail = tail.transpose(0, 2, 1, 3).reshape(m + 1, n, nsteps * r)
+    head = tail[m] - sys_.A_minus1 @ tail[0]               # z(T) - A z(T - h)
+    state = np.concatenate([head, tail.reshape(-1, nsteps * r)], axis=0)
     return SteeringProbe(
-        T=t_eff,
-        control_dim=ncols,
+        T=nsteps * (sys_.h / m),
+        control_dim=nsteps * r,
         state_dim=state.shape[0],
         matrix=state,
-        singular_values=sigma,
+        singular_values=np.linalg.svd(state, compute_uv=False),
     )
 
 
@@ -143,35 +130,36 @@ def rank_profile(
     sys_: NeutralSystem,
     T_list,
     m: int = 100,
-    q: int = 400,
     tau: float = 1e-6,
 ) -> tuple[RankProfile, dict]:
     """Probe summaries over increasing horizons on a shared state grid.
 
+    Each horizon's probe is the trailing columns of the last horizon's.
     Returns the profile plus the raw singular values per horizon.  The
     reachable set only grows with T, so the effective rank should be
     non-decreasing; the profile records whether the discretization respects
     that.
     """
     T_list = list(T_list)
-    if any(b <= a for a, b in zip(T_list, T_list[1:])):
-        raise ValueError("horizons must be strictly increasing")
-    entries = []
-    sigmas: dict = {}
+    if not T_list or not T_list[0] > 0 or any(b <= a for a, b in zip(T_list, T_list[1:])):
+        raise ValueError("horizons must be positive and strictly increasing")
+    probe = build_steering_probe(sys_, T_list[-1], m=m)
+    entries, sigmas = [], {}
     for T in T_list:
-        probe = build_steering_probe(sys_, T, m=m, q=q)
-        rank = probe.effective_rank(tau)
-        s = probe.singular_values
+        nsteps = _steps(sys_, T, m)
+        cols, T_eff = nsteps * sys_.r, nsteps * (sys_.h / m)
+        s = (probe.singular_values if cols == probe.control_dim
+             else np.linalg.svd(probe.matrix[:, -cols:], compute_uv=False))
+        rank = _effective_rank(s, tau)
         entries.append(
             ProbeSummary(
-                T=probe.T,
+                T=T_eff,
                 sigma_max=float(s[0]) if s.size else 0.0,
                 sigma_at_rank=float(s[rank - 1]) if rank > 0 else 0.0,
                 effective_rank=rank,
             )
         )
-        sigmas[probe.T] = s
-        del probe  # its matrix would otherwise stay alive through the next build
+        sigmas[T_eff] = s
     ranks = [e.effective_rank for e in entries]
     monotone = all(b >= a for a, b in zip(ranks, ranks[1:]))
     return RankProfile(entries=tuple(entries), tau=tau, monotone=monotone), sigmas

@@ -375,6 +375,22 @@ class LocatedRoot:
     chain_label: tuple[int, int] | None = None
 
 
+_RE_TIE = 1e-9  # real parts this close count as equal when ordering roots
+
+
+def _ordered(roots) -> tuple[LocatedRoot, ...]:
+    """Roots by real part, and by imaginary part within each run of roots whose
+    consecutive real parts differ by at most _RE_TIE: conjugate partners are
+    located separately, and their order must not follow rounding noise."""
+    runs: list[list[LocatedRoot]] = []
+    for r in sorted(roots, key=lambda r: r.lam.real):
+        if runs and r.lam.real - runs[-1][-1].lam.real <= _RE_TIE:
+            runs[-1].append(r)
+        else:
+            runs.append([r])
+    return tuple(r for run in runs for r in sorted(run, key=lambda r: r.lam.imag))
+
+
 @dataclass(frozen=True)
 class RootCluster:
     """Roots inside one chain circle; count is their total multiplicity."""
@@ -406,7 +422,7 @@ class SpectrumReport:
         roots = list(self.unclustered_roots)
         for c in self.clusters:
             roots.extend(c.roots)
-        return tuple(sorted(roots, key=lambda r: (r.lam.real, r.lam.imag)))
+        return _ordered(roots)
 
     def to_json_dict(self) -> dict:
         def root_doc(r: LocatedRoot) -> dict:
@@ -528,9 +544,8 @@ def _accept_cell(sys_, cell: Rect, cnt: int, results, opts: RootFindOptions):
 
 
 def _merge_roots(roots: list[LocatedRoot], merge_tol: float) -> list[LocatedRoot]:
-    roots = sorted(roots, key=lambda r: (r.lam.real, r.lam.imag))
     merged: list[LocatedRoot] = []
-    for r in roots:
+    for r in _ordered(roots):
         dup = None
         for i, m in enumerate(merged):
             if abs(r.lam - m.lam) <= merge_tol:
@@ -618,7 +633,7 @@ def find_roots_in_region(
             center=grid.center(m, k),
             radius=grid.radius,
             count=sum(r.multiplicity for r in rs),
-            roots=tuple(sorted(rs, key=lambda r: (r.lam.real, r.lam.imag))),
+            roots=_ordered(rs),
             chain_label=(m, k),
         )
         for (m, k), rs in sorted(clusters.items())
@@ -642,7 +657,7 @@ def find_roots_in_region(
     return SpectrumReport(
         window=rect,
         clusters=cluster_objs,
-        unclustered_roots=tuple(sorted(loose, key=lambda r: (r.lam.real, r.lam.imag))),
+        unclustered_roots=_ordered(loose),
         unresolved_cells=tuple(unresolved),
         total_count=total,
         completeness_note=note,

@@ -142,9 +142,6 @@ def _integrate(sys_: NeutralSystem, hist0: np.ndarray, controls: np.ndarray | No
                nsteps: int, m: int) -> np.ndarray:
     """Core stepper; hist0 has shape (m+1, n, c), controls (nsteps, r, c) or None.
 
-    controls only needs indexing by step, controls[k] of shape (r, c), so the
-    reachability probe passes its basis without storing it.
-
     Returns the full sample array of shape (m + nsteps + 1, n, c) covering
     t in [-h, nsteps*dt].
     """

@@ -194,7 +194,7 @@ def test_criterion_08_telescoping_identity():
 def test_criterion_09_reachability_phase_transition():
     started = time.perf_counter()
     sys_ = make_reach_fixture()
-    profile, _ = rank_profile(sys_, [0.5, 1.5, 2.5, 3.5], m=100, q=400, tau=1e-6)
+    profile, _ = rank_profile(sys_, [0.5, 1.5, 2.5, 3.5], m=100, tau=1e-6)
     ranks = [e.effective_rank for e in profile.entries]
     elapsed = time.perf_counter() - started
     assert ranks[2] > ranks[1]       # strict growth across T = nh = 2h

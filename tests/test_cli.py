@@ -150,7 +150,7 @@ def test_reach_command(tmp_path):
     out = tmp_path / "out"
     code = run_cli(
         "reach", "--input", str(path), "--out", str(out),
-        "--T-list", "0.5,1.5,2.5", "--grid-m", "50", "--control-intervals", "200",
+        "--T-list", "0.5,1.5,2.5", "--grid-m", "50",
     )
     assert code == 0
     prof = json.loads((out / "rank_profile.json").read_text())
@@ -220,3 +220,17 @@ def test_report_verdicts_match_standalone_commands(tmp_path):
         assert run_cli(command, "--input", str(path), "--out", str(out), *REPORT_FLAGS) == 0
         name = f"{command}.json"
         assert (out / name).read_bytes() == (report_out / name).read_bytes()
+
+
+def test_report_writes_what_reach_and_simulate_write(tmp_path):
+    # without --grid-m each part of report uses its own command's default grid
+    path = _system_with_inputs(tmp_path)
+    flags = ("--T", "3", "--k-range", "5:6")
+    report_out = tmp_path / "report"
+    assert run_cli("report", "--input", str(path), "--out", str(report_out), *flags) == 0
+    for command, names in (("reach", ("rank_profile.json", "rank_profile.csv")),
+                           ("simulate", ("trajectory.csv",))):
+        out = tmp_path / command
+        assert run_cli(command, "--input", str(path), "--out", str(out), *flags) == 0
+        for name in names:
+            assert (out / name).read_bytes() == (report_out / name).read_bytes()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from neutralsys.reachability import _BasisControls, build_steering_probe, rank_profile
+from neutralsys import reachability
+from neutralsys.reachability import build_steering_probe, rank_profile
+from neutralsys.simulate import _integrate
 from neutralsys.sysmodel import DelayKernel, NeutralSystem
 
-from conftest import make_reach_fixture
+from conftest import make_density_system, make_reach_fixture
 
 
 def make_scalar_ode_with_input():
@@ -17,20 +19,66 @@ def make_scalar_ode_with_input():
     )
 
 
-def test_basis_controls_match_dense_one_hot_layout():
-    nsteps, q, r = 7, 3, 2
-    interval = np.minimum((np.arange(nsteps) * q) // nsteps, q - 1)
-    dense = np.zeros((nsteps, r, q * r))
-    for k in range(nsteps):
-        for c in range(r):
-            dense[k, c, interval[k] * r + c] = 1.0
-    controls = _BasisControls(interval, r, q * r)
-    assert all(np.array_equal(controls[k], dense[k]) for k in range(nsteps))
+def make_two_input_density_system():
+    s = make_density_system()
+    return NeutralSystem(n=2, r=2, h=s.h, A_minus1=s.A_minus1, A2=s.A2, A3=s.A3,
+                         B=np.array([[1.0, 0.5], [-0.25, 1.0]]))
+
+
+def probe_from_one_hot_controls(sys_, T, m):
+    """The probe matrix built without shift invariance: one simulation whose
+    column j*r + c carries a unit control on step j, channel c."""
+    nsteps = max(1, int(round(T / (sys_.h / m))))
+    r = sys_.r
+    ncols = nsteps * r
+    controls = np.zeros((nsteps, r, ncols))
+    for j in range(nsteps):
+        controls[j, :, j * r:(j + 1) * r] = np.eye(r)
+    Z = _integrate(sys_, np.zeros((m + 1, sys_.n, ncols)), controls, nsteps, m)
+    tail = Z[nsteps: nsteps + m + 1]
+    head = Z[nsteps + m] - sys_.A_minus1 @ Z[nsteps]
+    return np.concatenate([head, tail.reshape(-1, ncols)], axis=0)
+
+
+@pytest.mark.parametrize("T", [0.5, 1.5, 2.5, 3.5])
+def test_probe_equals_one_hot_reference_on_reach_fixture(T):
+    s = make_reach_fixture()
+    probe = build_steering_probe(s, T, m=100)
+    assert np.array_equal(probe.matrix, probe_from_one_hot_controls(s, T, 100))
+
+
+@pytest.mark.parametrize("T", [0.5, 2.5])
+def test_probe_matches_one_hot_reference_with_densities(T):
+    # einsum may sum in another order when the column count changes
+    s = make_two_input_density_system()
+    probe = build_steering_probe(s, T, m=40)
+    ref = probe_from_one_hot_controls(s, T, 40)
+    assert probe.matrix.shape == ref.shape
+    assert np.max(np.abs(probe.matrix - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_rank_profile_runs_one_simulation(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return _integrate(*args, **kwargs)
+
+    monkeypatch.setattr(reachability, "_integrate", counted)
+    s = make_two_input_density_system()
+    horizons = [0.3, 1.1, 2.5]
+    profile, sigmas = rank_profile(s, horizons, m=40)
+    assert calls == [100]
+    for T, entry in zip(horizons, profile.entries):
+        probe = build_steering_probe(s, T, m=40)
+        assert entry.T == probe.T
+        assert entry.effective_rank == probe.effective_rank()
+        assert np.array_equal(sigmas[probe.T], probe.singular_values)
 
 
 def test_zero_input_matrix_gives_zero_probe():
     s = make_reach_fixture(b_scale=0.0)
-    probe = build_steering_probe(s, 1.5, m=50, q=100)
+    probe = build_steering_probe(s, 1.5, m=50)
     assert np.all(probe.matrix == 0.0)
     assert np.all(probe.singular_values == 0.0)
     assert probe.effective_rank() == 0
@@ -39,29 +87,32 @@ def test_zero_input_matrix_gives_zero_probe():
 def test_scalar_ode_reachable_immediately():
     s = make_scalar_ode_with_input()
     for T in (0.2, 1.0):
-        probe = build_steering_probe(s, T, m=50, q=50)
+        probe = build_steering_probe(s, T, m=50)
         assert probe.singular_values[0] > 0.0
 
 
 def test_probe_dimensions():
     s = make_reach_fixture()
-    probe = build_steering_probe(s, 2.5, m=50, q=100)
+    probe = build_steering_probe(s, 2.5, m=50)
     assert probe.state_dim == 2 * 51 + 2
-    assert probe.control_dim == 100
+    assert probe.control_dim == 125  # one column per step
     assert probe.matrix.shape == (probe.state_dim, probe.control_dim)
     sv = probe.singular_values
     assert np.all(sv[:-1] >= sv[1:]) and np.all(sv >= 0.0)
 
 
-def test_control_intervals_capped_at_steps():
-    s = make_reach_fixture()
-    probe = build_steering_probe(s, 0.5, m=50, q=400)
-    assert probe.control_dim == 25  # nsteps = 25 < q
+@pytest.mark.parametrize("make", [make_reach_fixture, make_two_input_density_system])
+def test_one_basis_element_per_step(make):
+    s = make()
+    for T, nsteps in ((0.01, 1), (0.5, 25), (1.5, 75), (2.5, 125)):
+        probe = build_steering_probe(s, T, m=50)
+        assert probe.control_dim == nsteps * s.r
+        assert np.all(np.any(probe.matrix != 0.0, axis=0))
 
 
 def test_rank_profile_transition():
     s = make_reach_fixture()
-    profile, sigmas = rank_profile(s, [0.5, 1.5, 2.5, 3.5], m=100, q=400)
+    profile, sigmas = rank_profile(s, [0.5, 1.5, 2.5, 3.5], m=100)
     ranks = [e.effective_rank for e in profile.entries]
     assert profile.monotone
     assert ranks[2] > ranks[1]
@@ -76,17 +127,29 @@ def test_rank_profile_requires_increasing():
         rank_profile(s, [1.0, 0.5])
 
 
+@pytest.mark.parametrize("horizons", [[], [0.0, 1.0], [-1.0, 1.0]])
+def test_rank_profile_rejects_empty_or_nonpositive_horizons(horizons):
+    with pytest.raises(ValueError):
+        rank_profile(make_reach_fixture(), horizons)
+
+
+@pytest.mark.xfail(strict=True, reason="the relative cliff tau drops the m=200 rank at "
+                   "T=3.5 although the column blocks nest")
+def test_rank_profile_monotone_at_fine_grid():
+    assert rank_profile(make_reach_fixture(), [0.5, 1.5, 2.5, 3.5], m=200)[0].monotone
+
+
 def test_scaling_covariance():
-    p1 = build_steering_probe(make_reach_fixture(1.0), 1.5, m=50, q=100)
-    p3 = build_steering_probe(make_reach_fixture(3.0), 1.5, m=50, q=100)
+    p1 = build_steering_probe(make_reach_fixture(1.0), 1.5, m=50)
+    p3 = build_steering_probe(make_reach_fixture(3.0), 1.5, m=50)
     assert np.allclose(p3.singular_values, 3.0 * p1.singular_values,
                        rtol=1e-13, atol=1e-13)
 
 
 def test_transition_decision_stable_under_grid_doubling():
     s = make_reach_fixture()
-    r_lo, _ = rank_profile(s, [1.5, 2.5], m=100, q=400)
-    r_hi, _ = rank_profile(s, [1.5, 2.5], m=200, q=800)
+    r_lo, _ = rank_profile(s, [1.5, 2.5], m=100)
+    r_hi, _ = rank_profile(s, [1.5, 2.5], m=200)
     for prof in (r_lo, r_hi):
         ranks = [e.effective_rank for e in prof.entries]
         assert ranks[1] > ranks[0]
@@ -94,7 +157,7 @@ def test_transition_decision_stable_under_grid_doubling():
 
 def test_profile_csv_and_json():
     s = make_reach_fixture()
-    profile, sigmas = rank_profile(s, [0.5, 1.5], m=50, q=100)
+    profile, sigmas = rank_profile(s, [0.5, 1.5], m=50)
     text = profile.to_csv(sigmas)
     lines = text.strip().splitlines()
     assert lines[0].startswith("T,sigma_1")

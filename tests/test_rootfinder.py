@@ -449,3 +449,21 @@ def test_root_on_split_line_names_the_nonadditive_cell():
     clear = rf.Rect(rect.re_min + 0.1, rect.re_max + 0.1, -1.0, 1.0)
     report = rf.find_roots_in_region(s, clear, opts)
     assert report.completeness_note.endswith("winding count 1, located multiplicity 1")
+
+
+@pytest.mark.parametrize("gap", [np.spacing(0.3769), 5e-11])
+def test_conjugate_pairs_list_negative_imaginary_first(gap):
+    # partners whose real parts differ by rounding noise, either one lower
+    re, im = -0.3769, 2.3797
+    far = rf.LocatedRoot(complex(-0.2, 5.0), 1, 0.0)
+    for sign in (1.0, -1.0):
+        pair = [rf.LocatedRoot(complex(re, sign * im), 1, 0.0),
+                rf.LocatedRoot(complex(re + gap, -sign * im), 1, 0.0)]
+        for roots in ([far, *pair], [*pair[::-1], far]):
+            report = rf.SpectrumReport(
+                window=rf.Rect(-1.0, 1.0, -10.0, 10.0), clusters=(),
+                unclustered_roots=tuple(roots), unresolved_cells=(), total_count=3,
+                completeness_note="")
+            for ordered in (rf._ordered(roots), report.all_roots(),
+                            rf._merge_roots(roots, 1e-6)):
+                assert [r.lam.imag for r in ordered] == [-im, im, 5.0]
