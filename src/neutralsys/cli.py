@@ -9,6 +9,7 @@ JSON/CSV files plus a short human summary on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 import time
@@ -297,7 +298,9 @@ def run(cfg: RunConfig) -> int:
     return code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args fills a fresh namespace every call.
     parser = argparse.ArgumentParser(
         prog="neutralsys",
         description="Spectrum, stability and controllability analysis of "

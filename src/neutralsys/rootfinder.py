@@ -10,6 +10,22 @@ phase by a full turn that the pi/2 rule alone cannot see.  The count is the
 accumulated phase over 2 pi, asserted integral; no quadrature of the
 logarithmic derivative is involved.
 
+Edges: a rectangle is counted from its four sides.  Each side is an edge, a
+straight segment keyed by its two exact corner points, with its own refined
+nodes and phase increment; the count adds the four increments, each with the
+sign of its counterclockwise traversal.  A region scan keeps one edge cache.
+A split cuts each side of its parent into two halves that keep the parent's
+refined nodes and gain one node at the split point, and samples only the
+four half-edges of its split cross, each once for the two siblings that run
+along it in opposite directions.  All new nodes of a quadrisection level go
+through one batched evaluation per refinement round.  A sample within the
+boundary tolerance of a root, or refinement pinned or exhausted next to one,
+poisons only the edges it lies on; a cell with such a side is counted afresh
+and inflated past the root like any other contour, so a split line through a
+root shows as children that do not add up to their parent.  Circles
+(multiplicities, chain clusters) are sampled by angle and refined on the same
+two triggers.
+
 Location: quadrisection of a rectangle, one level at a time, discards
 root-free cells and seeds Newton iterations in small cells.  The seeds of every
 such cell on a level run through one batched Newton solve (`newton_roots`):
@@ -33,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charmatrix import ChainGrid, chain_grid, delta_and_derivative
-from .errors import NoChainsError, PhaseTrackingError, RootOnContourError
+from .errors import ContourError, NoChainsError, PhaseTrackingError, RootOnContourError
 from .sysmodel import NeutralSystem
 
 
@@ -161,43 +177,64 @@ def residual_bound(lam: complex, n: int, opts: RootFindOptions) -> float:
 # ------------------------------------------------------- winding computation
 
 
-def _initial_nodes(sys_: NeutralSystem, contour, opts: RootFindOptions) -> int:
+def _node_density(sys_: NeutralSystem) -> float:
     # Phase of det D varies at a rate of order n*(1+h) per unit of arclength;
     # sample several nodes per radian so refinement starts unaliased.
-    density = 4.0 * sys_.n * (1.0 + sys_.h)
-    return int(max(opts.min_nodes, np.ceil(density * contour.perimeter())))
+    return 4.0 * sys_.n * (1.0 + sys_.h)
 
 
 def _sample_nodes(sys_: NeutralSystem, pts: np.ndarray, log_floor: float):
-    """Phase, log magnitude and nearest-zero distance estimate at contour nodes.
+    """Phase, nearest-zero distance estimate and a too-close flag at nodes.
 
     The distance estimate is |det/det'| = 1/|trace(D^{-1} D')|, which
     underestimates the true distance near a multiple root.  It drives the
     proximity refinement: a segment longer than the estimate could hide a full
     phase turn between its endpoints (the aliasing case the plain pi/2 rule
-    cannot see).
+    cannot see).  A node is flagged where log|det D| is below the floor or
+    not finite, a singular D included; its phase is void and its estimate is
+    left at infinity.
     """
     D, dD = delta_and_derivative(sys_, pts)
     sign, logabs = np.linalg.slogdet(D)
-    if np.any(logabs < log_floor) or np.any(~np.isfinite(logabs)):
-        raise RootOnContourError("contour sample too close to a root")
-    try:
-        X = np.linalg.solve(D, dD)
-    except np.linalg.LinAlgError as exc:
-        raise RootOnContourError(f"singular characteristic matrix on contour: {exc}")
-    trace = np.trace(X, axis1=-2, axis2=-1)
+    bad = ~np.isfinite(logabs) | (logabs < log_floor)
+    if bad.any():
+        D, dD = D[~bad], dD[~bad]
+    est = np.full(len(pts), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        est = 1.0 / np.abs(trace)
-    est = np.where(np.isfinite(est), est, np.inf)
-    return sign, est
+        est[~bad] = 1.0 / np.abs(np.trace(np.linalg.solve(D, dD), axis1=-2, axis2=-1))
+    est[~np.isfinite(est)] = np.inf
+    return sign, est, bad
 
 
-def _winding_number(sys_: NeutralSystem, contour, opts: RootFindOptions) -> int:
-    n_nodes = _initial_nodes(sys_, contour, opts)
-    t = np.arange(n_nodes) / n_nodes
-    pts = contour.points(t)
+def _needs_split(dphi, chord, e0, e1):
+    # Split on a large phase increment, or whenever the segment is long
+    # relative to the estimated distance to the nearest zero.
+    return (np.abs(dphi) >= 0.5 * np.pi) | (chord > 0.5 * np.minimum(e0, e1))
+
+
+def _integral_count(total_phase: float) -> int:
+    raw = total_phase / (2.0 * np.pi)
+    count = int(np.round(raw))
+    if abs(raw - count) >= 0.25:
+        raise PhaseTrackingError(f"winding number not integral: {raw}")
+    if count < 0:
+        raise PhaseTrackingError(f"negative winding number {count} for an entire function")
+    return count
+
+
+def _winding_number(sys_: NeutralSystem, circle: Circle, opts: RootFindOptions) -> int:
+    n_nodes = int(max(opts.min_nodes, np.ceil(_node_density(sys_) * circle.perimeter())))
     log_floor = np.log(opts.boundary_tol)
-    sign, est = _sample_nodes(sys_, pts, log_floor)
+
+    def sample(pts):
+        sign, est, bad = _sample_nodes(sys_, pts, log_floor)
+        if bad.any():
+            raise RootOnContourError("contour sample too close to a root")
+        return sign, est
+
+    t = np.arange(n_nodes) / n_nodes
+    pts = circle.points(t)
+    sign, est = sample(pts)
 
     t0, t1 = t, np.roll(t, -1).copy()
     t1[-1] = 1.0
@@ -209,9 +246,7 @@ def _winding_number(sys_: NeutralSystem, contour, opts: RootFindOptions) -> int:
     for _ in range(opts.phase_max_depth):
         dphi = np.angle(s1 / s0)
         chord = np.abs(p1 - p0)
-        # Split on a large phase increment, or whenever the segment is long
-        # relative to the estimated distance to the nearest zero.
-        need = (np.abs(dphi) >= 0.5 * np.pi) | (chord > 0.5 * np.minimum(e0, e1))
+        need = _needs_split(dphi, chord, e0, e1)
         if not need.any():
             total = float(np.sum(dphi))
             break
@@ -220,8 +255,8 @@ def _winding_number(sys_: NeutralSystem, contour, opts: RootFindOptions) -> int:
         tm = 0.5 * (t0[need] + t1[need])
         if np.any(tm <= t0[need]) or np.any(tm >= t1[need]):
             raise PhaseTrackingError("phase refinement hit parameter resolution")
-        pm = contour.points(tm)
-        sm, em = _sample_nodes(sys_, pm, log_floor)
+        pm = circle.points(tm)
+        sm, em = sample(pm)
         keep = ~need
         t0 = np.concatenate([t0[keep], t0[need], tm])
         t1 = np.concatenate([t1[keep], tm, t1[need]])
@@ -237,28 +272,277 @@ def _winding_number(sys_: NeutralSystem, contour, opts: RootFindOptions) -> int:
         if np.any(np.minimum(e0, e1) < 1e-9 * (1.0 + np.abs(p0))):
             raise RootOnContourError("refinement exhausted next to a zero on the contour")
         raise PhaseTrackingError("phase refinement depth exhausted")
+    return _integral_count(total)
 
-    raw = total / (2.0 * np.pi)
-    count = int(np.round(raw))
-    if abs(raw - count) >= 0.25:
-        raise PhaseTrackingError(f"winding number not integral: {raw}")
-    if count < 0:
-        raise PhaseTrackingError(f"negative winding number {count} for an entire function")
-    return count
+
+@dataclass(eq=False)
+class _Edge:
+    """Samples of det D along one axis-parallel side, the line Im = c
+    (horizontal) or Re = c (vertical): nodes at ascending coordinates `u`
+    along it, with their phases `sign` and nearest-zero estimates `est`.
+    Once refined, `phase` is the increment of arg det D from the first node
+    to the last, unless `error` holds why refinement stopped; until then
+    both are None."""
+
+    vertical: bool
+    c: float
+    u: np.ndarray
+    sign: np.ndarray
+    est: np.ndarray
+    phase: float | None = None
+    error: ContourError | None = None
+
+
+def _line_points(vertical, c, u) -> np.ndarray:
+    """Points at coordinates u along the line Re = c (vertical) or Im = c."""
+    return np.where(vertical, c + 1j * u, u + 1j * c)
+
+
+def _rect_sides(rect: Rect):
+    """The four sides as edge keys (vertical, c, start, end) running along
+    ascending coordinates, each with the sign that turns its phase increment
+    into the counterclockwise one."""
+    return (
+        ((False, rect.im_min, rect.re_min, rect.re_max), 1.0),
+        ((True, rect.re_max, rect.im_min, rect.im_max), 1.0),
+        ((False, rect.im_max, rect.re_min, rect.re_max), -1.0),
+        ((True, rect.re_min, rect.im_min, rect.im_max), -1.0),
+    )
+
+
+class _NodeBatch:
+    """Points for one `_sample_nodes` call; a corner that several edges share
+    is one point."""
+
+    def __init__(self):
+        self.blocks: list[np.ndarray] = []
+        self.size = 0
+        self.corners: dict[complex, int] = {}
+
+    def add(self, pts: np.ndarray) -> np.ndarray:
+        self.blocks.append(pts)
+        self.size += pts.size
+        return np.arange(self.size - pts.size, self.size)
+
+    def corner(self, p: complex) -> int:
+        if p not in self.corners:
+            self.corners[p] = int(self.add(np.array([p]))[0])
+        return self.corners[p]
+
+
+class _EdgeCache:
+    """Winding numbers of rectangles from phase increments kept per edge.
+
+    An edge is a straight side keyed by its two exact corner points.  A side
+    that is not cached is taken from a cached edge that starts or ends where
+    the side does and runs past it: that edge is split at the side's other
+    corner into two halves, which keep its refined nodes and gain that one
+    node, and it is dropped.  Any other side is sampled afresh at the
+    node density, with min_nodes split over the four sides of a rectangle.
+    One `windings` call sends every new node of all its rectangles through
+    one `_sample_nodes` call per refinement round.
+    """
+
+    def __init__(self, sys_: NeutralSystem, opts: RootFindOptions):
+        self.sys_ = sys_
+        self.opts = opts
+        self.log_floor = np.log(opts.boundary_tol)
+        self.edges: dict[tuple, _Edge] = {}
+        self.starting: dict[tuple, tuple] = {}   # (vertical, c, start) -> key
+        self.ending: dict[tuple, tuple] = {}     # (vertical, c, end) -> key
+
+    def windings(self, rects) -> list[int | RootOnContourError]:
+        """The winding count of det D along each rectangle, or the
+        RootOnContourError of a side that came too close to a root."""
+        batch = _NodeBatch()
+        # (edge, node slots to fill from the batch, their batch indices, lo,
+        # hi): the segments between nodes lo and hi are left to check
+        todo: list = []
+        sides = [
+            [(self._edge(key, batch, todo), sgn) for key, sgn in _rect_sides(rect)]
+            for rect in rects
+        ]
+        self._refine(batch, todo)
+        counts = []
+        for rect_sides in sides:
+            errors = [edge.error for edge, _ in rect_sides if edge.error is not None]
+            near = [err for err in errors if isinstance(err, RootOnContourError)]
+            if near:
+                counts.append(near[0])
+            elif errors:
+                raise errors[0]
+            else:
+                counts.append(_integral_count(sum(sgn * edge.phase for edge, sgn in rect_sides)))
+        return counts
+
+    def _put(self, key: tuple, edge: _Edge) -> _Edge:
+        vertical, c, a, b = key
+        self.edges[key] = edge
+        self.starting[(vertical, c, a)] = key
+        self.ending[(vertical, c, b)] = key
+        return edge
+
+    def _edge(self, key: tuple, batch: _NodeBatch, todo: list) -> _Edge:
+        edge = self.edges.get(key)
+        if edge is not None:
+            return edge
+        vertical, c, a, b = key
+        for parent_key, s in (
+            (self.starting.get((vertical, c, a)), b),
+            (self.ending.get((vertical, c, b)), a),
+        ):
+            parent = self.edges.get(parent_key)
+            # an edge still waiting for its samples in this call is not split
+            settled = parent is not None and (parent.phase is not None or parent.error is not None)
+            if settled and parent.u[0] < s < parent.u[-1]:
+                self._split(parent_key, s, batch, todo)
+                return self.edges[key]
+        return self._fresh(key, batch, todo)
+
+    def _fresh(self, key: tuple, batch: _NodeBatch, todo: list) -> _Edge:
+        vertical, c, a, b = key
+        density = _node_density(self.sys_)
+        segs = int(max(np.ceil(0.25 * self.opts.min_nodes), np.ceil(density * (b - a))))
+        edge = _Edge(vertical, c, np.linspace(a, b, segs + 1),
+                     np.empty(segs + 1, dtype=complex), np.empty(segs + 1))
+        pts = _line_points(vertical, c, edge.u)
+        idx = np.concatenate([[batch.corner(complex(pts[0]))], batch.add(pts[1:-1]),
+                              [batch.corner(complex(pts[-1]))]])
+        todo.append((edge, slice(None), idx, 0, segs))
+        return self._put(key, edge)
+
+    def _split(self, key: tuple, s: float, batch: _NodeBatch, todo: list) -> None:
+        """Replace a cached edge by its halves at s.  The halves are views of
+        one copy of the parent's nodes with s inserted, so the new node is
+        filled once for both, and only the segment beside it goes unchecked."""
+        parent = self.edges.pop(key)
+        vertical, c, a, b = key
+        halves = (vertical, c, a, s), (vertical, c, s, b)
+        if parent.error is not None:
+            for half in halves:
+                self._fresh(half, batch, todo)
+            return
+        k = int(np.searchsorted(parent.u, s))
+        u, sign, est = (np.concatenate((x[:k], [v], x[k:]))
+                        for x, v in ((parent.u, s), (parent.sign, 0j), (parent.est, 0.0)))
+        i = batch.corner(complex(_line_points(vertical, c, s)))
+        lower = self._put(halves[0], _Edge(vertical, c, u[:k + 1], sign[:k + 1], est[:k + 1]))
+        upper = self._put(halves[1], _Edge(vertical, c, u[k:], sign[k:], est[k:]))
+        todo.append((lower, k, i, k - 1, k))
+        todo.append((upper, 0, i, 0, 1))
+
+    def _refine(self, batch: _NodeBatch, todo: list) -> None:
+        """Sample the batch, refine the unchecked segments of every listed edge
+        on the two triggers with one `_sample_nodes` call per round, and set
+        each edge's phase or error.  A failure poisons only the edges it lies
+        on."""
+        edges = [edge for edge, *_ in todo]
+        dead = np.zeros(len(edges), dtype=bool)
+
+        def poison(ids, error):
+            for j in np.unique(ids[~dead[ids]]):
+                edges[j].error = error
+                dead[j] = True
+
+        if batch.size:
+            sm, em, bad = _sample_nodes(self.sys_, np.concatenate(batch.blocks), self.log_floor)
+            for j, (edge, slots, idx, _, _) in enumerate(todo):
+                edge.sign[slots], edge.est[slots] = sm[idx], em[idx]
+                if np.any(bad[idx]):
+                    poison(np.array([j]), RootOnContourError("contour sample too close to a root"))
+
+        # The unchecked segments of all live edges, flat: the nodes lo..hi of
+        # each edge in a row, and a segment from every node but each edge's last.
+        work = [(j, lo, hi) for j, (_, _, _, lo, hi) in enumerate(todo) if hi > lo and not dead[j]]
+        sizes = np.array([hi - lo + 1 for _, lo, hi in work], dtype=int)
+        first = np.ones(sizes.sum(), dtype=bool)
+        first[np.cumsum(sizes) - 1] = False
+        last = np.roll(first, 1)
+        eid = np.repeat(np.array([j for j, _, _ in work], dtype=int), sizes)[first]
+        u, sign, est = (
+            np.concatenate([getattr(edges[j], name)[lo:hi + 1] for j, lo, hi in work] or [np.empty(0)])
+            for name in ("u", "sign", "est")
+        )
+        u0, u1, s0, s1, e0, e1 = u[first], u[last], sign[first], sign[last], est[first], est[last]
+        vertical = np.array([edge.vertical for edge in edges], dtype=bool)
+        fixed = np.array([edge.c for edge in edges], dtype=float)
+
+        def points(j, u):
+            return _line_points(vertical[j], fixed[j], u)
+
+        added = []   # (edge indices, coordinates, phases, estimates) of new nodes
+        exhausted = np.empty(0, dtype=int)
+        for _ in range(self.opts.phase_max_depth):
+            need = _needs_split(np.angle(s1 / s0), u1 - u0, e0, e1)
+            if not need.any():
+                break
+            pinned = need & (u1 - u0 < 1e-13 * (1.0 + np.abs(points(eid, u0))))
+            poison(eid[pinned], RootOnContourError("refinement pinned to a zero on the contour"))
+            um = 0.5 * (u0 + u1)
+            poison(eid[need & ((um <= u0) | (um >= u1))],
+                   PhaseTrackingError("phase refinement hit parameter resolution"))
+            need &= ~dead[eid]
+            if not need.any():
+                break
+            j, um = eid[need], um[need]
+            sm, em, bad = _sample_nodes(self.sys_, points(j, um), self.log_floor)
+            poison(j[bad], RootOnContourError("contour sample too close to a root"))
+            added.append((j, um, sm, em))
+            eid = np.concatenate([j, j])
+            u0, u1 = np.concatenate([u0[need], um]), np.concatenate([um, u1[need]])
+            s0, s1 = np.concatenate([s0[need], sm]), np.concatenate([sm, s1[need]])
+            e0, e1 = np.concatenate([e0[need], em]), np.concatenate([em, e1[need]])
+            live = ~dead[eid]
+            eid, u0, u1, s0, s1, e0, e1 = (x[live] for x in (eid, u0, u1, s0, s1, e0, e1))
+        else:
+            exhausted = np.unique(eid)
+
+        if added:
+            j = np.concatenate([a[0] for a in added])
+            order = np.argsort(j, kind="stable")
+            j = j[order]
+            um, sm, em = (np.concatenate([a[k] for a in added])[order] for k in (1, 2, 3))
+            bounds = np.searchsorted(j, np.arange(len(edges) + 1))
+            for i in np.unique(j):
+                lo, hi = bounds[i], bounds[i + 1]
+                edge = edges[i]
+                u = np.concatenate([edge.u, um[lo:hi]])
+                o = np.argsort(u, kind="stable")
+                edge.u = u[o]
+                edge.sign = np.concatenate([edge.sign, sm[lo:hi]])[o]
+                edge.est = np.concatenate([edge.est, em[lo:hi]])[o]
+        for i in exhausted:
+            # a zero hugging the edge is retryable (inflate), anything else is a
+            # genuine tracking failure
+            edge = edges[i]
+            if np.any(edge.est < 1e-9 * (1.0 + np.abs(_line_points(edge.vertical, edge.c, edge.u)))):
+                poison(np.array([i]), RootOnContourError(
+                    "refinement exhausted next to a zero on the contour"))
+            else:
+                poison(np.array([i]), PhaseTrackingError("phase refinement depth exhausted"))
+        for edge, dead_edge in zip(edges, dead):
+            if not dead_edge:
+                edge.phase = float(np.sum(np.angle(edge.sign[1:] / edge.sign[:-1])))
 
 
 def count_roots_in_contour(sys_: NeutralSystem, contour, opts: RootFindOptions | None = None) -> int:
     """Number of roots of det D inside the contour, counted with multiplicity.
 
-    If a boundary sample sits within the boundary tolerance of a root the
-    contour is inflated by 1% and retried, a bounded number of times.
+    A rectangle is counted from its four sides, each sampled afresh.  If a
+    boundary sample sits within the boundary tolerance of a root the contour
+    is inflated by 1% and retried, a bounded number of times.
     """
     opts = opts or RootFindOptions()
     attempt = contour
     last: Exception | None = None
     for _ in range(opts.contour_retries + 1):
         try:
-            return _winding_number(sys_, attempt, opts)
+            if not isinstance(attempt, Rect):
+                return _winding_number(sys_, attempt, opts)
+            (count,) = _EdgeCache(sys_, opts).windings([attempt])
+            if isinstance(count, RootOnContourError):
+                raise count
+            return count
         except RootOnContourError as exc:
             last = exc
             attempt = attempt.inflate(1.01)
@@ -572,7 +856,14 @@ def find_roots_in_region(
     roots within the depth budget.
     """
     opts = opts or RootFindOptions()
-    total = count_roots_in_contour(sys_, rect, opts)
+    edges = _EdgeCache(sys_, opts)
+
+    def counts(rects):
+        # a rectangle with a side next to a root is counted afresh and inflated
+        return [c if isinstance(c, int) else count_roots_in_contour(sys_, r, opts)
+                for r, c in zip(rects, edges.windings(rects))]
+
+    (total,) = counts([rect])
     per_cell = 1 + opts.newton_restarts
     # A cell is (rect, count, path); the path numbers each quadrant last child
     # first, so sorting unresolved cells by path gives the order of a
@@ -595,7 +886,7 @@ def find_roots_in_region(
             if found is not None:
                 roots.extend(found)
                 resolved.add(path)
-        next_level = []
+        splits = []
         for cell, cnt, path in level:
             if path in resolved:
                 continue
@@ -603,13 +894,16 @@ def find_roots_in_region(
                 unmatched.append((path, UnresolvedCell(
                     cell, cnt, "refinement limit reached with roots unmatched")))
                 continue
-            children = cell.quadrants()
-            counts = [count_roots_in_contour(sys_, child, opts) for child in children]
-            if sum(counts) != cnt:
-                nonadditive.append((cell, cnt, sum(counts)))
+            splits.append((cell, cnt, path, cell.quadrants()))
+        child_counts = counts([child for *_, children in splits for child in children])
+        next_level = []
+        for j, (cell, cnt, path, children) in enumerate(splits):
+            cs = child_counts[4 * j:4 * j + 4]
+            if sum(cs) != cnt:
+                nonadditive.append((cell, cnt, sum(cs)))
             next_level.extend(
                 (child, c, path + (3 - i,))
-                for i, (child, c) in enumerate(zip(children, counts))
+                for i, (child, c) in enumerate(zip(children, cs))
                 if c > 0
             )
         level = next_level

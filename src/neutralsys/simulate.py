@@ -57,12 +57,6 @@ class HistorySegment:
         return self.grid.size - 1
 
     @classmethod
-    def from_function(cls, sys_: NeutralSystem, func, m: int) -> "HistorySegment":
-        grid = np.linspace(-sys_.h, 0.0, m + 1)
-        values = np.array([np.asarray(func(t)).reshape(sys_.n) for t in grid])
-        return cls(grid, values)
-
-    @classmethod
     def constant(cls, sys_: NeutralSystem, vec, m: int) -> "HistorySegment":
         vec = np.asarray(vec).reshape(sys_.n)
         return cls(np.linspace(-sys_.h, 0.0, m + 1), np.tile(vec, (m + 1, 1)))

@@ -156,6 +156,15 @@ class ValidationReport:
         return cls(ok=not any(sev == "error" for sev, _ in issues), issues=issues)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_matrix(value, rows, cols, what, issues) -> bool:
     try:
         arr = np.asarray(value, dtype=float)
@@ -211,7 +220,7 @@ def _check_kernel(doc, name, n, h, issues, allow_atoms=True) -> None:
             issues.append(("error", f"{name}.atoms[{i}] must have theta and matrix"))
             continue
         theta = atom["theta"]
-        if not isinstance(theta, (int, float)) or not (-h <= theta <= 0.0):
+        if not _is_number(theta) or not (-h <= theta <= 0.0):
             issues.append(("error", f"{name}.atoms[{i}].theta must lie in [-h, 0]"))
         _check_matrix(atom["matrix"], n, n, f"{name}.atoms[{i}].matrix", issues)
 
@@ -228,11 +237,11 @@ def validate_document(doc) -> ValidationReport:
         return ValidationReport.from_issues(issues)
 
     n, r, h = doc["n"], doc["r"], doc["h"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         issues.append(("error", "n must be a positive integer"))
-    if not isinstance(r, int) or r < 0:
+    if not _is_int(r) or r < 0:
         issues.append(("error", "r must be a non-negative integer"))
-    if not isinstance(h, (int, float)) or not (h > 0):
+    if not _is_number(h) or not (h > 0):
         issues.append(("error", "h must be a positive number"))
     if issues:
         return ValidationReport.from_issues(issues)

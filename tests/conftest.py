@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as hst
 
 from neutralsys.sysmodel import DelayKernel, NeutralSystem
 
@@ -79,6 +80,34 @@ def make_density_system(seed: int = 3) -> NeutralSystem:
             bp, rng.uniform(-1, 1, (3, 2, 2)), ((-0.35, rng.uniform(-1, 1, (2, 2))),)
         ),
         B=np.zeros((2, 0)),
+    )
+
+
+@hst.composite
+def density_systems(draw, n_max: int = 4):
+    """n <= n_max, one to three A2 and A3 segments (some of them zero), up to two atoms."""
+    n = draw(hst.integers(1, n_max))
+    h = draw(hst.floats(0.25, 3.0))
+    q2, q3 = draw(hst.integers(1, 3)), draw(hst.integers(1, 3))
+    n_atoms = draw(hst.integers(0, 2))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+
+    def kernel(q, atoms):
+        bp = np.concatenate([[-h], -h + h * np.cumsum(rng.dirichlet(np.ones(q)))])
+        bp[-1] = 0.0
+        segs = rng.uniform(-1, 1, (q, n, n)) * (rng.random((q, 1, 1)) < 0.8)
+        return DelayKernel(bp, segs, atoms)
+
+    atoms = tuple(
+        (float(rng.choice([rng.uniform(-h, 0.0), 0.0, -h])), rng.uniform(-1, 1, (n, n)))
+        for _ in range(n_atoms)
+    )
+    return NeutralSystem(
+        n=n, r=0, h=h,
+        A_minus1=rng.uniform(-1, 1, (n, n)),
+        A2=kernel(q2, ()),
+        A3=kernel(q3, atoms),
+        B=np.zeros((n, 0)),
     )
 
 

@@ -11,6 +11,7 @@ from neutralsys.errors import NoChainsError
 from neutralsys.sysmodel import DelayKernel, NeutralSystem
 
 from conftest import (
+    density_systems,
     make_density_system,
     make_example1,
     make_example2,
@@ -198,34 +199,6 @@ def reference_terms(sys_, lam):
     scale = sum(abs(c) * np.max(np.abs(M)) for c, _, M in terms)
     dscale = sum(abs(dc) * np.max(np.abs(M)) for _, dc, M in terms)
     return terms, scale, dscale, 1e-14 * amplified
-
-
-@hst.composite
-def density_systems(draw):
-    """n <= 4, one to three A2 and A3 segments (some of them zero), up to two atoms."""
-    n = draw(hst.integers(1, 4))
-    h = draw(hst.floats(0.25, 3.0))
-    q2, q3 = draw(hst.integers(1, 3)), draw(hst.integers(1, 3))
-    n_atoms = draw(hst.integers(0, 2))
-    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
-
-    def kernel(q, atoms):
-        bp = np.concatenate([[-h], -h + h * np.cumsum(rng.dirichlet(np.ones(q)))])
-        bp[-1] = 0.0
-        segs = rng.uniform(-1, 1, (q, n, n)) * (rng.random((q, 1, 1)) < 0.8)
-        return DelayKernel(bp, segs, atoms)
-
-    atoms = tuple(
-        (float(rng.choice([rng.uniform(-h, 0.0), 0.0, -h])), rng.uniform(-1, 1, (n, n)))
-        for _ in range(n_atoms)
-    )
-    return NeutralSystem(
-        n=n, r=0, h=h,
-        A_minus1=rng.uniform(-1, 1, (n, n)),
-        A2=kernel(q2, ()),
-        A3=kernel(q3, atoms),
-        B=np.zeros((n, 0)),
-    )
 
 
 @given(density_systems(), hst.integers(0, 2**32 - 1))

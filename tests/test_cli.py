@@ -2,8 +2,9 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
-from neutralsys import stability
+from neutralsys import cli, stability
 from neutralsys.cli import main
 
 from conftest import EXAMPLE1_DOC
@@ -93,6 +94,54 @@ def test_invalid_dimensions_exit_1(tmp_path):
 
 def test_unknown_command_exits_1():
     assert run_cli("frobnicate", "--input", "x.json") == 1
+
+
+SCALAR_DOC = {
+    "n": 1, "r": 1, "h": 1.0, "A_minus1": [[0.0]],
+    "A2": {"breakpoints": [-1.0, 0.0], "segments": [[[0.0]]]},
+    "A3": {"breakpoints": [-1.0, 0.0], "segments": [[[0.0]]],
+           "atoms": [{"theta": 0.0, "matrix": [[-1.0]]}]},
+    "B": [[1.0]],
+}
+
+
+@pytest.mark.parametrize("field, value", [("n", True), ("r", True), ("h", True), ("theta", False)])
+def test_json_booleans_are_validation_errors(tmp_path, capsys, field, value):
+    # each boolean equals a value the field would accept as a number
+    doc = json.loads(json.dumps(SCALAR_DOC))
+    if field == "theta":
+        doc["A3"]["atoms"][0]["theta"] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("spectrum", "--input", str(path), "--out", str(tmp_path / "out")) == cli.EXIT_USAGE
+    events = [json.loads(line)["event"] for line in capsys.readouterr().err.strip().splitlines()]
+    assert events == ["validation_error"]
+
+
+def test_parser_reuse_keeps_each_call_s_defaults(tmp_path):
+    # reach with --grid-m, then simulate on its own default grid
+    path = _system_with_inputs(tmp_path)
+    calls = [
+        ("reach", "--grid-m", "16", "--T-list", "0.5,1.5"),
+        ("simulate", "--T", "1", "--history", "zero", "--control", "sine"),
+    ]
+
+    def run_all(tag, fresh):
+        for i, args in enumerate(calls):
+            if fresh:
+                cli._build_parser.cache_clear()
+            assert run_cli(*args, "--input", str(path), "--out", str(tmp_path / tag / str(i))) == 0
+        return {
+            f.relative_to(tmp_path / tag): f.read_bytes()
+            for f in sorted((tmp_path / tag).rglob("*"))
+            if f.is_file() and f.name != "run_meta.json"
+        }
+
+    reused, fresh = run_all("reused", False), run_all("fresh", True)
+    assert reused == fresh
+    assert len((tmp_path / "fresh/1/trajectory.csv").read_text().splitlines()) == 2 + cli.SIMULATE_GRID_M
 
 
 def test_deterministic_outputs(example1_file, tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as hst
 
 from neutralsys import charmatrix as cm
 from neutralsys import rootfinder as rf
 from conftest import (
+    density_systems,
     make_example1,
     make_example2,
     make_scalar_decay,
@@ -129,6 +131,61 @@ def test_additivity_under_splits():
         assert rf.count_roots_in_contour(s, whole) == rf.count_roots_in_contour(
             s, lower
         ) + rf.count_roots_in_contour(s, upper)
+
+
+@given(
+    density_systems(n_max=3),
+    hst.floats(-2.0, 0.5), hst.floats(0.2, 2.5), hst.floats(-15.0, 10.0), hst.floats(0.5, 20.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_edge_cached_child_counts_match_fresh_counts(sys_, x0, width, y0, height):
+    # Two levels of splits on one cache: children take their parent's sides
+    # and share the split cross.  Rectangles with a side next to a root are
+    # not drawn.
+    opts = rf.RootFindOptions()
+    edges = rf._EdgeCache(sys_, opts)
+    rect = rf.Rect(x0, x0 + width, y0, y0 + height)
+    cells = list(zip([rect], edges.windings([rect])))
+    for _ in range(2):
+        assume(all(isinstance(c, int) for _, c in cells))
+        children = [child for cell, _ in cells for child in cell.quadrants()]
+        counts = edges.windings(children)
+        assume(all(isinstance(c, int) for c in counts))
+        for j, (cell, cnt) in enumerate(cells):
+            cached = counts[4 * j:4 * j + 4]
+            assert cached == [rf.count_roots_in_contour(sys_, c, opts) for c in cell.quadrants()]
+            assert sum(cached) == cnt
+        cells = list(zip(children, counts))
+
+
+def test_region_scan_samples_no_rectangle_point_twice(monkeypatch):
+    # The window's sides serve its children, a split samples only its cross,
+    # and a corner that several sides share is sampled once.
+    s = make_example2(0.0)
+    sampled, elsewhere = [], []
+    evaluate = rf.delta_and_derivative
+
+    def recording(sys_, lams):
+        if not elsewhere:
+            sampled.append(np.array(lams, dtype=complex).ravel())
+        return evaluate(sys_, lams)
+
+    def not_rectangle_counting(fn):
+        def wrapped(*args, **kwargs):
+            elsewhere.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elsewhere.pop()
+        return wrapped
+
+    monkeypatch.setattr(rf, "delta_and_derivative", recording)
+    for name in ("newton_roots", "_multiplicity_of"):
+        monkeypatch.setattr(rf, name, not_rectangle_counting(getattr(rf, name)))
+    report = rf.find_roots_in_region(s, rf.Rect(-0.6, 1.0, -40.0, 40.0))
+    assert report.total_count == 26
+    points = np.concatenate(sampled)
+    assert np.unique(points).size == points.size
 
 
 def test_verify_cluster_multiplicity():
