@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     ContourError,
     NeutralSysError,
-    NoChainsError,
     SimulationBlowUpError,
     SystemParseError,
     SystemValidationError,
@@ -31,8 +30,8 @@ from .rootfinder import (
     RootFindOptions,
     find_roots_in_region,
     verify_cluster_multiplicity,
+    window_chain_grid,
 )
-from .charmatrix import chain_grid
 from .simulate import HistorySegment, norm_profile, simulate
 from .reachability import rank_profile
 from .stability import SystemAnalysis, classify_asymptotic
@@ -123,13 +122,7 @@ def _history(cfg: RunConfig, sys_: NeutralSystem) -> HistorySegment:
 
 def _cmd_spectrum(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
     sys_, opts = analysis.sys_, analysis.root_options
-    grid = None
-    try:
-        k_span = int(np.ceil((cfg.im_max * sys_.h + np.pi) / (2 * np.pi))) + 1
-        k_span = max(k_span, abs(cfg.k_range[0]), abs(cfg.k_range[1]))
-        grid = chain_grid(sys_, -k_span, k_span)
-    except NoChainsError:
-        pass
+    grid = window_chain_grid(sys_, cfg.im_max, max(abs(k) for k in cfg.k_range))
     report = find_roots_in_region(
         sys_, Rect(cfg.re_min, cfg.re_max, -cfg.im_max, cfg.im_max), opts, grid
     )
@@ -298,6 +291,17 @@ def run(cfg: RunConfig) -> int:
     return code
 
 
+def _k_range(text: str) -> tuple[int, int]:
+    """MIN:MAX chain indices; an empty bound keeps its default."""
+    k_lo, _, k_hi = text.partition(":")
+    return int(k_lo or 5), int(k_hi or 20)
+
+
+def _horizons(text: str) -> tuple[float, ...]:
+    """Comma-separated horizons; an empty list leaves the choice to reach."""
+    return tuple(float(x) for x in text.split(",")) if text else ()
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args fills a fresh namespace every call.
@@ -321,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"grid intervals per delay (default: {SIMULATE_GRID_M} "
                             f"simulate, {REACH_GRID_M} reach, each also within report)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--k-range", default="5:20", help="chain index range, MIN:MAX")
+        p.add_argument("--k-range", type=_k_range, default="5:20",
+                       help="chain index range, MIN:MAX")
         p.add_argument("--basis-policy", default="permutations",
                        help="permutations | random:K")
         p.add_argument("--control", default="zero", help="zero | sine | table")
@@ -329,17 +334,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--control-frequency", type=float, default=1.0)
         p.add_argument("--control-table", default=None)
         p.add_argument("--history", default="random", help="zero | ones | random")
-        p.add_argument("--T-list", default=None,
+        p.add_argument("--T-list", type=_horizons, default=(),
                        help="comma-separated horizons for reach")
         p.add_argument("--rank-tau", type=float, default=1e-6)
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    k_lo, _, k_hi = args.k_range.partition(":")
-    T_list = ()
-    if args.T_list:
-        T_list = tuple(float(x) for x in args.T_list.split(","))
     return RunConfig(
         command=args.command,
         input_path=args.input,
@@ -352,14 +353,14 @@ def _config_from_args(args) -> RunConfig:
         T=args.T,
         grid_m=args.grid_m,
         seed=args.seed,
-        k_range=(int(k_lo or 5), int(k_hi or 20)),
+        k_range=args.k_range,
         basis_policy=args.basis_policy,
         control=args.control,
         control_amplitude=args.control_amplitude,
         control_frequency=args.control_frequency,
         control_table=args.control_table,
         history=args.history,
-        T_list=T_list,
+        T_list=args.T_list,
         rank_tau=args.rank_tau,
     )
 

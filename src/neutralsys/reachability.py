@@ -60,8 +60,8 @@ def build_steering_probe(sys_: NeutralSystem, T: float, m: int = 100) -> Steerin
     """
     if sys_.r < 1:
         raise ValueError("steering probe needs at least one input channel")
-    if not (T > 0):
-        raise ValueError("horizon must be positive")
+    if not (0 < T < np.inf):
+        raise ValueError("horizon must be positive and finite")
     if m < 8:
         raise ValueError("need m >= 8 history points")
     n, r = sys_.n, sys_.r

@@ -10,9 +10,11 @@ phase by a full turn that the pi/2 rule alone cannot see.  The count is the
 accumulated phase over 2 pi, asserted integral; no quadrature of the
 logarithmic derivative is involved.
 
-Edges: a rectangle is counted from its four sides.  Each side is an edge, a
-straight segment keyed by its two exact corner points, with its own refined
-nodes and phase increment; the count adds the four increments, each with the
+Edges: every contour is counted from its sides on one edge cache and one
+refiner.  A rectangle has four sides, each a straight edge keyed by its two
+exact corner points; a circle (multiplicities, chain clusters) has one, a
+closed arc whose last node is its first.  Each edge keeps its own refined
+nodes and phase increment, and the count adds the increments, each with the
 sign of its counterclockwise traversal.  A region scan keeps one edge cache.
 A split cuts each side of its parent into two halves that keep the parent's
 refined nodes and gain one node at the split point, and samples only the
@@ -20,11 +22,9 @@ four half-edges of its split cross, each once for the two siblings that run
 along it in opposite directions.  All new nodes of a quadrisection level go
 through one batched evaluation per refinement round.  A sample within the
 boundary tolerance of a root, or refinement pinned or exhausted next to one,
-poisons only the edges it lies on; a cell with such a side is counted afresh
-and inflated past the root like any other contour, so a split line through a
-root shows as children that do not add up to their parent.  Circles
-(multiplicities, chain clusters) are sampled by angle and refined on the same
-two triggers.
+poisons only the edges it lies on; a contour with such a side is counted
+afresh and inflated past the root like any other contour, so a split line
+through a root shows as children that do not add up to their parent.
 
 Location: quadrisection of a rectangle, one level at a time, discards
 root-free cells and seeds Newton iterations in small cells.  The seeds of every
@@ -201,7 +201,7 @@ def _sample_nodes(sys_: NeutralSystem, pts: np.ndarray, log_floor: float):
         D, dD = D[~bad], dD[~bad]
     est = np.full(len(pts), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        est[~bad] = 1.0 / np.abs(np.trace(np.linalg.solve(D, dD), axis1=-2, axis2=-1))
+        est[~bad] = 1.0 / np.abs(_solve_traces(D, dD))
     est[~np.isfinite(est)] = np.inf
     return sign, est, bad
 
@@ -222,97 +222,52 @@ def _integral_count(total_phase: float) -> int:
     return count
 
 
-def _winding_number(sys_: NeutralSystem, circle: Circle, opts: RootFindOptions) -> int:
-    n_nodes = int(max(opts.min_nodes, np.ceil(_node_density(sys_) * circle.perimeter())))
-    log_floor = np.log(opts.boundary_tol)
-
-    def sample(pts):
-        sign, est, bad = _sample_nodes(sys_, pts, log_floor)
-        if bad.any():
-            raise RootOnContourError("contour sample too close to a root")
-        return sign, est
-
-    t = np.arange(n_nodes) / n_nodes
-    pts = circle.points(t)
-    sign, est = sample(pts)
-
-    t0, t1 = t, np.roll(t, -1).copy()
-    t1[-1] = 1.0
-    p0, p1 = pts, np.roll(pts, -1)
-    s0, s1 = sign, np.roll(sign, -1)
-    e0, e1 = est, np.roll(est, -1)
-
-    total = 0.0
-    for _ in range(opts.phase_max_depth):
-        dphi = np.angle(s1 / s0)
-        chord = np.abs(p1 - p0)
-        need = _needs_split(dphi, chord, e0, e1)
-        if not need.any():
-            total = float(np.sum(dphi))
-            break
-        if np.any(chord[need] < 1e-13 * (1.0 + np.abs(p0[need]))):
-            raise RootOnContourError("refinement pinned to a zero on the contour")
-        tm = 0.5 * (t0[need] + t1[need])
-        if np.any(tm <= t0[need]) or np.any(tm >= t1[need]):
-            raise PhaseTrackingError("phase refinement hit parameter resolution")
-        pm = circle.points(tm)
-        sm, em = sample(pm)
-        keep = ~need
-        t0 = np.concatenate([t0[keep], t0[need], tm])
-        t1 = np.concatenate([t1[keep], tm, t1[need]])
-        p0 = np.concatenate([p0[keep], p0[need], pm])
-        p1 = np.concatenate([p1[keep], pm, p1[need]])
-        s0 = np.concatenate([s0[keep], s0[need], sm])
-        s1 = np.concatenate([s1[keep], sm, s1[need]])
-        e0 = np.concatenate([e0[keep], e0[need], em])
-        e1 = np.concatenate([e1[keep], em, e1[need]])
-    else:
-        # depth exhausted: a zero hugging the contour is retryable (inflate),
-        # anything else is a genuine tracking failure
-        if np.any(np.minimum(e0, e1) < 1e-9 * (1.0 + np.abs(p0))):
-            raise RootOnContourError("refinement exhausted next to a zero on the contour")
-        raise PhaseTrackingError("phase refinement depth exhausted")
-    return _integral_count(total)
-
-
 @dataclass(eq=False)
 class _Edge:
-    """Samples of det D along one axis-parallel side, the line Im = c
-    (horizontal) or Re = c (vertical): nodes at ascending coordinates `u`
-    along it, with their phases `sign` and nearest-zero estimates `est`.
-    Once refined, `phase` is the increment of arg det D from the first node
-    to the last, unless `error` holds why refinement stopped; until then
-    both are None."""
+    """Samples of det D along one side of a contour, the line origin +
+    scale*u or the arc origin + scale*e^{2 pi i u}: nodes at ascending
+    parameters `u`, with their points `p`, phases `sign` and nearest-zero
+    estimates `est`.  Once refined, `phase` is the increment of arg det D
+    from the first node to the last, unless `error` holds why refinement
+    stopped; until then both are None."""
 
-    vertical: bool
-    c: float
+    origin: complex
+    scale: complex
+    arc: bool
     u: np.ndarray
+    p: np.ndarray
     sign: np.ndarray
     est: np.ndarray
     phase: float | None = None
     error: ContourError | None = None
 
 
-def _line_points(vertical, c, u) -> np.ndarray:
-    """Points at coordinates u along the line Re = c (vertical) or Im = c."""
-    return np.where(vertical, c + 1j * u, u + 1j * c)
+def _edge_points(origin, scale, arc, u: np.ndarray) -> np.ndarray:
+    """Points at parameters u on the line origin + scale*u, or where arc
+    holds on the arc origin + scale*e^{2 pi i u}; taking u mod 1 puts an
+    arc's node at u = 1 exactly on its node at u = 0."""
+    return origin + scale * np.where(arc, np.exp(2j * np.pi * np.mod(u, 1.0)), u)
 
 
-def _rect_sides(rect: Rect):
-    """The four sides as edge keys (vertical, c, start, end) running along
-    ascending coordinates, each with the sign that turns its phase increment
-    into the counterclockwise one."""
+def _sides(contour):
+    """The sides of a contour as edge keys (origin, scale, arc, start, end)
+    running along ascending parameters, each with the sign that turns its
+    phase increment into the counterclockwise one: the four lines of a
+    rectangle, or the one closed arc of a circle."""
+    if isinstance(contour, Circle):
+        return (((contour.center, contour.radius, True, 0.0, 1.0), 1.0),)
+    r = contour
     return (
-        ((False, rect.im_min, rect.re_min, rect.re_max), 1.0),
-        ((True, rect.re_max, rect.im_min, rect.im_max), 1.0),
-        ((False, rect.im_max, rect.re_min, rect.re_max), -1.0),
-        ((True, rect.re_min, rect.im_min, rect.im_max), -1.0),
+        ((1j * r.im_min, 1.0, False, r.re_min, r.re_max), 1.0),
+        ((r.re_max, 1j, False, r.im_min, r.im_max), 1.0),
+        ((1j * r.im_max, 1.0, False, r.re_min, r.re_max), -1.0),
+        ((r.re_min, 1j, False, r.im_min, r.im_max), -1.0),
     )
 
 
 class _NodeBatch:
-    """Points for one `_sample_nodes` call; a corner that several edges share
-    is one point."""
+    """Points for one `_sample_nodes` call; a corner that several edges share,
+    or the node that closes an arc, is one point."""
 
     def __init__(self):
         self.blocks: list[np.ndarray] = []
@@ -331,15 +286,15 @@ class _NodeBatch:
 
 
 class _EdgeCache:
-    """Winding numbers of rectangles from phase increments kept per edge.
+    """Winding numbers of contours from phase increments kept per edge.
 
-    An edge is a straight side keyed by its two exact corner points.  A side
-    that is not cached is taken from a cached edge that starts or ends where
-    the side does and runs past it: that edge is split at the side's other
-    corner into two halves, which keep its refined nodes and gain that one
-    node, and it is dropped.  Any other side is sampled afresh at the
-    node density, with min_nodes split over the four sides of a rectangle.
-    One `windings` call sends every new node of all its rectangles through
+    An edge is a side keyed by its line or arc and its two end parameters.
+    A side that is not cached is taken from a cached edge that starts or
+    ends where the side does and runs past it: that edge is split at the
+    side's other end into two halves, which keep its refined nodes and gain
+    that one node, and it is dropped.  Any other side is sampled afresh at
+    the node density, with min_nodes split over the sides of its contour.
+    One `windings` call sends every new node of all its contours through
     one `_sample_nodes` call per refinement round.
     """
 
@@ -348,86 +303,89 @@ class _EdgeCache:
         self.opts = opts
         self.log_floor = np.log(opts.boundary_tol)
         self.edges: dict[tuple, _Edge] = {}
-        self.starting: dict[tuple, tuple] = {}   # (vertical, c, start) -> key
-        self.ending: dict[tuple, tuple] = {}     # (vertical, c, end) -> key
+        self.starting: dict[tuple, tuple] = {}   # (origin, scale, arc, start) -> key
+        self.ending: dict[tuple, tuple] = {}     # (origin, scale, arc, end) -> key
 
-    def windings(self, rects) -> list[int | RootOnContourError]:
-        """The winding count of det D along each rectangle, or the
+    def windings(self, contours) -> list[int | RootOnContourError]:
+        """The winding count of det D along each circle or rectangle, or the
         RootOnContourError of a side that came too close to a root."""
         batch = _NodeBatch()
         # (edge, node slots to fill from the batch, their batch indices, lo,
         # hi): the segments between nodes lo and hi are left to check
         todo: list = []
-        sides = [
-            [(self._edge(key, batch, todo), sgn) for key, sgn in _rect_sides(rect)]
-            for rect in rects
-        ]
+        sides = []
+        for contour in contours:
+            keys = _sides(contour)
+            min_segs = int(np.ceil(self.opts.min_nodes / len(keys)))
+            sides.append([(self._edge(key, min_segs, batch, todo), sgn) for key, sgn in keys])
         self._refine(batch, todo)
         counts = []
-        for rect_sides in sides:
-            errors = [edge.error for edge, _ in rect_sides if edge.error is not None]
+        for contour_sides in sides:
+            errors = [edge.error for edge, _ in contour_sides if edge.error is not None]
             near = [err for err in errors if isinstance(err, RootOnContourError)]
             if near:
                 counts.append(near[0])
             elif errors:
                 raise errors[0]
             else:
-                counts.append(_integral_count(sum(sgn * edge.phase for edge, sgn in rect_sides)))
+                counts.append(_integral_count(sum(sgn * edge.phase for edge, sgn in contour_sides)))
         return counts
 
     def _put(self, key: tuple, edge: _Edge) -> _Edge:
-        vertical, c, a, b = key
         self.edges[key] = edge
-        self.starting[(vertical, c, a)] = key
-        self.ending[(vertical, c, b)] = key
+        self.starting[key[:4]] = key
+        self.ending[key[:3] + key[4:]] = key
         return edge
 
-    def _edge(self, key: tuple, batch: _NodeBatch, todo: list) -> _Edge:
+    def _edge(self, key: tuple, min_segs: int, batch: _NodeBatch, todo: list) -> _Edge:
         edge = self.edges.get(key)
         if edge is not None:
             return edge
-        vertical, c, a, b = key
+        a, b = key[3:]
         for parent_key, s in (
-            (self.starting.get((vertical, c, a)), b),
-            (self.ending.get((vertical, c, b)), a),
+            (self.starting.get(key[:4]), b),
+            (self.ending.get(key[:3] + (b,)), a),
         ):
             parent = self.edges.get(parent_key)
             # an edge still waiting for its samples in this call is not split
             settled = parent is not None and (parent.phase is not None or parent.error is not None)
             if settled and parent.u[0] < s < parent.u[-1]:
-                self._split(parent_key, s, batch, todo)
+                self._split(parent_key, s, min_segs, batch, todo)
                 return self.edges[key]
-        return self._fresh(key, batch, todo)
+        return self._fresh(key, min_segs, batch, todo)
 
-    def _fresh(self, key: tuple, batch: _NodeBatch, todo: list) -> _Edge:
-        vertical, c, a, b = key
-        density = _node_density(self.sys_)
-        segs = int(max(np.ceil(0.25 * self.opts.min_nodes), np.ceil(density * (b - a))))
-        edge = _Edge(vertical, c, np.linspace(a, b, segs + 1),
-                     np.empty(segs + 1, dtype=complex), np.empty(segs + 1))
-        pts = _line_points(vertical, c, edge.u)
-        idx = np.concatenate([[batch.corner(complex(pts[0]))], batch.add(pts[1:-1]),
-                              [batch.corner(complex(pts[-1]))]])
+    def _fresh(self, key: tuple, min_segs: int, batch: _NodeBatch, todo: list) -> _Edge:
+        origin, scale, arc, a, b = key
+        # an arc runs once around its circle, from u = 0 to u = 1
+        length = 2.0 * np.pi * scale if arc else b - a
+        segs = int(max(min_segs, np.ceil(_node_density(self.sys_) * length)))
+        u = np.arange(segs + 1) / segs if arc else np.linspace(a, b, segs + 1)
+        p = _edge_points(origin, scale, arc, u)
+        edge = _Edge(origin, scale, arc, u, p, np.empty(segs + 1, dtype=complex), np.empty(segs + 1))
+        idx = np.concatenate([[batch.corner(complex(p[0]))], batch.add(p[1:-1]),
+                              [batch.corner(complex(p[-1]))]])
         todo.append((edge, slice(None), idx, 0, segs))
         return self._put(key, edge)
 
-    def _split(self, key: tuple, s: float, batch: _NodeBatch, todo: list) -> None:
+    def _split(self, key: tuple, s: float, min_segs: int, batch: _NodeBatch, todo: list) -> None:
         """Replace a cached edge by its halves at s.  The halves are views of
         one copy of the parent's nodes with s inserted, so the new node is
         filled once for both, and only the segment beside it goes unchecked."""
         parent = self.edges.pop(key)
-        vertical, c, a, b = key
-        halves = (vertical, c, a, s), (vertical, c, s, b)
+        halves = key[:4] + (s,), key[:3] + (s, key[4])
         if parent.error is not None:
             for half in halves:
-                self._fresh(half, batch, todo)
+                self._fresh(half, min_segs, batch, todo)
             return
         k = int(np.searchsorted(parent.u, s))
-        u, sign, est = (np.concatenate((x[:k], [v], x[k:]))
-                        for x, v in ((parent.u, s), (parent.sign, 0j), (parent.est, 0.0)))
-        i = batch.corner(complex(_line_points(vertical, c, s)))
-        lower = self._put(halves[0], _Edge(vertical, c, u[:k + 1], sign[:k + 1], est[:k + 1]))
-        upper = self._put(halves[1], _Edge(vertical, c, u[k:], sign[k:], est[k:]))
+        ps = _edge_points(*key[:3], np.array([s]))
+        u, p, sign, est = (
+            np.concatenate((x[:k], v, x[k:]))
+            for x, v in ((parent.u, [s]), (parent.p, ps), (parent.sign, [0j]), (parent.est, [0.0]))
+        )
+        i = batch.corner(complex(ps[0]))
+        lower = self._put(halves[0], _Edge(*key[:3], u[:k + 1], p[:k + 1], sign[:k + 1], est[:k + 1]))
+        upper = self._put(halves[1], _Edge(*key[:3], u[k:], p[k:], sign[k:], est[k:]))
         todo.append((lower, k, i, k - 1, k))
         todo.append((upper, 0, i, 0, 1))
 
@@ -451,32 +409,27 @@ class _EdgeCache:
                 if np.any(bad[idx]):
                     poison(np.array([j]), RootOnContourError("contour sample too close to a root"))
 
-        # The unchecked segments of all live edges, flat: the nodes lo..hi of
-        # each edge in a row, and a segment from every node but each edge's last.
+        # The unchecked segments of all live edges, flat: those between nodes
+        # lo and hi of each edge in a row, by their start and end nodes.
         work = [(j, lo, hi) for j, (_, _, _, lo, hi) in enumerate(todo) if hi > lo and not dead[j]]
-        sizes = np.array([hi - lo + 1 for _, lo, hi in work], dtype=int)
-        first = np.ones(sizes.sum(), dtype=bool)
-        first[np.cumsum(sizes) - 1] = False
-        last = np.roll(first, 1)
-        eid = np.repeat(np.array([j for j, _, _ in work], dtype=int), sizes)[first]
-        u, sign, est = (
-            np.concatenate([getattr(edges[j], name)[lo:hi + 1] for j, lo, hi in work] or [np.empty(0)])
-            for name in ("u", "sign", "est")
+        eid = np.repeat(np.array([j for j, _, _ in work], dtype=int), [hi - lo for _, lo, hi in work])
+        u0, u1, p0, p1, s0, s1, e0, e1 = (
+            np.concatenate([getattr(edges[j], name)[lo + end:hi + end] for j, lo, hi in work]
+                           or [np.empty(0)])
+            for name in ("u", "p", "sign", "est") for end in (0, 1)
         )
-        u0, u1, s0, s1, e0, e1 = u[first], u[last], sign[first], sign[last], est[first], est[last]
-        vertical = np.array([edge.vertical for edge in edges], dtype=bool)
-        fixed = np.array([edge.c for edge in edges], dtype=float)
+        origin, scale = (np.array([getattr(edge, name) for edge in edges], dtype=complex)
+                         for name in ("origin", "scale"))
+        arc = np.array([edge.arc for edge in edges], dtype=bool)
 
-        def points(j, u):
-            return _line_points(vertical[j], fixed[j], u)
-
-        added = []   # (edge indices, coordinates, phases, estimates) of new nodes
+        added = []   # (edge indices, parameters, points, phases, estimates) of new nodes
         exhausted = np.empty(0, dtype=int)
         for _ in range(self.opts.phase_max_depth):
-            need = _needs_split(np.angle(s1 / s0), u1 - u0, e0, e1)
+            chord = np.abs(p1 - p0)
+            need = _needs_split(np.angle(s1 / s0), chord, e0, e1)
             if not need.any():
                 break
-            pinned = need & (u1 - u0 < 1e-13 * (1.0 + np.abs(points(eid, u0))))
+            pinned = need & (chord < 1e-13 * (1.0 + np.abs(p0)))
             poison(eid[pinned], RootOnContourError("refinement pinned to a zero on the contour"))
             um = 0.5 * (u0 + u1)
             poison(eid[need & ((um <= u0) | (um >= u1))],
@@ -485,15 +438,18 @@ class _EdgeCache:
             if not need.any():
                 break
             j, um = eid[need], um[need]
-            sm, em, bad = _sample_nodes(self.sys_, points(j, um), self.log_floor)
+            pm = _edge_points(origin[j], scale[j], arc[j], um)
+            sm, em, bad = _sample_nodes(self.sys_, pm, self.log_floor)
             poison(j[bad], RootOnContourError("contour sample too close to a root"))
-            added.append((j, um, sm, em))
+            added.append((j, um, pm, sm, em))
             eid = np.concatenate([j, j])
             u0, u1 = np.concatenate([u0[need], um]), np.concatenate([um, u1[need]])
+            p0, p1 = np.concatenate([p0[need], pm]), np.concatenate([pm, p1[need]])
             s0, s1 = np.concatenate([s0[need], sm]), np.concatenate([sm, s1[need]])
             e0, e1 = np.concatenate([e0[need], em]), np.concatenate([em, e1[need]])
             live = ~dead[eid]
-            eid, u0, u1, s0, s1, e0, e1 = (x[live] for x in (eid, u0, u1, s0, s1, e0, e1))
+            eid, u0, u1, p0, p1, s0, s1, e0, e1 = (
+                x[live] for x in (eid, u0, u1, p0, p1, s0, s1, e0, e1))
         else:
             exhausted = np.unique(eid)
 
@@ -501,21 +457,21 @@ class _EdgeCache:
             j = np.concatenate([a[0] for a in added])
             order = np.argsort(j, kind="stable")
             j = j[order]
-            um, sm, em = (np.concatenate([a[k] for a in added])[order] for k in (1, 2, 3))
+            new = [np.concatenate([a[k] for a in added])[order] for k in (1, 2, 3, 4)]
             bounds = np.searchsorted(j, np.arange(len(edges) + 1))
             for i in np.unique(j):
                 lo, hi = bounds[i], bounds[i + 1]
                 edge = edges[i]
-                u = np.concatenate([edge.u, um[lo:hi]])
-                o = np.argsort(u, kind="stable")
-                edge.u = u[o]
-                edge.sign = np.concatenate([edge.sign, sm[lo:hi]])[o]
-                edge.est = np.concatenate([edge.est, em[lo:hi]])[o]
+                o = np.argsort(np.concatenate([edge.u, new[0][lo:hi]]), kind="stable")
+                edge.u, edge.p, edge.sign, edge.est = (
+                    np.concatenate([old, x[lo:hi]])[o]
+                    for old, x in zip((edge.u, edge.p, edge.sign, edge.est), new)
+                )
         for i in exhausted:
             # a zero hugging the edge is retryable (inflate), anything else is a
             # genuine tracking failure
             edge = edges[i]
-            if np.any(edge.est < 1e-9 * (1.0 + np.abs(_line_points(edge.vertical, edge.c, edge.u)))):
+            if np.any(edge.est < 1e-9 * (1.0 + np.abs(edge.p))):
                 poison(np.array([i]), RootOnContourError(
                     "refinement exhausted next to a zero on the contour"))
             else:
@@ -528,24 +484,19 @@ class _EdgeCache:
 def count_roots_in_contour(sys_: NeutralSystem, contour, opts: RootFindOptions | None = None) -> int:
     """Number of roots of det D inside the contour, counted with multiplicity.
 
-    A rectangle is counted from its four sides, each sampled afresh.  If a
-    boundary sample sits within the boundary tolerance of a root the contour
-    is inflated by 1% and retried, a bounded number of times.
+    The contour is counted on an edge cache of its own: a rectangle from its
+    four sides, a circle from its one closed arc.  If a boundary sample sits
+    within the boundary tolerance of a root the contour is inflated by 1% and
+    retried, a bounded number of times.
     """
     opts = opts or RootFindOptions()
-    attempt = contour
-    last: Exception | None = None
+    attempt, last = contour, None
     for _ in range(opts.contour_retries + 1):
-        try:
-            if not isinstance(attempt, Rect):
-                return _winding_number(sys_, attempt, opts)
-            (count,) = _EdgeCache(sys_, opts).windings([attempt])
-            if isinstance(count, RootOnContourError):
-                raise count
+        (count,) = _EdgeCache(sys_, opts).windings([attempt])
+        if not isinstance(count, RootOnContourError):
             return count
-        except RootOnContourError as exc:
-            last = exc
-            attempt = attempt.inflate(1.01)
+        last = count
+        attempt = attempt.inflate(1.01)
     raise RootOnContourError(
         f"root on contour persisted through {opts.contour_retries} inflations: {last}"
     )
@@ -1007,6 +958,17 @@ def right_half_plane_ceiling(sys_: NeutralSystem) -> float | None:
     return None
 
 
+def window_chain_grid(sys_: NeutralSystem, im_cap: float, k_span: int = 0) -> ChainGrid | None:
+    """The chain circles L_m^(k) with |k| up to one index past the window
+    |Im| <= im_cap, or up to k_span where that is larger; None when det D
+    has no root chains."""
+    k_span = max(int(np.ceil((im_cap * sys_.h + np.pi) / (2.0 * np.pi))) + 1, k_span)
+    try:
+        return chain_grid(sys_, -k_span, k_span)
+    except NoChainsError:
+        return None
+
+
 def rightmost_root_scan(
     sys_: NeutralSystem,
     re_floor: float,
@@ -1023,14 +985,8 @@ def rightmost_root_scan(
     if not (re_floor < 0.0 < im_cap):
         raise ValueError("need re_floor < 0 < im_cap")
     opts = opts or RootFindOptions()
-    grid = None
-    abscissas: list[float] = []
-    try:
-        k_span = int(np.ceil((im_cap * sys_.h + np.pi) / (2.0 * np.pi))) + 1
-        grid = chain_grid(sys_, -k_span, k_span)
-        abscissas = [float(np.log(abs(e.mu)) / sys_.h) for e in grid.eigenvalues]
-    except NoChainsError:
-        pass
+    grid = window_chain_grid(sys_, im_cap)
+    abscissas = [] if grid is None else [float(np.log(abs(e.mu)) / sys_.h) for e in grid.eigenvalues]
     re_ceiling = max(1.0, max(abscissas) + 1.0) if abscissas else 1.0
     bound = right_half_plane_ceiling(sys_)
     if bound is not None:

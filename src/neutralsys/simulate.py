@@ -215,8 +215,8 @@ def simulate(
         raise ValueError(f"history grid spans [{phi.grid[0]}, 0], system delay is {sys_.h}")
     if phi.values.shape[1] != sys_.n:
         raise ValueError(f"history has {phi.values.shape[1]} components, state dimension is {sys_.n}")
-    if not (T > 0):
-        raise ValueError("final time must be positive")
+    if not (0 < T < np.inf):
+        raise ValueError("final time must be positive and finite")
     dt = sys_.h / m
     nsteps = max(1, int(round(T / dt)))
     times = np.arange(nsteps + 1) * dt

@@ -96,6 +96,22 @@ def test_unknown_command_exits_1():
     assert run_cli("frobnicate", "--input", "x.json") == 1
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("spectrum", "--k-range", "a:3"),
+        ("reach", "--T-list", "1,x"),
+        ("simulate", "--T", "inf"),
+        ("reach", "--T-list", "inf"),
+    ],
+)
+def test_malformed_or_infinite_arguments_exit_1(tmp_path, command, flag, value):
+    # unparsable ranges and horizons, and horizons no simulation grid can reach
+    path = _system_with_inputs(tmp_path)
+    code = run_cli(command, "--input", str(path), "--out", str(tmp_path / "out"), flag, value)
+    assert code == cli.EXIT_USAGE
+
+
 SCALAR_DOC = {
     "n": 1, "r": 1, "h": 1.0, "A_minus1": [[0.0]],
     "A2": {"breakpoints": [-1.0, 0.0], "segments": [[[0.0]]]},

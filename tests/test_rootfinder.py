@@ -158,6 +158,42 @@ def test_edge_cached_child_counts_match_fresh_counts(sys_, x0, width, y0, height
         cells = list(zip(children, counts))
 
 
+@given(
+    density_systems(n_max=3),
+    hst.lists(hst.builds(lambda x, y, r: rf.Circle(complex(x, y), r),
+                         hst.floats(-2.0, 1.0), hst.floats(-15.0, 15.0), hst.floats(0.01, 3.0)),
+              min_size=1, max_size=3),
+    hst.lists(hst.builds(lambda x0, w, y0, v: rf.Rect(x0, x0 + w, y0, y0 + v),
+                         hst.floats(-2.0, 0.5), hst.floats(0.2, 2.5),
+                         hst.floats(-15.0, 10.0), hst.floats(0.5, 20.0)),
+              min_size=1, max_size=3),
+)
+@settings(max_examples=30, deadline=None)
+def test_circles_and_rectangles_count_in_one_call_as_alone(sys_, circles, rects):
+    # A circle is one closed arc on the same edge cache as the rectangle
+    # sides; its closing node is its first node, sampled once.
+    opts = rf.RootFindOptions()
+    contours = circles[:1] + rects + circles[1:]
+    counts = rf._EdgeCache(sys_, opts).windings(contours)
+    for contour, count in zip(contours, counts):
+        if isinstance(count, int):
+            assert count == rf.count_roots_in_contour(sys_, contour, opts)
+
+    evaluate = rf.delta_and_derivative
+    for circle in circles:
+        sampled = []
+
+        def recording(sys_, lams):
+            sampled.append(np.array(lams, dtype=complex).ravel())
+            return evaluate(sys_, lams)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rf, "delta_and_derivative", recording)
+            rf._EdgeCache(sys_, opts).windings([circle])
+        points = np.concatenate(sampled)
+        assert np.unique(points).size == points.size
+
+
 def test_region_scan_samples_no_rectangle_point_twice(monkeypatch):
     # The window's sides serve its children, a split samples only its cross,
     # and a corner that several sides share is sampled once.
