@@ -136,7 +136,10 @@ def delta_and_derivative(sys_: NeutralSystem, lams) -> tuple[np.ndarray, np.ndar
     R = coeff[0, :, p:] = np.where(t.is_a2, x, t.widths) * phi0
     coeff[1, :, p:] = t.locs[p:] * R + t.widths * np.where(t.is_a2, ex, t.widths * phi1)
     coeff *= np.exp(lam * t.locs)
-    D, dD = (coeff @ t.mats).reshape(2, lam.shape[0], t.n, t.n)
+    # One (2N, terms) @ (terms, n*n) product: a stack of one point would go
+    # through numpy's vector-matrix path and round differently, and a point's
+    # D must not depend on how many other points share its batch.
+    D, dD = (coeff.reshape(2 * lam.shape[0], -1) @ t.mats).reshape(2, lam.shape[0], t.n, t.n)
     return D, dD
 
 

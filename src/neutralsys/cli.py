@@ -297,6 +297,14 @@ def _k_range(text: str) -> tuple[int, int]:
     return int(k_lo or 5), int(k_hi or 20)
 
 
+def _finite(text: str) -> float:
+    """A finite number; a window bound at infinity has no scan."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"not finite: {text}")
+    return value
+
+
 def _horizons(text: str) -> tuple[float, ...]:
     """Comma-separated horizons; an empty list leaves the choice to reach."""
     return tuple(float(x) for x in text.split(",")) if text else ()
@@ -315,9 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="system description JSON")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--re-min", type=float, default=-1.0)
-        p.add_argument("--re-max", type=float, default=1.0)
-        p.add_argument("--im-max", type=float, default=40.0)
+        p.add_argument("--re-min", type=_finite, default=-1.0)
+        p.add_argument("--re-max", type=_finite, default=1.0)
+        p.add_argument("--im-max", type=_finite, default=40.0)
         p.add_argument("--tol-rank", type=float, default=None)
         p.add_argument("--tol-root", type=float, default=None)
         p.add_argument("--T", type=float, default=10.0)

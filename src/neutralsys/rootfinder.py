@@ -26,8 +26,17 @@ poisons only the edges it lies on; a contour with such a side is counted
 afresh and inflated past the root like any other contour, so a split line
 through a root shows as children that do not add up to their parent.
 
-Location: quadrisection of a rectangle, one level at a time, discards
-root-free cells and seeds Newton iterations in small cells.  The seeds of every
+Location: with a chain grid, one batched Newton solve first runs from every
+chain center in the window, where the large-|k| roots of chain m sit near
+(ln|mu_m| + i(arg mu_m + 2 pi k))/h.  A converged root is kept only inside its
+own chain circle and the window, and the kept roots' multiplicity circles are
+counted in one call.  Quadrisection of the rectangle, one level at a time,
+then discards root-free cells.  A cell whose winding count equals the
+multiplicity of the known chain roots it owns (half-open: [re_min, re_max) x
+[im_min, im_max), and none within two multiplicity radii of a side) takes
+them and is neither searched nor split; every other cell goes on as without
+a grid, so roots outside the chain circles come from the same cells and
+seeds.  Small cells seed Newton iterations.  The seeds of every
 such cell on a level run through one batched Newton solve (`newton_roots`):
 each iterate evaluates D and D' once, takes one batched det and one batched
 solve for all seeds still running, while each seed keeps its own stopping
@@ -734,14 +743,20 @@ def _cell_rng(opts: RootFindOptions, cell: Rect) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "little") ^ (opts.seed & 0xFFFFFFFF))
 
 
-def _multiplicity_of(sys_, lam: complex, cell: Rect, others, opts: RootFindOptions) -> int:
-    radius = min(opts.multiplicity_radius, 0.25 * cell.diameter())
+def _multiplicity_circle(lam: complex, others, cap: float, opts: RootFindOptions) -> Circle:
+    """The circle that counts the multiplicity of lam: radius at most cap and
+    0.45 times the gap to each other root, but no less than 4 merge_tol."""
+    radius = cap
     for other in others:
         gap = abs(lam - other)
         if gap > 0:
             radius = min(radius, 0.45 * gap)
-    radius = max(radius, 4.0 * opts.merge_tol)
-    return count_roots_in_contour(sys_, Circle(lam, radius), opts)
+    return Circle(lam, max(radius, 4.0 * opts.merge_tol))
+
+
+def _multiplicity_of(sys_, lam: complex, cell: Rect, others, opts: RootFindOptions) -> int:
+    cap = min(opts.multiplicity_radius, 0.25 * cell.diameter())
+    return count_roots_in_contour(sys_, _multiplicity_circle(lam, others, cap, opts), opts)
 
 
 def _cell_seeds(cell: Rect, opts: RootFindOptions) -> list[complex]:
@@ -793,6 +808,59 @@ def _merge_roots(roots: list[LocatedRoot], merge_tol: float) -> list[LocatedRoot
     return merged
 
 
+def _chain_roots(sys_, rect: Rect, grid: ChainGrid, edges: _EdgeCache,
+                 opts: RootFindOptions) -> list[LocatedRoot]:
+    """Roots found by Newton from the chain centers inside the window.
+
+    A converged root is kept when it lies inside its own chain circle and the
+    window and is not within merge_tol of a root kept before it.  The kept
+    roots' multiplicity circles are counted in one `windings` call on the
+    scan's edge cache; a root of multiplicity 0 is dropped.  The roots only
+    spare the scan work, so a circle that cannot be counted drops its root.
+    """
+    centers = [c for c in grid.centers.values() if rect.contains(c)]
+    # A center where det' vanishes nudges its seed off, and the seed may run
+    # far left, where e^{-lam h} overflows; newton_roots fails such a seed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = newton_roots(sys_, centers, opts) if centers else []
+    kept: list[tuple[complex, float]] = []
+    for center, (lam, absdet, ok) in zip(centers, results):
+        if (ok and abs(lam - center) <= grid.radius and rect.contains(lam)
+                and all(abs(lam - k) > opts.merge_tol for k, _ in kept)):
+            kept.append((lam, absdet))
+    if not kept:
+        return []
+    lams = [lam for lam, _ in kept]
+    circles = [_multiplicity_circle(lam, lams, opts.multiplicity_radius, opts) for lam in lams]
+    try:
+        counts = edges.windings(circles)
+    except ContourError:
+        return []
+    roots = []
+    for (lam, absdet), circle, count in zip(kept, circles, counts):
+        if isinstance(count, RootOnContourError):
+            try:
+                count = count_roots_in_contour(sys_, circle, opts)
+            except ContourError:
+                continue
+        if count > 0:
+            roots.append(LocatedRoot(lam, count, absdet))
+    return roots
+
+
+def _owned_roots(cell: Rect, known: list[LocatedRoot], margin: float):
+    """The known roots in the half-open cell [re_min, re_max) x [im_min,
+    im_max), so a root on a shared side belongs to one cell; None when one of
+    them lies within margin of a side."""
+    owned = [r for r in known if cell.re_min <= r.lam.real < cell.re_max
+             and cell.im_min <= r.lam.imag < cell.im_max]
+    for r in owned:
+        if min(r.lam.real - cell.re_min, cell.re_max - r.lam.real,
+               r.lam.imag - cell.im_min, cell.im_max - r.lam.imag) <= margin:
+            return None
+    return owned
+
+
 def find_roots_in_region(
     sys_: NeutralSystem,
     rect: Rect,
@@ -802,9 +870,12 @@ def find_roots_in_region(
     """Locate all roots of det D inside a rectangle.
 
     Roots are deduplicated at the merge tolerance and labeled with the chain
-    circle that contains them when a chain grid is supplied.  The report also
-    carries any cells whose winding count could not be matched by located
-    roots within the depth budget.
+    circle that contains them when a chain grid is supplied.  With a grid,
+    Newton first runs from the chain centers inside the window, and a cell
+    whose winding count equals the multiplicity of the chain roots it owns
+    takes them without Newton or a split.  The report also carries any cells
+    whose winding count could not be matched by located roots within the
+    depth budget.
     """
     opts = opts or RootFindOptions()
     edges = _EdgeCache(sys_, opts)
@@ -815,6 +886,10 @@ def find_roots_in_region(
                 for r, c in zip(rects, edges.windings(rects))]
 
     (total,) = counts([rect])
+    known = _chain_roots(sys_, rect, grid, edges, opts) if grid is not None and total > 0 else []
+    # a known root this close to a side may have been counted by a multiplicity
+    # circle that crosses it, or be the root an inflated recount took in
+    margin = 2.0 * opts.multiplicity_radius
     per_cell = 1 + opts.newton_restarts
     # A cell is (rect, count, path); the path numbers each quadrant last child
     # first, so sorting unresolved cells by path gives the order of a
@@ -825,13 +900,19 @@ def find_roots_in_region(
     nonadditive: list[tuple[Rect, int, int]] = []   # (cell, count, children's sum)
     depth = 0
     while level:
+        resolved = set()
+        for cell, cnt, path in level:
+            owned = _owned_roots(cell, known, margin)
+            if owned and sum(r.multiplicity for r in owned) == cnt:
+                roots.extend(owned)
+                resolved.add(path)
         tries = [
             (cell, cnt, path) for cell, cnt, path in level
-            if cell.diameter() <= opts.newton_cell_size or cnt <= opts.newton_max_count
+            if path not in resolved
+            and (cell.diameter() <= opts.newton_cell_size or cnt <= opts.newton_max_count)
         ]
         seeds = [s for cell, _, _ in tries for s in _cell_seeds(cell, opts)]
         results = newton_roots(sys_, seeds, opts) if seeds else []
-        resolved = set()
         for j, (cell, cnt, path) in enumerate(tries):
             found = _accept_cell(sys_, cell, cnt, results[j * per_cell:(j + 1) * per_cell], opts)
             if found is not None:

@@ -79,34 +79,18 @@ class Trajectory:
     m2_norm: np.ndarray
 
     def to_csv(self) -> str:
-        import csv as _csv
-        import io
-
+        # One float table, each value written by repr: the row strings are
+        # what csv.writer would write for the same cells.
         n = self.z_values.shape[1]
-        complex_state = np.iscomplexobj(self.z_values) and np.any(self.z_values.imag)
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        if complex_state:
-            header = ["t"]
-            for j in range(n):
-                header += [f"z{j + 1}_re", f"z{j + 1}_im"]
-            header.append("m2_norm")
-            writer.writerow(header)
-            for i, t in enumerate(self.times):
-                row = [repr(float(t))]
-                for j in range(n):
-                    row += [repr(float(self.z_values[i, j].real)),
-                            repr(float(self.z_values[i, j].imag))]
-                row.append(repr(float(self.m2_norm[i])))
-                writer.writerow(row)
+        if np.iscomplexobj(self.z_values) and np.any(self.z_values.imag):
+            header = ["t"] + [f"z{j + 1}_{part}" for j in range(n) for part in ("re", "im")]
+            z = np.stack([self.z_values.real, self.z_values.imag], axis=-1).reshape(-1, 2 * n)
         else:
-            writer.writerow(["t"] + [f"z{j + 1}" for j in range(n)] + ["m2_norm"])
-            for i, t in enumerate(self.times):
-                row = [repr(float(t))]
-                row += [repr(float(np.real(self.z_values[i, j]))) for j in range(n)]
-                row.append(repr(float(self.m2_norm[i])))
-                writer.writerow(row)
-        return buf.getvalue()
+            header = ["t"] + [f"z{j + 1}" for j in range(n)]
+            z = np.real(self.z_values)
+        table = np.column_stack([self.times, z, self.m2_norm]).tolist()
+        rows = [",".join(header + ["m2_norm"])] + [",".join(map(repr, row)) for row in table]
+        return "\n".join(rows) + "\n"
 
 
 def _kernel_weights(kernel, grid: np.ndarray, dt: float):

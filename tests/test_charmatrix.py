@@ -222,6 +222,8 @@ def test_fused_evaluation_agrees_with_views_reference_and_differences(sys_, seed
     for i, lam in enumerate(pts):
         terms, scale, dscale, phi1_err = reference_terms(sys_, complex(lam))
         single = cm.delta(sys_, lam), cm.delta_derivative(sys_, lam)
+        # a point evaluates to the same bits alone as in a batch
+        assert single[0].tobytes() == D[i].tobytes() and single[1].tobytes() == dD[i].tobytes()
         for view in (batch[0][i], single[0], sum(c * M for c, _, M in terms)):
             assert np.max(np.abs(D[i] - view)) <= 1e-13 * scale
         for view in (batch[1][i], single[1], sum(dc * M for _, dc, M in terms)):

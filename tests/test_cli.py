@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,28 @@ def test_missing_input_exits_3(tmp_path, capsys):
     assert record["level"] == "error" and record["event"] == "io_error"
 
 
+@pytest.mark.parametrize("command", ["spectrum", "stability"])
+def test_stderr_holds_only_json_lines(tmp_path, command):
+    # Example 1 with alpha = beta = 1: the chain center at 0 has det' = 0, so
+    # Newton from it runs far left.  A fresh interpreter keeps its own
+    # warning filters, which write to the real stderr.
+    doc = json.loads(json.dumps(EXAMPLE1_DOC))
+    doc["r"], doc["B"] = 1, [[0.0], [1.0]]
+    doc["A3"]["atoms"][0]["matrix"] = [[1.0, 0.0], [0.0, 1.0]]
+    path = tmp_path / "ex1_ctrl.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "neutralsys.cli", command, "--input", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    for line in proc.stderr.splitlines():
+        json.loads(line)
+
+
 def test_malformed_input_exits_3(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
@@ -103,12 +129,19 @@ def test_unknown_command_exits_1():
         ("reach", "--T-list", "1,x"),
         ("simulate", "--T", "inf"),
         ("reach", "--T-list", "inf"),
+        ("spectrum", "--im-max", "inf"),
+        ("stability", "--im-max", "inf"),
+        ("spectrum", "--re-max", "inf"),
+        ("spectrum", "--re-min", "-inf"),
+        ("stability", "--re-min", "nan"),
     ],
 )
 def test_malformed_or_infinite_arguments_exit_1(tmp_path, command, flag, value):
-    # unparsable ranges and horizons, and horizons no simulation grid can reach
+    # unparsable ranges and horizons, horizons no simulation grid can reach,
+    # and scan windows that are not finite; FLAG=VALUE, since argparse takes
+    # a bare -inf for a flag
     path = _system_with_inputs(tmp_path)
-    code = run_cli(command, "--input", str(path), "--out", str(tmp_path / "out"), flag, value)
+    code = run_cli(command, "--input", str(path), "--out", str(tmp_path / "out"), f"{flag}={value}")
     assert code == cli.EXIT_USAGE
 
 

@@ -4,6 +4,9 @@ from hypothesis import assume, given, settings, strategies as hst
 
 from neutralsys import charmatrix as cm
 from neutralsys import rootfinder as rf
+from neutralsys.errors import ContourError
+from neutralsys.stability import SystemAnalysis
+from neutralsys.sysmodel import DelayKernel, NeutralSystem
 from conftest import (
     density_systems,
     make_example1,
@@ -560,3 +563,111 @@ def test_conjugate_pairs_list_negative_imaginary_first(gap):
             for ordered in (rf._ordered(roots), report.all_roots(),
                             rf._merge_roots(roots, 1e-6)):
                 assert [r.lam.imag for r in ordered] == [-im, im, 5.0]
+
+
+def _root_sets_match(a, b, merge_tol):
+    """Each root of a within merge_tol of a root of b with its multiplicity,
+    and back."""
+    for xs, ys in ((a, b), (b, a)):
+        for x in xs:
+            assert any(abs(x.lam - y.lam) <= merge_tol and x.multiplicity == y.multiplicity
+                       for y in ys), x
+
+
+@given(
+    density_systems(n_max=3),
+    hst.integers(0, 2), hst.floats(0.1, 0.9), hst.floats(0.5, 2.5), hst.floats(4.0, 15.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_chain_seeded_scan_matches_unseeded_scan(sys_, chain, frac, width, im_cap):
+    # The window straddles the abscissa of one chain.  Chain roots may move
+    # in their last bits; every other root comes from the same cells and
+    # seeds, so it is the same to the bit.
+    opts = rf.RootFindOptions()
+    grid = rf.window_chain_grid(sys_, im_cap)
+    assume(grid is not None)
+    mu = grid.eigenvalues[chain % len(grid.eigenvalues)].mu
+    x0 = float(np.log(abs(mu)) / sys_.h) - frac * width
+    assume(x0 > -4.0)
+    rect = rf.Rect(x0, x0 + width, -im_cap, im_cap)
+    try:
+        plain = rf.find_roots_in_region(sys_, rect, opts, None)
+    except ContourError:
+        assume(False)
+    assume(not plain.unresolved_cells)
+    seeded = rf.find_roots_in_region(sys_, rect, opts, grid)
+    assert seeded.total_count == plain.total_count
+    assert not seeded.unresolved_cells
+    _root_sets_match(seeded.all_roots(), plain.all_roots(), opts.merge_tol)
+    loose = [(r.lam, r.multiplicity) for r in plain.all_roots() if grid.label_for(r.lam) is None]
+    assert [(r.lam, r.multiplicity) for r in seeded.unclustered_roots] == loose
+
+
+def _seed_counting(monkeypatch):
+    calls = []
+    newton_roots = rf.newton_roots
+
+    def counted(sys_, seeds, opts=None):
+        calls.append(len(seeds))
+        return newton_roots(sys_, seeds, opts)
+
+    monkeypatch.setattr(rf, "newton_roots", counted)
+    return calls
+
+
+@pytest.mark.parametrize("stray", ["outside_every_circle", "in_the_next_circle"])
+def test_chain_seed_converging_outside_its_circle_is_discarded(monkeypatch, stray):
+    # Every chain seed is made to converge to a true root, but not one in its
+    # own circle: no chain root is kept, and the scan is the unseeded one.
+    s = make_example1(1.0, 2.0)
+    opts = rf.RootFindOptions()
+    rect = rf.Rect(-1.0, 1.5, -20.0, 20.0)
+    grid = rf.window_chain_grid(s, 20.0)
+    plain = rf.find_roots_in_region(s, rect, opts, None)
+    roots = [r.lam for r in plain.all_roots()]
+    loose = [lam for lam in roots if grid.label_for(lam) is None]
+    assert loose
+    newton_roots = rf.newton_roots
+    chain_batches = []
+
+    def stray_chain_seeds(sys_, seeds, opts=None):
+        results = newton_roots(sys_, seeds, opts)
+        if chain_batches:
+            return results
+        chain_batches.append(seeds)
+        if stray == "outside_every_circle":
+            return [(loose[0], 0.0, True) for _ in seeds]
+        # each seed takes the root its neighbour converged to
+        return [results[(i + 1) % len(results)] for i in range(len(results))]
+
+    monkeypatch.setattr(rf, "newton_roots", stray_chain_seeds)
+    edges = rf._EdgeCache(s, opts)
+    (total,) = edges.windings([rect])
+    assert rf._chain_roots(s, rect, grid, edges, opts) == []
+    assert chain_batches and all(grid.label_for(c) is not None for c in chain_batches[0])
+
+    chain_batches.clear()
+    seeded = rf.find_roots_in_region(s, rect, opts, grid)
+    assert seeded.total_count == plain.total_count == total
+    assert [(r.lam, r.multiplicity) for r in seeded.all_roots()] == [
+        (r.lam, r.multiplicity) for r in plain.all_roots()]
+
+
+def test_chain_seeds_spare_most_newton_seeds_on_the_shared_scan(monkeypatch):
+    # rotation: A_-1 a quarter turn, atom -I; the window of its shared scan
+    s = NeutralSystem(
+        n=2, r=0, h=1.0, A_minus1=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        A2=DelayKernel.zero(2, 1.0), A3=DelayKernel.from_atoms([(0.0, -np.eye(2))], 2, 1.0),
+        B=np.zeros((2, 0)),
+    )
+    analysis = SystemAnalysis(s)
+    report, _ = analysis.scan
+    grid = rf.window_chain_grid(s, analysis.im_cap)
+    calls = _seed_counting(monkeypatch)
+    plain = rf.find_roots_in_region(s, report.window, analysis.root_options, None)
+    plain_seeds = sum(calls)
+    calls.clear()
+    seeded = rf.find_roots_in_region(s, report.window, analysis.root_options, grid)
+    seeded_seeds = sum(calls)
+    assert seeded.total_count == plain.total_count == report.total_count
+    assert 3 * seeded_seeds <= plain_seeds, (seeded_seeds, plain_seeds)

@@ -1,10 +1,13 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from neutralsys import charmatrix as cm
 from neutralsys import rootfinder as rf
 from neutralsys.errors import SimulationBlowUpError
-from neutralsys.simulate import HistorySegment, norm_profile, simulate
+from neutralsys.simulate import HistorySegment, Trajectory, norm_profile, simulate
 from neutralsys.sysmodel import DelayKernel, NeutralSystem
 
 from conftest import (
@@ -197,6 +200,39 @@ def test_history_validation():
     bad_dim = HistorySegment(np.linspace(-1.0, 0.0, 101), np.zeros((101, 2)))
     with pytest.raises(ValueError):
         simulate(s, bad_dim, None, T=1.0)
+
+
+def _csv_writer_text(traj, complex_state):
+    """The table csv.writer writes from one repr(float(...)) cell at a time."""
+    n = traj.z_values.shape[1]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if complex_state:
+        parts = [p for j in range(n) for p in (
+            (f"z{j + 1}_re", lambda z, j=j: z[j].real), (f"z{j + 1}_im", lambda z, j=j: z[j].imag))]
+    else:
+        parts = [(f"z{j + 1}", lambda z, j=j: np.real(z[j])) for j in range(n)]
+    writer.writerow(["t"] + [name for name, _ in parts] + ["m2_norm"])
+    for t, z, norm in zip(traj.times, traj.z_values, traj.m2_norm):
+        writer.writerow([repr(float(t))] + [repr(float(get(z))) for _, get in parts]
+                        + [repr(float(norm))])
+    return buf.getvalue()
+
+
+def test_trajectory_csv_matches_csv_writer():
+    s = make_density_system()
+    real = simulate(s, HistorySegment.random(s, 16, 5), None, T=2.0, m=16)
+    assert real.to_csv() == _csv_writer_text(real, complex_state=False)
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    z[0, 1] = complex(-0.0, 1e-300)
+    cplx = Trajectory(np.linspace(0.0, 1.0, 5), z, np.abs(z).sum(axis=1))
+    text = cplx.to_csv()
+    assert text.splitlines()[0] == "t,z1_re,z1_im,z2_re,z2_im,m2_norm"
+    assert text == _csv_writer_text(cplx, complex_state=True)
+    # a complex state with no imaginary part is written as a real one
+    flat = Trajectory(real.times, real.z_values.astype(complex), real.m2_norm)
+    assert flat.to_csv() == real.to_csv()
 
 
 def test_trajectory_csv():
