@@ -32,8 +32,9 @@ and delta_derivative_batch are views of that one evaluation.
 Root chains: every eigenvalue mu != 0 of A generates the vertical sequence of
 asymptotic root locations (ln|mu| + i(arg mu + 2 pi k))/h, k integer.  Large-k
 roots of det D cluster around those points, with total multiplicity equal to
-the rootspace dimension of mu; the chain grid records the centers and a safe
-circle radius (a fraction of one third of the minimal center separation).
+the rootspace dimension of mu.  The chain grid keeps the eigenvalues and a
+safe circle radius (half of one third of the minimal center separation) and
+computes the center for any k from that formula; it records no centers.
 """
 
 from __future__ import annotations
@@ -179,23 +180,42 @@ class ChainEigenvalue:
 
 @dataclass(frozen=True)
 class ChainGrid:
-    """Asymptotic root-chain centers and the circle radius used around them."""
+    """The root chains of det D: their generating eigenvalues and the radius
+    of the circle around every chain center."""
 
     eigenvalues: tuple[ChainEigenvalue, ...]
-    centers: dict
     radius: float
     r0: float
     h: float
 
     def center(self, m: int, k: int) -> complex:
-        return self.centers[(m, k)]
+        mu = self.eigenvalues[m].mu
+        base = np.log(abs(mu)) + 1j * np.angle(mu)  # arg branch (-pi, pi]
+        return complex((base + 2j * np.pi * k) / self.h)
+
+    def _k_at(self, m: int, im: float) -> float:
+        """The chain index k, not rounded, whose center of chain m has
+        imaginary part im."""
+        return (self.h * im - np.angle(self.eigenvalues[m].mu)) / (2.0 * np.pi)
 
     def label_for(self, lam: complex):
-        """(m, k) of the chain circle containing lam, or None."""
-        for (m, k), c in self.centers.items():
-            if abs(lam - c) <= self.radius:
+        """(m, k) of the chain circle containing lam, or None.  Only the
+        nearest center of each chain can hold lam: the radius is at most a
+        sixth of the spacing 2 pi / h."""
+        for m in range(len(self.eigenvalues)):
+            k = int(np.round(self._k_at(m, lam.imag)))
+            if abs(lam - self.center(m, k)) <= self.radius:
                 return (m, k)
         return None
+
+    def centers_in(self, rect) -> list[complex]:
+        """The centers that rect contains, by chain m and then ascending k."""
+        centers = []
+        for m in range(len(self.eigenvalues)):
+            k_lo, k_hi = np.floor(self._k_at(m, rect.im_min)), np.ceil(self._k_at(m, rect.im_max))
+            centers.extend(c for c in (self.center(m, k) for k in range(int(k_lo), int(k_hi) + 1))
+                           if rect.contains(c))
+        return centers
 
 
 def chain_centers_radius0(mus, h: float) -> float:
@@ -215,28 +235,17 @@ def chain_centers_radius0(mus, h: float) -> float:
     return best / (3.0 * h)
 
 
-def chain_grid(
-    sys_: NeutralSystem,
-    k_min: int,
-    k_max: int,
-    radius_fraction: float = 0.5,
-    zero_tol: float | None = None,
-) -> ChainGrid:
-    """Chain centers for every nonzero eigenvalue of the difference matrix and
-    k in [k_min, k_max], with radius = radius_fraction * r0.
+def chain_grid(sys_: NeutralSystem) -> ChainGrid:
+    """The chains of every nonzero eigenvalue of the difference matrix, with
+    circle radius r0 / 2.
 
-    Eigenvalues with |mu| below zero_tol have no finite chain center and are
-    skipped; if all of them are (numerically) zero the spectrum is
-    retarded-like and NoChainsError is raised.
+    Eigenvalues with |mu| below sqrt(eps) times the matrix scale have no
+    finite chain center and are skipped; if all of them are (numerically)
+    zero the spectrum is retarded-like and NoChainsError is raised.
     """
-    if not (0.0 < radius_fraction <= 1.0):
-        raise ValueError("radius_fraction must lie in (0, 1]")
-    if k_min > k_max:
-        raise ValueError("k_min must not exceed k_max")
     A = sys_.A_minus1
-    if zero_tol is None:
-        scale = float(np.linalg.norm(A, 2)) if np.any(A) else 0.0
-        zero_tol = np.sqrt(np.finfo(float).eps) * max(1.0, scale)
+    scale = float(np.linalg.norm(A, 2)) if np.any(A) else 0.0
+    zero_tol = np.sqrt(np.finfo(float).eps) * max(1.0, scale)
     clusters, _ = cluster_eigenvalues(A, default_cluster_tol(A))
     kept = [(mu, p) for mu, p in clusters if abs(mu) > zero_tol]
     if not kept:
@@ -244,15 +253,9 @@ def chain_grid(
             "all eigenvalues of the difference matrix vanish; no root chains"
         )
     r0 = chain_centers_radius0([mu for mu, _ in kept], sys_.h)
-    centers = {}
-    for m, (mu, _) in enumerate(kept):
-        base = np.log(abs(mu)) + 1j * np.angle(mu)  # arg branch (-pi, pi]
-        for k in range(k_min, k_max + 1):
-            centers[(m, k)] = complex((base + 2j * np.pi * k) / sys_.h)
     return ChainGrid(
         eigenvalues=tuple(ChainEigenvalue(mu, p) for mu, p in kept),
-        centers=centers,
-        radius=radius_fraction * r0,
+        radius=0.5 * r0,
         r0=r0,
         h=sys_.h,
     )

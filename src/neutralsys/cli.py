@@ -13,7 +13,7 @@ import functools
 import json
 import sys as _sys
 import time
-from dataclasses import dataclass
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +25,7 @@ from .errors import (
     SystemParseError,
     SystemValidationError,
 )
-from .rootfinder import (
-    Rect,
-    RootFindOptions,
-    find_roots_in_region,
-    verify_cluster_multiplicity,
-    window_chain_grid,
-)
+from .rootfinder import Rect, RootFindOptions, find_roots_in_region, verify_cluster_multiplicity
 from .simulate import HistorySegment, norm_profile, simulate
 from .reachability import rank_profile
 from .stability import SystemAnalysis, classify_asymptotic
@@ -48,46 +42,33 @@ SIMULATE_GRID_M = 200
 REACH_GRID_M = 100
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str
-    output_dir: str = "."
-    re_min: float = -1.0
-    re_max: float = 1.0
-    im_max: float = 40.0
-    tol_rank: float | None = None
-    tol_root: float | None = None
-    T: float = 10.0
-    grid_m: int | None = None
-    seed: int = 0
-    k_range: tuple[int, int] = (5, 20)
-    basis_policy: str = "permutations"
-    control: str = "zero"
-    control_amplitude: float = 1.0
-    control_frequency: float = 1.0
-    control_table: str | None = None
-    history: str = "random"
-    T_list: tuple[float, ...] = ()
-    rank_tau: float = 1e-6
-
-
 def _diag(level: str, event: str, **detail) -> None:
     print(json.dumps({"level": level, "event": event, **detail}, sort_keys=True),
           file=_sys.stderr)
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+class _Outputs:
+    """The output directory and the names of the files written to it."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.written: list[str] = []
+
+    def write(self, name: str, text: str) -> None:
+        (self.path / name).write_text(text)
+        self.written.append(name)
+
+    def write_json(self, name: str, doc) -> None:
+        self.write(name, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _root_options(cfg: RunConfig) -> RootFindOptions:
+def _root_options(cfg: Namespace) -> RootFindOptions:
     if cfg.tol_root is None:
         return RootFindOptions(seed=cfg.seed)
     return RootFindOptions(localization_tol=cfg.tol_root, seed=cfg.seed)
 
 
-def _control_function(cfg: RunConfig, sys_: NeutralSystem):
+def _control_function(cfg: Namespace, sys_: NeutralSystem):
     if sys_.r == 0 or cfg.control == "zero":
         return None
     if cfg.control == "sine":
@@ -109,7 +90,7 @@ def _control_function(cfg: RunConfig, sys_: NeutralSystem):
     raise ValueError(f"unknown control spec '{cfg.control}'")
 
 
-def _history(cfg: RunConfig, sys_: NeutralSystem) -> HistorySegment:
+def _history(cfg: Namespace, sys_: NeutralSystem) -> HistorySegment:
     m = SIMULATE_GRID_M if cfg.grid_m is None else cfg.grid_m
     if cfg.history == "zero":
         return HistorySegment.zero(sys_, m)
@@ -120,27 +101,22 @@ def _history(cfg: RunConfig, sys_: NeutralSystem) -> HistorySegment:
     raise ValueError(f"unknown history spec '{cfg.history}'")
 
 
-def _cmd_spectrum(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
-    sys_, opts = analysis.sys_, analysis.root_options
-    grid = window_chain_grid(sys_, cfg.im_max, max(abs(k) for k in cfg.k_range))
+def _cmd_spectrum(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
+    sys_, opts, grid = analysis.sys_, analysis.root_options, analysis.sys_.chains
     report = find_roots_in_region(
         sys_, Rect(cfg.re_min, cfg.re_max, -cfg.im_max, cfg.im_max), opts, grid
     )
     doc = report.to_json_dict()
     if grid is not None:
         k_lo, k_hi = cfg.k_range
-        checks = []
-        for m_idx in range(len(grid.eigenvalues)):
-            for k in range(k_lo, k_hi + 1):
-                count, expected, match = verify_cluster_multiplicity(
-                    sys_, grid, k, m_idx, opts
-                )
-                checks.append(
-                    {"m": m_idx, "k": k, "count": count, "expected": expected, "match": match}
-                )
-        doc["cluster_checks"] = checks
-    _write_json(out / "spectrum.json", doc)
-    (out / "roots.csv").write_text(report.to_csv())
+        pairs = [(m, k) for m in range(len(grid.eigenvalues)) for k in range(k_lo, k_hi + 1)]
+        doc["cluster_checks"] = [
+            {"m": m, "k": k, "count": count, "expected": expected, "match": match}
+            for (m, k), (count, expected, match)
+            in zip(pairs, verify_cluster_multiplicity(sys_, grid, pairs, opts))
+        ]
+    out.write_json("spectrum.json", doc)
+    out.write("roots.csv", report.to_csv())
     roots = report.all_roots()
     print(f"{len(roots)} root(s), total multiplicity {report.total_count} in window; "
           f"{len(report.unresolved_cells)} unresolved cell(s)")
@@ -152,55 +128,55 @@ def _cmd_spectrum(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_stability(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
+def _cmd_stability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
     verdict = classify_asymptotic(analysis)
-    _write_json(out / "stability.json", verdict.to_json_dict())
+    out.write_json("stability.json", verdict.to_json_dict())
     print(f"exponential: {verdict.exponential}; asymptotic: {verdict.asymptotic_case}")
     if verdict.evidence["scan"]["unresolved_cells"]:
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def _cmd_stabilizability(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
+def _cmd_stabilizability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
     report = check_stabilizability(analysis, cfg.tol_rank)
-    _write_json(out / "stabilizability.json", report.to_json_dict())
+    out.write_json("stabilizability.json", report.to_json_dict())
     print(f"stabilizability: {report.verdict}")
     return EXIT_OK
 
 
-def _cmd_controllability(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
+def _cmd_controllability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
     report = controllability_report(
         analysis, policy=cfg.basis_policy, seed=cfg.seed, rank_tol=cfg.tol_rank
     )
-    _write_json(out / "controllability.json", report.to_json_dict())
+    out.write_json("controllability.json", report.to_json_dict())
     print(report.summary())
     return EXIT_OK
 
 
-def _cmd_simulate(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
+def _cmd_simulate(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
     sys_ = analysis.sys_
     phi = _history(cfg, sys_)
     traj = simulate(sys_, phi, _control_function(cfg, sys_), T=cfg.T, m=phi.m)
-    (out / "trajectory.csv").write_text(traj.to_csv())
+    out.write("trajectory.csv", traj.to_csv())
     prof = norm_profile(traj)
     print(f"simulated to T={traj.times[-1]:.6g} with m={phi.m}; "
           f"norm start {prof[0, 1]:.6g}, end {prof[-1, 1]:.6g}")
     return EXIT_OK
 
 
-def _cmd_reach(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
+def _cmd_reach(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
     sys_ = analysis.sys_
     T_list = cfg.T_list or tuple(sys_.h * f for f in (0.5, 1.5, 2.5, 3.5))
     m = REACH_GRID_M if cfg.grid_m is None else cfg.grid_m
     profile, sigmas = rank_profile(sys_, T_list, m=m, tau=cfg.rank_tau)
-    (out / "rank_profile.csv").write_text(profile.to_csv(sigmas))
-    _write_json(out / "rank_profile.json", profile.to_json_dict())
+    out.write("rank_profile.csv", profile.to_csv(sigmas))
+    out.write_json("rank_profile.json", profile.to_json_dict())
     marks = ", ".join(f"T={e.T:.6g}: rank {e.effective_rank}" for e in profile.entries)
     print(f"effective ranks ({'monotone' if profile.monotone else 'NOT monotone'}): {marks}")
     return EXIT_OK
 
 
-def _cmd_report(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
+def _cmd_report(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
     codes = [_cmd_spectrum(cfg, analysis, out), _cmd_stability(cfg, analysis, out)]
     if analysis.sys_.r >= 1:
         codes.append(_cmd_stabilizability(cfg, analysis, out))
@@ -208,19 +184,15 @@ def _cmd_report(cfg: RunConfig, analysis: SystemAnalysis, out: Path) -> int:
         codes.append(_cmd_reach(cfg, analysis, out))
     codes.append(_cmd_simulate(cfg, analysis, out))
 
-    stability_doc = json.loads((out / "stability.json").read_text())
+    stability_doc = json.loads((out.path / "stability.json").read_text())
     consistency = {
         "exponential_stable_implies_exp_regime": (
             stability_doc["exponential"] != "stable"
             or stability_doc["asymptotic_case"] == "exp_regime"
         )
     }
-    files = sorted(
-        p.name
-        for p in out.iterdir()
-        if p.suffix in (".json", ".csv") and p.name not in ("index.json", "run_meta.json")
-    )
-    _write_json(out / "index.json", {"files": files, "consistency": consistency})
+    # the files this report wrote, not whatever else the directory holds
+    out.write_json("index.json", {"files": sorted(out.written), "consistency": consistency})
     if not all(consistency.values()):
         _diag("error", "inconsistent_verdicts", detail=consistency)
         return EXIT_NUMERICAL
@@ -238,26 +210,26 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
+def run(cfg: Namespace) -> int:
+    """Execute one parsed command line; returns the process exit code."""
     try:
-        sys_ = load_system(cfg.input_path)
+        sys_ = load_system(cfg.input)
     except (FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
-        _diag("error", "io_error", path=cfg.input_path, detail=str(exc))
+        _diag("error", "io_error", path=cfg.input, detail=str(exc))
         return EXIT_IO
     except SystemParseError as exc:
-        _diag("error", "parse_error", path=cfg.input_path, detail=str(exc))
+        _diag("error", "parse_error", path=cfg.input, detail=str(exc))
         return EXIT_IO
     except SystemValidationError as exc:
-        _diag("error", "validation_error", path=cfg.input_path,
+        _diag("error", "validation_error", path=cfg.input,
               issues=[list(i) for i in exc.report.issues])
         return EXIT_USAGE
 
-    out = Path(cfg.output_dir)
+    out = _Outputs(Path(cfg.out))
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        out.path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        _diag("error", "io_error", path=str(out), detail=str(exc))
+        _diag("error", "io_error", path=str(out.path), detail=str(exc))
         return EXIT_IO
 
     analysis = SystemAnalysis(sys_, im_cap=cfg.im_max, root_options=_root_options(cfg))
@@ -281,9 +253,9 @@ def run(cfg: RunConfig) -> int:
         return EXIT_IO
 
     # wall-clock and provenance live outside the deterministic outputs
-    _write_json(out / "run_meta.json", {
+    out.write_json("run_meta.json", {
         "command": cfg.command,
-        "input": str(cfg.input_path),
+        "input": str(cfg.input),
         "seed": cfg.seed,
         "elapsed_s": round(time.time() - started, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -348,38 +320,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        output_dir=args.out,
-        re_min=args.re_min,
-        re_max=args.re_max,
-        im_max=args.im_max,
-        tol_rank=args.tol_rank,
-        tol_root=args.tol_root,
-        T=args.T,
-        grid_m=args.grid_m,
-        seed=args.seed,
-        k_range=args.k_range,
-        basis_policy=args.basis_policy,
-        control=args.control,
-        control_amplitude=args.control_amplitude,
-        control_frequency=args.control_frequency,
-        control_table=args.control_table,
-        history=args.history,
-        T_list=args.T_list,
-        rank_tau=args.rank_tau,
-    )
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return run(_config_from_args(args))
+    return run(args)
 
 
 if __name__ == "__main__":

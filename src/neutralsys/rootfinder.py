@@ -22,9 +22,10 @@ four half-edges of its split cross, each once for the two siblings that run
 along it in opposite directions.  All new nodes of a quadrisection level go
 through one batched evaluation per refinement round.  A sample within the
 boundary tolerance of a root, or refinement pinned or exhausted next to one,
-poisons only the edges it lies on; a contour with such a side is counted
-afresh and inflated past the root like any other contour, so a split line
-through a root shows as children that do not add up to their parent.
+poisons only the edges it lies on.  A contour with such a side is inflated
+by 1% and counted again on the same cache, up to a bounded number of times;
+this is the one retry path of every count, so a split line through a root
+shows as children that do not add up to their parent.
 
 Location: with a chain grid, one batched Newton solve first runs from every
 chain center in the window, where the large-|k| roots of chain m sit near
@@ -57,8 +58,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charmatrix import ChainGrid, chain_grid, delta_and_derivative
-from .errors import ContourError, NoChainsError, PhaseTrackingError, RootOnContourError
+from .charmatrix import ChainGrid, delta_and_derivative
+from .errors import ContourError, PhaseTrackingError, RootOnContourError
 from .sysmodel import NeutralSystem
 
 
@@ -340,6 +341,27 @@ class _EdgeCache:
                 counts.append(_integral_count(sum(sgn * edge.phase for edge, sgn in contour_sides)))
         return counts
 
+    def counts(self, contours) -> list[int]:
+        """The winding count of each contour.  A contour with a side next to a
+        root is inflated by 1% and counted again on this cache, up to
+        contour_retries times, before RootOnContourError is raised."""
+        contours = list(contours)
+        counts = self.windings(contours)
+        for _ in range(self.opts.contour_retries):
+            retry = [i for i, c in enumerate(counts) if isinstance(c, RootOnContourError)]
+            if not retry:
+                break
+            for i in retry:
+                contours[i] = contours[i].inflate(1.01)
+            for i, count in zip(retry, self.windings([contours[i] for i in retry])):
+                counts[i] = count
+        for count in counts:
+            if isinstance(count, RootOnContourError):
+                raise RootOnContourError(
+                    f"root on contour persisted through {self.opts.contour_retries} "
+                    f"inflations: {count}")
+        return counts
+
     def _put(self, key: tuple, edge: _Edge) -> _Edge:
         self.edges[key] = edge
         self.starting[key[:4]] = key
@@ -496,19 +518,10 @@ def count_roots_in_contour(sys_: NeutralSystem, contour, opts: RootFindOptions |
     The contour is counted on an edge cache of its own: a rectangle from its
     four sides, a circle from its one closed arc.  If a boundary sample sits
     within the boundary tolerance of a root the contour is inflated by 1% and
-    retried, a bounded number of times.
+    retried, a bounded number of times (`_EdgeCache.counts`).
     """
-    opts = opts or RootFindOptions()
-    attempt, last = contour, None
-    for _ in range(opts.contour_retries + 1):
-        (count,) = _EdgeCache(sys_, opts).windings([attempt])
-        if not isinstance(count, RootOnContourError):
-            return count
-        last = count
-        attempt = attempt.inflate(1.01)
-    raise RootOnContourError(
-        f"root on contour persisted through {opts.contour_retries} inflations: {last}"
-    )
+    (count,) = _EdgeCache(sys_, opts or RootFindOptions()).counts([contour])
+    return count
 
 
 # ------------------------------------------------------------------- Newton
@@ -814,11 +827,11 @@ def _chain_roots(sys_, rect: Rect, grid: ChainGrid, edges: _EdgeCache,
 
     A converged root is kept when it lies inside its own chain circle and the
     window and is not within merge_tol of a root kept before it.  The kept
-    roots' multiplicity circles are counted in one `windings` call on the
+    roots' multiplicity circles are counted in one `counts` call on the
     scan's edge cache; a root of multiplicity 0 is dropped.  The roots only
-    spare the scan work, so a circle that cannot be counted drops its root.
+    spare the scan work, so when a circle cannot be counted none is kept.
     """
-    centers = [c for c in grid.centers.values() if rect.contains(c)]
+    centers = grid.centers_in(rect)
     # A center where det' vanishes nudges its seed off, and the seed may run
     # far left, where e^{-lam h} overflows; newton_roots fails such a seed.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -833,19 +846,11 @@ def _chain_roots(sys_, rect: Rect, grid: ChainGrid, edges: _EdgeCache,
     lams = [lam for lam, _ in kept]
     circles = [_multiplicity_circle(lam, lams, opts.multiplicity_radius, opts) for lam in lams]
     try:
-        counts = edges.windings(circles)
+        counts = edges.counts(circles)
     except ContourError:
         return []
-    roots = []
-    for (lam, absdet), circle, count in zip(kept, circles, counts):
-        if isinstance(count, RootOnContourError):
-            try:
-                count = count_roots_in_contour(sys_, circle, opts)
-            except ContourError:
-                continue
-        if count > 0:
-            roots.append(LocatedRoot(lam, count, absdet))
-    return roots
+    return [LocatedRoot(lam, count, absdet) for (lam, absdet), count in zip(kept, counts)
+            if count > 0]
 
 
 def _owned_roots(cell: Rect, known: list[LocatedRoot], margin: float):
@@ -879,13 +884,7 @@ def find_roots_in_region(
     """
     opts = opts or RootFindOptions()
     edges = _EdgeCache(sys_, opts)
-
-    def counts(rects):
-        # a rectangle with a side next to a root is counted afresh and inflated
-        return [c if isinstance(c, int) else count_roots_in_contour(sys_, r, opts)
-                for r, c in zip(rects, edges.windings(rects))]
-
-    (total,) = counts([rect])
+    (total,) = edges.counts([rect])
     known = _chain_roots(sys_, rect, grid, edges, opts) if grid is not None and total > 0 else []
     # a known root this close to a side may have been counted by a multiplicity
     # circle that crosses it, or be the root an inflated recount took in
@@ -927,7 +926,7 @@ def find_roots_in_region(
                     cell, cnt, "refinement limit reached with roots unmatched")))
                 continue
             splits.append((cell, cnt, path, cell.quadrants()))
-        child_counts = counts([child for *_, children in splits for child in children])
+        child_counts = edges.counts([child for *_, children in splits for child in children])
         next_level = []
         for j, (cell, cnt, path, children) in enumerate(splits):
             cs = child_counts[4 * j:4 * j + 4]
@@ -993,16 +992,18 @@ def find_roots_in_region(
 def verify_cluster_multiplicity(
     sys_: NeutralSystem,
     grid: ChainGrid,
-    k: int,
-    m: int,
+    pairs,
     opts: RootFindOptions | None = None,
-) -> tuple[int, int, bool]:
-    """Count roots in the chain circle L_m^(k) and compare with the rootspace
-    dimension of the generating eigenvalue; returns (count, expected, match)."""
-    center = grid.center(m, k)
-    expected = grid.eigenvalues[m].rootspace_dim
-    count = count_roots_in_contour(sys_, Circle(center, grid.radius), opts)
-    return count, expected, count == expected
+) -> list[tuple[int, int, bool]]:
+    """Count the roots in the chain circle L_m^(k) of every (m, k) pair, all
+    in one call on one edge cache, and compare each count with the rootspace
+    dimension of the generating eigenvalue; one (count, expected, match) per
+    pair."""
+    pairs = list(pairs)
+    circles = [Circle(grid.center(m, k), grid.radius) for m, k in pairs]
+    counts = _EdgeCache(sys_, opts or RootFindOptions()).counts(circles)
+    expected = [grid.eigenvalues[m].rootspace_dim for m, _ in pairs]
+    return [(count, e, count == e) for count, e in zip(counts, expected)]
 
 
 def right_half_plane_ceiling(sys_: NeutralSystem) -> float | None:
@@ -1039,17 +1040,6 @@ def right_half_plane_ceiling(sys_: NeutralSystem) -> float | None:
     return None
 
 
-def window_chain_grid(sys_: NeutralSystem, im_cap: float, k_span: int = 0) -> ChainGrid | None:
-    """The chain circles L_m^(k) with |k| up to one index past the window
-    |Im| <= im_cap, or up to k_span where that is larger; None when det D
-    has no root chains."""
-    k_span = max(int(np.ceil((im_cap * sys_.h + np.pi) / (2.0 * np.pi))) + 1, k_span)
-    try:
-        return chain_grid(sys_, -k_span, k_span)
-    except NoChainsError:
-        return None
-
-
 def rightmost_root_scan(
     sys_: NeutralSystem,
     re_floor: float,
@@ -1066,7 +1056,7 @@ def rightmost_root_scan(
     if not (re_floor < 0.0 < im_cap):
         raise ValueError("need re_floor < 0 < im_cap")
     opts = opts or RootFindOptions()
-    grid = window_chain_grid(sys_, im_cap)
+    grid = sys_.chains
     abscissas = [] if grid is None else [float(np.log(abs(e.mu)) / sys_.h) for e in grid.eigenvalues]
     re_ceiling = max(1.0, max(abscissas) + 1.0) if abscissas else 1.0
     bound = right_half_plane_ceiling(sys_)

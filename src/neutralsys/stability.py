@@ -178,19 +178,19 @@ class SystemAnalysis:
         return matrix_spectral_structure(self.sys_.A_minus1)
 
     @cached_property
-    def scan(self) -> tuple[SpectrumReport, float]:
-        """The scan report and its floor: half a unit left of the top chain
-        abscissa, but no lower than -1."""
+    def scan(self) -> SpectrumReport:
+        """The rightmost root scan.  Its floor, the window's re_min, is half a
+        unit left of the top chain abscissa, but no lower than -1."""
         abscissa = _chain_abscissa(self.structure, self.sys_.h)
         floor = -1.0 if abscissa is None else max(-1.0, abscissa - 0.5)
-        return rightmost_root_scan(self.sys_, floor, self.im_cap, self.root_options), floor
+        return rightmost_root_scan(self.sys_, floor, self.im_cap, self.root_options)
 
     def window_note(self, claim: str, caveat: str) -> str:
         """'<claim> [floor, ceiling] x [-cap, cap]; <caveat>', plus the number
         of unresolved scan cells when there are any."""
-        report, floor = self.scan
+        report = self.scan
         note = (
-            f"{claim} [{floor:.6g}, {report.window.re_max:.6g}] x "
+            f"{claim} [{report.window.re_min:.6g}, {report.window.re_max:.6g}] x "
             f"[-{self.im_cap:.6g}, {self.im_cap:.6g}]; {caveat}"
         )
         if report.unresolved_cells:
@@ -198,7 +198,7 @@ class SystemAnalysis:
         return note
 
     def scan_evidence(self) -> dict:
-        report, floor = self.scan
+        report = self.scan
         roots = report.all_roots()
         rightmost = max((r.lam.real for r in roots), default=None)
         return {
@@ -207,7 +207,7 @@ class SystemAnalysis:
                 "re_max": report.window.re_max,
                 "im_max": report.window.im_max,
             },
-            "re_floor": floor,
+            "re_floor": report.window.re_min,
             "roots_found": len(roots),
             "total_multiplicity": report.total_count,
             "rightmost_root_re": rightmost,
@@ -218,7 +218,7 @@ class SystemAnalysis:
 
 def _exponential_verdict(analysis: SystemAnalysis) -> tuple[str, dict]:
     structure = analysis.structure
-    report, _ = analysis.scan
+    report = analysis.scan
     rho = structure.spectral_radius
     roots = report.all_roots()
     has_rhp_root = any(r.lam.real >= 0.0 for r in roots)
@@ -248,7 +248,7 @@ def classify_asymptotic(analysis: SystemAnalysis) -> StabilityVerdict:
     seen, and the case_i/case_iii labels are conditional on it.
     """
     structure = analysis.structure
-    report, _ = analysis.scan
+    report = analysis.scan
     exp_verdict, exp_detail = _exponential_verdict(analysis)
 
     roots = report.all_roots()

@@ -155,7 +155,7 @@ def check_stabilizability(
     sigma1 = structure.sigma1
     cond2 = all(e.algebraic == 1 for e in sigma1)
 
-    report, _ = analysis.scan
+    report = analysis.scan
     rhp_roots = [r for r in report.all_roots() if r.lam.real >= 0.0]
     tests3 = tuple(
         hautus_at(sys_, r.lam, rank_tol, rel_tol=ROOT_SITE_REL_TOL) for r in rhp_roots
@@ -249,7 +249,7 @@ def check_null_controllability(
             window_note=note,
         )
 
-    report, _ = analysis.scan
+    report = analysis.scan
     tests = tuple(
         hautus_at(sys_, r.lam, rank_tol, rel_tol=ROOT_SITE_REL_TOL)
         for r in report.all_roots()

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SystemParseError, SystemValidationError
+from .errors import NoChainsError, SystemParseError, SystemValidationError
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -143,6 +143,18 @@ class NeutralSystem:
         from .charmatrix import TermTable  # charmatrix imports this module
 
         return TermTable.of(self)
+
+    @cached_property
+    def chains(self):
+        """The root chains of det D (charmatrix.ChainGrid), or None when every
+        eigenvalue of A_minus1 vanishes; built on first use and kept with the
+        system, so every scan and cluster check of it shares one grid."""
+        from .charmatrix import chain_grid
+
+        try:
+            return chain_grid(self)
+        except NoChainsError:
+            return None
 
 
 @dataclass(frozen=True)

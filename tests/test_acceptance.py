@@ -58,9 +58,10 @@ def test_criterion_01_determinant_fidelity():
 def test_criterion_02_cluster_multiplicity():
     started = time.perf_counter()
     for sys_, name in ((make_example1(1.0, 2.0), "jordan"), (make_example2(0.0), "repeated")):
-        grid = cm.chain_grid(sys_, -30, 30, radius_fraction=0.5)
-        for k in list(range(-30, -4)) + list(range(5, 31)):
-            count, expected, match = rf.verify_cluster_multiplicity(sys_, grid, k, 0)
+        grid = cm.chain_grid(sys_)
+        ks = list(range(-30, -4)) + list(range(5, 31))
+        checks = rf.verify_cluster_multiplicity(sys_, grid, [(0, k) for k in ks])
+        for k, (count, expected, match) in zip(ks, checks):
             assert match and expected == 2, (name, k, count)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -69,7 +70,7 @@ def test_criterion_02_cluster_multiplicity():
 
 def test_criterion_03_eigenvector_collinearity():
     s = make_example1(1.0, 2.0)
-    grid = cm.chain_grid(s, 0, 31, radius_fraction=0.5)
+    grid = cm.chain_grid(s)
     # oracle values from scalar-factor Newton roots and the exact kernels
     # span{e1} and span{(lam_beta - beta, beta - alpha)}
     oracle = {5: 0.031820, 10: 0.015914, 20: 0.007958, 30: 0.005305}

@@ -252,7 +252,7 @@ def test_eigenvector_candidates_evaluate_delta_once(monkeypatch):
 
 
 def test_chain_grid_example2():
-    grid = cm.chain_grid(make_example2(0.0), -10, 10, radius_fraction=0.5)
+    grid = cm.chain_grid(make_example2(0.0))
     assert len(grid.eigenvalues) == 1
     assert grid.eigenvalues[0].rootspace_dim == 2
     assert grid.r0 == pytest.approx(2.0 * np.pi / 3.0)
@@ -261,7 +261,7 @@ def test_chain_grid_example2():
 
 
 def test_chain_grid_example1():
-    grid = cm.chain_grid(make_example1(1.0, 2.0), -5, 5)
+    grid = cm.chain_grid(make_example1(1.0, 2.0))
     assert grid.eigenvalues[0].rootspace_dim == 2
     for k in range(-5, 6):
         assert grid.center(0, k) == pytest.approx(2j * np.pi * k)
@@ -275,7 +275,7 @@ def test_chain_grid_contracting_diagonal():
         A3=DelayKernel.zero(2, 1.0),
         B=np.zeros((2, 0)),
     )
-    grid = cm.chain_grid(sys_, 0, 3)
+    grid = cm.chain_grid(sys_)
     assert len(grid.eigenvalues) == 1  # one chain with rootspace dimension 2
     assert grid.eigenvalues[0].rootspace_dim == 2
     for k in range(4):
@@ -290,7 +290,7 @@ def test_chain_grid_h_scaling():
         A3=DelayKernel.zero(1, 2.0),
         B=np.zeros((1, 0)),
     )
-    grid = cm.chain_grid(sys_, 0, 1)
+    grid = cm.chain_grid(sys_)
     assert grid.center(0, 0) == pytest.approx((np.log(0.5) + 1j * np.pi) / 2.0)
     assert grid.center(0, 1) == pytest.approx((np.log(0.5) + 3j * np.pi) / 2.0)
 
@@ -303,7 +303,7 @@ def test_chain_grid_singular_matrix_keeps_nonzero_chains():
         A3=DelayKernel.zero(2, 1.0),
         B=np.zeros((2, 0)),
     )
-    grid = cm.chain_grid(sys_, 0, 2)
+    grid = cm.chain_grid(sys_)
     assert len(grid.eigenvalues) == 1
     assert grid.eigenvalues[0].mu == pytest.approx(0.5)
     assert grid.eigenvalues[0].rootspace_dim == 1
@@ -318,7 +318,7 @@ def test_chain_grid_rejects_nilpotent():
         B=np.zeros((2, 0)),
     )
     with pytest.raises(NoChainsError):
-        cm.chain_grid(sys_, -5, 5)
+        cm.chain_grid(sys_)
 
 
 def test_eigenvector_candidates():

@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neutralsys import charmatrix as cm
 from neutralsys import cli, stability
 from neutralsys.cli import main
+from neutralsys.sysmodel import save_system
 
-from conftest import EXAMPLE1_DOC
+from conftest import EXAMPLE1_DOC, make_scalar_decay
 
 REPORT_FLAGS = ("--grid-m", "64", "--T", "3", "--k-range", "5:6")
 
@@ -287,6 +289,34 @@ def test_report_scans_each_system_once(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "rep"), *REPORT_FLAGS) == 0
     # stability, stabilizability and controllability share one scan
     assert counts == {"rightmost_root_scan": 1, "matrix_spectral_structure": 1}
+
+
+def test_report_builds_the_chain_grid_once(tmp_path, monkeypatch):
+    built = []
+    chain_grid = cm.chain_grid
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return chain_grid(*args, **kwargs)
+
+    monkeypatch.setattr(cm, "chain_grid", counted)
+    assert run_cli("report", "--input", str(_system_with_inputs(tmp_path)),
+                   "--out", str(tmp_path / "rep"), *REPORT_FLAGS) == 0
+    # the spectrum window, its cluster checks and the shared scan
+    assert len(built) == 1
+
+
+def test_report_index_lists_only_the_files_it_wrote(tmp_path):
+    path = tmp_path / "scalar.json"
+    save_system(make_scalar_decay(), path)
+    out = tmp_path / "rep"
+    out.mkdir()
+    (out / "rank_profile.json").write_text("{}\n")   # left by an earlier reach
+    (out / "notes.csv").write_text("unrelated\n")
+    assert run_cli("report", "--input", str(path), "--out", str(out), "--grid-m", "64",
+                   "--T", "3") == 0
+    index = json.loads((out / "index.json").read_text())
+    assert index["files"] == ["roots.csv", "spectrum.json", "stability.json", "trajectory.csv"]
 
 
 def test_controllability_with_full_row_rank_input_runs_no_scan(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as hst
+from hypothesis import assume, example, given, settings, strategies as hst
 
 from neutralsys import charmatrix as cm
 from neutralsys import rootfinder as rf
@@ -49,7 +49,7 @@ def test_count_example2_no_rhp_roots():
 
 def test_count_example1_far_cluster_against_oracle():
     s = make_example1(1.0, 2.0)
-    grid = cm.chain_grid(s, 0, 6)
+    grid = cm.chain_grid(s)
     c = rf.Circle(grid.center(0, 5), grid.r0 / 3.0)
     assert rf.count_roots_in_contour(s, c) == 2
     assert winding_oracle(s, c) == 2
@@ -172,6 +172,8 @@ def test_edge_cached_child_counts_match_fresh_counts(sys_, x0, width, y0, height
               min_size=1, max_size=3),
 )
 @settings(max_examples=30, deadline=None)
+# a circle and a window side through the root -1
+@example(make_scalar_decay(), [rf.Circle(-0.5, 0.5)], [rf.Rect(-1.0, 1.0, -40.0, 40.0)])
 def test_circles_and_rectangles_count_in_one_call_as_alone(sys_, circles, rects):
     # A circle is one closed arc on the same edge cache as the rectangle
     # sides; its closing node is its first node, sampled once.
@@ -181,6 +183,15 @@ def test_circles_and_rectangles_count_in_one_call_as_alone(sys_, circles, rects)
     for contour, count in zip(contours, counts):
         if isinstance(count, int):
             assert count == rf.count_roots_in_contour(sys_, contour, opts)
+    # A contour with a side next to a root is inflated on the shared cache,
+    # and still counts as it does alone.
+    try:
+        alone = [rf.count_roots_in_contour(sys_, c, opts) for c in contours]
+    except ContourError:
+        with pytest.raises(ContourError):
+            rf._EdgeCache(sys_, opts).counts(contours)
+    else:
+        assert rf._EdgeCache(sys_, opts).counts(contours) == alone
 
     evaluate = rf.delta_and_derivative
     for circle in circles:
@@ -227,23 +238,115 @@ def test_region_scan_samples_no_rectangle_point_twice(monkeypatch):
     assert np.unique(points).size == points.size
 
 
+def _table_centers(grid, k_lo, k_hi):
+    """The centers a grid used to store: chain-major, k ascending."""
+    table = {}
+    for m, e in enumerate(grid.eigenvalues):
+        base = np.log(abs(e.mu)) + 1j * np.angle(e.mu)
+        for k in range(k_lo, k_hi + 1):
+            table[(m, k)] = complex((base + 2j * np.pi * k) / grid.h)
+    return table
+
+
+@given(
+    density_systems(n_max=3),
+    hst.integers(0, 2), hst.floats(0.0, 1.0), hst.floats(0.1, 3.0),
+    hst.floats(-40.0, 30.0), hst.floats(0.5, 30.0),
+    hst.floats(0.0, 0.999), hst.floats(0.0, 1.0),
+)
+@settings(max_examples=50, deadline=None)
+def test_chain_centers_by_formula_match_the_table(sys_, chain, frac, width, y0, height, rho, turn):
+    grid = sys_.chains
+    assume(grid is not None)
+    assert grid.radius <= np.pi / (3.0 * grid.h)
+    k_span = int(np.ceil((max(abs(y0), abs(y0 + height)) * grid.h + np.pi) / (2.0 * np.pi))) + 1
+    table = _table_centers(grid, -k_span, k_span)
+    for (m, k), c in table.items():
+        assert grid.center(m, k) == c
+        inside = c + rho * grid.radius * np.exp(2j * np.pi * turn)
+        assert grid.label_for(inside) == (m, k)
+        if k < k_span:
+            # midway to the next center of its chain: no circle of chain m
+            mid = 0.5 * (c + table[(m, k + 1)])
+            label = next((mk for mk, d in table.items() if abs(mid - d) <= grid.radius), None)
+            assert grid.label_for(mid) == label
+            assert label is None or label[0] != m
+
+    # the chain seeds of a window straddling one chain's abscissa
+    mu = grid.eigenvalues[chain % len(grid.eigenvalues)].mu
+    x0 = float(np.log(abs(mu)) / grid.h) - frac * width
+    rect = rf.Rect(x0, x0 + width, y0, y0 + height)
+    seeds = []
+
+    def no_roots(sys_, centers, opts=None):
+        seeds.extend(centers)
+        return [(c, np.inf, False) for c in centers]
+
+    opts = rf.RootFindOptions()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rf, "newton_roots", no_roots)
+        assert rf._chain_roots(sys_, rect, grid, rf._EdgeCache(sys_, opts), opts) == []
+    assert seeds == [c for c in table.values() if rect.contains(c)]
+
+
+def test_window_through_a_root_is_counted_once_before_it_is_inflated(monkeypatch):
+    # The left side of the window runs through the root -1.  The window is
+    # inflated on the scan's cache, not first counted again on a fresh one.
+    s = make_scalar_decay()
+    rect = rf.Rect(-1.0, 1.0, -40.0, 40.0)
+    counted = []
+    windings = rf._EdgeCache.windings
+
+    def recording(self, contours):
+        counted.extend(contours)
+        return windings(self, contours)
+
+    monkeypatch.setattr(rf._EdgeCache, "windings", recording)
+    report = rf.find_roots_in_region(s, rect)
+    assert counted.count(rect) == 1
+    assert counted.count(rect.inflate(1.01)) == 1
+    assert report.total_count == 1
+    assert [r.lam for r in report.all_roots()] == [pytest.approx(-1.0, abs=1e-9)]
+
+
+@pytest.mark.parametrize("sys_", [make_example1(1.0, 2.0), make_example2(0.0)])
+def test_cluster_checks_count_every_circle_in_one_call(monkeypatch, sys_):
+    grid = sys_.chains
+    pairs = [(0, k) for k in range(5, 21)]
+    alone = [rf.count_roots_in_contour(sys_, rf.Circle(grid.center(m, k), grid.radius))
+             for m, k in pairs]
+    calls = []
+    windings = rf._EdgeCache.windings
+
+    def recording(self, contours):
+        calls.append(len(contours))
+        return windings(self, contours)
+
+    monkeypatch.setattr(rf._EdgeCache, "windings", recording)
+    monkeypatch.setattr(rf, "count_roots_in_contour", lambda *args, **kwargs: calls.append(args))
+    checks = rf.verify_cluster_multiplicity(sys_, grid, pairs)
+    assert [count for count, _, _ in checks] == alone
+    assert checks == [(2, 2, True)] * len(pairs)
+    assert calls == [len(pairs)]
+
+
 def test_verify_cluster_multiplicity():
     s1 = make_example1(1.0, 2.0)
-    g1 = cm.chain_grid(s1, -12, 12)
-    assert rf.verify_cluster_multiplicity(s1, g1, 10, 0) == (2, 2, True)
+    g1 = cm.chain_grid(s1)
+    assert rf.verify_cluster_multiplicity(s1, g1, [(0, 10)]) == [(2, 2, True)]
 
     s2 = make_example2(0.0)
-    g2 = cm.chain_grid(s2, -12, 12)
+    g2 = cm.chain_grid(s2)
     assert g2.center(0, 10) == pytest.approx(21j * np.pi)
-    assert rf.verify_cluster_multiplicity(s2, g2, 10, 0) == (2, 2, True)
+    assert rf.verify_cluster_multiplicity(s2, g2, [(0, 10)]) == [(2, 2, True)]
 
 
 def test_verify_cluster_multiplicity_low_k_honest():
     # clustering is only guaranteed for large |k|; at k=0 the flag reports
     # whatever the count actually is
     s = make_example1(1.0, 2.0)
-    g = cm.chain_grid(s, 0, 1)
-    count, expected, match = rf.verify_cluster_multiplicity(s, g, 0, 0)
+    g = cm.chain_grid(s)
+    ((count, expected, match),) = rf.verify_cluster_multiplicity(s, g, [(0, 0)])
     assert expected == 2
     assert match == (count == expected)
     circle = rf.Circle(g.center(0, 0), g.radius)
@@ -289,7 +392,7 @@ def test_rightmost_scan_ceiling_covers_rhp_roots():
 
 def test_chain_labels_in_report():
     s = make_example2(0.0)
-    grid = cm.chain_grid(s, -8, 8)
+    grid = cm.chain_grid(s)
     report = rf.find_roots_in_region(s, rf.Rect(-0.6, 1.0, -20.0, 20.0), grid=grid)
     assert report.clusters
     for cluster in report.clusters:
@@ -315,7 +418,7 @@ def _cluster_root_distances(sys_, grid, k):
 def test_cluster_convergence_trend(sys_):
     # roots pull into their chain centers as |k| grows: the largest in-circle
     # distance is non-increasing over k = 5..30 (sampled)
-    grid = cm.chain_grid(sys_, 0, 31, radius_fraction=0.5)
+    grid = cm.chain_grid(sys_)
     ks = [5, 8, 12, 17, 23, 30]
     dists = [max(_cluster_root_distances(sys_, grid, k)) for k in ks]
     assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
@@ -377,7 +480,7 @@ def test_newton_refines_to_residual():
 
 def test_spectrum_report_serialization():
     s = make_example2(0.0)
-    grid = cm.chain_grid(s, -8, 8)
+    grid = cm.chain_grid(s)
     report = rf.find_roots_in_region(s, rf.Rect(-0.6, 1.0, -20.0, 20.0), grid=grid)
     doc = report.to_json_dict()
     assert doc["total_count"] == report.total_count
@@ -584,7 +687,7 @@ def test_chain_seeded_scan_matches_unseeded_scan(sys_, chain, frac, width, im_ca
     # in their last bits; every other root comes from the same cells and
     # seeds, so it is the same to the bit.
     opts = rf.RootFindOptions()
-    grid = rf.window_chain_grid(sys_, im_cap)
+    grid = sys_.chains
     assume(grid is not None)
     mu = grid.eigenvalues[chain % len(grid.eigenvalues)].mu
     x0 = float(np.log(abs(mu)) / sys_.h) - frac * width
@@ -622,7 +725,7 @@ def test_chain_seed_converging_outside_its_circle_is_discarded(monkeypatch, stra
     s = make_example1(1.0, 2.0)
     opts = rf.RootFindOptions()
     rect = rf.Rect(-1.0, 1.5, -20.0, 20.0)
-    grid = rf.window_chain_grid(s, 20.0)
+    grid = s.chains
     plain = rf.find_roots_in_region(s, rect, opts, None)
     roots = [r.lam for r in plain.all_roots()]
     loose = [lam for lam in roots if grid.label_for(lam) is None]
@@ -661,8 +764,8 @@ def test_chain_seeds_spare_most_newton_seeds_on_the_shared_scan(monkeypatch):
         B=np.zeros((2, 0)),
     )
     analysis = SystemAnalysis(s)
-    report, _ = analysis.scan
-    grid = rf.window_chain_grid(s, analysis.im_cap)
+    report = analysis.scan
+    grid = s.chains
     calls = _seed_counting(monkeypatch)
     plain = rf.find_roots_in_region(s, report.window, analysis.root_options, None)
     plain_seeds = sum(calls)
