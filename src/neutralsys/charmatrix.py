@@ -24,7 +24,8 @@ beside the a_k, the linear factors of the point terms and the segment
 widths.  delta_and_derivative evaluates D and D' together at a batch of
 points: one set of exponentials e^{lam a_k} and e^{lam w}, phi0 and
 phi1 = phi0' computed from the latter, and one contraction of the stacked
-coefficients of D and D' with the M_k.  phi0 and phi1 switch to a short
+coefficients of D and D' with the M_k.  A table without segments skips the
+segment block altogether.  phi0 and phi1 switch to a short
 Taylor series for |w lam| below _SERIES_CUT, so the removable singularity at
 lam = 0 never produces cancellation.  delta, delta_batch, delta_derivative
 and delta_derivative_batch are views of that one evaluation.
@@ -121,22 +122,27 @@ class TermTable:
         )
 
 
+def _coefficients(t: TermTable, lam: np.ndarray) -> np.ndarray:
+    """The coefficients of the M_k in D and D' at a column of points, shape
+    (2, N, K): row 0 holds e^{lam a_k} R_k, row 1 e^{lam a_k} (a_k R_k + R_k')."""
+    coeff = t.point0 + lam * t.point1
+    if t.widths.size:
+        # A2 segments integrate lam e^{lam s} to e^{lam a} (e^{lam w} - 1), exact
+        # at lam = 0; A3 segments integrate e^{lam s} to e^{lam a} w phi0(lam w).
+        x = lam * t.widths
+        ex, phi0, phi1 = _phi(x)
+        R = np.where(t.is_a2, x, t.widths) * phi0
+        dR = t.locs[t.point0.shape[-1]:] * R + t.widths * np.where(t.is_a2, ex, t.widths * phi1)
+        coeff = np.concatenate([coeff, np.stack([R, dR])], axis=-1)
+    coeff *= np.exp(lam * t.locs)
+    return coeff
+
+
 def delta_and_derivative(sys_: NeutralSystem, lams) -> tuple[np.ndarray, np.ndarray]:
     """D(lam) and D'(lam) at an array of points; two arrays of shape (N, n, n)."""
     t = sys_.terms
     lam = np.asarray(lams, dtype=complex).reshape(-1, 1)
-    p = t.point0.shape[-1]
-    x = lam * t.widths
-    ex, phi0, phi1 = _phi(x)
-    # Row 0 collects R_k, row 1 a_k R_k + R_k'; times e^{lam a_k} they are the
-    # coefficients of D and D', and one contraction gives both.
-    coeff = np.empty((2, lam.shape[0], t.locs.size), dtype=complex)
-    coeff[:, :, :p] = t.point0 + lam * t.point1
-    # A2 segments integrate lam e^{lam s} to e^{lam a} (e^{lam w} - 1), exact at
-    # lam = 0; A3 segments integrate e^{lam s} to e^{lam a} w phi0(lam w).
-    R = coeff[0, :, p:] = np.where(t.is_a2, x, t.widths) * phi0
-    coeff[1, :, p:] = t.locs[p:] * R + t.widths * np.where(t.is_a2, ex, t.widths * phi1)
-    coeff *= np.exp(lam * t.locs)
+    coeff = _coefficients(t, lam)
     # One (2N, terms) @ (terms, n*n) product: a stack of one point would go
     # through numpy's vector-matrix path and round differently, and a point's
     # D must not depend on how many other points share its batch.
@@ -282,17 +288,24 @@ class EigenvectorCandidate:
 def kernel_basis(sys_: NeutralSystem, lam: complex, tol: float = 1e-6) -> np.ndarray:
     """Orthonormal basis of the numerical null space of D(lam), shape (n, k).
 
-    tol is relative to the largest singular value; at refined roots of
-    det D the null directions sit many orders below the cutoff.
+    tol is relative to the size of D's terms at lam (`_term_scale`), not to
+    the largest singular value: at a root where D vanishes altogether, every
+    direction is null.
     """
-    return _null_basis(delta(sys_, lam), tol)
+    return _null_basis(delta(sys_, lam), tol * _term_scale(sys_, lam))
 
 
-def _null_basis(D: np.ndarray, tol: float) -> np.ndarray:
+def _term_scale(sys_: NeutralSystem, lam: complex) -> float:
+    """sum_k |c_k(lam)| ||M_k||_2, a bound on ||D(lam)||_2 that stays at the
+    size of the terms where they cancel."""
+    t = sys_.terms
+    norms = np.linalg.norm(t.mats.reshape(-1, t.n, t.n), 2, axis=(1, 2))
+    return float(np.abs(_coefficients(t, np.array([[complex(lam)]]))[0, 0]) @ norms)
+
+
+def _null_basis(D: np.ndarray, cutoff: float) -> np.ndarray:
     _, sigma, vh = np.linalg.svd(D)
-    smax = sigma[0] if sigma.size else 0.0
-    null = sigma <= tol * max(smax, 1e-300)
-    return vh[null].conj().T
+    return vh[sigma <= cutoff].conj().T
 
 
 def eigenvector_candidates(
@@ -300,8 +313,8 @@ def eigenvector_candidates(
 ) -> list[EigenvectorCandidate]:
     """One candidate per null direction of D(lam); empty if D is regular there."""
     D = delta(sys_, lam)
-    basis = _null_basis(D, tol)
-    scale = float(np.linalg.norm(D, 2))
+    cutoff = tol * _term_scale(sys_, lam)
+    basis = _null_basis(D, cutoff)
     out = []
     for j in range(basis.shape[1]):
         C = basis[:, j]
@@ -309,7 +322,7 @@ def eigenvector_candidates(
         head = C - np.exp(-lam * sys_.h) * (sys_.A_minus1 @ C)
         out.append(
             EigenvectorCandidate(
-                lam=complex(lam), C=C, head=head, residual=residual, tol=tol * scale
+                lam=complex(lam), C=C, head=head, residual=residual, tol=cutoff
             )
         )
     return out

@@ -8,7 +8,11 @@ estimated distance |det/det'| to the nearest zero.  The second trigger is
 essential: a segment that straddles the near field of a root can wrap its
 phase by a full turn that the pi/2 rule alone cannot see.  The count is the
 accumulated phase over 2 pi, asserted integral; no quadrature of the
-logarithmic derivative is involved.
+logarithmic derivative is involved.  A fresh side starts at 2n(1 + h) nodes
+per unit of length, two per radian of the far-field phase rate n h, and
+refinement does the rest.  Since the samples feed only integer counts and
+inflate decisions, for n <= 2 det D and det' are computed from the entries
+in closed form; LAPACK serves larger n and every node near the floor.
 
 Edges: every contour is counted from its sides on one edge cache and one
 refiner.  A rectangle has four sides, each a straight edge keyed by its two
@@ -41,11 +45,13 @@ seeds.  Small cells seed Newton iterations.  The seeds of every
 such cell on a level run through one batched Newton solve (`newton_roots`):
 each iterate evaluates D and D' once, takes one batched det and one batched
 solve for all seeds still running, while each seed keeps its own stopping
-rules.  A cell then takes its seeds' results in seed order.  Multiplicity of a
-converged root is recovered by counting in a tight circle around it, and each
-cell is accepted only when its located multiplicities add up to its winding
-count; the cells that fail are split, and their children's winding counts
-must add up to theirs.  Cells that cannot be resolved are reported, never
+rules.  Only the running seeds' state is kept, compacted when seeds stop, so
+an iterate costs the arithmetic of its seeds and not a gather and scatter of
+every seed's state.  A cell then takes its seeds' results in seed order.
+Multiplicity of a converged root is recovered by counting in a tight circle
+around it, and each cell is accepted only when its located multiplicities
+add up to its winding count; the cells that fail are split, and their
+children's winding counts must add up to theirs.  Cells that cannot be resolved are reported, never
 dropped, in depth-first order.
 """
 
@@ -187,10 +193,18 @@ def residual_bound(lam: complex, n: int, opts: RootFindOptions) -> float:
 # ------------------------------------------------------- winding computation
 
 
+_MAX_SIDE_SEGMENTS = 1e7   # start segments of one fresh side; a longer side is refused
+
+
 def _node_density(sys_: NeutralSystem) -> float:
-    # Phase of det D varies at a rate of order n*(1+h) per unit of arclength;
-    # sample several nodes per radian so refinement starts unaliased.
-    return 4.0 * sys_.n * (1.0 + sys_.h)
+    """Start nodes per unit of arclength: 2 n (1 + h).
+
+    Far from the roots the phase of det D turns at about n h per unit of
+    arclength, so this leaves at least two nodes per radian, and a start
+    segment turns by at most half a radian, a third of the pi/2 refinement
+    trigger.  Refinement, not the start density, resolves the near field.
+    """
+    return 2.0 * sys_.n * (1.0 + sys_.h)
 
 
 def _sample_nodes(sys_: NeutralSystem, pts: np.ndarray, log_floor: float):
@@ -202,17 +216,49 @@ def _sample_nodes(sys_: NeutralSystem, pts: np.ndarray, log_floor: float):
     phase turn between its endpoints (the aliasing case the plain pi/2 rule
     cannot see).  A node is flagged where log|det D| is below the floor or
     not finite, a singular D included; its phase is void and its estimate is
-    left at infinity.
+    left at infinity.  These three feed only integer counts and the decision
+    to inflate, so for n <= 2 det D and det' come from the entries in closed
+    form (`_closed_form_sample`), and LAPACK (`_lapack_sample`) serves larger
+    n and every node the closed form would flag.
     """
     D, dD = delta_and_derivative(sys_, pts)
+    if sys_.n <= 2:
+        return _closed_form_sample(D, dD, log_floor)
+    return _lapack_sample(D, dD, log_floor)
+
+
+def _lapack_sample(D: np.ndarray, dD: np.ndarray, log_floor: float):
+    """`_sample_nodes` for a stack of D and D' by slogdet and solve."""
     sign, logabs = np.linalg.slogdet(D)
     bad = ~np.isfinite(logabs) | (logabs < log_floor)
     if bad.any():
         D, dD = D[~bad], dD[~bad]
-    est = np.full(len(pts), np.inf)
+    est = np.full(len(bad), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         est[~bad] = 1.0 / np.abs(_solve_traces(D, dD))
     est[~np.isfinite(est)] = np.inf
+    return sign, est, bad
+
+
+def _closed_form_sample(D: np.ndarray, dD: np.ndarray, log_floor: float):
+    """`_sample_nodes` for a stack of 1x1 or 2x2 D and D', from det D and its
+    derivative det' = D'00 D11 + D00 D'11 - D'01 D10 - D01 D'10 (n = 2).  A
+    node whose det is below the floor or not finite, or whose det' is not
+    finite, an overflowed product included, goes to `_lapack_sample`."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if D.shape[-1] == 1:
+            det, ddet = D[:, 0, 0], dD[:, 0, 0]
+        else:
+            a, b, c, d = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
+            det = a * d - b * c
+            ddet = dD[:, 0, 0] * d + a * dD[:, 1, 1] - dD[:, 0, 1] * c - b * dD[:, 1, 0]
+        absdet = np.abs(det)
+        sign = det / absdet
+        est = absdet / np.abs(ddet)
+        lapack = ~(np.isfinite(absdet) & (absdet >= np.exp(log_floor)) & np.isfinite(ddet))
+    bad = np.zeros(len(det), dtype=bool)
+    if lapack.any():
+        sign[lapack], est[lapack], bad[lapack] = _lapack_sample(D[lapack], dD[lapack], log_floor)
     return sign, est, bad
 
 
@@ -255,8 +301,14 @@ class _Edge:
 def _edge_points(origin, scale, arc, u: np.ndarray) -> np.ndarray:
     """Points at parameters u on the line origin + scale*u, or where arc
     holds on the arc origin + scale*e^{2 pi i u}; taking u mod 1 puts an
-    arc's node at u = 1 exactly on its node at u = 0."""
-    return origin + scale * np.where(arc, np.exp(2j * np.pi * np.mod(u, 1.0)), u)
+    arc's node at u = 1 exactly on its node at u = 0.  Only arc nodes take
+    the exponential."""
+    if np.ndim(arc) == 0:
+        return origin + scale * (np.exp(2j * np.pi * np.mod(u, 1.0)) if arc else u)
+    z = u.astype(complex)
+    if arc.any():
+        z[arc] = np.exp(2j * np.pi * np.mod(u[arc], 1.0))
+    return origin + scale * z
 
 
 def _sides(contour):
@@ -389,7 +441,12 @@ class _EdgeCache:
         origin, scale, arc, a, b = key
         # an arc runs once around its circle, from u = 0 to u = 1
         length = 2.0 * np.pi * scale if arc else b - a
-        segs = int(max(min_segs, np.ceil(_node_density(self.sys_) * length)))
+        segs = max(min_segs, np.ceil(_node_density(self.sys_) * length))
+        if not segs <= _MAX_SIDE_SEGMENTS:   # also an infinite or NaN count
+            raise ValueError(
+                f"contour side of length {length:g} needs {segs:g} nodes, more than "
+                f"{_MAX_SIDE_SEGMENTS:g}; narrow the window")
+        segs = int(segs)
         u = np.arange(segs + 1) / segs if arc else np.linspace(a, b, segs + 1)
         p = _edge_points(origin, scale, arc, u)
         edge = _Edge(origin, scale, arc, u, p, np.empty(segs + 1, dtype=complex), np.empty(segs + 1))
@@ -507,9 +564,17 @@ class _EdgeCache:
                     "refinement exhausted next to a zero on the contour"))
             else:
                 poison(np.array([i]), PhaseTrackingError("phase refinement depth exhausted"))
-        for edge, dead_edge in zip(edges, dead):
-            if not dead_edge:
-                edge.phase = float(np.sum(np.angle(edge.sign[1:] / edge.sign[:-1])))
+        live = [edge for edge, dead_edge in zip(edges, dead) if not dead_edge]
+        if live:
+            # the phase increments of every live edge in one pass; the ratio
+            # from one edge's last node to the next edge's first is zeroed
+            sign = np.concatenate([edge.sign for edge in live])
+            dphi = np.angle(sign[1:] / sign[:-1])
+            ends = np.cumsum([edge.sign.size for edge in live])
+            dphi[ends[:-1] - 1] = 0.0
+            phases = np.add.reduceat(dphi, np.concatenate([[0], ends[:-1]]))
+            for edge, phase in zip(live, phases.tolist()):
+                edge.phase = phase
 
 
 def count_roots_in_contour(sys_: NeutralSystem, contour, opts: RootFindOptions | None = None) -> int:
@@ -539,61 +604,80 @@ def newton_roots(
     singular at its iterate.  Multiple roots converge linearly, hence the
     generous iteration budget.  Each seed keeps its own best iterate, stall
     count and iteration budget; the seeds still running share one evaluation
-    of D and D', one det and one solve per iterate.
+    of D and D', one det and one solve per iterate.  Each iterate of a seed
+    is the one it takes alone (`newton_root`), to the bit.
     """
     opts = opts or RootFindOptions()
     lam = np.array(seeds, dtype=complex).reshape(-1)
-    best_abs = np.full(lam.size, np.inf)
-    best_lam = lam.copy()
-    prev_lam = np.zeros_like(lam)
-    prev_det = np.zeros_like(lam)
-    has_prev = np.zeros(lam.size, dtype=bool)
-    stall = np.zeros(lam.size, dtype=int)
+    out_lam, out_abs = lam.copy(), np.full(lam.size, np.inf)
     failed = np.zeros(lam.size, dtype=bool)   # det went non-finite
-    running = np.ones(lam.size, dtype=bool)
-    # A seed whose step fell below 1e-12 (1 + |lam|) takes one more det at the
-    # new iterate, in the next batch, and stops.
-    final = np.zeros(lam.size, dtype=bool)
-    for it in range(opts.newton_max_iter + 1):
-        if it == opts.newton_max_iter:
-            running[:] = False
-        idx = np.flatnonzero(running | final)
-        if idx.size == 0:
+    # The state of the running seeds, at positions `at`; it is compacted only
+    # when seeds stop.  Every running seed has a previous iterate after the
+    # first pass, so that is when the secant step becomes possible.
+    at = np.arange(lam.size)
+    best_lam, best_abs = lam.copy(), out_abs.copy()
+    prev_lam = prev_det = lam   # read from the second pass on
+    stall = np.zeros(lam.size, dtype=int)
+    # Seeds whose step fell below 1e-12 (1 + |lam|), as (positions, iterates,
+    # best iterates, best |det|): each takes one more det at its new iterate,
+    # in the next batch, and stops.
+    owed = None
+
+    def settle(owed, absdet):
+        pos, owed_lam, owed_best, owed_abs = owed
+        better = absdet < owed_abs
+        out_lam[pos] = np.where(better, owed_lam, owed_best)
+        out_abs[pos] = np.where(better, absdet, owed_abs)
+
+    for it in range(opts.newton_max_iter):
+        m = lam.size
+        if m == 0 and owed is None:
             break
-        D, dD = delta_and_derivative(sys_, lam[idx])
+        D, dD = delta_and_derivative(sys_, lam if owed is None else np.concatenate([lam, owed[1]]))
         det = np.linalg.det(D)
         absdet = np.abs(det)
-        better = absdet < best_abs[idx]
-        best_abs[idx[better]] = absdet[better]
-        best_lam[idx[better]] = lam[idx[better]]
-        final[idx] = False
-        iterating = running[idx]
+        if owed is not None:
+            settle(owed, absdet[m:])
+            owed = None
+            D, dD, det, absdet = D[:m], dD[:m], det[:m], absdet[:m]
+        better = absdet < best_abs
+        best_lam = np.where(better, lam, best_lam)
+        best_abs = np.where(better, absdet, best_abs)
         finite = np.isfinite(absdet)
-        failed[idx[iterating & ~finite]] = True
-        stall[idx[iterating & better]] = 0
-        stall[idx[iterating & finite & ~better]] += 1
-        go = iterating & finite & (stall[idx] <= 12)
-        running[idx[~go]] = False
-        g, D, dD, det = idx[go], D[go], dD[go], det[go]
-        if g.size == 0:
+        stall = np.where(better, 0, stall + finite)
+        go = finite & (stall <= 12)
+        if not go.all():
+            stop = ~go
+            out_lam[at[stop]], out_abs[at[stop]] = best_lam[stop], best_abs[stop]
+            failed[at[~finite]] = True
+            at, lam, best_lam, best_abs, stall, prev_lam, prev_det, D, dD, det = (
+                x[go] for x in (at, lam, best_lam, best_abs, stall, prev_lam, prev_det, D, dD, det))
+        if at.size == 0:
             continue
         trace = _solve_traces(D, dD)
         newton = np.isfinite(trace) & (trace != 0.0)
-        step = np.empty_like(det)
-        step[newton] = 1.0 / trace[newton]
-        secant = ~newton & has_prev[g] & (det != prev_det[g])
-        gs = g[secant]
-        step[secant] = det[secant] * (lam[gs] - prev_lam[gs]) / (det[secant] - prev_det[gs])
-        nudge = ~newton & ~secant
-        step[nudge] = 1e-7 * (1.0 + np.abs(lam[g[nudge]])) * (0.6 + 0.8j)
-        prev_lam[g], prev_det[g] = lam[g], det
-        has_prev[g] = True
-        lam[g] -= step
-        done = g[np.abs(step) <= 1e-12 * (1.0 + np.abs(lam[g]))]
-        running[done] = False
-        final[done] = True
-    ok = ~failed & (best_abs <= residual_bound(best_lam, sys_.n, opts))
-    return [(best_lam[i], float(best_abs[i]), bool(ok[i])) for i in range(lam.size)]
+        if newton.all():
+            step = 1.0 / trace
+        else:
+            step = np.empty_like(det)
+            step[newton] = 1.0 / trace[newton]
+            secant = ~newton & (det != prev_det) if it > 0 else np.zeros_like(newton)
+            step[secant] = det[secant] * (lam[secant] - prev_lam[secant]) / (det[secant] - prev_det[secant])
+            nudge = ~newton & ~secant
+            step[nudge] = 1e-7 * (1.0 + np.abs(lam[nudge])) * (0.6 + 0.8j)
+        prev_lam, prev_det = lam, det
+        lam = lam - step
+        done = np.abs(step) <= 1e-12 * (1.0 + np.abs(lam))
+        if done.any():
+            owed = (at[done], lam[done], best_lam[done], best_abs[done])
+            keep = ~done
+            at, lam, best_lam, best_abs, stall, prev_lam, prev_det = (
+                x[keep] for x in (at, lam, best_lam, best_abs, stall, prev_lam, prev_det))
+    if owed is not None:
+        settle(owed, np.abs(np.linalg.det(delta_and_derivative(sys_, owed[1])[0])))
+    out_lam[at], out_abs[at] = best_lam, best_abs
+    ok = ~failed & (out_abs <= residual_bound(out_lam, sys_.n, opts))
+    return [(out_lam[i], float(out_abs[i]), bool(ok[i])) for i in range(out_lam.size)]
 
 
 def _solve_traces(D: np.ndarray, dD: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from neutralsys import charmatrix as cm
+from neutralsys import rootfinder as rf
 from neutralsys.errors import NoChainsError
 from neutralsys.sysmodel import DelayKernel, NeutralSystem
 
@@ -339,6 +340,21 @@ def test_eigenvector_candidates():
 def test_kernel_basis_regular_point():
     s = make_example1(1.0, 2.0)
     assert cm.kernel_basis(s, 0.5 + 0.5j).shape == (2, 0)
+
+
+def test_kernel_is_found_where_d_vanishes():
+    # At every root of example 2 with gamma = 0, D(lam) vanishes up to the
+    # root's error: both singular values are tiny, so a cutoff relative to
+    # the largest of them finds no kernel at a root of geometric multiplicity 2.
+    s = make_example2(0.0)
+    report = rf.find_roots_in_region(s, rf.Rect(-1.0, 1.0, -40.0, 40.0), grid=s.chains)
+    roots = report.all_roots()
+    assert roots
+    for r in roots:
+        assert cm.kernel_basis(s, r.lam).shape == (2, 2)
+        cands = cm.eigenvector_candidates(s, r.lam)
+        assert len(cands) == 2
+        assert all(c.residual <= c.tol for c in cands)
 
 
 def test_subspace_angle():

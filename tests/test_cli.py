@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -84,15 +85,32 @@ def test_missing_input_exits_3(tmp_path, capsys):
     assert record["level"] == "error" and record["event"] == "io_error"
 
 
-@pytest.mark.parametrize("command", ["spectrum", "stability"])
-def test_stderr_holds_only_json_lines(tmp_path, command):
+def _stderr_systems():
     # Example 1 with alpha = beta = 1: the chain center at 0 has det' = 0, so
-    # Newton from it runs far left.  A fresh interpreter keeps its own
-    # warning filters, which write to the real stderr.
-    doc = json.loads(json.dumps(EXAMPLE1_DOC))
-    doc["r"], doc["B"] = 1, [[0.0], [1.0]]
-    doc["A3"]["atoms"][0]["matrix"] = [[1.0, 0.0], [0.0, 1.0]]
-    path = tmp_path / "ex1_ctrl.json"
+    # Newton from it runs far left.
+    ex1_ctrl = json.loads(json.dumps(EXAMPLE1_DOC))
+    ex1_ctrl["r"], ex1_ctrl["B"] = 1, [[0.0], [1.0]]
+    ex1_ctrl["A3"]["atoms"][0]["matrix"] = [[1.0, 0.0], [0.0, 1.0]]
+    free3 = {
+        "n": 3, "r": 3, "h": 1.0, "A_minus1": np.zeros((3, 3)).tolist(),
+        "A2": {"breakpoints": [-1.0, 0.0], "segments": [np.zeros((3, 3)).tolist()]},
+        "A3": {"breakpoints": [-1.0, 0.0], "segments": [np.zeros((3, 3)).tolist()],
+               "atoms": [{"theta": 0.0, "matrix": (-np.eye(3)).tolist()}]},
+        "B": np.eye(3).tolist(),
+    }
+    # scalar_decay and free3 have the root -1 on the default window's side
+    # Re = -1, and a contour node lands on it exactly: there the closed-form
+    # det is 0.
+    return {"ex1_ctrl": ex1_ctrl, "scalar_decay": SCALAR_DOC, "free3": free3}
+
+
+@pytest.mark.parametrize("system", ["ex1_ctrl", "scalar_decay", "free3"])
+@pytest.mark.parametrize("command", ["spectrum", "stability"])
+def test_stderr_holds_only_json_lines(tmp_path, command, system):
+    # A fresh interpreter keeps its own warning filters, which write to the
+    # real stderr.
+    doc = _stderr_systems()[system]
+    path = tmp_path / f"{system}.json"
     path.write_text(json.dumps(doc))
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -145,6 +163,23 @@ def test_malformed_or_infinite_arguments_exit_1(tmp_path, command, flag, value):
     path = _system_with_inputs(tmp_path)
     code = run_cli(command, "--input", str(path), "--out", str(tmp_path / "out"), f"{flag}={value}")
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("im_max", ["1e308", "1e12"])
+@pytest.mark.parametrize("command", ["spectrum", "stability"])
+def test_window_too_long_to_sample_is_a_usage_error(tmp_path, capsys, command, im_max):
+    # 1e308 makes a side's node count infinite, 1e12 finite but far past the
+    # ceiling; both are refused before any node is allocated.
+    path = _system_with_inputs(tmp_path)
+    start = time.perf_counter()
+    code = run_cli(command, "--input", str(path), "--out", str(tmp_path / "out"), f"--im-max={im_max}")
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    records = [json.loads(line) for line in err.strip().splitlines()]
+    assert [r["event"] for r in records] == ["usage_error"]
+    assert "nodes" in records[0]["detail"]
 
 
 SCALAR_DOC = {

@@ -512,10 +512,11 @@ def scalar_newton_reference(sys_, lam0, opts):
     for _ in range(opts.newton_max_iter):
         D, dD = cm.delta(sys_, lam), cm.delta_derivative(sys_, lam)
         det = complex(np.linalg.det(D))
-        if not np.isfinite(abs(det)):
+        absdet = float(np.abs(det))   # inf past the largest float, where abs() raises
+        if not np.isfinite(absdet):
             return best[1], best[0], False
-        if abs(det) < best[0]:
-            best = (abs(det), lam)
+        if absdet < best[0]:
+            best = (absdet, lam)
             stall = 0
         else:
             stall += 1
@@ -536,7 +537,7 @@ def scalar_newton_reference(sys_, lam0, opts):
         prev_lam, prev_det = lam, det
         lam = lam - step
         if abs(step) <= 1e-12 * (1.0 + abs(lam)):
-            absdet = abs(complex(np.linalg.det(cm.delta(sys_, lam))))
+            absdet = float(np.abs(np.linalg.det(cm.delta(sys_, lam))))
             if absdet < best[0]:
                 best = (absdet, lam)
             break
@@ -545,7 +546,7 @@ def scalar_newton_reference(sys_, lam0, opts):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("opts", [rf.RootFindOptions(), rf.RootFindOptions(newton_max_iter=2)])
+@pytest.mark.parametrize("opts", [rf.RootFindOptions(newton_max_iter=k) for k in (200, 2, 1, 3)])
 @pytest.mark.parametrize(
     "sys_, seeds",
     [
@@ -557,18 +558,130 @@ def scalar_newton_reference(sys_, lam0, opts):
 )
 def test_newton_roots_match_newton_root_seed_for_seed(sys_, seeds, opts):
     # With newton_max_iter=2 a seed that lost its Newton step to the singular
-    # one would stop before reaching the root.
+    # one would stop before reaching the root.  On the last pass only the
+    # seeds whose step fell below tolerance take their final det.
     batch = rf.newton_roots(sys_, seeds, opts)
     assert len(batch) == len(seeds)
-    for seed, (lam, absdet, ok) in zip(seeds, batch):
-        assert isinstance(lam, np.complex128)
-        for lam1, absdet1, ok1 in (
-            rf.newton_root(sys_, seed, opts),
-            scalar_newton_reference(sys_, seed, opts),
-        ):
-            assert ok == ok1
-            assert abs(lam - lam1) <= 1e-12 * (1.0 + abs(lam1))
-            assert absdet == pytest.approx(absdet1, rel=1e-12, abs=1e-12)
+    for seed, got in zip(seeds, batch):
+        assert isinstance(got[0], np.complex128)
+        assert got == rf.newton_root(sys_, seed, opts)
+        assert got == scalar_newton_reference(sys_, seed, opts)
+
+
+def _assert_newton_matches_scalar_reference(sys_, seeds, opts):
+    with np.errstate(all="ignore"):
+        batch = rf.newton_roots(sys_, seeds, opts)
+        for seed, got in zip(seeds, batch):
+            assert got == scalar_newton_reference(sys_, seed, opts), seed
+    return batch
+
+
+@given(
+    sys_=density_systems(n_max=3),
+    max_iter=hst.sampled_from([1, 2, 3, 200]),
+    box=hst.lists(hst.tuples(hst.floats(-3.0, 2.0), hst.floats(-20.0, 20.0)), min_size=1, max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_newton_roots_match_scalar_reference_bitwise(sys_, max_iter, box):
+    # Seeds in a box, one that overflows e^{-lam h} and 0, then the roots
+    # found, where D is numerically singular and the first step ends the run.
+    opts = rf.RootFindOptions(newton_max_iter=max_iter)
+    seeds = [complex(x, y) for x, y in box] + [-1e6 + 1j, 0.0]
+    batch = _assert_newton_matches_scalar_reference(sys_, seeds, opts)
+    roots = [lam for lam, _, ok in batch if ok]
+    if roots:
+        _assert_newton_matches_scalar_reference(sys_, roots, opts)
+
+
+@given(
+    sys_=density_systems(n_max=3),
+    corner=hst.tuples(hst.floats(-2.0, 1.0), hst.floats(-15.0, 10.0)),
+    size=hst.tuples(hst.floats(0.1, 2.0), hst.floats(0.1, 8.0)),
+    radius=hst.floats(0.05, 3.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_counts_do_not_depend_on_the_start_density(sys_, corner, size, radius):
+    # Refinement, not the start density, resolves the phase: the old density
+    # 4n(1 + h) gives the same counts.
+    (x, y), (w, v) = corner, size
+    contours = [rf.Rect(x, x + w, y, y + v), rf.Circle(complex(x, y), radius)]
+
+    def counts():
+        out = []
+        for contour in contours:
+            try:
+                out.append(rf.count_roots_in_contour(sys_, contour))
+            except ContourError as exc:
+                out.append(type(exc))
+        return out
+
+    with np.errstate(all="ignore"):
+        now = counts()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rf, "_node_density", lambda s: 4.0 * s.n * (1.0 + s.h))
+            assert counts() == now
+
+
+def _sampler_stack(n, rng, size=48):
+    """D and D' stacks at every scale the sampler meets: above and below the
+    floor, singular, with products that overflow, and infinite."""
+    D = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
+    dD = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
+    D *= 10.0 ** rng.uniform(-8.0, 3.0, (size, 1, 1))
+    dD *= 10.0 ** rng.uniform(-3.0, 3.0, (size, 1, 1))
+    if n == 1:
+        D[:4] = 0.0
+    else:
+        D[:4, 1] = 2.0 * D[:4, 0]   # rank one: the closed-form det is exactly 0
+    D[4:8] *= 1e200
+    dD[8:10] *= 1e300
+    D[10, 0, 0] = np.inf
+    return D, dD
+
+
+@given(n=hst.sampled_from([1, 2]), seed=hst.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_sampler_agrees_with_lapack(n, seed):
+    D, dD = _sampler_stack(n, np.random.default_rng(seed))
+    log_floor = np.log(rf.RootFindOptions().boundary_tol)
+    with np.errstate(all="ignore"):
+        sign, est, bad = rf._closed_form_sample(D, dD, log_floor)
+        sign_l, est_l, bad_l = rf._lapack_sample(D, dD, log_floor)
+        _, logabs = np.linalg.slogdet(D)
+        log_trace = np.log(np.abs(rf._solve_traces(D, dD)))
+        log_norm, log_dnorm = (np.log(np.abs(X).max(axis=(1, 2))) for X in (D, dD))
+        # relative rounding bounds of det and of det' = det trace(D^{-1} D')
+        # computed from the entries, in logarithms past the largest float
+        k_det = np.exp(n * log_norm - logabs)
+        k_ddet = np.exp((n - 1) * log_norm + log_dnorm - logabs - log_trace)
+    # det is known to eps_r max|D|^n: away from the floor is outside that band
+    eps = 64 * np.finfo(float).eps
+    log_band = np.log(eps) + n * log_norm
+    away = ((logabs > np.logaddexp(log_floor, log_band))
+            | (np.logaddexp(logabs, log_band) < log_floor))
+    np.testing.assert_array_equal(bad[away], bad_l[away])
+    ok = ~bad & ~bad_l
+    assert np.all(np.abs(sign[ok] - sign_l[ok]) <= eps * k_det[ok])
+    # compared where LAPACK's trace did not overflow, which voids its estimate
+    finite = ok & np.isfinite(log_trace)
+    assert np.all(np.abs(est[finite] - est_l[finite])
+                  <= eps * (k_det + k_ddet)[finite] * est_l[finite])
+    assert np.all(np.isinf(est[ok & (log_trace == -np.inf)]))
+
+
+def test_window_count_samples_at_most_sixty_percent_of_the_old_points(monkeypatch):
+    # 2,650 points at the start density 4n(1 + h).
+    points = []
+    evaluate = rf.delta_and_derivative
+
+    def counted(sys_, lams):
+        points.append(np.size(lams))
+        return evaluate(sys_, lams)
+
+    monkeypatch.setattr(rf, "delta_and_derivative", counted)
+    count = rf.count_roots_in_contour(make_example1(-1.0, -1.0), rf.Rect(-0.5, 2.0, -40.0, 40.0))
+    assert count == 28
+    assert sum(points) <= 0.6 * 2650
 
 
 def test_region_scan_batches_newton_once_per_level(monkeypatch):
