@@ -30,12 +30,16 @@ Taylor series for |w lam| below _SERIES_CUT, so the removable singularity at
 lam = 0 never produces cancellation.  delta, delta_batch, delta_derivative
 and delta_derivative_batch are views of that one evaluation.
 
-Root chains: every eigenvalue mu != 0 of A generates the vertical sequence of
-asymptotic root locations (ln|mu| + i(arg mu + 2 pi k))/h, k integer.  Large-k
-roots of det D cluster around those points, with total multiplicity equal to
-the rootspace dimension of mu.  The chain grid keeps the eigenvalues and a
-safe circle radius (half of one third of the minimal center separation) and
-computes the center for any k from that formula; it records no centers.
+Root chains: matrix_spectral_structure lists the eigenvalues mu of A with
+their multiplicities, once per system (the cached NeutralSystem.structure,
+which the verdicts read too).  Every mu with |mu| above
+sqrt(eps) max(1, ||A||_2) generates the vertical sequence of asymptotic root
+locations (ln|mu| + i(arg mu + 2 pi k))/h, k integer; smaller ones count as
+zero.  Large-k roots of det D cluster around those points, with total
+multiplicity equal to the rootspace dimension of mu.  The chain grid keeps
+those eigenvalues and a safe circle radius (half of one third of the minimal
+center separation) and computes the center for any k from that formula; it
+records no centers.
 """
 
 from __future__ import annotations
@@ -44,11 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cluster_eigenvalues, default_cluster_tol
+from ._linalg import cluster_eigenvalues, default_cluster_tol, rank_tolerance
 from .errors import NoChainsError
 from .sysmodel import NeutralSystem
 
 _SERIES_CUT = 1e-4
+UNIT_CIRCLE_TOL = 1e-9
 
 
 def _phi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,9 +184,83 @@ def det_delta_batch(sys_: NeutralSystem, lams) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChainEigenvalue:
+class SpectralEntry:
     mu: complex
-    rootspace_dim: int
+    algebraic: int
+    geometric: int
+    on_unit_circle: bool
+
+    @property
+    def rootspace_dim(self) -> int:
+        # the root chains of mu carry its algebraic multiplicity
+        return self.algebraic
+
+    @property
+    def has_jordan_block(self) -> bool:
+        return self.geometric < self.algebraic
+
+
+@dataclass(frozen=True)
+class MatrixSpectralStructure:
+    entries: tuple[SpectralEntry, ...]
+    spectral_radius: float
+    cluster_tol: float
+
+    @property
+    def sigma1(self) -> tuple[SpectralEntry, ...]:
+        return tuple(e for e in self.entries if e.on_unit_circle)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "entries": [
+                {
+                    "mu": {"re": e.mu.real, "im": e.mu.imag},
+                    "algebraic": e.algebraic,
+                    "geometric": e.geometric,
+                    "rootspace_dim": e.rootspace_dim,
+                    "on_unit_circle": e.on_unit_circle,
+                    "jordan_block": e.has_jordan_block,
+                }
+                for e in self.entries
+            ],
+            "spectral_radius": self.spectral_radius,
+            "unit_tol": UNIT_CIRCLE_TOL,
+            "cluster_tol": self.cluster_tol,
+        }
+
+
+def matrix_spectral_structure(A) -> MatrixSpectralStructure:
+    """Eigenvalues of A with algebraic/geometric multiplicities and Jordan flags.
+
+    Eigenvalues are clustered at 1e-6 relative to the matrix scale and the
+    geometric multiplicity is the nullity of A - mu I at a rank cutoff no
+    finer than the cluster tolerance, so borderline calls stay auditable via
+    the recorded tolerances.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    tol = default_cluster_tol(A)
+    clusters, raw = cluster_eigenvalues(A, tol)
+    entries = []
+    for mu, alg in clusters:
+        shifted = A - mu * np.eye(n)
+        sigma = np.linalg.svd(shifted, compute_uv=False)
+        cut = max(rank_tolerance(sigma, shifted.shape), tol)
+        rank = int(np.count_nonzero(sigma > cut))
+        geo = min(max(n - rank, 1), alg)
+        entries.append(
+            SpectralEntry(
+                mu=mu,
+                algebraic=alg,
+                geometric=geo,
+                on_unit_circle=abs(abs(mu) - 1.0) <= UNIT_CIRCLE_TOL,
+            )
+        )
+    return MatrixSpectralStructure(
+        entries=tuple(entries),
+        spectral_radius=float(np.max(np.abs(raw))) if len(raw) else 0.0,
+        cluster_tol=tol,
+    )
 
 
 @dataclass(frozen=True)
@@ -189,10 +268,14 @@ class ChainGrid:
     """The root chains of det D: their generating eigenvalues and the radius
     of the circle around every chain center."""
 
-    eigenvalues: tuple[ChainEigenvalue, ...]
+    eigenvalues: tuple[SpectralEntry, ...]
     radius: float
     r0: float
     h: float
+
+    def abscissas(self) -> list[float]:
+        """ln|mu_m| / h, the real part every center of chain m shares."""
+        return [float(np.log(abs(e.mu)) / self.h) for e in self.eigenvalues]
 
     def center(self, m: int, k: int) -> complex:
         mu = self.eigenvalues[m].mu
@@ -242,29 +325,23 @@ def chain_centers_radius0(mus, h: float) -> float:
 
 
 def chain_grid(sys_: NeutralSystem) -> ChainGrid:
-    """The chains of every nonzero eigenvalue of the difference matrix, with
-    circle radius r0 / 2.
+    """The chains of every nonzero eigenvalue in sys_.structure, with circle
+    radius r0 / 2.
 
-    Eigenvalues with |mu| below sqrt(eps) times the matrix scale have no
+    Eigenvalues with |mu| at most sqrt(eps) times max(1, ||A||_2) have no
     finite chain center and are skipped; if all of them are (numerically)
     zero the spectrum is retarded-like and NoChainsError is raised.
     """
     A = sys_.A_minus1
     scale = float(np.linalg.norm(A, 2)) if np.any(A) else 0.0
     zero_tol = np.sqrt(np.finfo(float).eps) * max(1.0, scale)
-    clusters, _ = cluster_eigenvalues(A, default_cluster_tol(A))
-    kept = [(mu, p) for mu, p in clusters if abs(mu) > zero_tol]
+    kept = tuple(e for e in sys_.structure.entries if abs(e.mu) > zero_tol)
     if not kept:
         raise NoChainsError(
             "all eigenvalues of the difference matrix vanish; no root chains"
         )
-    r0 = chain_centers_radius0([mu for mu, _ in kept], sys_.h)
-    return ChainGrid(
-        eigenvalues=tuple(ChainEigenvalue(mu, p) for mu, p in kept),
-        radius=0.5 * r0,
-        r0=r0,
-        h=sys_.h,
-    )
+    r0 = chain_centers_radius0([e.mu for e in kept], sys_.h)
+    return ChainGrid(eigenvalues=kept, radius=0.5 * r0, r0=r0, h=sys_.h)
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """A finite number >= 0; a NaN, infinite or negative cutoff decides no rank."""
+    value = float(text)
+    if not (0.0 <= value < np.inf):
+        raise ValueError(f"not a finite non-negative tolerance: {text}")
+    return value
+
+
 def _horizons(text: str) -> tuple[float, ...]:
     """Comma-separated horizons; an empty list leaves the choice to reach."""
     return tuple(float(x) for x in text.split(",")) if text else ()
@@ -298,8 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--re-min", type=_finite, default=-1.0)
         p.add_argument("--re-max", type=_finite, default=1.0)
         p.add_argument("--im-max", type=_finite, default=40.0)
-        p.add_argument("--tol-rank", type=float, default=None)
-        p.add_argument("--tol-root", type=float, default=None)
+        p.add_argument("--tol-rank", type=_tolerance, default=None)
+        p.add_argument("--tol-root", type=_tolerance, default=None)
         p.add_argument("--T", type=float, default=10.0)
         p.add_argument("--grid-m", type=int, default=None,
                        help=f"grid intervals per delay (default: {SIMULATE_GRID_M} "
@@ -316,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--history", default="random", help="zero | ones | random")
         p.add_argument("--T-list", type=_horizons, default=(),
                        help="comma-separated horizons for reach")
-        p.add_argument("--rank-tau", type=float, default=1e-6)
+        p.add_argument("--rank-tau", type=_tolerance, default=1e-6)
     return parser
 
 

@@ -1126,23 +1126,26 @@ def right_half_plane_ceiling(sys_: NeutralSystem) -> float | None:
 
 def rightmost_root_scan(
     sys_: NeutralSystem,
-    re_floor: float,
     im_cap: float,
     opts: RootFindOptions | None = None,
 ) -> SpectrumReport:
     """Scan the window [re_floor, re_ceiling] x [-im_cap, im_cap] for roots.
 
-    The ceiling is the larger of one unit right of the top chain abscissa and
-    the provable right bound on root real parts, so nothing to the right of
-    the window is missed; above and below it, large-|k| roots stay inside the
-    chain circles whose abscissas the note records.
+    The floor is half a unit left of the top chain abscissa, but no lower
+    than -1, and -1 when there are no chains.  The ceiling is the larger of
+    one unit right of the top chain abscissa and the provable right bound on
+    root real parts, so nothing to the right of the window is missed; above
+    and below it, large-|k| roots stay inside the chain circles whose
+    abscissas the note records.
     """
+    grid = sys_.chains
+    abscissas = [] if grid is None else grid.abscissas()
+    top = max(abscissas, default=None)
+    re_floor = -1.0 if top is None else max(-1.0, top - 0.5)
     if not (re_floor < 0.0 < im_cap):
         raise ValueError("need re_floor < 0 < im_cap")
     opts = opts or RootFindOptions()
-    grid = sys_.chains
-    abscissas = [] if grid is None else [float(np.log(abs(e.mu)) / sys_.h) for e in grid.eigenvalues]
-    re_ceiling = max(1.0, max(abscissas) + 1.0) if abscissas else 1.0
+    re_ceiling = 1.0 if top is None else max(1.0, top + 1.0)
     bound = right_half_plane_ceiling(sys_)
     if bound is not None:
         re_ceiling = max(re_ceiling, bound)

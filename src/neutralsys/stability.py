@@ -15,6 +15,8 @@ structure on the unit circle:
 
 Both verdicts rest on a finite root scan, so every 'stable' answer is
 explicitly a statement about the scanned window; the evidence records it.
+The difference-matrix structure is the system's cached
+NeutralSystem.structure, and rightmost_root_scan alone picks the window.
 """
 
 from __future__ import annotations
@@ -22,100 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
-from ._linalg import cluster_eigenvalues, default_cluster_tol, rank_tolerance
+# The structure types live in charmatrix; these names stay importable here.
+from .charmatrix import (
+    UNIT_CIRCLE_TOL,
+    MatrixSpectralStructure,
+    SpectralEntry,
+    matrix_spectral_structure,
+)
 from .rootfinder import RootFindOptions, SpectrumReport, rightmost_root_scan
 from .sysmodel import NeutralSystem
-
-UNIT_CIRCLE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SpectralEntry:
-    mu: complex
-    algebraic: int
-    geometric: int
-    rootspace_dim: int
-    on_unit_circle: bool
-
-    @property
-    def has_jordan_block(self) -> bool:
-        return self.geometric < self.algebraic
-
-
-@dataclass(frozen=True)
-class MatrixSpectralStructure:
-    entries: tuple[SpectralEntry, ...]
-    spectral_radius: float
-    unit_tol: float
-    cluster_tol: float
-    raw_eigenvalues: tuple[complex, ...]
-
-    @property
-    def sigma1(self) -> tuple[SpectralEntry, ...]:
-        return tuple(e for e in self.entries if e.on_unit_circle)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "mu": {"re": e.mu.real, "im": e.mu.imag},
-                    "algebraic": e.algebraic,
-                    "geometric": e.geometric,
-                    "rootspace_dim": e.rootspace_dim,
-                    "on_unit_circle": e.on_unit_circle,
-                    "jordan_block": e.has_jordan_block,
-                }
-                for e in self.entries
-            ],
-            "spectral_radius": self.spectral_radius,
-            "unit_tol": self.unit_tol,
-            "cluster_tol": self.cluster_tol,
-        }
-
-
-def matrix_spectral_structure(
-    A, tol: float | None = None, unit_tol: float = UNIT_CIRCLE_TOL
-) -> MatrixSpectralStructure:
-    """Eigenvalues of A with algebraic/geometric multiplicities and Jordan flags.
-
-    Eigenvalues are clustered at the given absolute tolerance (defaults to
-    1e-6 relative to the matrix scale) and the geometric multiplicity is the
-    nullity of A - mu I at a rank cutoff no finer than the cluster tolerance,
-    so borderline calls stay auditable via the recorded tolerances.
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if tol is None:
-        tol = default_cluster_tol(A)
-    if not (tol > 0.0):
-        raise ValueError("clustering tolerance must be positive")
-    clusters, raw = cluster_eigenvalues(A, tol)
-    entries = []
-    for mu, alg in clusters:
-        shifted = A - mu * np.eye(n)
-        sigma = np.linalg.svd(shifted, compute_uv=False)
-        cut = max(rank_tolerance(sigma, shifted.shape), tol)
-        rank = int(np.count_nonzero(sigma > cut))
-        geo = min(max(n - rank, 1), alg)
-        entries.append(
-            SpectralEntry(
-                mu=mu,
-                algebraic=alg,
-                geometric=geo,
-                rootspace_dim=alg,
-                on_unit_circle=abs(abs(mu) - 1.0) <= unit_tol,
-            )
-        )
-    return MatrixSpectralStructure(
-        entries=tuple(entries),
-        spectral_radius=float(np.max(np.abs(raw))) if len(raw) else 0.0,
-        unit_tol=unit_tol,
-        cluster_tol=tol,
-        raw_eigenvalues=tuple(complex(v) for v in raw),
-    )
-
 
 _CASE_EXPLANATIONS = {
     "exp_regime": "no unit-circle eigenvalues in the difference matrix; "
@@ -145,13 +62,6 @@ class StabilityVerdict:
         }
 
 
-def _chain_abscissa(structure: MatrixSpectralStructure, h: float) -> float | None:
-    mods = [abs(e.mu) for e in structure.entries if abs(e.mu) > 1e-300]
-    if not mods:
-        return None
-    return float(np.log(max(mods)) / h)
-
-
 def _stability_gap(abscissa: float | None) -> float:
     # Margin below the imaginary axis that scanned roots must clear for a
     # 'stable' call; beyond the window, roots live near the chain abscissa.
@@ -164,9 +74,9 @@ def _stability_gap(abscissa: float | None) -> float:
 class SystemAnalysis:
     """One system with the scan settings every verdict shares.
 
-    The difference-matrix structure and the rightmost root scan are computed
-    on first use and then kept, so the verdicts of one system see the same
-    objects and a verdict that needs neither computes neither.
+    The rightmost root scan is computed on first use and then kept, so the
+    verdicts of one system see the same scan and a verdict that needs none
+    computes none.
     """
 
     sys_: NeutralSystem
@@ -174,16 +84,8 @@ class SystemAnalysis:
     root_options: RootFindOptions = field(default_factory=RootFindOptions)
 
     @cached_property
-    def structure(self) -> MatrixSpectralStructure:
-        return matrix_spectral_structure(self.sys_.A_minus1)
-
-    @cached_property
     def scan(self) -> SpectrumReport:
-        """The rightmost root scan.  Its floor, the window's re_min, is half a
-        unit left of the top chain abscissa, but no lower than -1."""
-        abscissa = _chain_abscissa(self.structure, self.sys_.h)
-        floor = -1.0 if abscissa is None else max(-1.0, abscissa - 0.5)
-        return rightmost_root_scan(self.sys_, floor, self.im_cap, self.root_options)
+        return rightmost_root_scan(self.sys_, self.im_cap, self.root_options)
 
     def window_note(self, claim: str, caveat: str) -> str:
         """'<claim> [floor, ceiling] x [-cap, cap]; <caveat>', plus the number
@@ -217,12 +119,12 @@ class SystemAnalysis:
 
 
 def _exponential_verdict(analysis: SystemAnalysis) -> tuple[str, dict]:
-    structure = analysis.structure
+    grid = analysis.sys_.chains
     report = analysis.scan
-    rho = structure.spectral_radius
+    rho = analysis.sys_.structure.spectral_radius
     roots = report.all_roots()
     has_rhp_root = any(r.lam.real >= 0.0 for r in roots)
-    gap = _stability_gap(_chain_abscissa(structure, analysis.sys_.h))
+    gap = _stability_gap(None if grid is None else max(grid.abscissas()))
     detail = {"spectral_radius": rho, "unit_tol": UNIT_CIRCLE_TOL, "gap": gap}
     if rho >= 1.0 - UNIT_CIRCLE_TOL:
         detail["reason"] = "difference matrix spectral radius at or above 1"
@@ -247,7 +149,7 @@ def classify_asymptotic(analysis: SystemAnalysis) -> StabilityVerdict:
     scanned window; the evidence records the window and the rightmost root
     seen, and the case_i/case_iii labels are conditional on it.
     """
-    structure = analysis.structure
+    structure = analysis.sys_.structure
     report = analysis.scan
     exp_verdict, exp_detail = _exponential_verdict(analysis)
 

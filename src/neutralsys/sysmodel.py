@@ -145,6 +145,15 @@ class NeutralSystem:
         return TermTable.of(self)
 
     @cached_property
+    def structure(self):
+        """Eigenvalue structure of A_minus1 (charmatrix.MatrixSpectralStructure),
+        computed on first use and kept with the system; the chain grid and
+        every verdict read this one object."""
+        from . import charmatrix
+
+        return charmatrix.matrix_spectral_structure(self.A_minus1)
+
+    @cached_property
     def chains(self):
         """The root chains of det D (charmatrix.ChainGrid), or None when every
         eigenvalue of A_minus1 vanishes; built on first use and kept with the

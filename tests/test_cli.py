@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from neutralsys import charmatrix as cm
-from neutralsys import cli, stability
+from neutralsys import _linalg, cli, stability
 from neutralsys.cli import main
 from neutralsys.sysmodel import save_system
 
@@ -35,16 +35,22 @@ def _system_with_inputs(tmp_path):
 
 
 def _count_spectral_work(monkeypatch):
-    """Count the calls the verdicts make to the two shared spectral objects."""
-    counts = {"rightmost_root_scan": 0, "matrix_spectral_structure": 0}
-    for name in counts:
-        fn = getattr(stability, name)
+    """Count the calls the verdicts make to the two shared spectral objects,
+    and the eigenvalue clusterings of the difference matrix behind them."""
+    counts = {"rightmost_root_scan": 0, "matrix_spectral_structure": 0, "cluster_eigenvalues": 0}
+    # the module attribute each caller looks up; every module that imported
+    # cluster_eigenvalues by name holds its own reference to it
+    sites = [(stability, "rightmost_root_scan"), (cm, "matrix_spectral_structure")]
+    sites += [(module, "cluster_eigenvalues") for module in (_linalg, cm, stability)
+              if getattr(module, "cluster_eigenvalues", None) is _linalg.cluster_eigenvalues]
+    for module, name in sites:
+        fn = getattr(module, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(stability, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
 
 
@@ -154,12 +160,18 @@ def test_unknown_command_exits_1():
         ("spectrum", "--re-max", "inf"),
         ("spectrum", "--re-min", "-inf"),
         ("stability", "--re-min", "nan"),
+        ("controllability", "--tol-rank", "nan"),
+        ("stabilizability", "--tol-rank", "-1e-3"),
+        ("stability", "--tol-root", "inf"),
+        ("spectrum", "--tol-root", "-1"),
+        ("reach", "--rank-tau", "nan"),
+        ("reach", "--rank-tau", "-inf"),
     ],
 )
 def test_malformed_or_infinite_arguments_exit_1(tmp_path, command, flag, value):
     # unparsable ranges and horizons, horizons no simulation grid can reach,
-    # and scan windows that are not finite; FLAG=VALUE, since argparse takes
-    # a bare -inf for a flag
+    # scan windows that are not finite, and tolerances that are NaN, infinite
+    # or negative; FLAG=VALUE, since argparse takes a bare -inf for a flag
     path = _system_with_inputs(tmp_path)
     code = run_cli(command, "--input", str(path), "--out", str(tmp_path / "out"), f"{flag}={value}")
     assert code == cli.EXIT_USAGE
@@ -322,8 +334,10 @@ def test_report_scans_each_system_once(tmp_path, monkeypatch):
     counts = _count_spectral_work(monkeypatch)
     assert run_cli("report", "--input", str(_system_with_inputs(tmp_path)),
                    "--out", str(tmp_path / "rep"), *REPORT_FLAGS) == 0
-    # stability, stabilizability and controllability share one scan
-    assert counts == {"rightmost_root_scan": 1, "matrix_spectral_structure": 1}
+    # stability, stabilizability and controllability share one scan, and the
+    # chain grid and the verdicts one difference-matrix structure
+    assert counts == {"rightmost_root_scan": 1, "matrix_spectral_structure": 1,
+                      "cluster_eigenvalues": 1}
 
 
 def test_report_builds_the_chain_grid_once(tmp_path, monkeypatch):
@@ -368,7 +382,8 @@ def test_controllability_with_full_row_rank_input_runs_no_scan(tmp_path, monkeyp
     counts = _count_spectral_work(monkeypatch)
     out = tmp_path / "out"
     assert run_cli("controllability", "--input", str(path), "--out", str(out)) == 0
-    assert counts == {"rightmost_root_scan": 0, "matrix_spectral_structure": 0}
+    assert counts == {"rightmost_root_scan": 0, "matrix_spectral_structure": 0,
+                      "cluster_eigenvalues": 0}
     verdict = json.loads((out / "controllability.json").read_text())
     assert verdict["null_controllability"]["verdict"] == "yes"
 

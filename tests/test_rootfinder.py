@@ -355,7 +355,7 @@ def test_verify_cluster_multiplicity_low_k_honest():
 
 def test_rightmost_scan_scalar():
     s = make_scalar_decay()
-    report = rf.rightmost_root_scan(s, -2.0, 10.0)
+    report = rf.rightmost_root_scan(s, 10.0)
     roots = report.all_roots()
     assert len(roots) == 1
     assert roots[0].lam == pytest.approx(-1.0, abs=1e-9)
@@ -363,13 +363,13 @@ def test_rightmost_scan_scalar():
 
 
 def test_rightmost_scan_example2_clean_rhp():
-    report = rf.rightmost_root_scan(make_example2(1.0), -0.02, 60.0)
+    report = rf.rightmost_root_scan(make_example2(1.0), 60.0)
     assert all(r.lam.real < 0.0 for r in report.all_roots())
 
 
 def test_rightmost_scan_example1_axis_roots():
     s = make_example1(0.0, 0.0)
-    report = rf.rightmost_root_scan(s, -0.5, 20.0)
+    report = rf.rightmost_root_scan(s, 20.0)
     roots = report.all_roots()
     expected = {0: 4, 1: 2, -1: 2, 2: 2, -2: 2, 3: 2, -3: 2}
     assert len(roots) == len(expected)
@@ -381,7 +381,7 @@ def test_rightmost_scan_example1_axis_roots():
 
 def test_rightmost_scan_ceiling_covers_rhp_roots():
     # the two real right-half-plane roots sit beyond the chain abscissa + 1
-    report = rf.rightmost_root_scan(make_example1(1.0, 2.0), -0.05, 8.0)
+    report = rf.rightmost_root_scan(make_example1(1.0, 2.0), 8.0)
     rhp = [r for r in report.all_roots() if r.lam.real > 0]
     reals = sorted(r.lam.real for r in rhp)
     # frozen from an independent scalar Newton iteration on each factor

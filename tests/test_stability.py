@@ -153,3 +153,22 @@ def test_evidence_records_window():
     scan = v.evidence["scan"]
     assert scan["window"]["im_max"] == 25.0
     assert scan["rightmost_root_re"] < 0.0
+
+
+def test_eigenvalues_below_the_chain_cutoff_place_no_chain_abscissa():
+    # A_minus1 = 1e-10 is nonzero but below the chain cutoff, so the system
+    # has no root chains: neither the scan floor nor the stability gap may
+    # come from ln(1e-10) / h.
+    sys_ = NeutralSystem(
+        n=1, r=0, h=200.0,
+        A_minus1=np.array([[1e-10]]),
+        A2=DelayKernel.zero(1, 200.0),
+        A3=DelayKernel.from_atoms([(0.0, -np.eye(1))], 1, 200.0),
+        B=np.zeros((1, 0)),
+    )
+    analysis = st.SystemAnalysis(sys_, im_cap=0.5)
+    v = st.classify_asymptotic(analysis)
+    assert sys_.chains is None
+    assert analysis.scan.window.re_min == -1.0
+    assert v.evidence["exponential_detail"]["gap"] == 0.1
+    assert "no root chains" in analysis.scan.completeness_note
