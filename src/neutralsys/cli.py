@@ -113,7 +113,7 @@ def _cmd_spectrum(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> in
         doc["cluster_checks"] = [
             {"m": m, "k": k, "count": count, "expected": expected, "match": match}
             for (m, k), (count, expected, match)
-            in zip(pairs, verify_cluster_multiplicity(sys_, grid, pairs, opts))
+            in zip(pairs, verify_cluster_multiplicity(sys_, grid, pairs))
         ]
     out.write_json("spectrum.json", doc)
     out.write("roots.csv", report.to_csv())

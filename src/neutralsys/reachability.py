@@ -27,6 +27,8 @@ import numpy as np
 from .simulate import _integrate
 from .sysmodel import NeutralSystem
 
+CSV_SIGMAS = 12   # singular values per horizon in rank_profile.csv
+
 
 @dataclass(frozen=True)
 class SteeringProbe:
@@ -100,13 +102,13 @@ class RankProfile:
     tau: float
     monotone: bool
 
-    def to_csv(self, singular_values: dict | None = None, k: int = 12) -> str:
+    def to_csv(self, singular_values: dict) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["T"] + [f"sigma_{i + 1}" for i in range(k)] + ["effective_rank"])
+        writer.writerow(["T"] + [f"sigma_{i + 1}" for i in range(CSV_SIGMAS)] + ["effective_rank"])
         for e in self.entries:
-            sig = (singular_values or {}).get(e.T, np.array([e.sigma_max]))
-            padded = list(sig[:k]) + [0.0] * max(0, k - len(sig))
+            sig = singular_values[e.T]
+            padded = list(sig[:CSV_SIGMAS]) + [0.0] * max(0, CSV_SIGMAS - len(sig))
             writer.writerow([repr(e.T)] + [repr(float(s)) for s in padded] + [e.effective_rank])
         return buf.getvalue()
 

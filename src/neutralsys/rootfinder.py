@@ -19,7 +19,8 @@ refiner.  A rectangle has four sides, each a straight edge keyed by its two
 exact corner points; a circle (multiplicities, chain clusters) has one, a
 closed arc whose last node is its first.  Each edge keeps its own refined
 nodes and phase increment, and the count adds the increments, each with the
-sign of its counterclockwise traversal.  A region scan keeps one edge cache.
+sign of its counterclockwise traversal.  A region scan counts all its
+contours, multiplicity circles included, on one edge cache.
 A split cuts each side of its parent into two halves that keep the parent's
 refined nodes and gain one node at the split point, and samples only the
 four half-edges of its split cross, each once for the two siblings that run
@@ -51,8 +52,11 @@ every seed's state.  A cell then takes its seeds' results in seed order.
 Multiplicity of a converged root is recovered by counting in a tight circle
 around it, and each cell is accepted only when its located multiplicities
 add up to its winding count; the cells that fail are split, and their
-children's winding counts must add up to theirs.  Cells that cannot be resolved are reported, never
-dropped, in depth-first order.
+children's winding counts must add up to theirs.  Cells that cannot be
+resolved are reported, never dropped, in depth-first order.
+
+A caller sets only the localization tolerance and the seed (`RootFindOptions`);
+every other tolerance, budget and radius is a module constant.
 """
 
 from __future__ import annotations
@@ -148,15 +152,15 @@ class Rect:
             self.im_min <= lam.imag <= self.im_max
         )
 
-    def quadrants(self, offset_frac: float = 0.0137) -> tuple["Rect", ...]:
+    def quadrants(self) -> tuple["Rect", ...]:
         """Split into four cells at a slightly off-center point.
 
-        The offset keeps split lines away from the axes and other symmetric
-        loci where quasipolynomial roots habitually sit.
+        The offset SPLIT_OFFSET keeps split lines away from the axes and other
+        symmetric loci where quasipolynomial roots habitually sit.
         """
         w, v = self.widths()
-        xc = self.re_min + (0.5 + offset_frac) * w
-        yc = self.im_min + (0.5 + offset_frac) * v
+        xc = self.re_min + (0.5 + SPLIT_OFFSET) * w
+        yc = self.im_min + (0.5 + SPLIT_OFFSET) * v
         return (
             Rect(self.re_min, xc, self.im_min, yc),
             Rect(xc, self.re_max, self.im_min, yc),
@@ -168,26 +172,32 @@ class Rect:
 # ------------------------------------------------------------------ options
 
 
+BOUNDARY_TOL = 1e-12        # |det| floor on contour samples
+MERGE_TOL = 1e-6            # roots closer than this are one root
+MAX_DEPTH = 40              # quadrisection depth limit
+MULTIPLICITY_RADIUS = 1e-3  # largest circle that counts a located root's multiplicity
+RESIDUAL_COEFF = 1e-9       # accept a root when |det| <= coeff*(1+|lam|)^n
+NEWTON_MAX_ITER = 200       # Newton iterates per seed
+NEWTON_RESTARTS = 4         # random seeds per cell besides its center
+NEWTON_CELL_SIZE = 1.0      # try Newton once a cell is this small...
+NEWTON_MAX_COUNT = 4        # ...or holds at most this many roots
+MIN_NODES = 64              # start nodes of a contour, split over its sides
+PHASE_MAX_DEPTH = 32        # refinement rounds before an edge is given up
+CONTOUR_RETRIES = 5         # 1% inflations of a contour next to a root
+SPLIT_OFFSET = 0.0137       # quadrisection point, as a fraction past the middle
+
+
 @dataclass(frozen=True)
 class RootFindOptions:
-    boundary_tol: float = 1e-12      # |det| floor on contour samples
-    localization_tol: float = 1e-8   # target accuracy of located roots
-    merge_tol: float = 1e-6          # roots closer than this are one root
-    max_depth: int = 40              # quadrisection depth limit
-    multiplicity_radius: float = 1e-3
-    residual_coeff: float = 1e-9     # accept root when |det| <= coeff*(1+|lam|)^n
-    newton_max_iter: int = 200
-    newton_restarts: int = 4
-    newton_cell_size: float = 1.0    # try Newton once a cell is this small...
-    newton_max_count: int = 4        # ...or holds at most this many roots
-    min_nodes: int = 64
-    phase_max_depth: int = 32
-    contour_retries: int = 5
+    """The settings a caller sets (--tol-root, --seed): the target accuracy
+    of located roots and the seed of the cell seeds."""
+
+    localization_tol: float = 1e-8
     seed: int = 0
 
 
-def residual_bound(lam: complex, n: int, opts: RootFindOptions) -> float:
-    return opts.residual_coeff * (1.0 + abs(lam)) ** n
+def residual_bound(lam: complex, n: int) -> float:
+    return RESIDUAL_COEFF * (1.0 + abs(lam)) ** n
 
 
 # ------------------------------------------------------- winding computation
@@ -355,15 +365,14 @@ class _EdgeCache:
     ends where the side does and runs past it: that edge is split at the
     side's other end into two halves, which keep its refined nodes and gain
     that one node, and it is dropped.  Any other side is sampled afresh at
-    the node density, with min_nodes split over the sides of its contour.
+    the node density, with MIN_NODES split over the sides of its contour.
     One `windings` call sends every new node of all its contours through
     one `_sample_nodes` call per refinement round.
     """
 
-    def __init__(self, sys_: NeutralSystem, opts: RootFindOptions):
+    def __init__(self, sys_: NeutralSystem):
         self.sys_ = sys_
-        self.opts = opts
-        self.log_floor = np.log(opts.boundary_tol)
+        self.log_floor = np.log(BOUNDARY_TOL)
         self.edges: dict[tuple, _Edge] = {}
         self.starting: dict[tuple, tuple] = {}   # (origin, scale, arc, start) -> key
         self.ending: dict[tuple, tuple] = {}     # (origin, scale, arc, end) -> key
@@ -378,7 +387,7 @@ class _EdgeCache:
         sides = []
         for contour in contours:
             keys = _sides(contour)
-            min_segs = int(np.ceil(self.opts.min_nodes / len(keys)))
+            min_segs = int(np.ceil(MIN_NODES / len(keys)))
             sides.append([(self._edge(key, min_segs, batch, todo), sgn) for key, sgn in keys])
         self._refine(batch, todo)
         counts = []
@@ -396,10 +405,10 @@ class _EdgeCache:
     def counts(self, contours) -> list[int]:
         """The winding count of each contour.  A contour with a side next to a
         root is inflated by 1% and counted again on this cache, up to
-        contour_retries times, before RootOnContourError is raised."""
+        CONTOUR_RETRIES times, before RootOnContourError is raised."""
         contours = list(contours)
         counts = self.windings(contours)
-        for _ in range(self.opts.contour_retries):
+        for _ in range(CONTOUR_RETRIES):
             retry = [i for i, c in enumerate(counts) if isinstance(c, RootOnContourError)]
             if not retry:
                 break
@@ -410,7 +419,7 @@ class _EdgeCache:
         for count in counts:
             if isinstance(count, RootOnContourError):
                 raise RootOnContourError(
-                    f"root on contour persisted through {self.opts.contour_retries} "
+                    f"root on contour persisted through {CONTOUR_RETRIES} "
                     f"inflations: {count}")
         return counts
 
@@ -512,7 +521,7 @@ class _EdgeCache:
 
         added = []   # (edge indices, parameters, points, phases, estimates) of new nodes
         exhausted = np.empty(0, dtype=int)
-        for _ in range(self.opts.phase_max_depth):
+        for _ in range(PHASE_MAX_DEPTH):
             chord = np.abs(p1 - p0)
             need = _needs_split(np.angle(s1 / s0), chord, e0, e1)
             if not need.any():
@@ -577,7 +586,7 @@ class _EdgeCache:
                 edge.phase = phase
 
 
-def count_roots_in_contour(sys_: NeutralSystem, contour, opts: RootFindOptions | None = None) -> int:
+def count_roots_in_contour(sys_: NeutralSystem, contour) -> int:
     """Number of roots of det D inside the contour, counted with multiplicity.
 
     The contour is counted on an edge cache of its own: a rectangle from its
@@ -585,16 +594,14 @@ def count_roots_in_contour(sys_: NeutralSystem, contour, opts: RootFindOptions |
     within the boundary tolerance of a root the contour is inflated by 1% and
     retried, a bounded number of times (`_EdgeCache.counts`).
     """
-    (count,) = _EdgeCache(sys_, opts or RootFindOptions()).counts([contour])
+    (count,) = _EdgeCache(sys_).counts([contour])
     return count
 
 
 # ------------------------------------------------------------------- Newton
 
 
-def newton_roots(
-    sys_: NeutralSystem, seeds, opts: RootFindOptions | None = None
-) -> list[tuple[complex, float, bool]]:
+def newton_roots(sys_: NeutralSystem, seeds) -> list[tuple[complex, float, bool]]:
     """Newton iteration on det D from every seed at once.
 
     Returns one (lam, |det D(lam)|, converged) per seed, in seed order.  The
@@ -607,7 +614,6 @@ def newton_roots(
     of D and D', one det and one solve per iterate.  Each iterate of a seed
     is the one it takes alone (`newton_root`), to the bit.
     """
-    opts = opts or RootFindOptions()
     lam = np.array(seeds, dtype=complex).reshape(-1)
     out_lam, out_abs = lam.copy(), np.full(lam.size, np.inf)
     failed = np.zeros(lam.size, dtype=bool)   # det went non-finite
@@ -629,7 +635,7 @@ def newton_roots(
         out_lam[pos] = np.where(better, owed_lam, owed_best)
         out_abs[pos] = np.where(better, absdet, owed_abs)
 
-    for it in range(opts.newton_max_iter):
+    for it in range(NEWTON_MAX_ITER):
         m = lam.size
         if m == 0 and owed is None:
             break
@@ -676,7 +682,7 @@ def newton_roots(
     if owed is not None:
         settle(owed, np.abs(np.linalg.det(delta_and_derivative(sys_, owed[1])[0])))
     out_lam[at], out_abs[at] = best_lam, best_abs
-    ok = ~failed & (out_abs <= residual_bound(out_lam, sys_.n, opts))
+    ok = ~failed & (out_abs <= residual_bound(out_lam, sys_.n))
     return [(out_lam[i], float(out_abs[i]), bool(ok[i])) for i in range(out_lam.size)]
 
 
@@ -695,14 +701,12 @@ def _solve_traces(D: np.ndarray, dD: np.ndarray) -> np.ndarray:
         return trace
 
 
-def newton_root(
-    sys_: NeutralSystem, lam0: complex, opts: RootFindOptions | None = None
-) -> tuple[complex, float, bool]:
+def newton_root(sys_: NeutralSystem, lam0: complex) -> tuple[complex, float, bool]:
     """Newton iteration on det D from lam0; returns (lam, |det D(lam)|, converged).
 
     The one-seed view of `newton_roots`.
     """
-    return newton_roots(sys_, [lam0], opts)[0]
+    return newton_roots(sys_, [lam0])[0]
 
 
 # ----------------------------------------------------------- report objects
@@ -840,27 +844,22 @@ def _cell_rng(opts: RootFindOptions, cell: Rect) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "little") ^ (opts.seed & 0xFFFFFFFF))
 
 
-def _multiplicity_circle(lam: complex, others, cap: float, opts: RootFindOptions) -> Circle:
+def _multiplicity_circle(lam: complex, others, cap: float) -> Circle:
     """The circle that counts the multiplicity of lam: radius at most cap and
-    0.45 times the gap to each other root, but no less than 4 merge_tol."""
+    0.45 times the gap to each other root, but no less than 4 MERGE_TOL."""
     radius = cap
     for other in others:
         gap = abs(lam - other)
         if gap > 0:
             radius = min(radius, 0.45 * gap)
-    return Circle(lam, max(radius, 4.0 * opts.merge_tol))
-
-
-def _multiplicity_of(sys_, lam: complex, cell: Rect, others, opts: RootFindOptions) -> int:
-    cap = min(opts.multiplicity_radius, 0.25 * cell.diameter())
-    return count_roots_in_contour(sys_, _multiplicity_circle(lam, others, cap, opts), opts)
+    return Circle(lam, max(radius, 4.0 * MERGE_TOL))
 
 
 def _cell_seeds(cell: Rect, opts: RootFindOptions) -> list[complex]:
     rng = _cell_rng(opts, cell)
     w, v = cell.widths()
     seeds = [cell.center]
-    for _ in range(opts.newton_restarts):
+    for _ in range(NEWTON_RESTARTS):
         seeds.append(
             cell.center
             + complex(rng.uniform(-0.4, 0.4) * w, rng.uniform(-0.4, 0.4) * v)
@@ -868,17 +867,19 @@ def _cell_seeds(cell: Rect, opts: RootFindOptions) -> list[complex]:
     return seeds
 
 
-def _accept_cell(sys_, cell: Rect, cnt: int, results, opts: RootFindOptions):
+def _accept_cell(cell: Rect, cnt: int, results, edges: _EdgeCache):
     """The roots that the Newton results of a cell's seeds, taken in seed
-    order, locate in it; None unless their multiplicities reach its count."""
+    order, locate in it; None unless their multiplicities reach its count.
+    Each multiplicity circle is counted on the scan's edge cache."""
+    cap = min(MULTIPLICITY_RADIUS, 0.25 * cell.diameter())
     found: list[LocatedRoot] = []
     total = 0
     for lam, absdet, ok in results:
         if not ok or not cell.contains(lam):
             continue
-        if any(abs(lam - f.lam) <= opts.merge_tol for f in found):
+        if any(abs(lam - f.lam) <= MERGE_TOL for f in found):
             continue
-        mult = _multiplicity_of(sys_, lam, cell, [f.lam for f in found], opts)
+        (mult,) = edges.counts([_multiplicity_circle(lam, [f.lam for f in found], cap)])
         if mult == 0:
             continue
         found.append(LocatedRoot(lam, mult, absdet))
@@ -890,12 +891,12 @@ def _accept_cell(sys_, cell: Rect, cnt: int, results, opts: RootFindOptions):
     return None
 
 
-def _merge_roots(roots: list[LocatedRoot], merge_tol: float) -> list[LocatedRoot]:
+def _merge_roots(roots: list[LocatedRoot]) -> list[LocatedRoot]:
     merged: list[LocatedRoot] = []
     for r in _ordered(roots):
         dup = None
         for i, m in enumerate(merged):
-            if abs(r.lam - m.lam) <= merge_tol:
+            if abs(r.lam - m.lam) <= MERGE_TOL:
                 dup = i
                 break
         if dup is None:
@@ -905,12 +906,11 @@ def _merge_roots(roots: list[LocatedRoot], merge_tol: float) -> list[LocatedRoot
     return merged
 
 
-def _chain_roots(sys_, rect: Rect, grid: ChainGrid, edges: _EdgeCache,
-                 opts: RootFindOptions) -> list[LocatedRoot]:
+def _chain_roots(sys_, rect: Rect, grid: ChainGrid, edges: _EdgeCache) -> list[LocatedRoot]:
     """Roots found by Newton from the chain centers inside the window.
 
     A converged root is kept when it lies inside its own chain circle and the
-    window and is not within merge_tol of a root kept before it.  The kept
+    window and is not within MERGE_TOL of a root kept before it.  The kept
     roots' multiplicity circles are counted in one `counts` call on the
     scan's edge cache; a root of multiplicity 0 is dropped.  The roots only
     spare the scan work, so when a circle cannot be counted none is kept.
@@ -919,16 +919,16 @@ def _chain_roots(sys_, rect: Rect, grid: ChainGrid, edges: _EdgeCache,
     # A center where det' vanishes nudges its seed off, and the seed may run
     # far left, where e^{-lam h} overflows; newton_roots fails such a seed.
     with np.errstate(over="ignore", invalid="ignore"):
-        results = newton_roots(sys_, centers, opts) if centers else []
+        results = newton_roots(sys_, centers) if centers else []
     kept: list[tuple[complex, float]] = []
     for center, (lam, absdet, ok) in zip(centers, results):
         if (ok and abs(lam - center) <= grid.radius and rect.contains(lam)
-                and all(abs(lam - k) > opts.merge_tol for k, _ in kept)):
+                and all(abs(lam - k) > MERGE_TOL for k, _ in kept)):
             kept.append((lam, absdet))
     if not kept:
         return []
     lams = [lam for lam, _ in kept]
-    circles = [_multiplicity_circle(lam, lams, opts.multiplicity_radius, opts) for lam in lams]
+    circles = [_multiplicity_circle(lam, lams, MULTIPLICITY_RADIUS) for lam in lams]
     try:
         counts = edges.counts(circles)
     except ContourError:
@@ -967,13 +967,13 @@ def find_roots_in_region(
     depth budget.
     """
     opts = opts or RootFindOptions()
-    edges = _EdgeCache(sys_, opts)
+    edges = _EdgeCache(sys_)
     (total,) = edges.counts([rect])
-    known = _chain_roots(sys_, rect, grid, edges, opts) if grid is not None and total > 0 else []
+    known = _chain_roots(sys_, rect, grid, edges) if grid is not None and total > 0 else []
     # a known root this close to a side may have been counted by a multiplicity
     # circle that crosses it, or be the root an inflated recount took in
-    margin = 2.0 * opts.multiplicity_radius
-    per_cell = 1 + opts.newton_restarts
+    margin = 2.0 * MULTIPLICITY_RADIUS
+    per_cell = 1 + NEWTON_RESTARTS
     # A cell is (rect, count, path); the path numbers each quadrant last child
     # first, so sorting unresolved cells by path gives the order of a
     # depth-first scan.
@@ -992,12 +992,12 @@ def find_roots_in_region(
         tries = [
             (cell, cnt, path) for cell, cnt, path in level
             if path not in resolved
-            and (cell.diameter() <= opts.newton_cell_size or cnt <= opts.newton_max_count)
+            and (cell.diameter() <= NEWTON_CELL_SIZE or cnt <= NEWTON_MAX_COUNT)
         ]
         seeds = [s for cell, _, _ in tries for s in _cell_seeds(cell, opts)]
-        results = newton_roots(sys_, seeds, opts) if seeds else []
+        results = newton_roots(sys_, seeds) if seeds else []
         for j, (cell, cnt, path) in enumerate(tries):
-            found = _accept_cell(sys_, cell, cnt, results[j * per_cell:(j + 1) * per_cell], opts)
+            found = _accept_cell(cell, cnt, results[j * per_cell:(j + 1) * per_cell], edges)
             if found is not None:
                 roots.extend(found)
                 resolved.add(path)
@@ -1005,7 +1005,7 @@ def find_roots_in_region(
         for cell, cnt, path in level:
             if path in resolved:
                 continue
-            if depth >= opts.max_depth or cell.diameter() <= opts.localization_tol:
+            if depth >= MAX_DEPTH or cell.diameter() <= opts.localization_tol:
                 unmatched.append((path, UnresolvedCell(
                     cell, cnt, "refinement limit reached with roots unmatched")))
                 continue
@@ -1025,7 +1025,7 @@ def find_roots_in_region(
         depth += 1
     unresolved = [u for _, u in sorted(unmatched, key=lambda e: e[0])]
 
-    merged = _merge_roots(roots, opts.merge_tol)
+    merged = _merge_roots(roots)
 
     clusters: dict[tuple[int, int], list[LocatedRoot]] = {}
     loose: list[LocatedRoot] = []
@@ -1073,19 +1073,15 @@ def find_roots_in_region(
     )
 
 
-def verify_cluster_multiplicity(
-    sys_: NeutralSystem,
-    grid: ChainGrid,
-    pairs,
-    opts: RootFindOptions | None = None,
-) -> list[tuple[int, int, bool]]:
+def verify_cluster_multiplicity(sys_: NeutralSystem, grid: ChainGrid,
+                                pairs) -> list[tuple[int, int, bool]]:
     """Count the roots in the chain circle L_m^(k) of every (m, k) pair, all
     in one call on one edge cache, and compare each count with the rootspace
     dimension of the generating eigenvalue; one (count, expected, match) per
     pair."""
     pairs = list(pairs)
     circles = [Circle(grid.center(m, k), grid.radius) for m, k in pairs]
-    counts = _EdgeCache(sys_, opts or RootFindOptions()).counts(circles)
+    counts = _EdgeCache(sys_).counts(circles)
     expected = [grid.eigenvalues[m].rootspace_dim for m, _ in pairs]
     return [(count, e, count == e) for count, e in zip(counts, expected)]
 
@@ -1131,8 +1127,8 @@ def rightmost_root_scan(
 ) -> SpectrumReport:
     """Scan the window [re_floor, re_ceiling] x [-im_cap, im_cap] for roots.
 
-    The floor is half a unit left of the top chain abscissa, but no lower
-    than -1, and -1 when there are no chains.  The ceiling is the larger of
+    The floor is half a unit left of the top chain abscissa, clamped to
+    [-1, -0.5], and -1 when there are no chains.  The ceiling is the larger of
     one unit right of the top chain abscissa and the provable right bound on
     root real parts, so nothing to the right of the window is missed; above
     and below it, large-|k| roots stay inside the chain circles whose
@@ -1141,10 +1137,7 @@ def rightmost_root_scan(
     grid = sys_.chains
     abscissas = [] if grid is None else grid.abscissas()
     top = max(abscissas, default=None)
-    re_floor = -1.0 if top is None else max(-1.0, top - 0.5)
-    if not (re_floor < 0.0 < im_cap):
-        raise ValueError("need re_floor < 0 < im_cap")
-    opts = opts or RootFindOptions()
+    re_floor = -1.0 if top is None else min(-0.5, max(-1.0, top - 0.5))
     re_ceiling = 1.0 if top is None else max(1.0, top + 1.0)
     bound = right_half_plane_ceiling(sys_)
     if bound is not None:

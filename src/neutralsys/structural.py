@@ -96,7 +96,7 @@ def _kalman_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def kalman_rank(A, B_cols, tol: float | None = None) -> int:
+def kalman_rank(A, B_cols) -> int:
     """Rank of [B, AB, ..., A^{n-1}B]; zero-width B gives 0."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B_cols, dtype=float)
@@ -104,7 +104,7 @@ def kalman_rank(A, B_cols, tol: float | None = None) -> int:
         B = B.reshape(A.shape[0], 1)
     if B.shape[1] == 0:
         return 0
-    rank, _ = svd_rank(_kalman_matrix(A, B), tol)
+    rank, _ = svd_rank(_kalman_matrix(A, B))
     return rank
 
 
@@ -273,12 +273,12 @@ def check_null_controllability(
 # --------------------------------------------------- indices and time bounds
 
 
-def _column_basis(B: np.ndarray, tol: float | None = None) -> np.ndarray:
+def _column_basis(B: np.ndarray) -> np.ndarray:
     """First maximal independent subset of columns, in order."""
     cols: list[int] = []
     for j in range(B.shape[1]):
         trial = B[:, cols + [j]]
-        rank, _ = svd_rank(trial, tol)
+        rank, _ = svd_rank(trial)
         if rank == len(cols) + 1:
             cols.append(j)
     return B[:, cols]

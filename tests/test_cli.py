@@ -82,6 +82,30 @@ def test_stability_example2(example2_file, tmp_path):
     assert doc["exponential"] == "not_stable"
 
 
+def test_chain_right_of_one_half_scans_from_minus_one_half(tmp_path):
+    # A_-1 = [[2]]: the chain abscissa ln 2 / h is above 1/2, so the floor
+    # rule max(-1, abscissa - 1/2) alone would give a floor right of the axis.
+    doc = {
+        "n": 1, "r": 1, "h": 1.0, "A_minus1": [[2.0]],
+        "A2": {"breakpoints": [-1.0, 0.0], "segments": [[[0.0]]]},
+        "A3": {"breakpoints": [-1.0, 0.0], "segments": [[[0.0]]],
+               "atoms": [{"theta": 0.0, "matrix": [[-1.0]]}]},
+        "B": [[1.0]],
+    }
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("stability", "--input", str(path), "--out", str(tmp_path / "st")) == 0
+    st = json.loads((tmp_path / "st" / "stability.json").read_text())
+    assert st["exponential"] == "not_stable"
+    assert st["asymptotic_case"] == "spectrum_in_RHP_unstable"
+    scan = st["evidence"]["scan"]
+    assert scan["window"]["re_min"] == -0.5
+    assert scan["rightmost_root_re"] == pytest.approx(0.692, abs=1e-3)
+    assert run_cli("stabilizability", "--input", str(path), "--out", str(tmp_path / "sb")) == 0
+    sb = json.loads((tmp_path / "sb" / "stabilizability.json").read_text())
+    assert sb["verdict"] == "hypotheses_not_satisfied"
+
+
 def test_missing_input_exits_3(tmp_path, capsys):
     assert run_cli("spectrum", "--input", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)) == 3

@@ -145,8 +145,7 @@ def test_edge_cached_child_counts_match_fresh_counts(sys_, x0, width, y0, height
     # Two levels of splits on one cache: children take their parent's sides
     # and share the split cross.  Rectangles with a side next to a root are
     # not drawn.
-    opts = rf.RootFindOptions()
-    edges = rf._EdgeCache(sys_, opts)
+    edges = rf._EdgeCache(sys_)
     rect = rf.Rect(x0, x0 + width, y0, y0 + height)
     cells = list(zip([rect], edges.windings([rect])))
     for _ in range(2):
@@ -156,7 +155,7 @@ def test_edge_cached_child_counts_match_fresh_counts(sys_, x0, width, y0, height
         assume(all(isinstance(c, int) for c in counts))
         for j, (cell, cnt) in enumerate(cells):
             cached = counts[4 * j:4 * j + 4]
-            assert cached == [rf.count_roots_in_contour(sys_, c, opts) for c in cell.quadrants()]
+            assert cached == [rf.count_roots_in_contour(sys_, c) for c in cell.quadrants()]
             assert sum(cached) == cnt
         cells = list(zip(children, counts))
 
@@ -177,21 +176,20 @@ def test_edge_cached_child_counts_match_fresh_counts(sys_, x0, width, y0, height
 def test_circles_and_rectangles_count_in_one_call_as_alone(sys_, circles, rects):
     # A circle is one closed arc on the same edge cache as the rectangle
     # sides; its closing node is its first node, sampled once.
-    opts = rf.RootFindOptions()
     contours = circles[:1] + rects + circles[1:]
-    counts = rf._EdgeCache(sys_, opts).windings(contours)
+    counts = rf._EdgeCache(sys_).windings(contours)
     for contour, count in zip(contours, counts):
         if isinstance(count, int):
-            assert count == rf.count_roots_in_contour(sys_, contour, opts)
+            assert count == rf.count_roots_in_contour(sys_, contour)
     # A contour with a side next to a root is inflated on the shared cache,
     # and still counts as it does alone.
     try:
-        alone = [rf.count_roots_in_contour(sys_, c, opts) for c in contours]
+        alone = [rf.count_roots_in_contour(sys_, c) for c in contours]
     except ContourError:
         with pytest.raises(ContourError):
-            rf._EdgeCache(sys_, opts).counts(contours)
+            rf._EdgeCache(sys_).counts(contours)
     else:
-        assert rf._EdgeCache(sys_, opts).counts(contours) == alone
+        assert rf._EdgeCache(sys_).counts(contours) == alone
 
     evaluate = rf.delta_and_derivative
     for circle in circles:
@@ -203,7 +201,7 @@ def test_circles_and_rectangles_count_in_one_call_as_alone(sys_, circles, rects)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rf, "delta_and_derivative", recording)
-            rf._EdgeCache(sys_, opts).windings([circle])
+            rf._EdgeCache(sys_).windings([circle])
         points = np.concatenate(sampled)
         assert np.unique(points).size == points.size
 
@@ -230,12 +228,31 @@ def test_region_scan_samples_no_rectangle_point_twice(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(rf, "delta_and_derivative", recording)
-    for name in ("newton_roots", "_multiplicity_of"):
+    for name in ("newton_roots", "_accept_cell"):
         monkeypatch.setattr(rf, name, not_rectangle_counting(getattr(rf, name)))
     report = rf.find_roots_in_region(s, rf.Rect(-0.6, 1.0, -40.0, 40.0))
     assert report.total_count == 26
     points = np.concatenate(sampled)
     assert np.unique(points).size == points.size
+
+
+def test_region_scan_counts_every_contour_on_one_edge_cache(monkeypatch):
+    # The window, its cells, the chain roots' circles and the cell roots'
+    # multiplicity circles all go through the scan's own cache.
+    s = make_example2(0.0)
+    built = []
+    init = rf._EdgeCache.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rf._EdgeCache, "__init__", recording)
+    for grid in (None, s.chains):
+        built.clear()
+        report = rf.find_roots_in_region(s, rf.Rect(-0.6, 1.0, -40.0, 40.0), grid=grid)
+        assert report.total_count == 26
+        assert len(built) == 1
 
 
 def _table_centers(grid, k_lo, k_hi):
@@ -278,14 +295,13 @@ def test_chain_centers_by_formula_match_the_table(sys_, chain, frac, width, y0, 
     rect = rf.Rect(x0, x0 + width, y0, y0 + height)
     seeds = []
 
-    def no_roots(sys_, centers, opts=None):
+    def no_roots(sys_, centers):
         seeds.extend(centers)
         return [(c, np.inf, False) for c in centers]
 
-    opts = rf.RootFindOptions()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rf, "newton_roots", no_roots)
-        assert rf._chain_roots(sys_, rect, grid, rf._EdgeCache(sys_, opts), opts) == []
+        assert rf._chain_roots(sys_, rect, grid, rf._EdgeCache(sys_)) == []
     assert seeds == [c for c in table.values() if rect.contains(c)]
 
 
@@ -503,13 +519,13 @@ def test_rect_requires_nondegenerate():
         rf.Rect(1.0, 1.0, -1.0, 1.0)
 
 
-def scalar_newton_reference(sys_, lam0, opts):
+def scalar_newton_reference(sys_, lam0, max_iter):
     """Newton iteration on det D from one seed, one point at a time."""
     lam = complex(lam0)
     prev_lam = prev_det = None
     best = (np.inf, lam)
     stall = 0
-    for _ in range(opts.newton_max_iter):
+    for _ in range(max_iter):
         D, dD = cm.delta(sys_, lam), cm.delta_derivative(sys_, lam)
         det = complex(np.linalg.det(D))
         absdet = float(np.abs(det))   # inf past the largest float, where abs() raises
@@ -542,11 +558,11 @@ def scalar_newton_reference(sys_, lam0, opts):
                 best = (absdet, lam)
             break
     absdet, lam = best
-    return lam, absdet, absdet <= rf.residual_bound(lam, sys_.n, opts)
+    return lam, absdet, absdet <= rf.residual_bound(lam, sys_.n)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("opts", [rf.RootFindOptions(newton_max_iter=k) for k in (200, 2, 1, 3)])
+@pytest.mark.parametrize("max_iter", (200, 2, 1, 3), ids=[f"opts{i}" for i in range(4)])
 @pytest.mark.parametrize(
     "sys_, seeds",
     [
@@ -556,23 +572,25 @@ def scalar_newton_reference(sys_, lam0, opts):
         (make_example1(0.0, 0.0), [0.1 + 0.1j, 0.0, 0.2 + 6.0j, -0.5 - 6.5j, 2.0, -800.0]),
     ],
 )
-def test_newton_roots_match_newton_root_seed_for_seed(sys_, seeds, opts):
-    # With newton_max_iter=2 a seed that lost its Newton step to the singular
+def test_newton_roots_match_newton_root_seed_for_seed(monkeypatch, sys_, seeds, max_iter):
+    # With NEWTON_MAX_ITER = 2 a seed that lost its Newton step to the singular
     # one would stop before reaching the root.  On the last pass only the
     # seeds whose step fell below tolerance take their final det.
-    batch = rf.newton_roots(sys_, seeds, opts)
+    monkeypatch.setattr(rf, "NEWTON_MAX_ITER", max_iter)
+    batch = rf.newton_roots(sys_, seeds)
     assert len(batch) == len(seeds)
     for seed, got in zip(seeds, batch):
         assert isinstance(got[0], np.complex128)
-        assert got == rf.newton_root(sys_, seed, opts)
-        assert got == scalar_newton_reference(sys_, seed, opts)
+        assert got == rf.newton_root(sys_, seed)
+        assert got == scalar_newton_reference(sys_, seed, max_iter)
 
 
-def _assert_newton_matches_scalar_reference(sys_, seeds, opts):
-    with np.errstate(all="ignore"):
-        batch = rf.newton_roots(sys_, seeds, opts)
+def _assert_newton_matches_scalar_reference(sys_, seeds, max_iter):
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rf, "NEWTON_MAX_ITER", max_iter)
+        batch = rf.newton_roots(sys_, seeds)
         for seed, got in zip(seeds, batch):
-            assert got == scalar_newton_reference(sys_, seed, opts), seed
+            assert got == scalar_newton_reference(sys_, seed, max_iter), seed
     return batch
 
 
@@ -585,12 +603,11 @@ def _assert_newton_matches_scalar_reference(sys_, seeds, opts):
 def test_newton_roots_match_scalar_reference_bitwise(sys_, max_iter, box):
     # Seeds in a box, one that overflows e^{-lam h} and 0, then the roots
     # found, where D is numerically singular and the first step ends the run.
-    opts = rf.RootFindOptions(newton_max_iter=max_iter)
     seeds = [complex(x, y) for x, y in box] + [-1e6 + 1j, 0.0]
-    batch = _assert_newton_matches_scalar_reference(sys_, seeds, opts)
+    batch = _assert_newton_matches_scalar_reference(sys_, seeds, max_iter)
     roots = [lam for lam, _, ok in batch if ok]
     if roots:
-        _assert_newton_matches_scalar_reference(sys_, roots, opts)
+        _assert_newton_matches_scalar_reference(sys_, roots, max_iter)
 
 
 @given(
@@ -643,7 +660,7 @@ def _sampler_stack(n, rng, size=48):
 @settings(max_examples=40, deadline=None)
 def test_closed_form_sampler_agrees_with_lapack(n, seed):
     D, dD = _sampler_stack(n, np.random.default_rng(seed))
-    log_floor = np.log(rf.RootFindOptions().boundary_tol)
+    log_floor = np.log(rf.BOUNDARY_TOL)
     with np.errstate(all="ignore"):
         sign, est, bad = rf._closed_form_sample(D, dD, log_floor)
         sign_l, est_l, bad_l = rf._lapack_sample(D, dD, log_floor)
@@ -692,19 +709,19 @@ def test_region_scan_batches_newton_once_per_level(monkeypatch):
     depth_of = {rect.center: 0}
     quadrants = rf.Rect.quadrants
 
-    def recording_quadrants(cell, *args, **kwargs):
-        children = quadrants(cell, *args, **kwargs)
+    def recording_quadrants(cell):
+        children = quadrants(cell)
         for child in children:
             depth_of[child.center] = depth_of[cell.center] + 1
         return children
 
     call_depths = []
     newton_roots = rf.newton_roots
-    per_cell = 1 + rf.RootFindOptions().newton_restarts
+    per_cell = 1 + rf.NEWTON_RESTARTS
 
-    def recording_newton_roots(sys_, seeds, opts=None):
+    def recording_newton_roots(sys_, seeds):
         call_depths.append({depth_of[c] for c in seeds[::per_cell]})
-        return newton_roots(sys_, seeds, opts)
+        return newton_roots(sys_, seeds)
 
     def no_single_seed(*args, **kwargs):
         raise AssertionError("region scan ran a single-seed Newton iteration")
@@ -720,12 +737,11 @@ def test_region_scan_batches_newton_once_per_level(monkeypatch):
     assert len(levels) > 1
 
 
-def test_unresolved_cells_keep_depth_first_order():
+def test_unresolved_cells_keep_depth_first_order(monkeypatch):
     # The list a depth-first stack scan gives: last child first.
     s = make_example2(0.0)
-    report = rf.find_roots_in_region(
-        s, rf.Rect(-0.6, 1.0, -40.0, 40.0), rf.RootFindOptions(max_depth=2)
-    )
+    monkeypatch.setattr(rf, "MAX_DEPTH", 2)
+    report = rf.find_roots_in_region(s, rf.Rect(-0.6, 1.0, -40.0, 40.0))
     x0, x1, x2 = -0.6, -0.17777969599999988, 0.22192000000000012
     y0, y1, y2 = -18.888984799999996, 1.0960000000000036, 21.080984800000003
     assert [
@@ -741,14 +757,14 @@ def test_unresolved_cells_keep_depth_first_order():
     assert report.total_count == 26
 
 
-def test_root_on_split_line_names_the_nonadditive_cell():
+def test_root_on_split_line_names_the_nonadditive_cell(monkeypatch):
     # The first split of this rectangle runs through the root at -1; both
     # children touching it inflate past it and count it.
     s = make_scalar_decay()
     rect = rf.Rect(-1.0 - 0.5137 * 2.0, -1.0 + 0.4863 * 2.0, -1.0, 1.0)
     assert rect.quadrants()[0].re_max == -1.0
-    opts = rf.RootFindOptions(newton_max_count=0)   # no Newton before the split
-    report = rf.find_roots_in_region(s, rect, opts)
+    monkeypatch.setattr(rf, "NEWTON_MAX_COUNT", 0)   # no Newton before the split
+    report = rf.find_roots_in_region(s, rect)
     roots = report.all_roots()
     assert len(roots) == 1 and roots[0].multiplicity == 1
     assert roots[0].lam == pytest.approx(-1.0, abs=1e-12)
@@ -759,7 +775,7 @@ def test_root_on_split_line_names_the_nonadditive_cell():
     assert "merged" not in report.completeness_note
 
     clear = rf.Rect(rect.re_min + 0.1, rect.re_max + 0.1, -1.0, 1.0)
-    report = rf.find_roots_in_region(s, clear, opts)
+    report = rf.find_roots_in_region(s, clear)
     assert report.completeness_note.endswith("winding count 1, located multiplicity 1")
 
 
@@ -777,7 +793,7 @@ def test_conjugate_pairs_list_negative_imaginary_first(gap):
                 unclustered_roots=tuple(roots), unresolved_cells=(), total_count=3,
                 completeness_note="")
             for ordered in (rf._ordered(roots), report.all_roots(),
-                            rf._merge_roots(roots, 1e-6)):
+                            rf._merge_roots(roots)):
                 assert [r.lam.imag for r in ordered] == [-im, im, 5.0]
 
 
@@ -799,7 +815,6 @@ def test_chain_seeded_scan_matches_unseeded_scan(sys_, chain, frac, width, im_ca
     # The window straddles the abscissa of one chain.  Chain roots may move
     # in their last bits; every other root comes from the same cells and
     # seeds, so it is the same to the bit.
-    opts = rf.RootFindOptions()
     grid = sys_.chains
     assume(grid is not None)
     mu = grid.eigenvalues[chain % len(grid.eigenvalues)].mu
@@ -807,14 +822,14 @@ def test_chain_seeded_scan_matches_unseeded_scan(sys_, chain, frac, width, im_ca
     assume(x0 > -4.0)
     rect = rf.Rect(x0, x0 + width, -im_cap, im_cap)
     try:
-        plain = rf.find_roots_in_region(sys_, rect, opts, None)
+        plain = rf.find_roots_in_region(sys_, rect)
     except ContourError:
         assume(False)
     assume(not plain.unresolved_cells)
-    seeded = rf.find_roots_in_region(sys_, rect, opts, grid)
+    seeded = rf.find_roots_in_region(sys_, rect, grid=grid)
     assert seeded.total_count == plain.total_count
     assert not seeded.unresolved_cells
-    _root_sets_match(seeded.all_roots(), plain.all_roots(), opts.merge_tol)
+    _root_sets_match(seeded.all_roots(), plain.all_roots(), rf.MERGE_TOL)
     loose = [(r.lam, r.multiplicity) for r in plain.all_roots() if grid.label_for(r.lam) is None]
     assert [(r.lam, r.multiplicity) for r in seeded.unclustered_roots] == loose
 
@@ -823,9 +838,9 @@ def _seed_counting(monkeypatch):
     calls = []
     newton_roots = rf.newton_roots
 
-    def counted(sys_, seeds, opts=None):
+    def counted(sys_, seeds):
         calls.append(len(seeds))
-        return newton_roots(sys_, seeds, opts)
+        return newton_roots(sys_, seeds)
 
     monkeypatch.setattr(rf, "newton_roots", counted)
     return calls
@@ -836,18 +851,17 @@ def test_chain_seed_converging_outside_its_circle_is_discarded(monkeypatch, stra
     # Every chain seed is made to converge to a true root, but not one in its
     # own circle: no chain root is kept, and the scan is the unseeded one.
     s = make_example1(1.0, 2.0)
-    opts = rf.RootFindOptions()
     rect = rf.Rect(-1.0, 1.5, -20.0, 20.0)
     grid = s.chains
-    plain = rf.find_roots_in_region(s, rect, opts, None)
+    plain = rf.find_roots_in_region(s, rect)
     roots = [r.lam for r in plain.all_roots()]
     loose = [lam for lam in roots if grid.label_for(lam) is None]
     assert loose
     newton_roots = rf.newton_roots
     chain_batches = []
 
-    def stray_chain_seeds(sys_, seeds, opts=None):
-        results = newton_roots(sys_, seeds, opts)
+    def stray_chain_seeds(sys_, seeds):
+        results = newton_roots(sys_, seeds)
         if chain_batches:
             return results
         chain_batches.append(seeds)
@@ -857,13 +871,13 @@ def test_chain_seed_converging_outside_its_circle_is_discarded(monkeypatch, stra
         return [results[(i + 1) % len(results)] for i in range(len(results))]
 
     monkeypatch.setattr(rf, "newton_roots", stray_chain_seeds)
-    edges = rf._EdgeCache(s, opts)
+    edges = rf._EdgeCache(s)
     (total,) = edges.windings([rect])
-    assert rf._chain_roots(s, rect, grid, edges, opts) == []
+    assert rf._chain_roots(s, rect, grid, edges) == []
     assert chain_batches and all(grid.label_for(c) is not None for c in chain_batches[0])
 
     chain_batches.clear()
-    seeded = rf.find_roots_in_region(s, rect, opts, grid)
+    seeded = rf.find_roots_in_region(s, rect, grid=grid)
     assert seeded.total_count == plain.total_count == total
     assert [(r.lam, r.multiplicity) for r in seeded.all_roots()] == [
         (r.lam, r.multiplicity) for r in plain.all_roots()]
