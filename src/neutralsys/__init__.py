@@ -29,7 +29,6 @@ from .charmatrix import (
 from .rootfinder import (
     Circle,
     Rect,
-    RootFindOptions,
     SpectrumReport,
     count_roots_in_contour,
     find_roots_in_region,

@@ -15,15 +15,13 @@ def rank_tolerance(sigma: np.ndarray, shape) -> float:
     return max(shape) * float(sigma[0]) * RANK_TOL_SCALE
 
 
-def svd_rank(M, tol: float | None = None) -> tuple[int, np.ndarray]:
-    """Numerical rank of M with its singular values, using the default cutoff
-    unless an absolute tolerance is given."""
+def svd_rank(M) -> tuple[int, np.ndarray]:
+    """Numerical rank of M at the default cutoff, with its singular values."""
     M = np.asarray(M)
     if M.size == 0:
         return 0, np.zeros(0)
     sigma = np.linalg.svd(M, compute_uv=False)
-    cut = rank_tolerance(sigma, M.shape) if tol is None else float(tol)
-    return int(np.count_nonzero(sigma > cut)), sigma
+    return int(np.count_nonzero(sigma > rank_tolerance(sigma, M.shape))), sigma
 
 
 def default_cluster_tol(A) -> float:

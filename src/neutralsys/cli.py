@@ -25,7 +25,7 @@ from .errors import (
     SystemParseError,
     SystemValidationError,
 )
-from .rootfinder import Rect, RootFindOptions, find_roots_in_region, verify_cluster_multiplicity
+from .rootfinder import Rect, find_roots_in_region, verify_cluster_multiplicity
 from .simulate import HistorySegment, norm_profile, simulate
 from .reachability import rank_profile
 from .stability import SystemAnalysis, classify_asymptotic
@@ -62,12 +62,6 @@ class _Outputs:
         self.write(name, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _root_options(cfg: Namespace) -> RootFindOptions:
-    if cfg.tol_root is None:
-        return RootFindOptions(seed=cfg.seed)
-    return RootFindOptions(localization_tol=cfg.tol_root, seed=cfg.seed)
-
-
 def _control_function(cfg: Namespace, sys_: NeutralSystem):
     if sys_.r == 0 or cfg.control == "zero":
         return None
@@ -102,9 +96,9 @@ def _history(cfg: Namespace, sys_: NeutralSystem) -> HistorySegment:
 
 
 def _cmd_spectrum(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
-    sys_, opts, grid = analysis.sys_, analysis.root_options, analysis.sys_.chains
+    sys_, grid = analysis.sys_, analysis.sys_.chains
     report = find_roots_in_region(
-        sys_, Rect(cfg.re_min, cfg.re_max, -cfg.im_max, cfg.im_max), opts, grid
+        sys_, Rect(cfg.re_min, cfg.re_max, -cfg.im_max, cfg.im_max), analysis.seed, grid
     )
     doc = report.to_json_dict()
     if grid is not None:
@@ -138,16 +132,14 @@ def _cmd_stability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> i
 
 
 def _cmd_stabilizability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
-    report = check_stabilizability(analysis, cfg.tol_rank)
+    report = check_stabilizability(analysis)
     out.write_json("stabilizability.json", report.to_json_dict())
     print(f"stabilizability: {report.verdict}")
     return EXIT_OK
 
 
 def _cmd_controllability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
-    report = controllability_report(
-        analysis, policy=cfg.basis_policy, seed=cfg.seed, rank_tol=cfg.tol_rank
-    )
+    report = controllability_report(analysis, policy=cfg.basis_policy, seed=cfg.seed)
     out.write_json("controllability.json", report.to_json_dict())
     print(report.summary())
     return EXIT_OK
@@ -156,7 +148,7 @@ def _cmd_controllability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs
 def _cmd_simulate(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
     sys_ = analysis.sys_
     phi = _history(cfg, sys_)
-    traj = simulate(sys_, phi, _control_function(cfg, sys_), T=cfg.T, m=phi.m)
+    traj = simulate(sys_, phi, _control_function(cfg, sys_), T=cfg.T)
     out.write("trajectory.csv", traj.to_csv())
     prof = norm_profile(traj)
     print(f"simulated to T={traj.times[-1]:.6g} with m={phi.m}; "
@@ -168,7 +160,7 @@ def _cmd_reach(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
     sys_ = analysis.sys_
     T_list = cfg.T_list or tuple(sys_.h * f for f in (0.5, 1.5, 2.5, 3.5))
     m = REACH_GRID_M if cfg.grid_m is None else cfg.grid_m
-    profile, sigmas = rank_profile(sys_, T_list, m=m, tau=cfg.rank_tau)
+    profile, sigmas = rank_profile(sys_, T_list, m=m)
     out.write("rank_profile.csv", profile.to_csv(sigmas))
     out.write_json("rank_profile.json", profile.to_json_dict())
     marks = ", ".join(f"T={e.T:.6g}: rank {e.effective_rank}" for e in profile.entries)
@@ -232,7 +224,7 @@ def run(cfg: Namespace) -> int:
         _diag("error", "io_error", path=str(out.path), detail=str(exc))
         return EXIT_IO
 
-    analysis = SystemAnalysis(sys_, im_cap=cfg.im_max, root_options=_root_options(cfg))
+    analysis = SystemAnalysis(sys_, im_cap=cfg.im_max, seed=cfg.seed)
     started = time.time()
     try:
         code = _COMMANDS[cfg.command](cfg, analysis, out)
@@ -277,23 +269,24 @@ def _finite(text: str) -> float:
     return value
 
 
-def _tolerance(text: str) -> float:
-    """A finite number >= 0; a NaN, infinite or negative cutoff decides no rank."""
-    value = float(text)
-    if not (0.0 <= value < np.inf):
-        raise ValueError(f"not a finite non-negative tolerance: {text}")
-    return value
-
-
 def _horizons(text: str) -> tuple[float, ...]:
     """Comma-separated horizons; an empty list leaves the choice to reach."""
     return tuple(float(x) for x in text.split(",")) if text else ()
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a malformed command line instead of printing the usage text
+    and exiting, so main reports it as one JSON record; subcommand parsers are
+    of the same class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args fills a fresh namespace every call.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="neutralsys",
         description="Spectrum, stability and controllability analysis of "
                     "linear neutral-type delay systems",
@@ -306,8 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--re-min", type=_finite, default=-1.0)
         p.add_argument("--re-max", type=_finite, default=1.0)
         p.add_argument("--im-max", type=_finite, default=40.0)
-        p.add_argument("--tol-rank", type=_tolerance, default=None)
-        p.add_argument("--tol-root", type=_tolerance, default=None)
         p.add_argument("--T", type=float, default=10.0)
         p.add_argument("--grid-m", type=int, default=None,
                        help=f"grid intervals per delay (default: {SIMULATE_GRID_M} "
@@ -324,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--history", default="random", help="zero | ones | random")
         p.add_argument("--T-list", type=_horizons, default=(),
                        help="comma-separated horizons for reach")
-        p.add_argument("--rank-tau", type=_tolerance, default=1e-6)
     return parser
 
 
@@ -332,7 +322,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except argparse.ArgumentError as exc:
+        _diag("error", "usage_error", detail=str(exc))
+        return EXIT_USAGE
+    except SystemExit as exc:   # -h printed the help
         return EXIT_USAGE if exc.code not in (0, None) else 0
     return run(args)
 

@@ -3,9 +3,10 @@
 Each column of the probe matrix is the terminal state (head vector plus the
 trailing delay segment of z) reached from zero history by a unit pulse on
 one simulation step and one input channel.  Singular values of that matrix
-show how the reachable set fills out as T grows; the effective rank at a
-relative cliff is the auditable summary.  This is numerical evidence on a
-finite grid, not a proof about the infinite-dimensional reachable set.
+show how the reachable set fills out as T grows; the effective rank, the
+number of singular values at least RANK_TAU times the largest, is the
+auditable summary.  This is numerical evidence on a finite grid, not a proof
+about the infinite-dimensional reachable set.
 
 The stepper's coefficients do not depend on the step and the history is
 zero, so a pulse on step j gives the step-0 pulse response P delayed by j
@@ -28,6 +29,7 @@ from .simulate import _integrate
 from .sysmodel import NeutralSystem
 
 CSV_SIGMAS = 12   # singular values per horizon in rank_profile.csv
+RANK_TAU = 1e-6   # relative cliff of the effective rank
 
 
 @dataclass(frozen=True)
@@ -38,15 +40,15 @@ class SteeringProbe:
     matrix: np.ndarray
     singular_values: np.ndarray
 
-    def effective_rank(self, tau: float = 1e-6) -> int:
-        """Number of singular values above tau relative to the largest."""
-        return _effective_rank(self.singular_values, tau)
+    def effective_rank(self) -> int:
+        """Number of singular values at least RANK_TAU times the largest."""
+        return _effective_rank(self.singular_values)
 
 
-def _effective_rank(s: np.ndarray, tau: float) -> int:
+def _effective_rank(s: np.ndarray) -> int:
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s >= tau * s[0]))
+    return int(np.count_nonzero(s >= RANK_TAU * s[0]))
 
 
 def _steps(sys_: NeutralSystem, T: float, m: int) -> int:
@@ -99,7 +101,6 @@ class ProbeSummary:
 @dataclass(frozen=True)
 class RankProfile:
     entries: tuple[ProbeSummary, ...]
-    tau: float
     monotone: bool
 
     def to_csv(self, singular_values: dict) -> str:
@@ -114,7 +115,7 @@ class RankProfile:
 
     def to_json_dict(self) -> dict:
         return {
-            "tau": self.tau,
+            "tau": RANK_TAU,
             "monotone_effective_rank": self.monotone,
             "entries": [
                 {
@@ -128,12 +129,7 @@ class RankProfile:
         }
 
 
-def rank_profile(
-    sys_: NeutralSystem,
-    T_list,
-    m: int = 100,
-    tau: float = 1e-6,
-) -> tuple[RankProfile, dict]:
+def rank_profile(sys_: NeutralSystem, T_list, m: int = 100) -> tuple[RankProfile, dict]:
     """Probe summaries over increasing horizons on a shared state grid.
 
     Each horizon's probe is the trailing columns of the last horizon's.
@@ -152,7 +148,7 @@ def rank_profile(
         cols, T_eff = nsteps * sys_.r, nsteps * (sys_.h / m)
         s = (probe.singular_values if cols == probe.control_dim
              else np.linalg.svd(probe.matrix[:, -cols:], compute_uv=False))
-        rank = _effective_rank(s, tau)
+        rank = _effective_rank(s)
         entries.append(
             ProbeSummary(
                 T=T_eff,
@@ -164,4 +160,4 @@ def rank_profile(
         sigmas[T_eff] = s
     ranks = [e.effective_rank for e in entries]
     monotone = all(b >= a for a, b in zip(ranks, ranks[1:]))
-    return RankProfile(entries=tuple(entries), tau=tau, monotone=monotone), sigmas
+    return RankProfile(entries=tuple(entries), monotone=monotone), sigmas

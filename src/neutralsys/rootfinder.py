@@ -55,8 +55,11 @@ add up to its winding count; the cells that fail are split, and their
 children's winding counts must add up to theirs.  Cells that cannot be
 resolved are reported, never dropped, in depth-first order.
 
-A caller sets only the localization tolerance and the seed (`RootFindOptions`);
-every other tolerance, budget and radius is a module constant.
+A caller sets only the seed of the cell seeds; every tolerance, budget and
+radius is a module constant.  A located root's accuracy comes from Newton: a
+seed stops once its step is at most 1e-12 (1 + |lam|), and its iterate counts
+as a root only when |det D| <= RESIDUAL_COEFF (1 + |lam|)^n.
+MIN_CELL_DIAMETER is only the size at which an unmatched cell is given up.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ class Rect:
         )
 
 
-# ------------------------------------------------------------------ options
+# ---------------------------------------------------------------- constants
 
 
 BOUNDARY_TOL = 1e-12        # |det| floor on contour samples
@@ -185,15 +188,7 @@ MIN_NODES = 64              # start nodes of a contour, split over its sides
 PHASE_MAX_DEPTH = 32        # refinement rounds before an edge is given up
 CONTOUR_RETRIES = 5         # 1% inflations of a contour next to a root
 SPLIT_OFFSET = 0.0137       # quadrisection point, as a fraction past the middle
-
-
-@dataclass(frozen=True)
-class RootFindOptions:
-    """The settings a caller sets (--tol-root, --seed): the target accuracy
-    of located roots and the seed of the cell seeds."""
-
-    localization_tol: float = 1e-8
-    seed: int = 0
+MIN_CELL_DIAMETER = 1e-8    # an unmatched cell this small is reported, not split
 
 
 def residual_bound(lam: complex, n: int) -> float:
@@ -601,6 +596,10 @@ def count_roots_in_contour(sys_: NeutralSystem, contour) -> int:
 # ------------------------------------------------------------------- Newton
 
 
+# A seed may run to where det D overflows, e.g. far left, where e^{-lam h}
+# does (a chain center where det' vanishes nudges its seed there).  Such a
+# seed fails on its non-finite det, so the overflow is no warning.
+@np.errstate(over="ignore", invalid="ignore")
 def newton_roots(sys_: NeutralSystem, seeds) -> list[tuple[complex, float, bool]]:
     """Newton iteration on det D from every seed at once.
 
@@ -837,11 +836,11 @@ class SpectrumReport:
 # -------------------------------------------------------------- region scan
 
 
-def _cell_rng(opts: RootFindOptions, cell: Rect) -> np.random.Generator:
+def _cell_rng(seed: int, cell: Rect) -> np.random.Generator:
     # Seed from the cell geometry so results are independent of traversal order.
     raw = np.array([cell.re_min, cell.re_max, cell.im_min, cell.im_max], dtype=float)
     digest = hashlib.blake2b(raw.tobytes(), digest_size=8).digest()
-    return np.random.default_rng(int.from_bytes(digest, "little") ^ (opts.seed & 0xFFFFFFFF))
+    return np.random.default_rng(int.from_bytes(digest, "little") ^ (seed & 0xFFFFFFFF))
 
 
 def _multiplicity_circle(lam: complex, others, cap: float) -> Circle:
@@ -855,8 +854,8 @@ def _multiplicity_circle(lam: complex, others, cap: float) -> Circle:
     return Circle(lam, max(radius, 4.0 * MERGE_TOL))
 
 
-def _cell_seeds(cell: Rect, opts: RootFindOptions) -> list[complex]:
-    rng = _cell_rng(opts, cell)
+def _cell_seeds(cell: Rect, seed: int) -> list[complex]:
+    rng = _cell_rng(seed, cell)
     w, v = cell.widths()
     seeds = [cell.center]
     for _ in range(NEWTON_RESTARTS):
@@ -916,10 +915,7 @@ def _chain_roots(sys_, rect: Rect, grid: ChainGrid, edges: _EdgeCache) -> list[L
     spare the scan work, so when a circle cannot be counted none is kept.
     """
     centers = grid.centers_in(rect)
-    # A center where det' vanishes nudges its seed off, and the seed may run
-    # far left, where e^{-lam h} overflows; newton_roots fails such a seed.
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = newton_roots(sys_, centers) if centers else []
+    results = newton_roots(sys_, centers) if centers else []
     kept: list[tuple[complex, float]] = []
     for center, (lam, absdet, ok) in zip(centers, results):
         if (ok and abs(lam - center) <= grid.radius and rect.contains(lam)
@@ -953,7 +949,7 @@ def _owned_roots(cell: Rect, known: list[LocatedRoot], margin: float):
 def find_roots_in_region(
     sys_: NeutralSystem,
     rect: Rect,
-    opts: RootFindOptions | None = None,
+    seed: int = 0,
     grid: ChainGrid | None = None,
 ) -> SpectrumReport:
     """Locate all roots of det D inside a rectangle.
@@ -963,10 +959,11 @@ def find_roots_in_region(
     Newton first runs from the chain centers inside the window, and a cell
     whose winding count equals the multiplicity of the chain roots it owns
     takes them without Newton or a split.  The report also carries any cells
-    whose winding count could not be matched by located roots within the
-    depth budget.
+    whose winding count located roots did not match before the cell reached
+    MAX_DEPTH or MIN_CELL_DIAMETER; a root's accuracy is Newton's, not the
+    cell size.  seed seeds each cell's random Newton starts, mixed with the
+    cell's corners so the starts do not depend on the traversal order.
     """
-    opts = opts or RootFindOptions()
     edges = _EdgeCache(sys_)
     (total,) = edges.counts([rect])
     known = _chain_roots(sys_, rect, grid, edges) if grid is not None and total > 0 else []
@@ -994,7 +991,7 @@ def find_roots_in_region(
             if path not in resolved
             and (cell.diameter() <= NEWTON_CELL_SIZE or cnt <= NEWTON_MAX_COUNT)
         ]
-        seeds = [s for cell, _, _ in tries for s in _cell_seeds(cell, opts)]
+        seeds = [s for cell, _, _ in tries for s in _cell_seeds(cell, seed)]
         results = newton_roots(sys_, seeds) if seeds else []
         for j, (cell, cnt, path) in enumerate(tries):
             found = _accept_cell(cell, cnt, results[j * per_cell:(j + 1) * per_cell], edges)
@@ -1005,7 +1002,7 @@ def find_roots_in_region(
         for cell, cnt, path in level:
             if path in resolved:
                 continue
-            if depth >= MAX_DEPTH or cell.diameter() <= opts.localization_tol:
+            if depth >= MAX_DEPTH or cell.diameter() <= MIN_CELL_DIAMETER:
                 unmatched.append((path, UnresolvedCell(
                     cell, cnt, "refinement limit reached with roots unmatched")))
                 continue
@@ -1123,7 +1120,7 @@ def right_half_plane_ceiling(sys_: NeutralSystem) -> float | None:
 def rightmost_root_scan(
     sys_: NeutralSystem,
     im_cap: float,
-    opts: RootFindOptions | None = None,
+    seed: int = 0,
 ) -> SpectrumReport:
     """Scan the window [re_floor, re_ceiling] x [-im_cap, im_cap] for roots.
 
@@ -1143,7 +1140,7 @@ def rightmost_root_scan(
     if bound is not None:
         re_ceiling = max(re_ceiling, bound)
     rect = Rect(re_floor, re_ceiling, -im_cap, im_cap)
-    report = find_roots_in_region(sys_, rect, opts, grid)
+    report = find_roots_in_region(sys_, rect, seed, grid)
     chain_note = (
         "chain abscissas: " + ", ".join(f"{a:.6g}" for a in sorted(abscissas))
         if abscissas

@@ -179,20 +179,16 @@ def simulate(
     phi: HistorySegment,
     u=None,
     T: float = 1.0,
-    m: int | None = None,
 ) -> Trajectory:
     """Integrate from history phi under control u up to time T.
 
     u may be None (zero input), a callable t -> r-vector, or an array of
-    per-step samples.  m is the number of grid intervals per delay and must
-    match the history grid when given; the step is dt = h/m and T is rounded
-    to the nearest step.  Raises SimulationBlowUpError when the state leaves
-    the representable range, with the blow-up time attached.
+    per-step samples.  The step is dt = h/m for the m = phi.m grid intervals
+    per delay of the history, and T is rounded to the nearest step.  Raises
+    SimulationBlowUpError when the state leaves the representable range, with
+    the blow-up time attached.
     """
-    if m is None:
-        m = phi.m
-    if m != phi.m:
-        raise ValueError(f"phi has {phi.m} intervals per delay, m = {m} given")
+    m = phi.m
     if m < 8:
         raise ValueError("need at least 8 grid points per delay interval")
     if abs(phi.grid[0] + sys_.h) > 1e-9 * max(1.0, sys_.h):

@@ -21,7 +21,7 @@ NeutralSystem.structure, and rightmost_root_scan alone picks the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 # The structure types live in charmatrix; these names stay importable here.
@@ -31,7 +31,7 @@ from .charmatrix import (
     SpectralEntry,
     matrix_spectral_structure,
 )
-from .rootfinder import RootFindOptions, SpectrumReport, rightmost_root_scan
+from .rootfinder import SpectrumReport, rightmost_root_scan
 from .sysmodel import NeutralSystem
 
 _CASE_EXPLANATIONS = {
@@ -81,11 +81,11 @@ class SystemAnalysis:
 
     sys_: NeutralSystem
     im_cap: float = 40.0
-    root_options: RootFindOptions = field(default_factory=RootFindOptions)
+    seed: int = 0
 
     @cached_property
     def scan(self) -> SpectrumReport:
-        return rightmost_root_scan(self.sys_, self.im_cap, self.root_options)
+        return rightmost_root_scan(self.sys_, self.im_cap, self.seed)
 
     def window_note(self, claim: str, caveat: str) -> str:
         """'<claim> [floor, ceiling] x [-cap, cap]; <caveat>', plus the number

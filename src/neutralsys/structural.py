@@ -42,15 +42,10 @@ class RankTestResult:
 ROOT_SITE_REL_TOL = 1e-8
 
 
-def _rank_test(
-    M: np.ndarray,
-    point: complex,
-    required: int,
-    tol: float | None,
-    rel_tol: float = 0.0,
-) -> RankTestResult:
+def _rank_test(M: np.ndarray, point: complex, required: int,
+               rel_tol: float = 0.0) -> RankTestResult:
     sigma = np.linalg.svd(M, compute_uv=False)
-    cut = rank_tolerance(sigma, M.shape) if tol is None else float(tol)
+    cut = rank_tolerance(sigma, M.shape)
     if sigma.size:
         cut = max(cut, rel_tol * float(sigma[0]))
     rank = int(np.count_nonzero(sigma > cut))
@@ -63,29 +58,26 @@ def _rank_test(
     )
 
 
-def hautus_at(
-    sys_: NeutralSystem,
-    lam: complex,
-    tol: float | None = None,
-    rel_tol: float = 0.0,
-) -> RankTestResult:
+def hautus_at(sys_: NeutralSystem, lam: complex, rel_tol: float = 0.0) -> RankTestResult:
     """Rank of [D(lam) | B]; full rank n everywhere except possibly at roots.
 
-    When lam is a numerically located root, pass rel_tol on the order of the
-    root accuracy: the vanishing singular value only drops to the size of the
+    A singular value counts when it is above the default cutoff
+    (`_linalg.rank_tolerance`) and above rel_tol times the largest.  When lam
+    is a numerically located root, pass rel_tol on the order of the root
+    accuracy: the vanishing singular value only drops to the size of the
     localization error, far above machine epsilon.
     """
     M = np.hstack([delta(sys_, lam), sys_.B.astype(complex)])
-    return _rank_test(M, lam, sys_.n, tol, rel_tol)
+    return _rank_test(M, lam, sys_.n, rel_tol)
 
 
-def hautus_matrix_pair(A, B, mu: complex, tol: float | None = None) -> RankTestResult:
-    """Rank of [mu I - A | B]."""
+def hautus_matrix_pair(A, B, mu: complex) -> RankTestResult:
+    """Rank of [mu I - A | B] at the default cutoff."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n = A.shape[0]
     M = np.hstack([mu * np.eye(n) - A, B]).astype(complex)
-    return _rank_test(M, mu, n, tol)
+    return _rank_test(M, mu, n)
 
 
 def _kalman_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -142,10 +134,7 @@ class StabilizabilityReport:
         }
 
 
-def check_stabilizability(
-    analysis: SystemAnalysis,
-    rank_tol: float | None = None,
-) -> StabilizabilityReport:
+def check_stabilizability(analysis: SystemAnalysis) -> StabilizabilityReport:
     """Regular-stabilizability test: two hypotheses on the difference matrix,
     then the two rank conditions, the first checked at every scanned root with
     Re >= 0 (rank can only drop there) and the second at unit-circle
@@ -159,13 +148,11 @@ def check_stabilizability(
     report = analysis.scan
     rhp_roots = [r for r in report.all_roots() if r.lam.real >= 0.0]
     tests3 = tuple(
-        hautus_at(sys_, r.lam, rank_tol, rel_tol=ROOT_SITE_REL_TOL) for r in rhp_roots
+        hautus_at(sys_, r.lam, rel_tol=ROOT_SITE_REL_TOL) for r in rhp_roots
     )
     cond3 = all(t.passes for t in tests3)
 
-    tests4 = tuple(
-        hautus_matrix_pair(sys_.A_minus1, sys_.B, e.mu, rank_tol) for e in sigma1
-    )
+    tests4 = tuple(hautus_matrix_pair(sys_.A_minus1, sys_.B, e.mu) for e in sigma1)
     cond4 = all(t.passes for t in tests4)
 
     if not (cond1 and cond2):
@@ -215,10 +202,7 @@ class NullControllabilityResult:
         }
 
 
-def check_null_controllability(
-    analysis: SystemAnalysis,
-    rank_tol: float | None = None,
-) -> NullControllabilityResult:
+def check_null_controllability(analysis: SystemAnalysis) -> NullControllabilityResult:
     """Null-controllability for some horizon: Kalman condition on (A, B) exact,
     Hautus condition checked at every scanned root.  An invertible B settles
     the Hautus condition globally, hence verdict 'yes' without a window caveat."""
@@ -227,9 +211,9 @@ def check_null_controllability(
         raise ValueError("null-controllability test needs at least one input")
 
     n = sys_.n
-    cond_ii = _rank_test(_kalman_matrix(sys_.A_minus1, sys_.B), 0.0, n, rank_tol)
+    cond_ii = _rank_test(_kalman_matrix(sys_.A_minus1, sys_.B), 0.0, n)
 
-    b_rank, _ = svd_rank(sys_.B, rank_tol)
+    b_rank, _ = svd_rank(sys_.B)
     if b_rank == n:
         note = "input matrix has full row rank; Hautus condition holds at every point"
         verdict = "yes" if cond_ii.passes else "no"
@@ -244,8 +228,7 @@ def check_null_controllability(
 
     report = analysis.scan
     tests = tuple(
-        hautus_at(sys_, r.lam, rank_tol, rel_tol=ROOT_SITE_REL_TOL)
-        for r in report.all_roots()
+        hautus_at(sys_, r.lam, rel_tol=ROOT_SITE_REL_TOL) for r in report.all_roots()
     )
     cond_i = all(t.passes for t in tests)
     witness = next((t for t in tests if not t.passes), None)
@@ -483,10 +466,9 @@ def controllability_report(
     analysis: SystemAnalysis,
     policy: str = "permutations",
     seed: int = 0,
-    rank_tol: float | None = None,
 ) -> ControllabilityReport:
     """Full controllability analysis: verdict, per-basis indices, time bounds."""
-    verdict = check_null_controllability(analysis, rank_tol)
+    verdict = check_null_controllability(analysis)
     bounds, records = controllability_time_bounds(
         analysis, policy=policy, seed=seed, verdict=verdict
     )

@@ -119,7 +119,7 @@ def test_criterion_05_example2_dynamic_evidence():
     for gamma in (0.0, 1.0):
         sys_ = make_example2(gamma)
         phi = HistorySegment.random(sys_, m, seed=20250808)
-        traj = simulate(sys_, phi, None, T=150.0, m=m)
+        traj = simulate(sys_, phi, None, T=150.0)
         n15 = traj.m2_norm[int(round(15.0 * m / sys_.h))]
         n150 = traj.m2_norm[-1]
         ratios[gamma] = n150 / n15
@@ -195,7 +195,7 @@ def test_criterion_08_telescoping_identity():
 def test_criterion_09_reachability_phase_transition():
     started = time.perf_counter()
     sys_ = make_reach_fixture()
-    profile, _ = rank_profile(sys_, [0.5, 1.5, 2.5, 3.5], m=100, tau=1e-6)
+    profile, _ = rank_profile(sys_, [0.5, 1.5, 2.5, 3.5], m=100)
     ranks = [e.effective_rank for e in profile.entries]
     elapsed = time.perf_counter() - started
     assert ranks[2] > ranks[1]       # strict growth across T = nh = 2h
@@ -221,7 +221,7 @@ def test_criterion_10_numerical_hygiene():
     s = make_scalar_decay()
     errs = []
     for m in (100, 200, 400):
-        traj = simulate(s, HistorySegment.constant(s, [1.0], m), None, T=5.0, m=m)
+        traj = simulate(s, HistorySegment.constant(s, [1.0], m), None, T=5.0)
         errs.append(abs(traj.z_values[-1, 0].real - np.exp(-5.0)))
     orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(len(errs) - 1)]
     assert all(0.8 <= p <= 1.2 for p in orders)

@@ -12,7 +12,8 @@ import pytest
 from neutralsys import charmatrix as cm
 from neutralsys import _linalg, cli, stability
 from neutralsys.cli import main
-from neutralsys.sysmodel import save_system
+from neutralsys.simulate import HistorySegment, simulate
+from neutralsys.sysmodel import load_system, save_system
 
 from conftest import EXAMPLE1_DOC, make_scalar_decay
 
@@ -115,6 +116,48 @@ def test_missing_input_exits_3(tmp_path, capsys):
     assert record["level"] == "error" and record["event"] == "io_error"
 
 
+# corpus.random_system(np.random.default_rng(4), 3, 1) with its theta = 0 atom
+# replaced by 60 * np.random.default_rng(104).standard_normal((3, 3)): the
+# Newton iterate of a cell seed runs to where det D overflows.
+DET_OVERFLOW_DOC = {
+    "n": 3, "r": 1, "h": 1.0,
+    "A_minus1": [
+        [-0.34194577096604556, -0.09166101593439509, 0.8728307842648771],
+        [0.34580522394909574, -0.8611176465181467, -0.0027297611691751164],
+        [-0.32708450970438596, 0.0779757758365135, -0.8436951154036404],
+    ],
+    "A2": {"breakpoints": [-1.0, -0.4, 0.0], "segments": [
+        [
+            [0.04187611745919935, 0.04076917103855128, 0.27290643401674103],
+            [0.05484452564928184, 0.08842927576949948, -0.2586153959986864],
+            [0.3901841299712182, -0.3317995435677407, 0.19083767941582216],
+        ],
+        [
+            [-0.05714106175734639, -0.15253245125595605, -0.11367189831749779],
+            [-0.11639635703329661, 0.06585068242587445, -0.019062725203632624],
+            [0.2567888580211122, -0.31689671263397867, -0.000533638733757833],
+        ],
+    ]},
+    "A3": {"breakpoints": [-1.0, -0.4, 0.0], "segments": [
+        [
+            [-0.2575143247598172, 0.22397490999328148, -0.6114312677576696],
+            [-0.09921601277444447, 0.060671698086935066, -0.4284714332599991],
+            [0.2844072409864944, 0.05159012320465358, 0.29065451380156615],
+        ],
+        [
+            [0.2768928181791711, -0.2828596488315519, -0.23030379778793322],
+            [-0.05869703269770186, 0.21591737456390728, 0.24565309725814813],
+            [-0.20486837557173201, -0.1752827291791743, -0.23031163741852365],
+        ],
+    ], "atoms": [{"theta": 0.0, "matrix": [
+        [33.72699928128711, 33.61203116840975, -37.347403522164626],
+        [-0.5889026677757412, 0.032275907812369956, 3.445646117625451],
+        [130.96411889537325, -17.030795106823778, -17.510488607480532],
+    ]}]},
+    "B": [[-0.584238229157347], [-0.2379233775647261], [-0.13181504769026442]],
+}
+
+
 def _stderr_systems():
     # Example 1 with alpha = beta = 1: the chain center at 0 has det' = 0, so
     # Newton from it runs far left.
@@ -131,10 +174,11 @@ def _stderr_systems():
     # scalar_decay and free3 have the root -1 on the default window's side
     # Re = -1, and a contour node lands on it exactly: there the closed-form
     # det is 0.
-    return {"ex1_ctrl": ex1_ctrl, "scalar_decay": SCALAR_DOC, "free3": free3}
+    return {"ex1_ctrl": ex1_ctrl, "scalar_decay": SCALAR_DOC, "free3": free3,
+            "det_overflow": DET_OVERFLOW_DOC}
 
 
-@pytest.mark.parametrize("system", ["ex1_ctrl", "scalar_decay", "free3"])
+@pytest.mark.parametrize("system", ["ex1_ctrl", "scalar_decay", "free3", "det_overflow"])
 @pytest.mark.parametrize("command", ["spectrum", "stability"])
 def test_stderr_holds_only_json_lines(tmp_path, command, system):
     # A fresh interpreter keeps its own warning filters, which write to the
@@ -188,17 +232,28 @@ def test_unknown_command_exits_1():
         ("stabilizability", "--tol-rank", "-1e-3"),
         ("stability", "--tol-root", "inf"),
         ("spectrum", "--tol-root", "-1"),
+        ("spectrum", "--tol-root", "1e-8"),
         ("reach", "--rank-tau", "nan"),
         ("reach", "--rank-tau", "-inf"),
+        ("frobnicate", "--T", "1"),
     ],
 )
-def test_malformed_or_infinite_arguments_exit_1(tmp_path, command, flag, value):
+def test_malformed_or_infinite_arguments_exit_1(tmp_path, capsys, command, flag, value):
     # unparsable ranges and horizons, horizons no simulation grid can reach,
-    # scan windows that are not finite, and tolerances that are NaN, infinite
-    # or negative; FLAG=VALUE, since argparse takes a bare -inf for a flag
+    # scan windows that are not finite, the removed tolerance flags (at any
+    # value) and an unknown command; FLAG=VALUE, since argparse takes a bare
+    # -inf for a flag.  Each is one JSON record on stderr, not argparse's usage.
     path = _system_with_inputs(tmp_path)
     code = run_cli(command, "--input", str(path), "--out", str(tmp_path / "out"), f"{flag}={value}")
     assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert [json.loads(line)["event"] for line in err.splitlines()] == ["usage_error"], err
+
+
+def test_help_exits_0(capsys):
+    assert run_cli("spectrum", "-h") == cli.EXIT_OK
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: neutralsys spectrum") and out.err == ""
 
 
 @pytest.mark.parametrize("im_max", ["1e308", "1e12"])
@@ -287,6 +342,32 @@ def test_simulate_command(example2_file, tmp_path):
     lines = (out / "trajectory.csv").read_text().strip().splitlines()
     assert lines[0] == "t,z1,z2,m2_norm"
     assert len(lines) == 1 + 5 * 64 + 1
+
+
+def test_simulate_with_control_table(tmp_path, capsys):
+    # the table holds (t, u) rows; u(t) is the row of the last time <= t
+    path = _system_with_inputs(tmp_path)
+    table = tmp_path / "u.csv"
+    table.write_text("0.0,1.0\n0.5,-2.0\n1.25,0.5\n")
+    out = tmp_path / "out"
+    flags = ("--input", str(path), "--T", "2", "--grid-m", "32", "--seed", "3",
+             "--control", "table")
+    assert run_cli("simulate", *flags, "--out", str(out), "--control-table", str(table)) == 0
+    sys_ = load_system(path)
+
+    def u(t):
+        return np.array([1.0 if t < 0.5 else -2.0 if t < 1.25 else 0.5])
+
+    expected = simulate(sys_, HistorySegment.random(sys_, 32, 3), u, T=2.0)
+    assert (out / "trajectory.csv").read_text() == expected.to_csv()
+
+    capsys.readouterr()
+    table.write_text("0.0,1.0,2.0\n")
+    assert run_cli("simulate", *flags, "--out", str(tmp_path / "bad"),
+                   "--control-table", str(table)) == cli.EXIT_USAGE
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [r["event"] for r in records] == ["usage_error"]
+    assert "2 channels" in records[0]["detail"]
 
 
 def test_simulate_with_sine_control(tmp_path, example1_file):

@@ -894,10 +894,10 @@ def test_chain_seeds_spare_most_newton_seeds_on_the_shared_scan(monkeypatch):
     report = analysis.scan
     grid = s.chains
     calls = _seed_counting(monkeypatch)
-    plain = rf.find_roots_in_region(s, report.window, analysis.root_options, None)
+    plain = rf.find_roots_in_region(s, report.window, analysis.seed, None)
     plain_seeds = sum(calls)
     calls.clear()
-    seeded = rf.find_roots_in_region(s, report.window, analysis.root_options, grid)
+    seeded = rf.find_roots_in_region(s, report.window, analysis.seed, grid)
     seeded_seeds = sum(calls)
     assert seeded.total_count == plain.total_count == report.total_count
     assert 3 * seeded_seeds <= plain_seeds, (seeded_seeds, plain_seeds)

@@ -22,7 +22,7 @@ def test_scalar_exponential_error_bound():
     s = make_scalar_decay()
     for m in (100, 400):
         phi = HistorySegment.constant(s, [1.0], m)
-        traj = simulate(s, phi, None, T=5.0, m=m)
+        traj = simulate(s, phi, None, T=5.0)
         exact = np.exp(-traj.times)
         rel = np.abs(traj.z_values[:, 0].real - exact) / exact
         assert rel.max() <= 5.0 * (s.h / m)
@@ -33,7 +33,7 @@ def test_convergence_order_first_order():
     errs = []
     for m in (100, 200, 400, 800):
         phi = HistorySegment.constant(s, [1.0], m)
-        traj = simulate(s, phi, None, T=5.0, m=m)
+        traj = simulate(s, phi, None, T=5.0)
         errs.append(abs(traj.z_values[-1, 0].real - np.exp(-5.0)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert all(0.8 <= p <= 1.2 for p in orders)
@@ -48,7 +48,7 @@ def test_eigenmode_reproduced_neutral_chain():
     m = 2000
     grid = np.linspace(-1.0, 0.0, m + 1)
     phi = HistorySegment(grid, np.exp(lam * grid)[:, None] * C[None, :])
-    traj = simulate(s, phi, None, T=1.0, m=m)
+    traj = simulate(s, phi, None, T=1.0)
     exact = np.exp(lam * traj.times)[:, None] * C[None, :]
     dev = np.linalg.norm(traj.z_values - exact, axis=1)
     assert dev.max() <= 1e-2
@@ -65,7 +65,7 @@ def test_eigenmode_reproduced_distributed_system():
     m = 1000
     grid = np.linspace(-1.0, 0.0, m + 1)
     phi = HistorySegment(grid, np.exp(lam * grid)[:, None] * C[None, :])
-    traj = simulate(s, phi, None, T=1.0, m=m)
+    traj = simulate(s, phi, None, T=1.0)
     exact = np.exp(lam * traj.times)[:, None] * C[None, :]
     dev = np.linalg.norm(traj.z_values - exact, axis=1) / np.linalg.norm(exact, axis=1)
     assert dev.max() <= 2e-3
@@ -80,16 +80,16 @@ def test_linearity():
     phi_sum = HistorySegment(phi1.grid, phi1.values + phi2.values)
     u1 = rng.standard_normal((m * 3, 1))
     u2 = rng.standard_normal((m * 3, 1))
-    t1 = simulate(s, phi1, u1, T=3.0, m=m)
-    t2 = simulate(s, phi2, u2, T=3.0, m=m)
-    t12 = simulate(s, phi_sum, u1 + u2, T=3.0, m=m)
+    t1 = simulate(s, phi1, u1, T=3.0)
+    t2 = simulate(s, phi2, u2, T=3.0)
+    t12 = simulate(s, phi_sum, u1 + u2, T=3.0)
     scale = np.abs(t1.z_values).max() + np.abs(t2.z_values).max()
     assert np.max(np.abs(t12.z_values - t1.z_values - t2.z_values)) <= 1e-8 * scale
 
 
 def test_zero_dynamics():
     s = make_example2(0.0)
-    traj = simulate(s, HistorySegment.zero(s, 100), None, T=2.0, m=100)
+    traj = simulate(s, HistorySegment.zero(s, 100), None, T=2.0)
     assert np.all(traj.z_values == 0.0)
     assert np.all(traj.m2_norm == 0.0)
 
@@ -106,7 +106,7 @@ def test_delay_shift_identity_pure_neutral():
     )
     m = 100
     phi = HistorySegment.random(s, m, seed=4)
-    traj = simulate(s, phi, None, T=4.0, m=m)
+    traj = simulate(s, phi, None, T=4.0)
     z = traj.z_values
     w0 = phi.values[-1] - s.A_minus1 @ phi.values[0]
     for k in range(m, z.shape[0]):
@@ -116,7 +116,7 @@ def test_delay_shift_identity_pure_neutral():
 
 def test_norm_profile_scalar_decreasing():
     s = make_scalar_decay()
-    traj = simulate(s, HistorySegment.constant(s, [1.0], 200), None, T=6.0, m=200)
+    traj = simulate(s, HistorySegment.constant(s, [1.0], 200), None, T=6.0)
     prof = norm_profile(traj)
     after_delay = prof[prof[:, 0] >= 1.0]
     assert np.all(np.diff(after_delay[:, 1]) < 0.0)
@@ -128,7 +128,7 @@ def test_norm_profile_case_ii_growth():
     s = make_example1(-1.0, -1.0)
     m = 400
     phi = HistorySegment.random(s, m, seed=11)
-    traj = simulate(s, phi, None, T=30.0, m=m)
+    traj = simulate(s, phi, None, T=30.0)
     assert traj.m2_norm[-1] > 2.0 * traj.m2_norm[0]
 
 
@@ -139,8 +139,8 @@ def test_control_callable_matches_sampled():
     func = lambda t: np.array([np.sin(t)])
     times = np.arange(3 * m) * (s.h / m)
     table = np.sin(times)[:, None]
-    t1 = simulate(s, phi, func, T=3.0, m=m)
-    t2 = simulate(s, phi, table, T=3.0, m=m)
+    t1 = simulate(s, phi, func, T=3.0)
+    t2 = simulate(s, phi, table, T=3.0)
     assert np.array_equal(t1.z_values, t2.z_values)
 
 
@@ -164,8 +164,8 @@ def test_atom_snapped_to_nearest_grid_node():
         B=np.zeros((1, 0)),
     )
     phi = HistorySegment.random(off, m, seed=6)
-    t_off = simulate(off, phi, None, T=3.0, m=m)
-    t_on = simulate(on, phi, None, T=3.0, m=m)
+    t_off = simulate(off, phi, None, T=3.0)
+    t_on = simulate(on, phi, None, T=3.0)
     assert np.array_equal(t_off.z_values, t_on.z_values)
 
 
@@ -179,7 +179,7 @@ def test_blowup_reported():
     )
     phi = HistorySegment.constant(s, [1.0], 100)
     with pytest.raises(SimulationBlowUpError) as err:
-        simulate(s, phi, None, T=40.0, m=100)
+        simulate(s, phi, None, T=40.0)
     assert 0.0 < err.value.t_blowup <= 40.0
 
 
@@ -221,7 +221,7 @@ def _csv_writer_text(traj, complex_state):
 
 def test_trajectory_csv_matches_csv_writer():
     s = make_density_system()
-    real = simulate(s, HistorySegment.random(s, 16, 5), None, T=2.0, m=16)
+    real = simulate(s, HistorySegment.random(s, 16, 5), None, T=2.0)
     assert real.to_csv() == _csv_writer_text(real, complex_state=False)
     rng = np.random.default_rng(7)
     z = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
@@ -237,7 +237,7 @@ def test_trajectory_csv_matches_csv_writer():
 
 def test_trajectory_csv():
     s = make_scalar_decay()
-    traj = simulate(s, HistorySegment.constant(s, [1.0], 16), None, T=0.5, m=16)
+    traj = simulate(s, HistorySegment.constant(s, [1.0], 16), None, T=0.5)
     text = traj.to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "t,z1,m2_norm"
