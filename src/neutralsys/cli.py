@@ -75,6 +75,10 @@ def _control_function(cfg: Namespace, sys_: NeutralSystem):
         times, values = rows[:, 0], rows[:, 1:]
         if values.shape[1] != sys_.r:
             raise ValueError(f"control table has {values.shape[1]} channels, need {sys_.r}")
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ValueError("control table times must be finite and strictly increasing")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("control table values must be finite")
 
         def table(t):
             i = int(np.searchsorted(times, t, side="right")) - 1
@@ -258,20 +262,30 @@ def run(cfg: Namespace) -> int:
 def _k_range(text: str) -> tuple[int, int]:
     """MIN:MAX chain indices; an empty bound keeps its default."""
     k_lo, _, k_hi = text.partition(":")
-    return int(k_lo or 5), int(k_hi or 20)
+    try:
+        return int(k_lo or 5), int(k_hi or 20)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a MIN:MAX pair of integers: {text!r}") from None
 
 
 def _finite(text: str) -> float:
     """A finite number; a window bound at infinity has no scan."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not np.isfinite(value):
-        raise ValueError(f"not finite: {text}")
+        raise argparse.ArgumentTypeError(f"not finite: {text}")
     return value
 
 
 def _horizons(text: str) -> tuple[float, ...]:
     """Comma-separated horizons; an empty list leaves the choice to reach."""
-    return tuple(float(x) for x in text.split(",")) if text else ()
+    try:
+        return tuple(float(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -309,8 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--basis-policy", default="permutations",
                        help="permutations | random:K")
         p.add_argument("--control", default="zero", help="zero | sine | table")
-        p.add_argument("--control-amplitude", type=float, default=1.0)
-        p.add_argument("--control-frequency", type=float, default=1.0)
+        p.add_argument("--control-amplitude", type=_finite, default=1.0)
+        p.add_argument("--control-frequency", type=_finite, default=1.0)
         p.add_argument("--control-table", default=None)
         p.add_argument("--history", default="random", help="zero | ones | random")
         p.add_argument("--T-list", type=_horizons, default=(),

@@ -11,9 +11,11 @@ discretized:
 
 History integrals use the trapezoid rule on the stored grid, the history
 derivative uses centered differences (one-sided at the ends), and atom
-locations snap to the nearest grid node.  The scheme is first-order in dt; it
-is an evidence generator for the stability and reachability verdicts, not a
-production integrator.
+locations snap to the nearest grid node.  All of that is linear in the window
+of the last m+1 samples, so it is assembled once per run into one window
+operator, and a step is one matrix product with the flattened window.  The
+scheme is first-order in dt; it is an evidence generator for the stability
+and reachability verdicts, not a production integrator.
 """
 
 from __future__ import annotations
@@ -107,13 +109,51 @@ def _sample_control(u, times: np.ndarray, r: int, dtype) -> np.ndarray | None:
     if u is None or r == 0:
         return None
     if callable(u):
-        return np.array([np.asarray(u(t), dtype=dtype).reshape(r) for t in times])
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            u = np.array([np.asarray(u(t), dtype=dtype).reshape(r) for t in times])
     u = np.asarray(u, dtype=dtype)
     if u.ndim == 1:
         u = u.reshape(-1, 1)
     if u.shape[0] < times.size or u.shape[1] != r:
         raise ValueError(f"control samples must cover {times.size} steps with {r} channels")
-    return u[: times.size]
+    u = u[: times.size]
+    if not np.all(np.isfinite(u)):
+        raise ValueError("control samples must be finite")
+    return u
+
+
+def _window_operator(sys_: NeutralSystem, m: int, dtype) -> np.ndarray:
+    """The linear map from the flattened window Z[k : k+m+1] to one step's terms.
+
+    Shape (2n, (m+1)n).  The top n rows give the history part of the
+    right-hand side: the trapezoid A3 weights, the A2 trapezoid weights
+    carried through np.gradient's stencil (centered inside, one-sided at both
+    ends), and each atom at its snapped node.  The bottom n rows give
+    A z(t+dt-h), A applied to the second window node.
+    """
+    n = sys_.n
+    dt = sys_.h / m
+    grid = np.linspace(-sys_.h, 0.0, m + 1)
+    K = np.zeros((m + 1, n, n))
+    W3 = _kernel_weights(sys_.A3, grid, dt)
+    if W3 is not None:
+        K += W3
+    W2 = _kernel_weights(sys_.A2, grid, dt)
+    if W2 is not None:
+        # each gradient sample's weight, moved onto the samples it differences
+        D = W2 / dt
+        K[2:] += 0.5 * D[1:-1]
+        K[:-2] -= 0.5 * D[1:-1]
+        K[1] += D[0]
+        K[0] -= D[0]
+        K[m] += D[m]
+        K[m - 1] -= D[m]
+    for theta, M in sys_.A3.atoms:
+        K[int(np.clip(np.round((theta + sys_.h) / dt), 0, m))] += M
+    op = np.zeros((2 * n, m + 1, n), dtype=dtype)
+    op[:n] = K.transpose(1, 0, 2)
+    op[n:, 1] = sys_.A_minus1
+    return op.reshape(2 * n, (m + 1) * n)
 
 
 def _integrate(sys_: NeutralSystem, hist0: np.ndarray, controls: np.ndarray | None,
@@ -121,40 +161,29 @@ def _integrate(sys_: NeutralSystem, hist0: np.ndarray, controls: np.ndarray | No
     """Core stepper; hist0 has shape (m+1, n, c), controls (nsteps, r, c) or None.
 
     Returns the full sample array of shape (m + nsteps + 1, n, c) covering
-    t in [-h, nsteps*dt].
+    t in [-h, nsteps*dt].  Each step is one product of the window operator
+    with the flattened window of the last m+1 samples.
     """
     n = sys_.n
     dt = sys_.h / m
     c = hist0.shape[2]
     Z = np.zeros((m + nsteps + 1, n, c), dtype=hist0.dtype)
     Z[: m + 1] = hist0
+    flat = Z.reshape(-1, c)
+    op = _window_operator(sys_, m, Z.dtype)
+    inputs = None if controls is None else np.einsum("ij,kjc->kic", sys_.B, controls)
 
-    grid = np.linspace(-sys_.h, 0.0, m + 1)
-    W2 = _kernel_weights(sys_.A2, grid, dt)
-    W3 = _kernel_weights(sys_.A3, grid, dt)
-    atom_terms = [
-        (int(np.clip(np.round((theta + sys_.h) / dt), 0, m)), M)
-        for theta, M in sys_.A3.atoms
-    ]
-    A = sys_.A_minus1
-    B = sys_.B
-
-    w_cur = Z[m] - A @ Z[0]
+    out = np.empty((2 * n, c), dtype=Z.dtype)
+    rhs, shifted = out[:n], out[n:]
+    w_cur = Z[m] - sys_.A_minus1 @ Z[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsteps):
-            win = Z[k : k + m + 1]
-            rhs = np.zeros((n, c), dtype=Z.dtype)
-            if W3 is not None:
-                rhs += np.einsum("pij,pjc->ic", W3, win)
-            if W2 is not None:
-                dwin = np.gradient(win, dt, axis=0)
-                rhs += np.einsum("pij,pjc->ic", W2, dwin)
-            for idx, M in atom_terms:
-                rhs += M @ win[idx]
-            if controls is not None:
-                rhs += B @ controls[k]
-            w_cur = w_cur + dt * rhs
-            Z[k + m + 1] = w_cur + A @ Z[k + 1]
+            np.matmul(op, flat[k * n : (k + m + 1) * n], out=out)
+            if inputs is not None:
+                rhs += inputs[k]
+            rhs *= dt
+            w_cur += rhs
+            np.add(w_cur, shifted, out=Z[k + m + 1])
             if (k % _FINITE_CHECK_STRIDE == 0 or k == nsteps - 1) and not np.all(
                 np.isfinite(Z[k + m + 1])
             ):

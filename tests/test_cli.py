@@ -224,9 +224,12 @@ def test_unknown_command_exits_1():
         ("simulate", "--T", "inf"),
         ("reach", "--T-list", "inf"),
         ("spectrum", "--im-max", "inf"),
+        ("spectrum", "--im-max", "abc"),
         ("stability", "--im-max", "inf"),
         ("spectrum", "--re-max", "inf"),
         ("spectrum", "--re-min", "-inf"),
+        ("simulate", "--control-amplitude", "inf"),
+        ("report", "--control-frequency", "nan"),
         ("stability", "--re-min", "nan"),
         ("controllability", "--tol-rank", "nan"),
         ("stabilizability", "--tol-rank", "-1e-3"),
@@ -239,15 +242,18 @@ def test_unknown_command_exits_1():
     ],
 )
 def test_malformed_or_infinite_arguments_exit_1(tmp_path, capsys, command, flag, value):
-    # unparsable ranges and horizons, horizons no simulation grid can reach,
-    # scan windows that are not finite, the removed tolerance flags (at any
-    # value) and an unknown command; FLAG=VALUE, since argparse takes a bare
-    # -inf for a flag.  Each is one JSON record on stderr, not argparse's usage.
+    # unparsable ranges, horizons and numbers, horizons no simulation grid can
+    # reach, scan windows and control waveforms that are not finite, the
+    # removed tolerance flags (at any value) and an unknown command;
+    # FLAG=VALUE, since argparse takes a bare -inf for a flag.  Each is one JSON record on stderr, not argparse's usage.
     path = _system_with_inputs(tmp_path)
     code = run_cli(command, "--input", str(path), "--out", str(tmp_path / "out"), f"{flag}={value}")
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert [json.loads(line)["event"] for line in err.splitlines()] == ["usage_error"], err
+    records = [json.loads(line) for line in err.splitlines()]
+    assert [r["event"] for r in records] == ["usage_error"], err
+    # the reason, not the name of the private converter that found it
+    assert not any(name in records[0]["detail"] for name in ("_finite", "_k_range", "_horizons"))
 
 
 def test_help_exits_0(capsys):
@@ -368,6 +374,28 @@ def test_simulate_with_control_table(tmp_path, capsys):
     records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert [r["event"] for r in records] == ["usage_error"]
     assert "2 channels" in records[0]["detail"]
+
+
+@pytest.mark.parametrize(
+    "table, detail",
+    [
+        ("1.0,-1.0\n0.0,1.0\n", "strictly increasing"),   # rows out of order
+        ("0.0,1.0\n0.0,2.0\n", "strictly increasing"),    # a repeated time
+        ("0.0,1.0\nnan,2.0\n", "strictly increasing"),
+        ("0.0,1.0\n0.5,nan\n", "values must be finite"),
+        ("0.0,inf\n", "values must be finite"),
+    ],
+)
+def test_control_table_rejects_unordered_or_non_finite_rows(tmp_path, capsys, table, detail):
+    path = _system_with_inputs(tmp_path)
+    (tmp_path / "u.csv").write_text(table)
+    code = run_cli("simulate", "--input", str(path), "--out", str(tmp_path / "out"),
+                   "--T", "2", "--grid-m", "32", "--control", "table",
+                   "--control-table", str(tmp_path / "u.csv"))
+    assert code == cli.EXIT_USAGE
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [r["event"] for r in records] == ["usage_error"]
+    assert detail in records[0]["detail"]
 
 
 def test_simulate_with_sine_control(tmp_path, example1_file):

@@ -3,14 +3,16 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from neutralsys import charmatrix as cm
 from neutralsys import rootfinder as rf
 from neutralsys.errors import SimulationBlowUpError
-from neutralsys.simulate import HistorySegment, Trajectory, norm_profile, simulate
+from neutralsys.simulate import HistorySegment, Trajectory, _integrate, norm_profile, simulate
 from neutralsys.sysmodel import DelayKernel, NeutralSystem
 
 from conftest import (
+    density_systems,
     make_density_system,
     make_example1,
     make_example2,
@@ -181,6 +183,135 @@ def test_blowup_reported():
     with pytest.raises(SimulationBlowUpError) as err:
         simulate(s, phi, None, T=40.0)
     assert 0.0 < err.value.t_blowup <= 40.0
+    with pytest.raises(SimulationBlowUpError) as oracle:
+        _integrate_oracle(s, phi.values[:, :, None], None, 4000, 100)
+    assert err.value.t_blowup == oracle.value.t_blowup
+
+
+def _integrate_oracle(sys_, hist0, controls, nsteps, m):
+    """The per-step formula the window operator replaced, kept as a reference:
+    np.gradient over the window, one einsum per density, each snapped atom and
+    B u, evaluated afresh on every step."""
+    n = sys_.n
+    dt = sys_.h / m
+    c = hist0.shape[2]
+    Z = np.zeros((m + nsteps + 1, n, c), dtype=hist0.dtype)
+    Z[: m + 1] = hist0
+
+    grid = np.linspace(-sys_.h, 0.0, m + 1)
+    trapezoid = np.full(m + 1, dt)
+    trapezoid[0] = trapezoid[-1] = 0.5 * dt
+
+    def weights(kernel):
+        if kernel.has_zero_density():
+            return None
+        return np.stack([kernel.eval(t) for t in grid]) * trapezoid[:, None, None]
+
+    W2 = weights(sys_.A2)
+    W3 = weights(sys_.A3)
+    atom_terms = [
+        (int(np.clip(np.round((theta + sys_.h) / dt), 0, m)), M)
+        for theta, M in sys_.A3.atoms
+    ]
+    A = sys_.A_minus1
+    B = sys_.B
+
+    w_cur = Z[m] - A @ Z[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nsteps):
+            win = Z[k : k + m + 1]
+            rhs = np.zeros((n, c), dtype=Z.dtype)
+            if W3 is not None:
+                rhs += np.einsum("pij,pjc->ic", W3, win)
+            if W2 is not None:
+                dwin = np.gradient(win, dt, axis=0)
+                rhs += np.einsum("pij,pjc->ic", W2, dwin)
+            for idx, M in atom_terms:
+                rhs += M @ win[idx]
+            if controls is not None:
+                rhs += B @ controls[k]
+            w_cur = w_cur + dt * rhs
+            Z[k + m + 1] = w_cur + A @ Z[k + 1]
+            if (k % 50 == 0 or k == nsteps - 1) and not np.all(np.isfinite(Z[k + m + 1])):
+                raise SimulationBlowUpError((k + 1) * dt)
+    return Z
+
+
+def _assert_matches_oracle(sys_, hist0, controls, nsteps, m):
+    Z = _integrate(sys_, hist0, controls, nsteps, m)
+    ref = _integrate_oracle(sys_, hist0, controls, nsteps, m)
+    assert Z.shape == ref.shape and Z.dtype == ref.dtype
+    assert np.max(np.abs(Z - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _both_densities_off_grid_atoms():
+    rng = np.random.default_rng(21)
+    bp = np.array([-1.5, -0.9, -0.4, 0.0])
+    return NeutralSystem(
+        n=2, r=2, h=1.5,
+        A_minus1=np.array([[0.3, -0.2], [0.1, 0.4]]),
+        A2=DelayKernel(bp, rng.uniform(-1, 1, (3, 2, 2))),
+        A3=DelayKernel(bp, rng.uniform(-1, 1, (3, 2, 2)),
+                       ((-1.234, rng.uniform(-1, 1, (2, 2))), (-0.517, rng.uniform(-1, 1, (2, 2))),
+                        (-0.05, rng.uniform(-1, 1, (2, 2))))),
+        B=np.array([[1.0, 0.5], [-0.25, 1.0]]),
+    )
+
+
+def _end_cell_densities(m):
+    # A2 and A3 nonzero only on the first and the last grid node: the whole
+    # derivative term comes from the one-sided ends of the stencil
+    dt = 1.0 / m
+    bp = np.array([-1.0, -1.0 + 0.5 * dt, -0.5 * dt, 0.0])
+    seg = np.array([[[0.7, -0.3], [0.2, 0.5]], np.zeros((2, 2)), [[-0.4, 0.1], [0.6, -0.8]]])
+    return NeutralSystem(
+        n=2, r=0, h=1.0,
+        A_minus1=0.25 * np.eye(2),
+        A2=DelayKernel(bp, seg),
+        A3=DelayKernel(bp, seg[::-1]),
+        B=np.zeros((2, 0)),
+    )
+
+
+@pytest.mark.parametrize("m", [8, 9, 50])
+@pytest.mark.parametrize("case", ["density", "off_grid_atoms", "end_cells", "complex", "columns"])
+def test_window_operator_matches_per_step_formula(case, m):
+    rng = np.random.default_rng(m)
+    nsteps = 4 * m + 3
+    controls = None
+    if case == "density":
+        s = make_density_system()
+    elif case == "end_cells":
+        s = _end_cell_densities(m)
+    else:
+        s = _both_densities_off_grid_atoms()
+    c = 3 if case == "columns" else 1
+    hist0 = rng.uniform(-1, 1, (m + 1, s.n, c))
+    if case == "complex":
+        hist0 = hist0 + 1j * rng.uniform(-1, 1, hist0.shape)
+    if case in ("off_grid_atoms", "columns", "complex"):
+        controls = rng.standard_normal((nsteps, s.r, c))
+    if case == "complex":
+        controls = controls + 1j * rng.standard_normal(controls.shape)
+    if case == "columns":
+        # as the steering probe passes them: zero history, unit pulses
+        hist0 = np.zeros_like(hist0)
+        controls = np.zeros((nsteps, s.r, c))
+        controls[0, :, :s.r] = np.eye(s.r)
+        controls[m // 2, 0, 2] = 1.0
+    _assert_matches_oracle(s, hist0, controls, nsteps, m)
+
+
+@given(density_systems(n_max=3), hst.integers(8, 40), hst.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_window_operator_matches_per_step_formula_on_random_systems(sys_, m, seed):
+    rng = np.random.default_rng(seed)
+    s = NeutralSystem(n=sys_.n, r=1, h=sys_.h, A_minus1=sys_.A_minus1, A2=sys_.A2, A3=sys_.A3,
+                      B=rng.uniform(-1, 1, (sys_.n, 1)))
+    nsteps = 3 * m
+    hist0 = rng.uniform(-1, 1, (m + 1, s.n, 2))
+    controls = rng.standard_normal((nsteps, 1, 2))
+    _assert_matches_oracle(s, hist0, controls, nsteps, m)
 
 
 def test_history_validation():
@@ -200,6 +331,17 @@ def test_history_validation():
     bad_dim = HistorySegment(np.linspace(-1.0, 0.0, 101), np.zeros((101, 2)))
     with pytest.raises(ValueError):
         simulate(s, bad_dim, None, T=1.0)
+
+
+def test_non_finite_control_samples_rejected():
+    s = make_example2(0.0, np.array([[1.0], [0.0]]))
+    phi = HistorySegment.zero(s, 16)
+    with pytest.raises(ValueError, match="finite"):
+        simulate(s, phi, lambda t: np.array([np.nan if t > 0.5 else 0.0]), T=1.0)
+    table = np.zeros((16, 1))
+    table[3] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        simulate(s, phi, table, T=1.0)
 
 
 def _csv_writer_text(traj, complex_state):
