@@ -28,7 +28,7 @@ from .errors import (
 from .rootfinder import Rect, find_roots_in_region, verify_cluster_multiplicity
 from .simulate import HistorySegment, norm_profile, simulate
 from .reachability import rank_profile
-from .stability import SystemAnalysis, classify_asymptotic
+from .stability import StabilityVerdict, SystemAnalysis, classify_asymptotic
 from .structural import check_stabilizability, controllability_report
 from .sysmodel import NeutralSystem, load_system
 
@@ -40,6 +40,9 @@ EXIT_IO = 3
 # Grid intervals per delay when --grid-m is not given, per command that uses it.
 SIMULATE_GRID_M = 200
 REACH_GRID_M = 100
+
+# Chain indices k of the cluster checks in spectrum.json, for every chain m.
+CLUSTER_CHECK_KS = range(5, 21)
 
 
 def _diag(level: str, event: str, **detail) -> None:
@@ -106,8 +109,7 @@ def _cmd_spectrum(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> in
     )
     doc = report.to_json_dict()
     if grid is not None:
-        k_lo, k_hi = cfg.k_range
-        pairs = [(m, k) for m in range(len(grid.eigenvalues)) for k in range(k_lo, k_hi + 1)]
+        pairs = [(m, k) for m in range(len(grid.eigenvalues)) for k in CLUSTER_CHECK_KS]
         doc["cluster_checks"] = [
             {"m": m, "k": k, "count": count, "expected": expected, "match": match}
             for (m, k), (count, expected, match)
@@ -126,13 +128,16 @@ def _cmd_spectrum(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> in
     return EXIT_OK
 
 
-def _cmd_stability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
-    verdict = classify_asymptotic(analysis)
+def _write_stability(verdict: StabilityVerdict, out: _Outputs) -> int:
     out.write_json("stability.json", verdict.to_json_dict())
     print(f"exponential: {verdict.exponential}; asymptotic: {verdict.asymptotic_case}")
     if verdict.evidence["scan"]["unresolved_cells"]:
         return EXIT_NUMERICAL
     return EXIT_OK
+
+
+def _cmd_stability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
+    return _write_stability(classify_asymptotic(analysis), out)
 
 
 def _cmd_stabilizability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
@@ -143,14 +148,13 @@ def _cmd_stabilizability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs
 
 
 def _cmd_controllability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
-    report = controllability_report(analysis, policy=cfg.basis_policy, seed=cfg.seed)
+    report = controllability_report(analysis)
     out.write_json("controllability.json", report.to_json_dict())
     print(report.summary())
     return EXIT_OK
 
 
-def _cmd_simulate(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
-    sys_ = analysis.sys_
+def _cmd_simulate(cfg: Namespace, sys_: NeutralSystem, out: _Outputs) -> int:
     phi = _history(cfg, sys_)
     traj = simulate(sys_, phi, _control_function(cfg, sys_), T=cfg.T)
     out.write("trajectory.csv", traj.to_csv())
@@ -160,8 +164,7 @@ def _cmd_simulate(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> in
     return EXIT_OK
 
 
-def _cmd_reach(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
-    sys_ = analysis.sys_
+def _cmd_reach(cfg: Namespace, sys_: NeutralSystem, out: _Outputs) -> int:
     T_list = cfg.T_list or tuple(sys_.h * f for f in (0.5, 1.5, 2.5, 3.5))
     m = REACH_GRID_M if cfg.grid_m is None else cfg.grid_m
     profile, sigmas = rank_profile(sys_, T_list, m=m)
@@ -173,18 +176,19 @@ def _cmd_reach(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
 
 
 def _cmd_report(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
-    codes = [_cmd_spectrum(cfg, analysis, out), _cmd_stability(cfg, analysis, out)]
-    if analysis.sys_.r >= 1:
+    sys_ = analysis.sys_
+    codes = [_cmd_spectrum(cfg, analysis, out)]
+    verdict = classify_asymptotic(analysis)
+    codes.append(_write_stability(verdict, out))
+    if sys_.r >= 1:
         codes.append(_cmd_stabilizability(cfg, analysis, out))
         codes.append(_cmd_controllability(cfg, analysis, out))
-        codes.append(_cmd_reach(cfg, analysis, out))
-    codes.append(_cmd_simulate(cfg, analysis, out))
+        codes.append(_cmd_reach(cfg, sys_, out))
+    codes.append(_cmd_simulate(cfg, sys_, out))
 
-    stability_doc = json.loads((out.path / "stability.json").read_text())
     consistency = {
         "exponential_stable_implies_exp_regime": (
-            stability_doc["exponential"] != "stable"
-            or stability_doc["asymptotic_case"] == "exp_regime"
+            verdict.exponential != "stable" or verdict.asymptotic_case == "exp_regime"
         )
     }
     # the files this report wrote, not whatever else the directory holds
@@ -204,6 +208,9 @@ _COMMANDS = {
     "reach": _cmd_reach,
     "report": _cmd_report,
 }
+# The commands that scan for roots: each takes a SystemAnalysis, the others
+# the system alone.  report runs every other command, so it scans too.
+_SCANS = ("spectrum", "stability", "stabilizability", "controllability", "report")
 
 
 def run(cfg: Namespace) -> int:
@@ -228,10 +235,11 @@ def run(cfg: Namespace) -> int:
         _diag("error", "io_error", path=str(out.path), detail=str(exc))
         return EXIT_IO
 
-    analysis = SystemAnalysis(sys_, im_cap=cfg.im_max, seed=cfg.seed)
+    subject = (SystemAnalysis(sys_, im_cap=cfg.im_max, seed=cfg.seed)
+               if cfg.command in _SCANS else sys_)
     started = time.time()
     try:
-        code = _COMMANDS[cfg.command](cfg, analysis, out)
+        code = _COMMANDS[cfg.command](cfg, subject, out)
     except SimulationBlowUpError as exc:
         _diag("error", "simulation_blowup", t=exc.t_blowup)
         return EXIT_NUMERICAL
@@ -252,20 +260,11 @@ def run(cfg: Namespace) -> int:
     out.write_json("run_meta.json", {
         "command": cfg.command,
         "input": str(cfg.input),
-        "seed": cfg.seed,
+        **({"seed": cfg.seed} if "seed" in cfg else {}),
         "elapsed_s": round(time.time() - started, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     })
     return code
-
-
-def _k_range(text: str) -> tuple[int, int]:
-    """MIN:MAX chain indices; an empty bound keeps its default."""
-    k_lo, _, k_hi = text.partition(":")
-    try:
-        return int(k_lo or 5), int(k_hi or 20)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a MIN:MAX pair of integers: {text!r}") from None
 
 
 def _finite(text: str) -> float:
@@ -297,6 +296,28 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+# Each option once: its flag, its argparse settings and the commands that
+# read it.  report runs every other command, so it takes every option.
+_OPTIONS = (
+    ("--re-min", {"type": _finite, "default": -1.0}, ("spectrum",)),
+    ("--re-max", {"type": _finite, "default": 1.0}, ("spectrum",)),
+    ("--im-max", {"type": _finite, "default": 40.0}, _SCANS),
+    ("--T", {"type": float, "default": 10.0}, ("simulate",)),
+    ("--grid-m", {"type": int, "default": None,
+                  "help": f"grid intervals per delay (default: {SIMULATE_GRID_M} simulate, "
+                          f"{REACH_GRID_M} reach, each also within report)"},
+     ("simulate", "reach")),
+    ("--seed", {"type": int, "default": 0}, _SCANS + ("simulate",)),
+    ("--control", {"default": "zero", "help": "zero | sine | table"}, ("simulate",)),
+    ("--control-amplitude", {"type": _finite, "default": 1.0}, ("simulate",)),
+    ("--control-frequency", {"type": _finite, "default": 1.0}, ("simulate",)),
+    ("--control-table", {"default": None}, ("simulate",)),
+    ("--history", {"default": "random", "help": "zero | ones | random"}, ("simulate",)),
+    ("--T-list", {"type": _horizons, "default": (),
+                  "help": "comma-separated horizons for reach"}, ("reach",)),
+)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args fills a fresh namespace every call.
@@ -307,28 +328,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        # no abbreviations: reach would take --T for its --T-list
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--input", required=True, help="system description JSON")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--re-min", type=_finite, default=-1.0)
-        p.add_argument("--re-max", type=_finite, default=1.0)
-        p.add_argument("--im-max", type=_finite, default=40.0)
-        p.add_argument("--T", type=float, default=10.0)
-        p.add_argument("--grid-m", type=int, default=None,
-                       help=f"grid intervals per delay (default: {SIMULATE_GRID_M} "
-                            f"simulate, {REACH_GRID_M} reach, each also within report)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--k-range", type=_k_range, default="5:20",
-                       help="chain index range, MIN:MAX")
-        p.add_argument("--basis-policy", default="permutations",
-                       help="permutations | random:K")
-        p.add_argument("--control", default="zero", help="zero | sine | table")
-        p.add_argument("--control-amplitude", type=_finite, default=1.0)
-        p.add_argument("--control-frequency", type=_finite, default=1.0)
-        p.add_argument("--control-table", default=None)
-        p.add_argument("--history", default="random", help="zero | ones | random")
-        p.add_argument("--T-list", type=_horizons, default=(),
-                       help="comma-separated horizons for reach")
+        for flag, settings, readers in _OPTIONS:
+            if name in readers or name == "report":
+                p.add_argument(flag, **settings)
     return parser
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import _integrate
+from .simulate import _check_size, _integrate
 from .sysmodel import NeutralSystem
 
 CSV_SIGMAS = 12   # singular values per horizon in rank_profile.csv
@@ -70,6 +70,7 @@ def build_steering_probe(sys_: NeutralSystem, T: float, m: int = 100) -> Steerin
         raise ValueError("need m >= 8 history points")
     n, r = sys_.n, sys_.r
     nsteps = _steps(sys_, T, m)
+    _check_size((m + 2) * n * nsteps * r, "probe entries")
     controls = np.zeros((nsteps, r, r))
     controls[0] = np.eye(r)
     P = _integrate(sys_, np.zeros((m + 1, n, r)), controls, nsteps, m)

@@ -28,6 +28,19 @@ from .errors import SimulationBlowUpError
 from .sysmodel import NeutralSystem
 
 _FINITE_CHECK_STRIDE = 50
+_MAX_SIZE = 1e7   # grid intervals, time steps or probe entries of one run; a larger run is refused
+
+
+def _check_size(count: int, what: str) -> None:
+    """Refuse a run before it allocates arrays of count rows or entries."""
+    if not count <= _MAX_SIZE:
+        raise ValueError(f"{count:g} {what} exceed the limit of {_MAX_SIZE:g}")
+
+
+def _history_grid(sys_: NeutralSystem, m: int) -> np.ndarray:
+    """The m+1 uniform points on [-h, 0]."""
+    _check_size(m, "grid intervals per delay")
+    return np.linspace(-sys_.h, 0.0, m + 1)
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,7 @@ class HistorySegment:
     @classmethod
     def constant(cls, sys_: NeutralSystem, vec, m: int) -> "HistorySegment":
         vec = np.asarray(vec).reshape(sys_.n)
-        return cls(np.linspace(-sys_.h, 0.0, m + 1), np.tile(vec, (m + 1, 1)))
+        return cls(_history_grid(sys_, m), np.tile(vec, (m + 1, 1)))
 
     @classmethod
     def zero(cls, sys_: NeutralSystem, m: int) -> "HistorySegment":
@@ -70,7 +83,7 @@ class HistorySegment:
     @classmethod
     def random(cls, sys_: NeutralSystem, m: int, seed: int) -> "HistorySegment":
         rng = np.random.default_rng(seed)
-        grid = np.linspace(-sys_.h, 0.0, m + 1)
+        grid = _history_grid(sys_, m)
         return cls(grid, rng.uniform(-1.0, 1.0, size=(m + 1, sys_.n)))
 
 
@@ -133,7 +146,7 @@ def _window_operator(sys_: NeutralSystem, m: int, dtype) -> np.ndarray:
     """
     n = sys_.n
     dt = sys_.h / m
-    grid = np.linspace(-sys_.h, 0.0, m + 1)
+    grid = _history_grid(sys_, m)
     K = np.zeros((m + 1, n, n))
     W3 = _kernel_weights(sys_.A3, grid, dt)
     if W3 is not None:
@@ -228,6 +241,7 @@ def simulate(
         raise ValueError("final time must be positive and finite")
     dt = sys_.h / m
     nsteps = max(1, int(round(T / dt)))
+    _check_size(nsteps, "time steps")
     times = np.arange(nsteps + 1) * dt
 
     dtype = complex if np.iscomplexobj(phi.values) else float

@@ -307,6 +307,10 @@ class BasisIndices:
         return {"order": list(self.order), "n_chain": list(self.n_chain), "m": list(self.m)}
 
 
+# The bases the index search walks: every ordering of one column basis of Im B.
+BASIS_POLICY = "permutations"
+
+
 @dataclass(frozen=True)
 class TimeBounds:
     m_min: int | None
@@ -314,7 +318,6 @@ class TimeBounds:
     time_lower: float | None
     time_sufficient: float | None
     single_input_exact: bool
-    policy: str
     refused: bool
     refusal_reason: str | None
 
@@ -325,44 +328,21 @@ class TimeBounds:
             "time_lower": self.time_lower,
             "time_sufficient": self.time_sufficient,
             "single_input_exact": self.single_input_exact,
-            "policy": self.policy,
+            "policy": BASIS_POLICY,
             "refused": self.refused,
             "refusal_reason": self.refusal_reason,
         }
 
 
-def _enumerate_bases(sys_: NeutralSystem, policy: str, seed: int = 0):
-    """(order_label, basis matrix) pairs for the chosen search policy.
-
-    'permutations' walks all orderings of one fixed column basis of Im B;
-    'random:K' adds K invertible recombinations of it, labeled by draw index.
-    """
-    base = _column_basis(sys_.B)
-    d = base.shape[1]
-    for perm in itertools.permutations(range(d)):
-        yield perm, base[:, list(perm)]
-    if policy.startswith("random:"):
-        k = int(policy.split(":", 1)[1])
-        rng = np.random.default_rng(seed)
-        made = 0
-        while made < k:
-            G = rng.standard_normal((d, d))
-            if abs(np.linalg.det(G)) < 1e-3:
-                continue
-            made += 1
-            yield ("random", made), base @ G
-
-
 def controllability_time_bounds(
     analysis: SystemAnalysis,
-    policy: str = "permutations",
-    seed: int = 0,
     verdict: NullControllabilityResult | None = None,
 ) -> tuple[TimeBounds, tuple[BasisIndices, ...]]:
     """Index bounds m_min = max over bases of m_1 and m_max = min over bases of
-    max_i m_i, with times (m_min h, m_max h).  Refuses to bound the time when
-    the system is not null-controllable.  For one input the time nh is sharp:
-    controllable for T > nh and not controllable at T = nh."""
+    max_i m_i, with times (m_min h, m_max h); the bases are the orderings of
+    one column basis of Im B.  Refuses to bound the time when the system is
+    not null-controllable.  For one input the time nh is sharp: controllable
+    for T > nh and not controllable at T = nh."""
     sys_ = analysis.sys_
     if sys_.r < 1:
         raise ValueError("time bounds need at least one input")
@@ -375,32 +355,25 @@ def controllability_time_bounds(
             time_lower=None,
             time_sufficient=None,
             single_input_exact=False,
-            policy=policy,
             refused=True,
             refusal_reason="system is not null-controllable; witness recorded in the verdict",
         )
         return bounds, ()
 
+    base = _column_basis(sys_.B)
     records = []
-    for label, basis in _enumerate_bases(sys_, policy, seed):
-        n_chain, m = controllability_indices(sys_, basis)
-        records.append(
-            BasisIndices(
-                order=tuple(label) if isinstance(label, tuple) else (label,),
-                n_chain=tuple(n_chain),
-                m=tuple(m),
-            )
-        )
+    for order in itertools.permutations(range(base.shape[1])):
+        n_chain, m = controllability_indices(sys_, base[:, list(order)])
+        records.append(BasisIndices(order=order, n_chain=tuple(n_chain), m=tuple(m)))
     m_min = max(rec.m[0] for rec in records)
     m_max = min(max(rec.m) for rec in records)
-    single = sys_.B.shape[1] == 1 or _column_basis(sys_.B).shape[1] == 1
+    single = sys_.B.shape[1] == 1 or base.shape[1] == 1
     bounds = TimeBounds(
         m_min=m_min,
         m_max=m_max,
         time_lower=m_min * sys_.h,
         time_sufficient=m_max * sys_.h,
         single_input_exact=single,
-        policy=policy,
         refused=False,
         refusal_reason=None,
     )
@@ -448,7 +421,7 @@ class ControllabilityReport:
         else:
             lines.append(
                 f"controllability indices: m_min = {b.m_min}, m_max = {b.m_max} "
-                f"(basis policy: {b.policy})"
+                f"(basis policy: {BASIS_POLICY})"
             )
             lines.append(
                 f"controllability time: not below {b.time_lower:.6g}, "
@@ -462,16 +435,10 @@ class ControllabilityReport:
         return "\n".join(lines)
 
 
-def controllability_report(
-    analysis: SystemAnalysis,
-    policy: str = "permutations",
-    seed: int = 0,
-) -> ControllabilityReport:
+def controllability_report(analysis: SystemAnalysis) -> ControllabilityReport:
     """Full controllability analysis: verdict, per-basis indices, time bounds."""
     verdict = check_null_controllability(analysis)
-    bounds, records = controllability_time_bounds(
-        analysis, policy=policy, seed=seed, verdict=verdict
-    )
+    bounds, records = controllability_time_bounds(analysis, verdict=verdict)
     return ControllabilityReport(
         null_controllability=verdict, indices=records, bounds=bounds
     )

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from neutralsys.sysmodel import load_system, save_system
 
 from conftest import EXAMPLE1_DOC, make_scalar_decay
 
-REPORT_FLAGS = ("--grid-m", "64", "--T", "3", "--k-range", "5:6")
+REPORT_FLAGS = ("--grid-m", "64", "--T", "3")
 
 
 def run_cli(*args):
@@ -59,7 +60,7 @@ def test_spectrum_example1(example1_file, tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli(
         "spectrum", "--input", str(example1_file), "--out", str(out),
-        "--re-min", "-1", "--re-max", "1", "--im-max", "40", "--k-range", "5:8",
+        "--re-min", "-1", "--re-max", "1", "--im-max", "40",
     )
     assert code == 0
     doc = json.loads((out / "spectrum.json").read_text())
@@ -239,12 +240,16 @@ def test_unknown_command_exits_1():
         ("reach", "--rank-tau", "nan"),
         ("reach", "--rank-tau", "-inf"),
         ("frobnicate", "--T", "1"),
+        ("simulate", "--T", "1e12"),
+        ("simulate", "--grid-m", "100000000000000"),
+        ("reach", "--T-list", "1e12"),
     ],
 )
 def test_malformed_or_infinite_arguments_exit_1(tmp_path, capsys, command, flag, value):
-    # unparsable ranges, horizons and numbers, horizons no simulation grid can
-    # reach, scan windows and control waveforms that are not finite, the
-    # removed tolerance flags (at any value) and an unknown command;
+    # unparsable horizons and numbers, horizons no simulation grid can reach,
+    # scan windows and control waveforms that are not finite, the removed
+    # tolerance, chain-range and basis-policy flags (at any value), an unknown
+    # command, and runs whose arrays would exceed any address space;
     # FLAG=VALUE, since argparse takes a bare -inf for a flag.  Each is one JSON record on stderr, not argparse's usage.
     path = _system_with_inputs(tmp_path)
     code = run_cli(command, "--input", str(path), "--out", str(tmp_path / "out"), f"{flag}={value}")
@@ -260,6 +265,46 @@ def test_help_exits_0(capsys):
     assert run_cli("spectrum", "-h") == cli.EXIT_OK
     out = capsys.readouterr()
     assert out.out.startswith("usage: neutralsys spectrum") and out.err == ""
+
+
+# A valid value for each option the parser knew before --k-range and
+# --basis-policy became constants.
+OPTION_VALUES = {
+    "--input": "sys.json", "--out": "out", "--re-min": "-1", "--re-max": "1",
+    "--im-max": "40", "--T": "3", "--grid-m": "16", "--seed": "1", "--k-range": "5:6",
+    "--basis-policy": "permutations", "--control": "sine", "--control-amplitude": "0.5",
+    "--control-frequency": "2", "--control-table": "u.csv", "--history": "zero",
+    "--T-list": "0.5,1.5",
+}
+_VERDICT_OPTIONS = {"--input", "--out", "--im-max", "--seed"}
+COMMAND_OPTIONS = {
+    "spectrum": _VERDICT_OPTIONS | {"--re-min", "--re-max"},
+    "stability": _VERDICT_OPTIONS,
+    "stabilizability": _VERDICT_OPTIONS,
+    "controllability": _VERDICT_OPTIONS,
+    "simulate": {"--input", "--out", "--T", "--grid-m", "--seed", "--history", "--control",
+                 "--control-amplitude", "--control-frequency", "--control-table"},
+    "reach": {"--input", "--out", "--grid-m", "--T-list"},
+    "report": set(OPTION_VALUES) - {"--k-range", "--basis-policy"},
+}
+
+
+@pytest.mark.parametrize("option", list(OPTION_VALUES))
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_each_command_takes_only_the_options_it_reads(capsys, command, option):
+    argv = [command, "--input", "sys.json", f"{option}={OPTION_VALUES[option]}"]
+    if option in COMMAND_OPTIONS[command]:
+        args = cli._build_parser().parse_args(argv)
+        assert getattr(args, option[2:].replace("-", "_")) is not None
+    else:
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        records = [json.loads(line) for line in err.splitlines()]
+        assert [r["event"] for r in records] == ["usage_error"], err
+        assert option in records[0]["detail"]
+    assert run_cli(command, "-h") == cli.EXIT_OK
+    listed = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out)) - {"--help"}
+    assert listed == COMMAND_OPTIONS[command]
 
 
 @pytest.mark.parametrize("im_max", ["1e308", "1e12"])
@@ -332,7 +377,7 @@ def test_deterministic_outputs(example1_file, tmp_path):
     for out in (out_a, out_b):
         assert run_cli(
             "spectrum", "--input", str(example1_file), "--out", str(out),
-            "--seed", "7", "--k-range", "5:6",
+            "--seed", "7",
         ) == 0
     assert (out_a / "spectrum.json").read_bytes() == (out_b / "spectrum.json").read_bytes()
     assert (out_a / "roots.csv").read_bytes() == (out_b / "roots.csv").read_bytes()
@@ -528,7 +573,7 @@ def test_report_verdicts_match_standalone_commands(tmp_path):
                    *REPORT_FLAGS) == 0
     for command in ("stability", "stabilizability", "controllability"):
         out = tmp_path / command
-        assert run_cli(command, "--input", str(path), "--out", str(out), *REPORT_FLAGS) == 0
+        assert run_cli(command, "--input", str(path), "--out", str(out)) == 0
         name = f"{command}.json"
         assert (out / name).read_bytes() == (report_out / name).read_bytes()
 
@@ -536,11 +581,10 @@ def test_report_verdicts_match_standalone_commands(tmp_path):
 def test_report_writes_what_reach_and_simulate_write(tmp_path):
     # without --grid-m each part of report uses its own command's default grid
     path = _system_with_inputs(tmp_path)
-    flags = ("--T", "3", "--k-range", "5:6")
     report_out = tmp_path / "report"
-    assert run_cli("report", "--input", str(path), "--out", str(report_out), *flags) == 0
-    for command, names in (("reach", ("rank_profile.json", "rank_profile.csv")),
-                           ("simulate", ("trajectory.csv",))):
+    assert run_cli("report", "--input", str(path), "--out", str(report_out), "--T", "3") == 0
+    for command, flags, names in (("reach", (), ("rank_profile.json", "rank_profile.csv")),
+                                  ("simulate", ("--T", "3"), ("trajectory.csv",))):
         out = tmp_path / command
         assert run_cli(command, "--input", str(path), "--out", str(out), *flags) == 0
         for name in names:

@@ -256,13 +256,6 @@ def test_time_bounds_refused_when_not_controllable():
     assert records == ()
 
 
-def test_time_bounds_random_policy_labels():
-    s = plain_system(np.zeros((2, 2)), np.eye(2), state_feedback=-np.eye(2))
-    bounds, records = sr.controllability_time_bounds(SystemAnalysis(s), policy="random:3", seed=9)
-    assert bounds.policy == "random:3"
-    assert len(records) == 2 + 3  # permutations plus random draws
-
-
 def test_h_scaling_of_times():
     s = plain_system(np.zeros((2, 2)), np.array([[0.0], [1.0]]), h=0.25,
                      state_feedback=np.array([[0.0, 1.0], [0.0, 0.0]]))
