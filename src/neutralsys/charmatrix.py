@@ -49,7 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import cluster_eigenvalues, default_cluster_tol, rank_tolerance
-from .errors import NoChainsError
 from .sysmodel import NeutralSystem
 
 _SERIES_CUT = 1e-4
@@ -324,22 +323,20 @@ def chain_centers_radius0(mus, h: float) -> float:
     return best / (3.0 * h)
 
 
-def chain_grid(sys_: NeutralSystem) -> ChainGrid:
+def chain_grid(sys_: NeutralSystem) -> ChainGrid | None:
     """The chains of every nonzero eigenvalue in sys_.structure, with circle
     radius r0 / 2.
 
     Eigenvalues with |mu| at most sqrt(eps) times max(1, ||A||_2) have no
     finite chain center and are skipped; if all of them are (numerically)
-    zero the spectrum is retarded-like and NoChainsError is raised.
+    zero the spectrum is retarded-like and there is no grid: None.
     """
     A = sys_.A_minus1
     scale = float(np.linalg.norm(A, 2)) if np.any(A) else 0.0
     zero_tol = np.sqrt(np.finfo(float).eps) * max(1.0, scale)
     kept = tuple(e for e in sys_.structure.entries if abs(e.mu) > zero_tol)
     if not kept:
-        raise NoChainsError(
-            "all eigenvalues of the difference matrix vanish; no root chains"
-        )
+        return None
     r0 = chain_centers_radius0([e.mu for e in kept], sys_.h)
     return ChainGrid(eigenvalues=kept, radius=0.5 * r0, r0=r0, h=sys_.h)
 

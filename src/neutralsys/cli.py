@@ -105,7 +105,7 @@ def _history(cfg: Namespace, sys_: NeutralSystem) -> HistorySegment:
 def _cmd_spectrum(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
     sys_, grid = analysis.sys_, analysis.sys_.chains
     report = find_roots_in_region(
-        sys_, Rect(cfg.re_min, cfg.re_max, -cfg.im_max, cfg.im_max), analysis.seed, grid
+        sys_, Rect(cfg.re_min, cfg.re_max, -cfg.im_max, cfg.im_max), grid
     )
     doc = report.to_json_dict()
     if grid is not None:
@@ -113,7 +113,7 @@ def _cmd_spectrum(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> in
         doc["cluster_checks"] = [
             {"m": m, "k": k, "count": count, "expected": expected, "match": match}
             for (m, k), (count, expected, match)
-            in zip(pairs, verify_cluster_multiplicity(sys_, grid, pairs))
+            in zip(pairs, verify_cluster_multiplicity(sys_, pairs))
         ]
     out.write_json("spectrum.json", doc)
     out.write("roots.csv", report.to_csv())
@@ -167,8 +167,8 @@ def _cmd_simulate(cfg: Namespace, sys_: NeutralSystem, out: _Outputs) -> int:
 def _cmd_reach(cfg: Namespace, sys_: NeutralSystem, out: _Outputs) -> int:
     T_list = cfg.T_list or tuple(sys_.h * f for f in (0.5, 1.5, 2.5, 3.5))
     m = REACH_GRID_M if cfg.grid_m is None else cfg.grid_m
-    profile, sigmas = rank_profile(sys_, T_list, m=m)
-    out.write("rank_profile.csv", profile.to_csv(sigmas))
+    profile = rank_profile(sys_, T_list, m=m)
+    out.write("rank_profile.csv", profile.to_csv())
     out.write_json("rank_profile.json", profile.to_json_dict())
     marks = ", ".join(f"T={e.T:.6g}: rank {e.effective_rank}" for e in profile.entries)
     print(f"effective ranks ({'monotone' if profile.monotone else 'NOT monotone'}): {marks}")
@@ -235,8 +235,7 @@ def run(cfg: Namespace) -> int:
         _diag("error", "io_error", path=str(out.path), detail=str(exc))
         return EXIT_IO
 
-    subject = (SystemAnalysis(sys_, im_cap=cfg.im_max, seed=cfg.seed)
-               if cfg.command in _SCANS else sys_)
+    subject = SystemAnalysis(sys_, im_cap=cfg.im_max) if cfg.command in _SCANS else sys_
     started = time.time()
     try:
         code = _COMMANDS[cfg.command](cfg, subject, out)
@@ -307,7 +306,8 @@ _OPTIONS = (
                   "help": f"grid intervals per delay (default: {SIMULATE_GRID_M} simulate, "
                           f"{REACH_GRID_M} reach, each also within report)"},
      ("simulate", "reach")),
-    ("--seed", {"type": int, "default": 0}, _SCANS + ("simulate",)),
+    ("--seed", {"type": int, "default": 0, "help": "seed of the random history"},
+     ("simulate",)),
     ("--control", {"default": "zero", "help": "zero | sine | table"}, ("simulate",)),
     ("--control-amplitude", {"type": _finite, "default": 1.0}, ("simulate",)),
     ("--control-frequency", {"type": _finite, "default": 1.0}, ("simulate",)),

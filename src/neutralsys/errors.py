@@ -30,10 +30,6 @@ class PhaseTrackingError(ContourError):
     """Adaptive phase refinement did not stabilise the winding number."""
 
 
-class NoChainsError(NeutralSysError):
-    """Every eigenvalue of the difference matrix vanishes, so no root chains exist."""
-
-
 class SimulationBlowUpError(NeutralSysError):
     """Simulation state became non-finite during time stepping."""
 

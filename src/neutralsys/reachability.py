@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simulate import _check_size, _integrate
+from .simulate import _check_size, _integrate, _steps
 from .sysmodel import NeutralSystem
 
 CSV_SIGMAS = 12   # singular values per horizon in rank_profile.csv
@@ -49,11 +49,6 @@ def _effective_rank(s: np.ndarray) -> int:
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s >= RANK_TAU * s[0]))
-
-
-def _steps(sys_: NeutralSystem, T: float, m: int) -> int:
-    """Simulation steps of dt = h/m that reach horizon T, at least one."""
-    return max(1, int(round(T / (sys_.h / m))))
 
 
 def build_steering_probe(sys_: NeutralSystem, T: float, m: int = 100) -> SteeringProbe:
@@ -97,6 +92,8 @@ class ProbeSummary:
     sigma_max: float
     sigma_at_rank: float
     effective_rank: int
+    # every singular value of the horizon, descending; rank_profile.csv lists them
+    singular_values: np.ndarray = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -104,12 +101,12 @@ class RankProfile:
     entries: tuple[ProbeSummary, ...]
     monotone: bool
 
-    def to_csv(self, singular_values: dict) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["T"] + [f"sigma_{i + 1}" for i in range(CSV_SIGMAS)] + ["effective_rank"])
         for e in self.entries:
-            sig = singular_values[e.T]
+            sig = e.singular_values
             padded = list(sig[:CSV_SIGMAS]) + [0.0] * max(0, CSV_SIGMAS - len(sig))
             writer.writerow([repr(e.T)] + [repr(float(s)) for s in padded] + [e.effective_rank])
         return buf.getvalue()
@@ -130,20 +127,19 @@ class RankProfile:
         }
 
 
-def rank_profile(sys_: NeutralSystem, T_list, m: int = 100) -> tuple[RankProfile, dict]:
+def rank_profile(sys_: NeutralSystem, T_list, m: int = 100) -> RankProfile:
     """Probe summaries over increasing horizons on a shared state grid.
 
-    Each horizon's probe is the trailing columns of the last horizon's.
-    Returns the profile plus the raw singular values per horizon.  The
-    reachable set only grows with T, so the effective rank should be
-    non-decreasing; the profile records whether the discretization respects
-    that.
+    Each horizon's probe is the trailing columns of the last horizon's, and
+    each summary keeps its horizon's singular values.  The reachable set only
+    grows with T, so the effective rank should be non-decreasing; the profile
+    records whether the discretization respects that.
     """
     T_list = list(T_list)
     if not T_list or not T_list[0] > 0 or any(b <= a for a, b in zip(T_list, T_list[1:])):
         raise ValueError("horizons must be positive and strictly increasing")
     probe = build_steering_probe(sys_, T_list[-1], m=m)
-    entries, sigmas = [], {}
+    entries = []
     for T in T_list:
         nsteps = _steps(sys_, T, m)
         cols, T_eff = nsteps * sys_.r, nsteps * (sys_.h / m)
@@ -156,9 +152,9 @@ def rank_profile(sys_: NeutralSystem, T_list, m: int = 100) -> tuple[RankProfile
                 sigma_max=float(s[0]) if s.size else 0.0,
                 sigma_at_rank=float(s[rank - 1]) if rank > 0 else 0.0,
                 effective_rank=rank,
+                singular_values=s,
             )
         )
-        sigmas[T_eff] = s
     ranks = [e.effective_rank for e in entries]
     monotone = all(b >= a for a, b in zip(ranks, ranks[1:]))
-    return RankProfile(entries=tuple(entries), monotone=monotone), sigmas
+    return RankProfile(entries=tuple(entries), monotone=monotone)

@@ -55,10 +55,12 @@ add up to its winding count; the cells that fail are split, and their
 children's winding counts must add up to theirs.  Cells that cannot be
 resolved are reported, never dropped, in depth-first order.
 
-A caller sets only the seed of the cell seeds; every tolerance, budget and
-radius is a module constant.  A located root's accuracy comes from Newton: a
-seed stops once its step is at most 1e-12 (1 + |lam|), and its iterate counts
-as a root only when |det D| <= RESIDUAL_COEFF (1 + |lam|)^n.
+The root finder has no setting: every tolerance, budget and radius is a
+module constant, and each cell's random Newton starts are seeded from its
+corners alone, so they do not depend on the traversal order.  A located
+root's accuracy comes from Newton: a seed stops once its step is at most
+1e-12 (1 + |lam|), and its iterate counts as a root only when
+|det D| <= RESIDUAL_COEFF (1 + |lam|)^n.
 MIN_CELL_DIAMETER is only the size at which an unmatched cell is given up.
 """
 
@@ -836,11 +838,11 @@ class SpectrumReport:
 # -------------------------------------------------------------- region scan
 
 
-def _cell_rng(seed: int, cell: Rect) -> np.random.Generator:
+def _cell_rng(cell: Rect) -> np.random.Generator:
     # Seed from the cell geometry so results are independent of traversal order.
     raw = np.array([cell.re_min, cell.re_max, cell.im_min, cell.im_max], dtype=float)
     digest = hashlib.blake2b(raw.tobytes(), digest_size=8).digest()
-    return np.random.default_rng(int.from_bytes(digest, "little") ^ (seed & 0xFFFFFFFF))
+    return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
 def _multiplicity_circle(lam: complex, others, cap: float) -> Circle:
@@ -854,8 +856,8 @@ def _multiplicity_circle(lam: complex, others, cap: float) -> Circle:
     return Circle(lam, max(radius, 4.0 * MERGE_TOL))
 
 
-def _cell_seeds(cell: Rect, seed: int) -> list[complex]:
-    rng = _cell_rng(seed, cell)
+def _cell_seeds(cell: Rect) -> list[complex]:
+    rng = _cell_rng(cell)
     w, v = cell.widths()
     seeds = [cell.center]
     for _ in range(NEWTON_RESTARTS):
@@ -949,7 +951,6 @@ def _owned_roots(cell: Rect, known: list[LocatedRoot], margin: float):
 def find_roots_in_region(
     sys_: NeutralSystem,
     rect: Rect,
-    seed: int = 0,
     grid: ChainGrid | None = None,
 ) -> SpectrumReport:
     """Locate all roots of det D inside a rectangle.
@@ -961,8 +962,8 @@ def find_roots_in_region(
     takes them without Newton or a split.  The report also carries any cells
     whose winding count located roots did not match before the cell reached
     MAX_DEPTH or MIN_CELL_DIAMETER; a root's accuracy is Newton's, not the
-    cell size.  seed seeds each cell's random Newton starts, mixed with the
-    cell's corners so the starts do not depend on the traversal order.
+    cell size.  Each cell's random Newton starts are seeded from its corners,
+    so the report depends on the system, the window and the grid alone.
     """
     edges = _EdgeCache(sys_)
     (total,) = edges.counts([rect])
@@ -991,7 +992,7 @@ def find_roots_in_region(
             if path not in resolved
             and (cell.diameter() <= NEWTON_CELL_SIZE or cnt <= NEWTON_MAX_COUNT)
         ]
-        seeds = [s for cell, _, _ in tries for s in _cell_seeds(cell, seed)]
+        seeds = [s for cell, _, _ in tries for s in _cell_seeds(cell)]
         results = newton_roots(sys_, seeds) if seeds else []
         for j, (cell, cnt, path) in enumerate(tries):
             found = _accept_cell(cell, cnt, results[j * per_cell:(j + 1) * per_cell], edges)
@@ -1070,12 +1071,12 @@ def find_roots_in_region(
     )
 
 
-def verify_cluster_multiplicity(sys_: NeutralSystem, grid: ChainGrid,
-                                pairs) -> list[tuple[int, int, bool]]:
-    """Count the roots in the chain circle L_m^(k) of every (m, k) pair, all
-    in one call on one edge cache, and compare each count with the rootspace
-    dimension of the generating eigenvalue; one (count, expected, match) per
-    pair."""
+def verify_cluster_multiplicity(sys_: NeutralSystem, pairs) -> list[tuple[int, int, bool]]:
+    """Count the roots in the chain circle L_m^(k) of sys_.chains for every
+    (m, k) pair, all in one call on one edge cache, and compare each count
+    with the rootspace dimension of the generating eigenvalue; one (count,
+    expected, match) per pair.  The system must have chains."""
+    grid = sys_.chains
     pairs = list(pairs)
     circles = [Circle(grid.center(m, k), grid.radius) for m, k in pairs]
     counts = _EdgeCache(sys_).counts(circles)
@@ -1120,7 +1121,6 @@ def right_half_plane_ceiling(sys_: NeutralSystem) -> float | None:
 def rightmost_root_scan(
     sys_: NeutralSystem,
     im_cap: float,
-    seed: int = 0,
 ) -> SpectrumReport:
     """Scan the window [re_floor, re_ceiling] x [-im_cap, im_cap] for roots.
 
@@ -1140,7 +1140,7 @@ def rightmost_root_scan(
     if bound is not None:
         re_ceiling = max(re_ceiling, bound)
     rect = Rect(re_floor, re_ceiling, -im_cap, im_cap)
-    report = find_roots_in_region(sys_, rect, seed, grid)
+    report = find_roots_in_region(sys_, rect, grid)
     chain_note = (
         "chain abscissas: " + ", ".join(f"{a:.6g}" for a in sorted(abscissas))
         if abscissas

@@ -31,10 +31,18 @@ _FINITE_CHECK_STRIDE = 50
 _MAX_SIZE = 1e7   # grid intervals, time steps or probe entries of one run; a larger run is refused
 
 
-def _check_size(count: int, what: str) -> None:
+def _check_size(count: float, what: str) -> None:
     """Refuse a run before it allocates arrays of count rows or entries."""
     if not count <= _MAX_SIZE:
         raise ValueError(f"{count:g} {what} exceed the limit of {_MAX_SIZE:g}")
+
+
+def _steps(sys_: NeutralSystem, T: float, m: int) -> int:
+    """Simulation steps of dt = h/m that reach horizon T, at least one; the
+    ratio is size-checked before rounding, which overflows on an infinite one."""
+    ratio = T / (sys_.h / m)
+    _check_size(ratio, "time steps")
+    return max(1, int(round(ratio)))
 
 
 def _history_grid(sys_: NeutralSystem, m: int) -> np.ndarray:
@@ -240,8 +248,7 @@ def simulate(
     if not (0 < T < np.inf):
         raise ValueError("final time must be positive and finite")
     dt = sys_.h / m
-    nsteps = max(1, int(round(T / dt)))
-    _check_size(nsteps, "time steps")
+    nsteps = _steps(sys_, T, m)
     times = np.arange(nsteps + 1) * dt
 
     dtype = complex if np.iscomplexobj(phi.values) else float

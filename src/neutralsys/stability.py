@@ -81,11 +81,10 @@ class SystemAnalysis:
 
     sys_: NeutralSystem
     im_cap: float = 40.0
-    seed: int = 0
 
     @cached_property
     def scan(self) -> SpectrumReport:
-        return rightmost_root_scan(self.sys_, self.im_cap, self.seed)
+        return rightmost_root_scan(self.sys_, self.im_cap)
 
     def window_note(self, claim: str, caveat: str) -> str:
         """'<claim> [floor, ceiling] x [-cap, cap]; <caveat>', plus the number

@@ -58,17 +58,17 @@ def _rank_test(M: np.ndarray, point: complex, required: int,
     )
 
 
-def hautus_at(sys_: NeutralSystem, lam: complex, rel_tol: float = 0.0) -> RankTestResult:
+def hautus_at(sys_: NeutralSystem, lam: complex) -> RankTestResult:
     """Rank of [D(lam) | B]; full rank n everywhere except possibly at roots.
 
     A singular value counts when it is above the default cutoff
-    (`_linalg.rank_tolerance`) and above rel_tol times the largest.  When lam
-    is a numerically located root, pass rel_tol on the order of the root
-    accuracy: the vanishing singular value only drops to the size of the
-    localization error, far above machine epsilon.
+    (`_linalg.rank_tolerance`) and above ROOT_SITE_REL_TOL times the largest.
+    lam is meant to be a numerically located root, and there the vanishing
+    singular value only drops to the size of the localization error, far
+    above machine epsilon; off the roots the rank is full either way.
     """
     M = np.hstack([delta(sys_, lam), sys_.B.astype(complex)])
-    return _rank_test(M, lam, sys_.n, rel_tol)
+    return _rank_test(M, lam, sys_.n, ROOT_SITE_REL_TOL)
 
 
 def hautus_matrix_pair(A, B, mu: complex) -> RankTestResult:
@@ -147,9 +147,7 @@ def check_stabilizability(analysis: SystemAnalysis) -> StabilizabilityReport:
 
     report = analysis.scan
     rhp_roots = [r for r in report.all_roots() if r.lam.real >= 0.0]
-    tests3 = tuple(
-        hautus_at(sys_, r.lam, rel_tol=ROOT_SITE_REL_TOL) for r in rhp_roots
-    )
+    tests3 = tuple(hautus_at(sys_, r.lam) for r in rhp_roots)
     cond3 = all(t.passes for t in tests3)
 
     tests4 = tuple(hautus_matrix_pair(sys_.A_minus1, sys_.B, e.mu) for e in sigma1)
@@ -227,9 +225,7 @@ def check_null_controllability(analysis: SystemAnalysis) -> NullControllabilityR
         )
 
     report = analysis.scan
-    tests = tuple(
-        hautus_at(sys_, r.lam, rel_tol=ROOT_SITE_REL_TOL) for r in report.all_roots()
-    )
+    tests = tuple(hautus_at(sys_, r.lam) for r in report.all_roots())
     cond_i = all(t.passes for t in tests)
     witness = next((t for t in tests if not t.passes), None)
     if witness is None and not cond_ii.passes:

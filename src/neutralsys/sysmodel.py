@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NoChainsError, SystemParseError, SystemValidationError
+from .errors import SystemParseError, SystemValidationError
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -160,10 +160,7 @@ class NeutralSystem:
         system, so every scan and cluster check of it shares one grid."""
         from .charmatrix import chain_grid
 
-        try:
-            return chain_grid(self)
-        except NoChainsError:
-            return None
+        return chain_grid(self)
 
 
 @dataclass(frozen=True)

@@ -340,7 +340,7 @@ def test_cluster_checks_count_every_circle_in_one_call(monkeypatch, sys_):
 
     monkeypatch.setattr(rf._EdgeCache, "windings", recording)
     monkeypatch.setattr(rf, "count_roots_in_contour", lambda *args, **kwargs: calls.append(args))
-    checks = rf.verify_cluster_multiplicity(sys_, grid, pairs)
+    checks = rf.verify_cluster_multiplicity(sys_, pairs)
     assert [count for count, _, _ in checks] == alone
     assert checks == [(2, 2, True)] * len(pairs)
     assert calls == [len(pairs)]
@@ -348,21 +348,19 @@ def test_cluster_checks_count_every_circle_in_one_call(monkeypatch, sys_):
 
 def test_verify_cluster_multiplicity():
     s1 = make_example1(1.0, 2.0)
-    g1 = cm.chain_grid(s1)
-    assert rf.verify_cluster_multiplicity(s1, g1, [(0, 10)]) == [(2, 2, True)]
+    assert rf.verify_cluster_multiplicity(s1, [(0, 10)]) == [(2, 2, True)]
 
     s2 = make_example2(0.0)
-    g2 = cm.chain_grid(s2)
-    assert g2.center(0, 10) == pytest.approx(21j * np.pi)
-    assert rf.verify_cluster_multiplicity(s2, g2, [(0, 10)]) == [(2, 2, True)]
+    assert s2.chains.center(0, 10) == pytest.approx(21j * np.pi)
+    assert rf.verify_cluster_multiplicity(s2, [(0, 10)]) == [(2, 2, True)]
 
 
 def test_verify_cluster_multiplicity_low_k_honest():
     # clustering is only guaranteed for large |k|; at k=0 the flag reports
     # whatever the count actually is
     s = make_example1(1.0, 2.0)
-    g = cm.chain_grid(s)
-    ((count, expected, match),) = rf.verify_cluster_multiplicity(s, g, [(0, 0)])
+    g = s.chains
+    ((count, expected, match),) = rf.verify_cluster_multiplicity(s, [(0, 0)])
     assert expected == 2
     assert match == (count == expected)
     circle = rf.Circle(g.center(0, 0), g.radius)
@@ -890,14 +888,28 @@ def test_chain_seeds_spare_most_newton_seeds_on_the_shared_scan(monkeypatch):
         A2=DelayKernel.zero(2, 1.0), A3=DelayKernel.from_atoms([(0.0, -np.eye(2))], 2, 1.0),
         B=np.zeros((2, 0)),
     )
-    analysis = SystemAnalysis(s)
-    report = analysis.scan
+    report = SystemAnalysis(s).scan
     grid = s.chains
     calls = _seed_counting(monkeypatch)
-    plain = rf.find_roots_in_region(s, report.window, analysis.seed, None)
+    plain = rf.find_roots_in_region(s, report.window, None)
     plain_seeds = sum(calls)
     calls.clear()
-    seeded = rf.find_roots_in_region(s, report.window, analysis.seed, grid)
+    seeded = rf.find_roots_in_region(s, report.window, grid)
     seeded_seeds = sum(calls)
     assert seeded.total_count == plain.total_count == report.total_count
     assert 3 * seeded_seeds <= plain_seeds, (seeded_seeds, plain_seeds)
+
+
+@pytest.mark.parametrize("cell, expected", [
+    (rf.Rect(-1.0, 1.0, -40.0, 40.0),
+     [0j, -0.6497098038641624 - 25.002064023446753j, -0.49635364529232207 + 22.954212817800055j,
+      -0.17739158800942467 + 20.86729139045414j, 0.41640771887805417 + 19.474457435026025j]),
+    (rf.Rect(-0.75, -0.5, 2.5, 3.125),
+     [-0.625 + 2.8125j, -0.577148543584943 + 2.9727968032266734j,
+      -0.5980535213293436 + 2.99368143037689j, -0.630680190646083 + 2.7871078177155115j,
+      -0.600997605003053 + 2.9930912995999455j]),
+])
+def test_cell_seeds_are_fixed_by_the_cell_corners(cell, expected):
+    # Every scan's roots, and so every written output, rest on these starts:
+    # a change to the cell seeding shows here before it shows in an output.
+    assert rf._cell_seeds(cell) == expected
