@@ -25,7 +25,7 @@ from .errors import (
     SystemParseError,
     SystemValidationError,
 )
-from .rootfinder import Rect, find_roots_in_region, verify_cluster_multiplicity
+from .rootfinder import Rect, SpectrumReport, find_roots_in_region, verify_cluster_multiplicity
 from .simulate import HistorySegment, norm_profile, simulate
 from .reachability import rank_profile
 from .stability import StabilityVerdict, SystemAnalysis, classify_asymptotic
@@ -102,11 +102,18 @@ def _history(cfg: Namespace, sys_: NeutralSystem) -> HistorySegment:
     raise ValueError(f"unknown history spec '{cfg.history}'")
 
 
+def _spectrum_window(cfg: Namespace) -> Rect:
+    return Rect(cfg.re_min, cfg.re_max, -cfg.im_max, cfg.im_max)
+
+
 def _cmd_spectrum(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
-    sys_, grid = analysis.sys_, analysis.sys_.chains
-    report = find_roots_in_region(
-        sys_, Rect(cfg.re_min, cfg.re_max, -cfg.im_max, cfg.im_max), grid
-    )
+    sys_ = analysis.sys_
+    (report,) = find_roots_in_region(sys_, [_spectrum_window(cfg)], sys_.chains)
+    return _write_spectrum(sys_, report, out)
+
+
+def _write_spectrum(sys_: NeutralSystem, report: SpectrumReport, out: _Outputs) -> int:
+    grid = sys_.chains
     doc = report.to_json_dict()
     if grid is not None:
         pairs = [(m, k) for m in range(len(grid.eigenvalues)) for k in CLUSTER_CHECK_KS]
@@ -177,7 +184,10 @@ def _cmd_reach(cfg: Namespace, sys_: NeutralSystem, out: _Outputs) -> int:
 
 def _cmd_report(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
     sys_ = analysis.sys_
-    codes = [_cmd_spectrum(cfg, analysis, out)]
+    # the spectrum window rides along in the rightmost scan: one scan per system
+    analysis = SystemAnalysis(sys_, analysis.im_cap, windows=(_spectrum_window(cfg),))
+    _, spectrum = analysis.scans
+    codes = [_write_spectrum(sys_, spectrum, out)]
     verdict = classify_asymptotic(analysis)
     codes.append(_write_stability(verdict, out))
     if sys_.r >= 1:
@@ -236,7 +246,7 @@ def run(cfg: Namespace) -> int:
         return EXIT_IO
 
     subject = SystemAnalysis(sys_, im_cap=cfg.im_max) if cfg.command in _SCANS else sys_
-    started = time.time()
+    started = time.perf_counter()
     try:
         code = _COMMANDS[cfg.command](cfg, subject, out)
     except SimulationBlowUpError as exc:
@@ -260,7 +270,7 @@ def run(cfg: Namespace) -> int:
         "command": cfg.command,
         "input": str(cfg.input),
         **({"seed": cfg.seed} if "seed" in cfg else {}),
-        "elapsed_s": round(time.time() - started, 3),
+        "elapsed_s": round(time.perf_counter() - started, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     })
     return code

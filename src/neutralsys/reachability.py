@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simulate import _check_size, _integrate, _steps
+from .simulate import _check_size, _history_grid, _integrate, _steps
 from .sysmodel import NeutralSystem
 
 CSV_SIGMAS = 12   # singular values per horizon in rank_profile.csv
@@ -61,8 +61,7 @@ def build_steering_probe(sys_: NeutralSystem, T: float, m: int = 100) -> Steerin
         raise ValueError("steering probe needs at least one input channel")
     if not (0 < T < np.inf):
         raise ValueError("horizon must be positive and finite")
-    if m < 8:
-        raise ValueError("need m >= 8 history points")
+    _history_grid(sys_, m)   # refuses m < 8 before _steps divides by m
     n, r = sys_.n, sys_.r
     nsteps = _steps(sys_, T, m)
     _check_size((m + 2) * n * nsteps * r, "probe entries")

@@ -19,8 +19,8 @@ refiner.  A rectangle has four sides, each a straight edge keyed by its two
 exact corner points; a circle (multiplicities, chain clusters) has one, a
 closed arc whose last node is its first.  Each edge keeps its own refined
 nodes and phase increment, and the count adds the increments, each with the
-sign of its counterclockwise traversal.  A region scan counts all its
-contours, multiplicity circles included, on one edge cache.
+sign of its counterclockwise traversal.  A region scan counts all the
+contours of all its windows, multiplicity circles included, on one cache.
 A split cuts each side of its parent into two halves that keep the parent's
 refined nodes and gain one node at the split point, and samples only the
 four half-edges of its split cross, each once for the two siblings that run
@@ -32,28 +32,31 @@ by 1% and counted again on the same cache, up to a bounded number of times;
 this is the one retry path of every count, so a split line through a root
 shows as children that do not add up to their parent.
 
-Location: with a chain grid, one batched Newton solve first runs from every
-chain center in the window, where the large-|k| roots of chain m sit near
-(ln|mu_m| + i(arg mu_m + 2 pi k))/h.  A converged root is kept only inside its
-own chain circle and the window, and the kept roots' multiplicity circles are
-counted in one call.  Quadrisection of the rectangle, one level at a time,
-then discards root-free cells.  A cell whose winding count equals the
-multiplicity of the known chain roots it owns (half-open: [re_min, re_max) x
-[im_min, im_max), and none within two multiplicity radii of a side) takes
-them and is neither searched nor split; every other cell goes on as without
-a grid, so roots outside the chain circles come from the same cells and
-seeds.  Small cells seed Newton iterations.  The seeds of every
-such cell on a level run through one batched Newton solve (`newton_roots`):
-each iterate evaluates D and D' once, takes one batched det and one batched
-solve for all seeds still running, while each seed keeps its own stopping
-rules.  Only the running seeds' state is kept, compacted when seeds stop, so
-an iterate costs the arithmetic of its seeds and not a gather and scatter of
-every seed's state.  A cell then takes its seeds' results in seed order.
-Multiplicity of a converged root is recovered by counting in a tight circle
-around it, and each cell is accepted only when its located multiplicities
-add up to its winding count; the cells that fail are split, and their
-children's winding counts must add up to theirs.  Cells that cannot be
-resolved are reported, never dropped, in depth-first order.
+Location: one scan takes several windows in lockstep, equal ones once, each
+with its own cells, roots and report.  With a chain grid, one batched Newton
+solve first runs from every chain center in the windows, where the large-|k|
+roots of chain m sit near (ln|mu_m| + i(arg mu_m + 2 pi k))/h.  A converged
+root is kept only inside its own chain circle and its window, and each
+window's kept roots' multiplicity circles are counted in one call.
+Quadrisection of the rectangles, one level at a time, then discards root-free
+cells.  A cell whose winding count equals the multiplicity of the known chain
+roots it owns (half-open: [re_min, re_max) x [im_min, im_max), and none within
+two multiplicity radii of a side) takes them and is neither searched nor
+split; every other cell goes on as without a grid, so roots outside the chain
+circles come from the same cells and seeds.  Small cells seed Newton
+iterations.  The seeds of every such cell of every window on a level run
+through one batched Newton solve (`newton_roots`): each iterate evaluates D
+and D' once, takes one batched det and one batched solve for all seeds still
+running, while each seed keeps its own stopping rules.  Only the running
+seeds' state is kept, compacted when seeds stop, so an iterate costs the
+arithmetic of its seeds and not a gather and scatter of every seed's state.  A
+cell then takes its seeds' results in seed order, the same as alone, so a
+window's report is the one it gets alone.  Multiplicity of a converged root is
+recovered by counting in a tight circle around it, and each cell is accepted
+only when its located multiplicities add up to its winding count; the cells
+that fail are split, and their children's winding counts must add up to
+theirs.  Cells that cannot be resolved are reported, never dropped, in
+depth-first order.
 
 The root finder has no setting: every tolerance, budget and radius is a
 module constant, and each cell's random Newton starts are seeded from its
@@ -907,32 +910,39 @@ def _merge_roots(roots: list[LocatedRoot]) -> list[LocatedRoot]:
     return merged
 
 
-def _chain_roots(sys_, rect: Rect, grid: ChainGrid, edges: _EdgeCache) -> list[LocatedRoot]:
-    """Roots found by Newton from the chain centers inside the window.
+def _chain_roots(sys_, windows, totals, grid: ChainGrid | None, edges: _EdgeCache):
+    """Roots found by Newton from the chain centers inside each window that
+    holds roots, one list per window, from one Newton batch over the union of
+    their centers.
 
     A converged root is kept when it lies inside its own chain circle and the
-    window and is not within MERGE_TOL of a root kept before it.  The kept
-    roots' multiplicity circles are counted in one `counts` call on the
-    scan's edge cache; a root of multiplicity 0 is dropped.  The roots only
-    spare the scan work, so when a circle cannot be counted none is kept.
+    window and is not within MERGE_TOL of a root the window kept before it.
+    Each window's kept roots' multiplicity circles are counted in one
+    `counts` call on the scan's edge cache; a root of multiplicity 0 is
+    dropped.  The roots only spare the scan work, so a window with a circle
+    that cannot be counted keeps none.
     """
-    centers = grid.centers_in(rect)
-    results = newton_roots(sys_, centers) if centers else []
-    kept: list[tuple[complex, float]] = []
-    for center, (lam, absdet, ok) in zip(centers, results):
-        if (ok and abs(lam - center) <= grid.radius and rect.contains(lam)
-                and all(abs(lam - k) > MERGE_TOL for k, _ in kept)):
-            kept.append((lam, absdet))
-    if not kept:
-        return []
-    lams = [lam for lam, _ in kept]
-    circles = [_multiplicity_circle(lam, lams, MULTIPLICITY_RADIUS) for lam in lams]
-    try:
-        counts = edges.counts(circles)
-    except ContourError:
-        return []
-    return [LocatedRoot(lam, count, absdet) for (lam, absdet), count in zip(kept, counts)
-            if count > 0]
+    centers = [grid.centers_in(rect) if grid is not None and total > 0 else []
+               for rect, total in zip(windows, totals)]
+    union = list(dict.fromkeys(c for cs in centers for c in cs))
+    results = dict(zip(union, newton_roots(sys_, union))) if union else {}
+    found = []
+    for rect, cs in zip(windows, centers):
+        kept: list[tuple[complex, float]] = []
+        for center in cs:
+            lam, absdet, ok = results[center]
+            if (ok and abs(lam - center) <= grid.radius and rect.contains(lam)
+                    and all(abs(lam - k) > MERGE_TOL for k, _ in kept)):
+                kept.append((lam, absdet))
+        lams = [lam for lam, _ in kept]
+        try:
+            counts = edges.counts([_multiplicity_circle(lam, lams, MULTIPLICITY_RADIUS)
+                                   for lam in lams]) if kept else []
+        except ContourError:
+            counts = []
+        found.append([LocatedRoot(lam, count, absdet)
+                      for (lam, absdet), count in zip(kept, counts) if count > 0])
+    return found
 
 
 def _owned_roots(cell: Rect, known: list[LocatedRoot], margin: float):
@@ -950,79 +960,92 @@ def _owned_roots(cell: Rect, known: list[LocatedRoot], margin: float):
 
 def find_roots_in_region(
     sys_: NeutralSystem,
-    rect: Rect,
+    rects: list[Rect],
     grid: ChainGrid | None = None,
-) -> SpectrumReport:
-    """Locate all roots of det D inside a rectangle.
+) -> list[SpectrumReport]:
+    """Locate all roots of det D inside each rectangle; one report per
+    rectangle, in order.
 
     Roots are deduplicated at the merge tolerance and labeled with the chain
     circle that contains them when a chain grid is supplied.  With a grid,
-    Newton first runs from the chain centers inside the window, and a cell
+    Newton first runs from the chain centers inside the windows, and a cell
     whose winding count equals the multiplicity of the chain roots it owns
-    takes them without Newton or a split.  The report also carries any cells
+    takes them without Newton or a split.  A report also carries any cells
     whose winding count located roots did not match before the cell reached
     MAX_DEPTH or MIN_CELL_DIAMETER; a root's accuracy is Newton's, not the
     cell size.  Each cell's random Newton starts are seeded from its corners,
-    so the report depends on the system, the window and the grid alone.
+    so a report depends on the system, its window and the grid alone.
+
+    The windows are scanned in lockstep, equal ones once, on one edge cache
+    with one Newton batch and one count of all children per level; each
+    report is the one its window gets alone, to the bit.
     """
+    windows = list(dict.fromkeys(rects))
     edges = _EdgeCache(sys_)
-    (total,) = edges.counts([rect])
-    known = _chain_roots(sys_, rect, grid, edges) if grid is not None and total > 0 else []
+    totals = edges.counts(windows)
+    known = _chain_roots(sys_, windows, totals, grid, edges)
     # a known root this close to a side may have been counted by a multiplicity
     # circle that crosses it, or be the root an inflated recount took in
     margin = 2.0 * MULTIPLICITY_RADIUS
     per_cell = 1 + NEWTON_RESTARTS
-    # A cell is (rect, count, path); the path numbers each quadrant last child
-    # first, so sorting unresolved cells by path gives the order of a
-    # depth-first scan.
-    level = [(rect, total, ())] if total > 0 else []
-    roots: list[LocatedRoot] = []
-    unmatched: list[tuple[tuple, UnresolvedCell]] = []
-    nonadditive: list[tuple[Rect, int, int]] = []   # (cell, count, children's sum)
+    # A cell is (window, rect, count, path); the path numbers each quadrant
+    # last child first, so sorting a window's unresolved cells by path gives
+    # the order of a depth-first scan.
+    level = [(w, rect, total, ()) for w, (rect, total) in enumerate(zip(windows, totals))
+             if total > 0]
+    # per window: located roots, (path, unresolved cell), (cell, count, children's sum)
+    roots, unmatched, nonadditive = ([[] for _ in windows] for _ in range(3))
     depth = 0
     while level:
         resolved = set()
-        for cell, cnt, path in level:
-            owned = _owned_roots(cell, known, margin)
+        for w, cell, cnt, path in level:
+            owned = _owned_roots(cell, known[w], margin)
             if owned and sum(r.multiplicity for r in owned) == cnt:
-                roots.extend(owned)
-                resolved.add(path)
+                roots[w].extend(owned)
+                resolved.add((w, path))
         tries = [
-            (cell, cnt, path) for cell, cnt, path in level
-            if path not in resolved
+            (w, cell, cnt, path) for w, cell, cnt, path in level
+            if (w, path) not in resolved
             and (cell.diameter() <= NEWTON_CELL_SIZE or cnt <= NEWTON_MAX_COUNT)
         ]
-        seeds = [s for cell, _, _ in tries for s in _cell_seeds(cell)]
+        seeds = [s for _, cell, _, _ in tries for s in _cell_seeds(cell)]
         results = newton_roots(sys_, seeds) if seeds else []
-        for j, (cell, cnt, path) in enumerate(tries):
+        for j, (w, cell, cnt, path) in enumerate(tries):
             found = _accept_cell(cell, cnt, results[j * per_cell:(j + 1) * per_cell], edges)
             if found is not None:
-                roots.extend(found)
-                resolved.add(path)
+                roots[w].extend(found)
+                resolved.add((w, path))
         splits = []
-        for cell, cnt, path in level:
-            if path in resolved:
+        for w, cell, cnt, path in level:
+            if (w, path) in resolved:
                 continue
             if depth >= MAX_DEPTH or cell.diameter() <= MIN_CELL_DIAMETER:
-                unmatched.append((path, UnresolvedCell(
+                unmatched[w].append((path, UnresolvedCell(
                     cell, cnt, "refinement limit reached with roots unmatched")))
                 continue
-            splits.append((cell, cnt, path, cell.quadrants()))
+            splits.append((w, cell, cnt, path, cell.quadrants()))
         child_counts = edges.counts([child for *_, children in splits for child in children])
         next_level = []
-        for j, (cell, cnt, path, children) in enumerate(splits):
+        for j, (w, cell, cnt, path, children) in enumerate(splits):
             cs = child_counts[4 * j:4 * j + 4]
             if sum(cs) != cnt:
-                nonadditive.append((cell, cnt, sum(cs)))
+                nonadditive[w].append((cell, cnt, sum(cs)))
             next_level.extend(
-                (child, c, path + (3 - i,))
+                (w, child, c, path + (3 - i,))
                 for i, (child, c) in enumerate(zip(children, cs))
                 if c > 0
             )
         level = next_level
         depth += 1
-    unresolved = [u for _, u in sorted(unmatched, key=lambda e: e[0])]
+    reports = {rect: _spectrum_report(rect, total, roots[w], unmatched[w], nonadditive[w], grid)
+               for w, (rect, total) in enumerate(zip(windows, totals))}
+    return [reports[rect] for rect in rects]
 
+
+def _spectrum_report(rect: Rect, total: int, roots, unmatched, nonadditive,
+                     grid: ChainGrid | None) -> SpectrumReport:
+    """One window's report; unmatched holds (path, unresolved cell) pairs."""
+    unresolved = [u for _, u in sorted(unmatched, key=lambda e: e[0])]
     merged = _merge_roots(roots)
 
     clusters: dict[tuple[int, int], list[LocatedRoot]] = {}
@@ -1121,8 +1144,10 @@ def right_half_plane_ceiling(sys_: NeutralSystem) -> float | None:
 def rightmost_root_scan(
     sys_: NeutralSystem,
     im_cap: float,
-) -> SpectrumReport:
-    """Scan the window [re_floor, re_ceiling] x [-im_cap, im_cap] for roots.
+    windows: tuple[Rect, ...] = (),
+) -> list[SpectrumReport]:
+    """Reports for the window [re_floor, re_ceiling] x [-im_cap, im_cap] and
+    then each further window, all from one lockstep scan.
 
     The floor is half a unit left of the top chain abscissa, clamped to
     [-1, -0.5], and -1 when there are no chains.  The ceiling is the larger of
@@ -1140,7 +1165,7 @@ def rightmost_root_scan(
     if bound is not None:
         re_ceiling = max(re_ceiling, bound)
     rect = Rect(re_floor, re_ceiling, -im_cap, im_cap)
-    report = find_roots_in_region(sys_, rect, grid)
+    report, *others = find_roots_in_region(sys_, [rect, *windows], grid)
     chain_note = (
         "chain abscissas: " + ", ".join(f"{a:.6g}" for a in sorted(abscissas))
         if abscissas
@@ -1157,4 +1182,4 @@ def rightmost_root_scan(
         + chain_note
         + "; roots beyond |Im| cap cluster in chain circles and stay near the listed abscissas"
     )
-    return replace(report, completeness_note=note)
+    return [replace(report, completeness_note=note), *others]

@@ -46,7 +46,9 @@ def _steps(sys_: NeutralSystem, T: float, m: int) -> int:
 
 
 def _history_grid(sys_: NeutralSystem, m: int) -> np.ndarray:
-    """The m+1 uniform points on [-h, 0]."""
+    """The m+1 uniform points on [-h, 0]; m below 8 is refused."""
+    if m < 8:
+        raise ValueError("need at least 8 grid intervals per delay")
     _check_size(m, "grid intervals per delay")
     return np.linspace(-sys_.h, 0.0, m + 1)
 
@@ -239,8 +241,6 @@ def simulate(
     the blow-up time attached.
     """
     m = phi.m
-    if m < 8:
-        raise ValueError("need at least 8 grid points per delay interval")
     if abs(phi.grid[0] + sys_.h) > 1e-9 * max(1.0, sys_.h):
         raise ValueError(f"history grid spans [{phi.grid[0]}, 0], system delay is {sys_.h}")
     if phi.values.shape[1] != sys_.n:

@@ -31,7 +31,7 @@ from .charmatrix import (
     SpectralEntry,
     matrix_spectral_structure,
 )
-from .rootfinder import SpectrumReport, rightmost_root_scan
+from .rootfinder import Rect, SpectrumReport, rightmost_root_scan
 from .sysmodel import NeutralSystem
 
 _CASE_EXPLANATIONS = {
@@ -76,15 +76,21 @@ class SystemAnalysis:
 
     The rightmost root scan is computed on first use and then kept, so the
     verdicts of one system see the same scan and a verdict that needs none
-    computes none.
+    computes none.  The further `windows` ride along in that one scan.
     """
 
     sys_: NeutralSystem
     im_cap: float = 40.0
+    windows: tuple[Rect, ...] = ()
 
     @cached_property
+    def scans(self) -> list[SpectrumReport]:
+        """The rightmost scan's report, then one per further window."""
+        return rightmost_root_scan(self.sys_, self.im_cap, self.windows)
+
+    @property
     def scan(self) -> SpectrumReport:
-        return rightmost_root_scan(self.sys_, self.im_cap)
+        return self.scans[0]
 
     def window_note(self, claim: str, caveat: str) -> str:
         """'<claim> [floor, ceiling] x [-cap, cap]; <caveat>', plus the number

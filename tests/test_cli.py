@@ -12,6 +12,7 @@ import pytest
 
 from neutralsys import charmatrix as cm
 from neutralsys import _linalg, cli, stability
+from neutralsys import rootfinder as rf
 from neutralsys.cli import main
 from neutralsys.simulate import HistorySegment, simulate
 from neutralsys.sysmodel import load_system, save_system
@@ -37,12 +38,16 @@ def _system_with_inputs(tmp_path):
 
 
 def _count_spectral_work(monkeypatch):
-    """Count the calls the verdicts make to the two shared spectral objects,
-    and the eigenvalue clusterings of the difference matrix behind them."""
-    counts = {"rightmost_root_scan": 0, "matrix_spectral_structure": 0, "cluster_eigenvalues": 0}
+    """Count the region scans, the calls the verdicts make to the two shared
+    spectral objects, and the eigenvalue clusterings of the difference matrix
+    behind them."""
+    counts = {"find_roots_in_region": 0, "rightmost_root_scan": 0,
+              "matrix_spectral_structure": 0, "cluster_eigenvalues": 0}
     # the module attribute each caller looks up; every module that imported
-    # cluster_eigenvalues by name holds its own reference to it
-    sites = [(stability, "rightmost_root_scan"), (cm, "matrix_spectral_structure")]
+    # cluster_eigenvalues or find_roots_in_region by name holds its own
+    # reference to it
+    sites = [(rf, "find_roots_in_region"), (cli, "find_roots_in_region"),
+             (stability, "rightmost_root_scan"), (cm, "matrix_spectral_structure")]
     sites += [(module, "cluster_eigenvalues") for module in (_linalg, cm, stability)
               if getattr(module, "cluster_eigenvalues", None) is _linalg.cluster_eigenvalues]
     for module, name in sites:
@@ -246,6 +251,10 @@ def test_unknown_command_exits_1():
         ("simulate", "--T", "1e308"),
         ("reach", "--T-list", "1e308"),
         ("reach", "--T-list", "1,1e308"),
+        ("simulate", "--grid-m", "-3"),
+        ("simulate", "--grid-m", "0"),
+        ("simulate", "--grid-m", "3"),
+        ("reach", "--grid-m", "0"),
     ],
 )
 def test_malformed_or_infinite_arguments_exit_1(tmp_path, capsys, command, flag, value):
@@ -262,6 +271,9 @@ def test_malformed_or_infinite_arguments_exit_1(tmp_path, capsys, command, flag,
     assert [r["event"] for r in records] == ["usage_error"], err
     # the reason, not the name of the private converter that found it
     assert not any(name in records[0]["detail"] for name in ("_finite", "_k_range", "_horizons"))
+    if flag == "--grid-m" and int(value) < 8:
+        # one refusal for every command and every grid too small
+        assert records[0]["detail"] == "need at least 8 grid intervals per delay"
 
 
 def test_help_exits_0(capsys):
@@ -514,10 +526,43 @@ def test_report_scans_each_system_once(tmp_path, monkeypatch):
     counts = _count_spectral_work(monkeypatch)
     assert run_cli("report", "--input", str(_system_with_inputs(tmp_path)),
                    "--out", str(tmp_path / "rep"), *REPORT_FLAGS) == 0
-    # stability, stabilizability and controllability share one scan, and the
-    # chain grid and the verdicts one difference-matrix structure
-    assert counts == {"rightmost_root_scan": 1, "matrix_spectral_structure": 1,
-                      "cluster_eigenvalues": 1}
+    # the spectrum window rides along in the one scan that stability,
+    # stabilizability and controllability share, and the chain grid and the
+    # verdicts share one difference-matrix structure
+    assert counts == {"find_roots_in_region": 1, "rightmost_root_scan": 1,
+                      "matrix_spectral_structure": 1, "cluster_eigenvalues": 1}
+
+
+@pytest.mark.parametrize("command, scans", [("spectrum", (1, 0)), ("stability", (1, 1))])
+def test_standalone_commands_scan_their_one_window(tmp_path, monkeypatch, command, scans):
+    counts = _count_spectral_work(monkeypatch)
+    assert run_cli(command, "--input", str(_system_with_inputs(tmp_path)),
+                   "--out", str(tmp_path / command)) == 0
+    assert (counts["find_roots_in_region"], counts["rightmost_root_scan"]) == scans
+
+
+@pytest.mark.parametrize("failing", ["spectrum", "stability"])
+def test_report_contour_failure_in_either_window_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                                failing):
+    path = _system_with_inputs(tmp_path)
+    windows = {"spectrum": rf.Rect(-1.0, 1.0, -40.0, 40.0),
+               "stability": stability.SystemAnalysis(load_system(path)).scan.window}
+    assert windows["spectrum"] != windows["stability"]
+    target = windows[failing]
+    windings = rf._EdgeCache.windings
+
+    def root_on_target(self, contours):
+        # the target window and every inflation of it come too close to a root
+        return [rf.RootOnContourError("contour sample too close to a root")
+                if isinstance(c, rf.Rect) and abs(c.center - target.center) < 1e-9 else count
+                for c, count in zip(contours, windings(self, contours))]
+
+    monkeypatch.setattr(rf._EdgeCache, "windings", root_on_target)
+    out = tmp_path / "rep"
+    assert run_cli("report", "--input", str(path), "--out", str(out), *REPORT_FLAGS) == 2
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [r["event"] for r in records] == ["contour_failure"]
+    assert list(out.iterdir()) == []
 
 
 def test_report_builds_the_chain_grid_once(tmp_path, monkeypatch):
@@ -562,8 +607,8 @@ def test_controllability_with_full_row_rank_input_runs_no_scan(tmp_path, monkeyp
     counts = _count_spectral_work(monkeypatch)
     out = tmp_path / "out"
     assert run_cli("controllability", "--input", str(path), "--out", str(out)) == 0
-    assert counts == {"rightmost_root_scan": 0, "matrix_spectral_structure": 0,
-                      "cluster_eigenvalues": 0}
+    assert counts == {"find_roots_in_region": 0, "rightmost_root_scan": 0,
+                      "matrix_spectral_structure": 0, "cluster_eigenvalues": 0}
     verdict = json.loads((out / "controllability.json").read_text())
     assert verdict["null_controllability"]["verdict"] == "yes"
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as hst
@@ -75,7 +77,7 @@ def test_count_skimming_contour_is_exact():
 
 def test_find_roots_example1_degenerate():
     s = make_example1(0.0, 0.0)
-    report = rf.find_roots_in_region(s, rf.Rect(-1.0, 1.0, -7.0, 7.0))
+    (report,) = rf.find_roots_in_region(s, [rf.Rect(-1.0, 1.0, -7.0, 7.0)])
     roots = {np.round(r.lam, 6): r.multiplicity for r in report.all_roots()}
     assert report.total_count == 8
     assert not report.unresolved_cells
@@ -86,7 +88,7 @@ def test_find_roots_example1_degenerate():
 
 def test_find_roots_scalar_decay():
     s = make_scalar_decay()
-    report = rf.find_roots_in_region(s, rf.Rect(-2.0, 0.5, -1.0, 1.0))
+    (report,) = rf.find_roots_in_region(s, [rf.Rect(-2.0, 0.5, -1.0, 1.0)])
     roots = report.all_roots()
     assert len(roots) == 1
     assert roots[0].lam == pytest.approx(-1.0, abs=1e-9)
@@ -95,7 +97,7 @@ def test_find_roots_scalar_decay():
 
 def test_find_roots_example2_near_axis():
     s = make_example2(0.0)
-    report = rf.find_roots_in_region(s, rf.Rect(-0.1, 1.0, -40.0, 40.0))
+    (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.1, 1.0, -40.0, 40.0)])
     roots = report.all_roots()
     assert report.total_count == 24
     assert sum(r.multiplicity for r in roots) == 24
@@ -105,14 +107,14 @@ def test_find_roots_example2_near_axis():
 
 def test_residual_bound_invariant():
     s = make_example1(1.0, 2.0)
-    report = rf.find_roots_in_region(s, rf.Rect(-0.5, 1.0, -30.0, 30.0))
+    (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.5, 1.0, -30.0, 30.0)])
     for r in report.all_roots():
         assert r.residual <= 1e-9 * (1.0 + abs(r.lam)) ** s.n
 
 
 def test_conjugate_pairing():
     s = make_example2(0.0)
-    report = rf.find_roots_in_region(s, rf.Rect(-0.6, 1.0, -40.0, 40.0))
+    (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -40.0, 40.0)])
     roots = sorted(r.lam for r in report.all_roots() if abs(r.lam.imag) > 1e-9)
     by_conj = {np.round(r, 5) for r in roots}
     assert {np.round(np.conj(r), 5) for r in roots} == by_conj
@@ -230,7 +232,7 @@ def test_region_scan_samples_no_rectangle_point_twice(monkeypatch):
     monkeypatch.setattr(rf, "delta_and_derivative", recording)
     for name in ("newton_roots", "_accept_cell"):
         monkeypatch.setattr(rf, name, not_rectangle_counting(getattr(rf, name)))
-    report = rf.find_roots_in_region(s, rf.Rect(-0.6, 1.0, -40.0, 40.0))
+    (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -40.0, 40.0)])
     assert report.total_count == 26
     points = np.concatenate(sampled)
     assert np.unique(points).size == points.size
@@ -250,7 +252,7 @@ def test_region_scan_counts_every_contour_on_one_edge_cache(monkeypatch):
     monkeypatch.setattr(rf._EdgeCache, "__init__", recording)
     for grid in (None, s.chains):
         built.clear()
-        report = rf.find_roots_in_region(s, rf.Rect(-0.6, 1.0, -40.0, 40.0), grid=grid)
+        (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -40.0, 40.0)], grid=grid)
         assert report.total_count == 26
         assert len(built) == 1
 
@@ -301,7 +303,7 @@ def test_chain_centers_by_formula_match_the_table(sys_, chain, frac, width, y0, 
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rf, "newton_roots", no_roots)
-        assert rf._chain_roots(sys_, rect, grid, rf._EdgeCache(sys_)) == []
+        assert rf._chain_roots(sys_, [rect], [1], grid, rf._EdgeCache(sys_)) == [[]]
     assert seeds == [c for c in table.values() if rect.contains(c)]
 
 
@@ -318,11 +320,91 @@ def test_window_through_a_root_is_counted_once_before_it_is_inflated(monkeypatch
         return windings(self, contours)
 
     monkeypatch.setattr(rf._EdgeCache, "windings", recording)
-    report = rf.find_roots_in_region(s, rect)
+    (report,) = rf.find_roots_in_region(s, [rect])
     assert counted.count(rect) == 1
     assert counted.count(rect.inflate(1.01)) == 1
     assert report.total_count == 1
     assert [r.lam for r in report.all_roots()] == [pytest.approx(-1.0, abs=1e-9)]
+
+
+@hst.composite
+def _window_sets(draw):
+    """A window and one or two others nested in it (a side shared or not),
+    overlapping it, disjoint from it or equal to it, in drawn order."""
+    x0, w = draw(hst.floats(-2.0, 0.5)), draw(hst.floats(0.2, 2.5))
+    y0, v = draw(hst.floats(-15.0, 10.0)), draw(hst.floats(0.5, 20.0))
+    first = rf.Rect(x0, x0 + w, y0, y0 + v)
+    lo = hst.one_of(hst.just(0.0), hst.floats(0.05, 0.4))
+    hi = hst.one_of(hst.just(1.0), hst.floats(0.6, 0.95))
+    others = []
+    for kind in draw(hst.lists(hst.sampled_from(["nested", "overlapping", "disjoint", "equal"]),
+                               min_size=1, max_size=2)):
+        if kind == "nested":
+            a, b, c, d = draw(lo), draw(hi), draw(lo), draw(hi)
+            others.append(rf.Rect(x0 + a * w, x0 + b * w, y0 + c * v, y0 + d * v))
+        elif kind == "overlapping":
+            a, c = draw(hst.floats(0.3, 0.7)), draw(hst.floats(-0.7, 0.7))
+            others.append(rf.Rect(x0 + a * w, x0 + (1 + a) * w, y0 + c * v, y0 + (1 + c) * v))
+        elif kind == "disjoint":
+            gap = draw(hst.floats(0.1, 1.0))
+            others.append(rf.Rect(x0 + w + gap, x0 + 2 * w + gap, y0, y0 + v))
+        else:
+            others.append(rf.Rect(x0, x0 + w, y0, y0 + v))
+    order = draw(hst.permutations(range(len(others) + 1)))
+    return [([first] + others)[i] for i in order]
+
+
+def _bits(report):
+    return json.dumps(report.to_json_dict(), sort_keys=True), report.to_csv()
+
+
+@given(density_systems(n_max=3), _window_sets(), hst.booleans())
+@settings(max_examples=30, deadline=None)
+# both left sides run along Re = -1 through the root -1: the shared side is
+# inflated for each window
+@example(make_scalar_decay(), [rf.Rect(-1.0, 1.0, -40.0, 40.0), rf.Rect(-1.0, 0.5, -40.0, 40.0)],
+         False)
+# chain roots, a window nested in the other with a shared side
+@example(make_example1(1.0, 2.0), [rf.Rect(-0.6, 1.0, -20.0, 20.0), rf.Rect(-0.6, 0.3, -9.0, 20.0)],
+         True)
+def test_each_window_of_one_scan_is_reported_as_alone(sys_, rects, chained):
+    grid = sys_.chains if chained else None
+    try:
+        alone = [rf.find_roots_in_region(sys_, [rect], grid)[0] for rect in rects]
+    except ContourError:
+        with pytest.raises(ContourError):
+            rf.find_roots_in_region(sys_, rects, grid)
+        return
+    together = rf.find_roots_in_region(sys_, rects, grid)
+    assert len(together) == len(rects)
+    for rect, report, reference in zip(rects, together, alone):
+        assert report.window == rect
+        assert _bits(report) == _bits(reference)
+
+
+def test_equal_windows_are_scanned_once(monkeypatch):
+    # as report's spectrum and stability windows are for a system with no
+    # chain right of -0.5 and no root bound past 1
+    s = make_example1(1.0, 2.0)
+    rect = rf.Rect(-1.0, 1.0, -40.0, 40.0)
+    counted = []
+    windings = rf._EdgeCache.windings
+
+    def recording(self, contours):
+        counted.extend(contours)
+        return windings(self, contours)
+
+    monkeypatch.setattr(rf._EdgeCache, "windings", recording)
+    seeds = _seed_counting(monkeypatch)
+    (alone,) = rf.find_roots_in_region(s, [rect], s.chains)
+    alone_work = (list(counted), list(seeds))
+    counted.clear()
+    seeds.clear()
+    first, second = rf.find_roots_in_region(s, [rect, rf.Rect(-1.0, 1.0, -40.0, 40.0)], s.chains)
+    assert first is second
+    assert _bits(first) == _bits(alone)
+    assert (counted, seeds) == alone_work
+    assert alone.total_count > 0 and alone.clusters
 
 
 @pytest.mark.parametrize("sys_", [make_example1(1.0, 2.0), make_example2(0.0)])
@@ -369,7 +451,7 @@ def test_verify_cluster_multiplicity_low_k_honest():
 
 def test_rightmost_scan_scalar():
     s = make_scalar_decay()
-    report = rf.rightmost_root_scan(s, 10.0)
+    (report,) = rf.rightmost_root_scan(s, 10.0)
     roots = report.all_roots()
     assert len(roots) == 1
     assert roots[0].lam == pytest.approx(-1.0, abs=1e-9)
@@ -377,13 +459,13 @@ def test_rightmost_scan_scalar():
 
 
 def test_rightmost_scan_example2_clean_rhp():
-    report = rf.rightmost_root_scan(make_example2(1.0), 60.0)
+    (report,) = rf.rightmost_root_scan(make_example2(1.0), 60.0)
     assert all(r.lam.real < 0.0 for r in report.all_roots())
 
 
 def test_rightmost_scan_example1_axis_roots():
     s = make_example1(0.0, 0.0)
-    report = rf.rightmost_root_scan(s, 20.0)
+    (report,) = rf.rightmost_root_scan(s, 20.0)
     roots = report.all_roots()
     expected = {0: 4, 1: 2, -1: 2, 2: 2, -2: 2, 3: 2, -3: 2}
     assert len(roots) == len(expected)
@@ -395,7 +477,7 @@ def test_rightmost_scan_example1_axis_roots():
 
 def test_rightmost_scan_ceiling_covers_rhp_roots():
     # the two real right-half-plane roots sit beyond the chain abscissa + 1
-    report = rf.rightmost_root_scan(make_example1(1.0, 2.0), 8.0)
+    (report,) = rf.rightmost_root_scan(make_example1(1.0, 2.0), 8.0)
     rhp = [r for r in report.all_roots() if r.lam.real > 0]
     reals = sorted(r.lam.real for r in rhp)
     # frozen from an independent scalar Newton iteration on each factor
@@ -407,7 +489,7 @@ def test_rightmost_scan_ceiling_covers_rhp_roots():
 def test_chain_labels_in_report():
     s = make_example2(0.0)
     grid = cm.chain_grid(s)
-    report = rf.find_roots_in_region(s, rf.Rect(-0.6, 1.0, -20.0, 20.0), grid=grid)
+    (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -20.0, 20.0)], grid=grid)
     assert report.clusters
     for cluster in report.clusters:
         assert cluster.chain_label is not None
@@ -423,7 +505,7 @@ def _cluster_root_distances(sys_, grid, k):
     center = grid.center(0, k)
     r = grid.radius
     box = rf.Rect(center.real - r, center.real + r, center.imag - r, center.imag + r)
-    roots = [rt for rt in rf.find_roots_in_region(sys_, box).all_roots()
+    roots = [rt for rt in rf.find_roots_in_region(sys_, [box])[0].all_roots()
              if abs(rt.lam - center) <= r]
     return sorted(abs(rt.lam - center) for rt in roots)
 
@@ -441,7 +523,7 @@ def test_cluster_convergence_trend(sys_):
 
 def test_no_duplicate_roots_in_report():
     s = make_example2(0.0)
-    report = rf.find_roots_in_region(s, rf.Rect(-0.6, 1.0, -40.0, 40.0))
+    (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -40.0, 40.0)])
     roots = [r.lam for r in report.all_roots()]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
@@ -476,8 +558,8 @@ def test_delay_length_rescaling_identity():
     d_1 = cm.det_delta_batch(sys_1, h * lams)
     assert np.max(np.abs(d_1 - h**2 * d_h) / np.abs(d_1)) < 1e-12
 
-    rep_h = rf.find_roots_in_region(sys_h, rf.Rect(-1.5, 1.5, -6.0, 6.0))
-    rep_1 = rf.find_roots_in_region(sys_1, rf.Rect(-3.0, 3.0, -12.0, 12.0))
+    (rep_h,) = rf.find_roots_in_region(sys_h, [rf.Rect(-1.5, 1.5, -6.0, 6.0)])
+    (rep_1,) = rf.find_roots_in_region(sys_1, [rf.Rect(-3.0, 3.0, -12.0, 12.0)])
     roots_h = [r.lam for r in rep_h.all_roots()]
     roots_1 = [r.lam / h for r in rep_1.all_roots()]
     assert len(roots_h) == len(roots_1) == 9
@@ -495,7 +577,7 @@ def test_newton_refines_to_residual():
 def test_spectrum_report_serialization():
     s = make_example2(0.0)
     grid = cm.chain_grid(s)
-    report = rf.find_roots_in_region(s, rf.Rect(-0.6, 1.0, -20.0, 20.0), grid=grid)
+    (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -20.0, 20.0)], grid=grid)
     doc = report.to_json_dict()
     assert doc["total_count"] == report.total_count
     assert doc["window"]["re_min"] == -0.6
@@ -727,7 +809,7 @@ def test_region_scan_batches_newton_once_per_level(monkeypatch):
     monkeypatch.setattr(rf.Rect, "quadrants", recording_quadrants)
     monkeypatch.setattr(rf, "newton_roots", recording_newton_roots)
     monkeypatch.setattr(rf, "newton_root", no_single_seed)
-    report = rf.find_roots_in_region(s, rect)
+    (report,) = rf.find_roots_in_region(s, [rect])
     assert sum(r.multiplicity for r in report.all_roots()) == report.total_count == 26
     assert all(len(depths) == 1 for depths in call_depths)
     levels = [depths.pop() for depths in call_depths]
@@ -739,7 +821,7 @@ def test_unresolved_cells_keep_depth_first_order(monkeypatch):
     # The list a depth-first stack scan gives: last child first.
     s = make_example2(0.0)
     monkeypatch.setattr(rf, "MAX_DEPTH", 2)
-    report = rf.find_roots_in_region(s, rf.Rect(-0.6, 1.0, -40.0, 40.0))
+    (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -40.0, 40.0)])
     x0, x1, x2 = -0.6, -0.17777969599999988, 0.22192000000000012
     y0, y1, y2 = -18.888984799999996, 1.0960000000000036, 21.080984800000003
     assert [
@@ -762,7 +844,7 @@ def test_root_on_split_line_names_the_nonadditive_cell(monkeypatch):
     rect = rf.Rect(-1.0 - 0.5137 * 2.0, -1.0 + 0.4863 * 2.0, -1.0, 1.0)
     assert rect.quadrants()[0].re_max == -1.0
     monkeypatch.setattr(rf, "NEWTON_MAX_COUNT", 0)   # no Newton before the split
-    report = rf.find_roots_in_region(s, rect)
+    (report,) = rf.find_roots_in_region(s, [rect])
     roots = report.all_roots()
     assert len(roots) == 1 and roots[0].multiplicity == 1
     assert roots[0].lam == pytest.approx(-1.0, abs=1e-12)
@@ -773,7 +855,7 @@ def test_root_on_split_line_names_the_nonadditive_cell(monkeypatch):
     assert "merged" not in report.completeness_note
 
     clear = rf.Rect(rect.re_min + 0.1, rect.re_max + 0.1, -1.0, 1.0)
-    report = rf.find_roots_in_region(s, clear)
+    (report,) = rf.find_roots_in_region(s, [clear])
     assert report.completeness_note.endswith("winding count 1, located multiplicity 1")
 
 
@@ -820,11 +902,11 @@ def test_chain_seeded_scan_matches_unseeded_scan(sys_, chain, frac, width, im_ca
     assume(x0 > -4.0)
     rect = rf.Rect(x0, x0 + width, -im_cap, im_cap)
     try:
-        plain = rf.find_roots_in_region(sys_, rect)
+        (plain,) = rf.find_roots_in_region(sys_, [rect])
     except ContourError:
         assume(False)
     assume(not plain.unresolved_cells)
-    seeded = rf.find_roots_in_region(sys_, rect, grid=grid)
+    (seeded,) = rf.find_roots_in_region(sys_, [rect], grid=grid)
     assert seeded.total_count == plain.total_count
     assert not seeded.unresolved_cells
     _root_sets_match(seeded.all_roots(), plain.all_roots(), rf.MERGE_TOL)
@@ -851,7 +933,7 @@ def test_chain_seed_converging_outside_its_circle_is_discarded(monkeypatch, stra
     s = make_example1(1.0, 2.0)
     rect = rf.Rect(-1.0, 1.5, -20.0, 20.0)
     grid = s.chains
-    plain = rf.find_roots_in_region(s, rect)
+    (plain,) = rf.find_roots_in_region(s, [rect])
     roots = [r.lam for r in plain.all_roots()]
     loose = [lam for lam in roots if grid.label_for(lam) is None]
     assert loose
@@ -871,11 +953,11 @@ def test_chain_seed_converging_outside_its_circle_is_discarded(monkeypatch, stra
     monkeypatch.setattr(rf, "newton_roots", stray_chain_seeds)
     edges = rf._EdgeCache(s)
     (total,) = edges.windings([rect])
-    assert rf._chain_roots(s, rect, grid, edges) == []
+    assert rf._chain_roots(s, [rect], [total], grid, edges) == [[]]
     assert chain_batches and all(grid.label_for(c) is not None for c in chain_batches[0])
 
     chain_batches.clear()
-    seeded = rf.find_roots_in_region(s, rect, grid=grid)
+    (seeded,) = rf.find_roots_in_region(s, [rect], grid=grid)
     assert seeded.total_count == plain.total_count == total
     assert [(r.lam, r.multiplicity) for r in seeded.all_roots()] == [
         (r.lam, r.multiplicity) for r in plain.all_roots()]
@@ -891,10 +973,10 @@ def test_chain_seeds_spare_most_newton_seeds_on_the_shared_scan(monkeypatch):
     report = SystemAnalysis(s).scan
     grid = s.chains
     calls = _seed_counting(monkeypatch)
-    plain = rf.find_roots_in_region(s, report.window, None)
+    (plain,) = rf.find_roots_in_region(s, [report.window], None)
     plain_seeds = sum(calls)
     calls.clear()
-    seeded = rf.find_roots_in_region(s, report.window, grid)
+    (seeded,) = rf.find_roots_in_region(s, [report.window], grid)
     seeded_seeds = sum(calls)
     assert seeded.total_count == plain.total_count == report.total_count
     assert 3 * seeded_seeds <= plain_seeds, (seeded_seeds, plain_seeds)
