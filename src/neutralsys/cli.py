@@ -74,7 +74,10 @@ def _control_function(cfg: Namespace, sys_: NeutralSystem):
     if cfg.control == "table":
         if not cfg.control_table:
             raise ValueError("control 'table' needs --control-table FILE")
-        rows = np.loadtxt(cfg.control_table, delimiter=",", ndmin=2)
+        lines = Path(cfg.control_table).read_text().splitlines()
+        if not any(line.split("#", 1)[0] for line in lines):   # loadtxt would warn
+            raise ValueError("control table has no rows")
+        rows = np.loadtxt(lines, delimiter=",", ndmin=2)
         times, values = rows[:, 0], rows[:, 1:]
         if values.shape[1] != sys_.r:
             raise ValueError(f"control table has {values.shape[1]} channels, need {sys_.r}")

@@ -14,7 +14,8 @@ steps (the first j steps compute exact zeros), and at T = nsteps*dt its
 terminal state is that of P at age nsteps - j.  One simulation of P yields
 every column, and the probe at an earlier horizon of s steps is the last s*r
 columns of a later one: the column blocks, and the reachable sets they span,
-nest.
+nest.  The probe is filled in place in one buffer, the only probe-sized
+array beside numpy's own SVD buffer.
 """
 
 from __future__ import annotations
@@ -70,12 +71,13 @@ def build_steering_probe(sys_: NeutralSystem, T: float, m: int = 100) -> Steerin
     P = _integrate(sys_, np.zeros((m + 1, n, r)), controls, nsteps, m)
 
     # The pulse on step j is s = nsteps - j steps old at T; its terminal
-    # segment is P[s : s + m + 1], i.e. z(T + theta) on the grid.
-    ages = nsteps - np.arange(nsteps)
-    tail = P[np.arange(m + 1)[:, None] + ages]            # (m+1, nsteps, n, r)
-    tail = tail.transpose(0, 2, 1, 3).reshape(m + 1, n, nsteps * r)
-    head = tail[m] - sys_.A_minus1 @ tail[0]               # z(T) - A z(T - h)
-    state = np.concatenate([head, tail.reshape(-1, nsteps * r)], axis=0)
+    # segment is P[s : s + m + 1], i.e. z(T + theta) on the grid: the windows
+    # of P for s = nsteps, ..., 1, as (theta, n, step, channel), fill the tail.
+    state = np.empty(((m + 2) * n, nsteps * r))
+    windows = np.lib.stride_tricks.sliding_window_view(P, m + 1, axis=0)[nsteps:0:-1]
+    state[n:].reshape(m + 1, n, nsteps, r)[...] = windows.transpose(3, 1, 0, 2)
+    np.matmul(sys_.A_minus1, state[n : 2 * n], out=state[:n])   # z(T) - A z(T - h)
+    np.subtract(state[(m + 1) * n :], state[:n], out=state[:n])
     return SteeringProbe(
         T=nsteps * (sys_.h / m),
         control_dim=nsteps * r,

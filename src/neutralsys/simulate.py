@@ -12,8 +12,9 @@ discretized:
 History integrals use the trapezoid rule on the stored grid, the history
 derivative uses centered differences (one-sided at the ends), and atom
 locations snap to the nearest grid node.  All of that is linear in the window
-of the last m+1 samples, so it is assembled once per run into one window
-operator, and a step is one matrix product with the flattened window.  The
+of the last m+1 samples, so it is assembled once per run, with dt in it,
+into one window operator, and a step is one matrix product with the
+flattened window, added to the carried w together with dt * B u.  The
 scheme is first-order in dt; it is an evidence generator for the stability
 and reachability verdicts, not a production integrator.
 """
@@ -122,10 +123,9 @@ def _kernel_weights(kernel, grid: np.ndarray, dt: float):
     """Trapezoid-weighted kernel samples, or None when the density vanishes."""
     if kernel.has_zero_density():
         return None
-    mats = np.stack([kernel.eval(t) for t in grid])
     w = np.full(grid.size, dt)
     w[0] = w[-1] = 0.5 * dt
-    return mats * w[:, None, None]
+    return kernel.eval(grid) * w[:, None, None]
 
 
 def _sample_control(u, times: np.ndarray, r: int, dtype) -> np.ndarray | None:
@@ -148,7 +148,7 @@ def _sample_control(u, times: np.ndarray, r: int, dtype) -> np.ndarray | None:
 def _window_operator(sys_: NeutralSystem, m: int, dtype) -> np.ndarray:
     """The linear map from the flattened window Z[k : k+m+1] to one step's terms.
 
-    Shape (2n, (m+1)n).  The top n rows give the history part of the
+    Shape (2n, (m+1)n).  The top n rows give dt times the history part of the
     right-hand side: the trapezoid A3 weights, the A2 trapezoid weights
     carried through np.gradient's stencil (centered inside, one-sided at both
     ends), and each atom at its snapped node.  The bottom n rows give
@@ -174,7 +174,7 @@ def _window_operator(sys_: NeutralSystem, m: int, dtype) -> np.ndarray:
     for theta, M in sys_.A3.atoms:
         K[int(np.clip(np.round((theta + sys_.h) / dt), 0, m))] += M
     op = np.zeros((2 * n, m + 1, n), dtype=dtype)
-    op[:n] = K.transpose(1, 0, 2)
+    op[:n] = dt * K.transpose(1, 0, 2)
     op[n:, 1] = sys_.A_minus1
     return op.reshape(2 * n, (m + 1) * n)
 
@@ -185,7 +185,8 @@ def _integrate(sys_: NeutralSystem, hist0: np.ndarray, controls: np.ndarray | No
 
     Returns the full sample array of shape (m + nsteps + 1, n, c) covering
     t in [-h, nsteps*dt].  Each step is one product of the window operator
-    with the flattened window of the last m+1 samples.
+    with the flattened window of the last m+1 samples; its top half and
+    dt * B u_k, scaled once per run, are added to the carried w.
     """
     n = sys_.n
     dt = sys_.h / m
@@ -194,7 +195,7 @@ def _integrate(sys_: NeutralSystem, hist0: np.ndarray, controls: np.ndarray | No
     Z[: m + 1] = hist0
     flat = Z.reshape(-1, c)
     op = _window_operator(sys_, m, Z.dtype)
-    inputs = None if controls is None else np.einsum("ij,kjc->kic", sys_.B, controls)
+    inputs = None if controls is None else dt * np.einsum("ij,kjc->kic", sys_.B, controls)
 
     out = np.empty((2 * n, c), dtype=Z.dtype)
     rhs, shifted = out[:n], out[n:]
@@ -204,7 +205,6 @@ def _integrate(sys_: NeutralSystem, hist0: np.ndarray, controls: np.ndarray | No
             np.matmul(op, flat[k * n : (k + m + 1) * n], out=out)
             if inputs is not None:
                 rhs += inputs[k]
-            rhs *= dt
             w_cur += rhs
             np.add(w_cur, shifted, out=Z[k + m + 1])
             if (k % _FINITE_CHECK_STRIDE == 0 or k == nsteps - 1) and not np.all(

@@ -95,12 +95,14 @@ class DelayKernel:
     def has_zero_density(self) -> bool:
         return not np.any(self.segments)
 
-    def eval(self, theta: float) -> np.ndarray:
-        if not (-self.h <= theta <= 0.0):
-            raise ValueError(f"theta = {theta} outside [-{self.h}, 0]")
-        idx = int(np.searchsorted(self.breakpoints, theta, side="right")) - 1
-        idx = min(max(idx, 0), self.segments.shape[0] - 1)
-        return self.segments[idx]
+    def eval(self, theta) -> np.ndarray:
+        """The density at theta, one n x n matrix per point of theta."""
+        theta = np.asarray(theta, dtype=float)
+        inside = (-self.h <= theta) & (theta <= 0.0)
+        if not np.all(inside):
+            raise ValueError(f"theta = {theta[~inside].flat[0]} outside [-{self.h}, 0]")
+        idx = np.searchsorted(self.breakpoints, theta, side="right") - 1
+        return self.segments[np.clip(idx, 0, self.segments.shape[0] - 1)]
 
 
 @dataclass(frozen=True)

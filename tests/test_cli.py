@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -443,14 +444,19 @@ def test_simulate_with_control_table(tmp_path, capsys):
         ("0.0,1.0\nnan,2.0\n", "strictly increasing"),
         ("0.0,1.0\n0.5,nan\n", "values must be finite"),
         ("0.0,inf\n", "values must be finite"),
+        ("", "no rows"),
+        ("\n", "no rows"),
     ],
 )
 def test_control_table_rejects_unordered_or_non_finite_rows(tmp_path, capsys, table, detail):
     path = _system_with_inputs(tmp_path)
     (tmp_path / "u.csv").write_text(table)
-    code = run_cli("simulate", "--input", str(path), "--out", str(tmp_path / "out"),
-                   "--T", "2", "--grid-m", "32", "--control", "table",
-                   "--control-table", str(tmp_path / "u.csv"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("simulate", "--input", str(path), "--out", str(tmp_path / "out"),
+                       "--T", "2", "--grid-m", "32", "--control", "table",
+                       "--control-table", str(tmp_path / "u.csv"))
+    assert not caught, [str(w.message) for w in caught]
     assert code == cli.EXIT_USAGE
     records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert [r["event"] for r in records] == ["usage_error"]

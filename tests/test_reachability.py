@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,40 @@ def test_rank_profile_runs_one_simulation(monkeypatch):
         assert entry.T == probe.T
         assert entry.effective_rank == probe.effective_rank()
         assert np.array_equal(entry.singular_values, probe.singular_values)
+
+
+def make_free3():
+    # x' = -x(t) + u with three inputs: the widest probe of the report workload
+    return NeutralSystem(
+        n=3, r=3, h=1.0,
+        A_minus1=np.zeros((3, 3)),
+        A2=DelayKernel.zero(3, 1.0),
+        A3=DelayKernel.from_atoms([(0.0, -np.eye(3))], 3, 1.0),
+        B=np.eye(3),
+    )
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make", [make_reach_fixture, make_free3])
+def test_probe_keeps_one_probe_sized_array(make):
+    # numpy's SVD is untraced: it copies the matrix into LAPACK work buffers
+    # from plain malloc, which tracemalloc does not see.  What is traced is
+    # the probe buffer, plus a fixed allowance for the pulse response, the
+    # window operator and small objects.
+    s = make()
+    nbytes = build_steering_probe(s, 3.5 * s.h, m=100).matrix.nbytes
+    bound = 1.25 * nbytes + 256 * 1024
+    assert _traced_peak(lambda: build_steering_probe(s, 3.5 * s.h, m=100)) <= bound
+    horizons = [f * s.h for f in (0.5, 1.5, 2.5, 3.5)]
+    assert _traced_peak(lambda: rank_profile(s, horizons, m=100)) <= bound
 
 
 def test_zero_input_matrix_gives_zero_probe():

@@ -122,6 +122,24 @@ def test_kernel_eval_domain_error():
         k.eval(-1.1)
 
 
+def test_kernel_eval_array_matches_pointwise():
+    bp = np.array([-1.0, -0.6, -0.25, 0.0])
+    k = DelayKernel(bp, np.stack([np.eye(2), 2 * np.eye(2), 3 * np.eye(2)]))
+    thetas = np.array([-1.0, -0.6, np.nextafter(-0.6, -1.0), -0.25, -0.3, np.nextafter(-0.25, 0.0), 0.0])
+    mats = k.eval(thetas)
+    assert mats.shape == (thetas.size, 2, 2)
+    for theta, mat in zip(thetas, mats):
+        assert np.array_equal(mat, k.eval(float(theta)))
+    assert k.eval(np.array([-0.3])).shape == (1, 2, 2)
+
+
+@pytest.mark.parametrize("bad", [0.1, -1.1, np.nan])
+def test_kernel_eval_array_domain_error(bad):
+    k = DelayKernel.zero(2, 1.0)
+    with pytest.raises(ValueError, match="outside"):
+        k.eval(np.array([-1.0, -0.5, bad, 0.0]))
+
+
 @given(
     hst.floats(min_value=-1.0, max_value=0.0, allow_nan=False),
     hst.floats(min_value=-1.0, max_value=0.0, allow_nan=False),
