@@ -19,6 +19,7 @@ from .sysmodel import (
 from .charmatrix import (
     ChainGrid,
     EigenvectorCandidate,
+    MatrixSpectralStructure,
     chain_grid,
     delta,
     delta_derivative,
@@ -36,7 +37,6 @@ from .rootfinder import (
     verify_cluster_multiplicity,
 )
 from .stability import (
-    MatrixSpectralStructure,
     StabilityVerdict,
     SystemAnalysis,
     classify_asymptotic,

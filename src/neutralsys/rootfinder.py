@@ -35,9 +35,7 @@ shows as children that do not add up to their parent.
 Location: one scan takes several windows in lockstep, equal ones once, each
 with its own cells, roots and report.  With a chain grid, one batched Newton
 solve first runs from every chain center in the windows, where the large-|k|
-roots of chain m sit near (ln|mu_m| + i(arg mu_m + 2 pi k))/h.  A converged
-root is kept only inside its own chain circle and its window, and each
-window's kept roots' multiplicity circles are counted in one call.
+roots of chain m sit near (ln|mu_m| + i(arg mu_m + 2 pi k))/h.
 Quadrisection of the rectangles, one level at a time, then discards root-free
 cells.  A cell whose winding count equals the multiplicity of the known chain
 roots it owns (half-open: [re_min, re_max) x [im_min, im_max), and none within
@@ -49,11 +47,15 @@ through one batched Newton solve (`newton_roots`): each iterate evaluates D
 and D' once, takes one batched det and one batched solve for all seeds still
 running, while each seed keeps its own stopping rules.  Only the running
 seeds' state is kept, compacted when seeds stop, so an iterate costs the
-arithmetic of its seeds and not a gather and scatter of every seed's state.  A
-cell then takes its seeds' results in seed order, the same as alone, so a
-window's report is the one it gets alone.  Multiplicity of a converged root is
-recovered by counting in a tight circle around it, and each cell is accepted
-only when its located multiplicities add up to its winding count; the cells
+arithmetic of its seeds and not a gather and scatter of every seed's state.
+One rule turns a stage's Newton results into located roots (`_candidates`):
+each cell, or each window with its chain seeds, takes its seeds' results in
+seed order, the same as alone, and keeps the distinct converged roots inside
+it, a chain root only inside its own chain circle.  Multiplicity of a kept
+root is counted in a tight circle around it, sized from every root kept
+beside it, and a stage counts all its circles in one call: one per level,
+one per window for the chain seeds.  A cell is accepted only when its
+located multiplicities, in seed order, reach its winding count; the cells
 that fail are split, and their children's winding counts must add up to
 theirs.  Cells that cannot be resolved are reported, never dropped, in
 depth-first order.
@@ -73,6 +75,7 @@ import csv
 import hashlib
 import io
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -848,15 +851,27 @@ def _cell_rng(cell: Rect) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
-def _multiplicity_circle(lam: complex, others, cap: float) -> Circle:
-    """The circle that counts the multiplicity of lam: radius at most cap and
-    0.45 times the gap to each other root, but no less than 4 MERGE_TOL."""
-    radius = cap
-    for other in others:
-        gap = abs(lam - other)
-        if gap > 0:
-            radius = min(radius, 0.45 * gap)
-    return Circle(lam, max(radius, 4.0 * MERGE_TOL))
+def _candidates(rect: Rect, results, circles=None):
+    """One stage's Newton results, in seed order, as (lam, |det D|, circle)
+    for each distinct root they locate in rect, a cell or a window, with the
+    circle that counts its multiplicity.
+
+    A converged result is kept when it lies in rect and, where circles are
+    given, in its own seed's circle, and is not within MERGE_TOL of one kept
+    before it.  Each circle's radius is at most MULTIPLICITY_RADIUS, a
+    quarter of rect's diameter and 0.45 times the gap to every other root
+    kept in rect, but no less than 4 MERGE_TOL.
+    """
+    kept = []
+    for i, (lam, absdet, ok) in enumerate(results):
+        if (ok and rect.contains(lam) and (circles is None or circles[i].contains(lam))
+                and all(abs(lam - k) > MERGE_TOL for k, _ in kept)):
+            kept.append((lam, absdet))
+    cap = min(MULTIPLICITY_RADIUS, 0.25 * rect.diameter())
+    radii = [min([cap] + [0.45 * abs(lam - other) for other, _ in kept if other != lam])
+             for lam, _ in kept]
+    return [(lam, absdet, Circle(lam, max(radius, 4.0 * MERGE_TOL)))
+            for (lam, absdet), radius in zip(kept, radii)]
 
 
 def _cell_seeds(cell: Rect) -> list[complex]:
@@ -871,28 +886,12 @@ def _cell_seeds(cell: Rect) -> list[complex]:
     return seeds
 
 
-def _accept_cell(cell: Rect, cnt: int, results, edges: _EdgeCache):
-    """The roots that the Newton results of a cell's seeds, taken in seed
-    order, locate in it; None unless their multiplicities reach its count.
-    Each multiplicity circle is counted on the scan's edge cache."""
-    cap = min(MULTIPLICITY_RADIUS, 0.25 * cell.diameter())
-    found: list[LocatedRoot] = []
-    total = 0
-    for lam, absdet, ok in results:
-        if not ok or not cell.contains(lam):
-            continue
-        if any(abs(lam - f.lam) <= MERGE_TOL for f in found):
-            continue
-        (mult,) = edges.counts([_multiplicity_circle(lam, [f.lam for f in found], cap)])
-        if mult == 0:
-            continue
-        found.append(LocatedRoot(lam, mult, absdet))
-        total += mult
-        if total == cnt:
-            return found
-        if total > cnt:
-            return None
-    return None
+def _accept_cell(cnt: int, roots: list[LocatedRoot]):
+    """The roots that locate a cell's winding count cnt: its located roots,
+    in seed order, up to the one at which their multiplicities reach cnt;
+    None when they fall short of cnt or pass it."""
+    reached = list(accumulate(r.multiplicity for r in roots))
+    return roots[:reached.index(cnt) + 1] if cnt in reached else None
 
 
 def _merge_roots(roots: list[LocatedRoot]) -> list[LocatedRoot]:
@@ -915,12 +914,12 @@ def _chain_roots(sys_, windows, totals, grid: ChainGrid | None, edges: _EdgeCach
     holds roots, one list per window, from one Newton batch over the union of
     their centers.
 
-    A converged root is kept when it lies inside its own chain circle and the
-    window and is not within MERGE_TOL of a root the window kept before it.
-    Each window's kept roots' multiplicity circles are counted in one
-    `counts` call on the scan's edge cache; a root of multiplicity 0 is
-    dropped.  The roots only spare the scan work, so a window with a circle
-    that cannot be counted keeps none.
+    Each window takes its centers' results in its own order through
+    `_candidates`, keeping a root only inside its own seed's chain circle,
+    and counts all its candidates' multiplicity circles in one `counts` call
+    on the scan's edge cache; a root of multiplicity 0 is dropped.  The roots
+    only spare the scan work, so a window with a circle that cannot be
+    counted keeps none.
     """
     centers = [grid.centers_in(rect) if grid is not None and total > 0 else []
                for rect, total in zip(windows, totals)]
@@ -928,20 +927,13 @@ def _chain_roots(sys_, windows, totals, grid: ChainGrid | None, edges: _EdgeCach
     results = dict(zip(union, newton_roots(sys_, union))) if union else {}
     found = []
     for rect, cs in zip(windows, centers):
-        kept: list[tuple[complex, float]] = []
-        for center in cs:
-            lam, absdet, ok = results[center]
-            if (ok and abs(lam - center) <= grid.radius and rect.contains(lam)
-                    and all(abs(lam - k) > MERGE_TOL for k, _ in kept)):
-                kept.append((lam, absdet))
-        lams = [lam for lam, _ in kept]
+        cands = _candidates(rect, [results[c] for c in cs], [Circle(c, grid.radius) for c in cs])
         try:
-            counts = edges.counts([_multiplicity_circle(lam, lams, MULTIPLICITY_RADIUS)
-                                   for lam in lams]) if kept else []
+            counts = edges.counts([circle for *_, circle in cands])
         except ContourError:
             counts = []
         found.append([LocatedRoot(lam, count, absdet)
-                      for (lam, absdet), count in zip(kept, counts) if count > 0])
+                      for (lam, absdet, _), count in zip(cands, counts) if count > 0])
     return found
 
 
@@ -977,8 +969,9 @@ def find_roots_in_region(
     so a report depends on the system, its window and the grid alone.
 
     The windows are scanned in lockstep, equal ones once, on one edge cache
-    with one Newton batch and one count of all children per level; each
-    report is the one its window gets alone, to the bit.
+    with one Newton batch, one count of all multiplicity circles and one
+    count of all children per level; each report is the one its window gets
+    alone, to the bit.
     """
     windows = list(dict.fromkeys(rects))
     edges = _EdgeCache(sys_)
@@ -1010,8 +1003,13 @@ def find_roots_in_region(
         ]
         seeds = [s for _, cell, _, _ in tries for s in _cell_seeds(cell)]
         results = newton_roots(sys_, seeds) if seeds else []
-        for j, (w, cell, cnt, path) in enumerate(tries):
-            found = _accept_cell(cell, cnt, results[j * per_cell:(j + 1) * per_cell], edges)
+        cands = [_candidates(cell, results[j * per_cell:(j + 1) * per_cell])
+                 for j, (_, cell, _, _) in enumerate(tries)]
+        # zip takes each cell's multiplicities from this iterator in turn
+        mults = iter(edges.counts([circle for cs in cands for *_, circle in cs]))
+        for (w, cell, cnt, path), cs in zip(tries, cands):
+            found = _accept_cell(cnt, [LocatedRoot(lam, m, absdet)
+                                       for (lam, absdet, _), m in zip(cs, mults) if m > 0])
             if found is not None:
                 roots[w].extend(found)
                 resolved.add((w, path))

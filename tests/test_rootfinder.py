@@ -229,9 +229,16 @@ def test_region_scan_samples_no_rectangle_point_twice(monkeypatch):
                 elsewhere.pop()
         return wrapped
 
+    counts = rf._EdgeCache.counts
+
+    def rectangles_only(self, contours):
+        if any(isinstance(c, rf.Circle) for c in contours):
+            return not_rectangle_counting(counts)(self, contours)
+        return counts(self, contours)
+
     monkeypatch.setattr(rf, "delta_and_derivative", recording)
-    for name in ("newton_roots", "_accept_cell"):
-        monkeypatch.setattr(rf, name, not_rectangle_counting(getattr(rf, name)))
+    monkeypatch.setattr(rf, "newton_roots", not_rectangle_counting(rf.newton_roots))
+    monkeypatch.setattr(rf._EdgeCache, "counts", rectangles_only)
     (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -40.0, 40.0)])
     assert report.total_count == 26
     points = np.concatenate(sampled)
@@ -815,6 +822,52 @@ def test_region_scan_batches_newton_once_per_level(monkeypatch):
     levels = [depths.pop() for depths in call_depths]
     assert levels == sorted(set(levels))
     assert len(levels) > 1
+
+
+@pytest.mark.parametrize("chained", [False, True])
+def test_region_scan_counts_each_stage_circles_in_one_call(monkeypatch, chained):
+    # The multiplicity circles of the chain roots, and of all the cells one
+    # level tries, are counted in one call beside the stage's Newton batch.
+    s = make_example2(0.0)
+    calls = {"circles": 0, "newton": 0}
+    counts, newton_roots = rf._EdgeCache.counts, rf.newton_roots
+
+    def recording_counts(self, contours):
+        calls["circles"] += any(isinstance(c, rf.Circle) for c in contours)
+        return counts(self, contours)
+
+    def recording_newton_roots(sys_, seeds):
+        calls["newton"] += 1
+        return newton_roots(sys_, seeds)
+
+    monkeypatch.setattr(rf._EdgeCache, "counts", recording_counts)
+    monkeypatch.setattr(rf, "newton_roots", recording_newton_roots)
+    grid = s.chains if chained else None
+    (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -40.0, 40.0)], grid=grid)
+    assert sum(r.multiplicity for r in report.all_roots()) == report.total_count == 26
+    assert 0 < calls["circles"] <= calls["newton"]
+
+
+@pytest.mark.parametrize("g", [3e-4, 5e-5])
+def test_close_simple_roots_are_located_apart(g):
+    # Two simple roots closer than MULTIPLICITY_RADIUS: each root's circle is
+    # sized from the other, so neither counts as a double root.
+    s = NeutralSystem(
+        n=2,
+        r=0,
+        h=1.0,
+        A_minus1=np.zeros((2, 2)),
+        A2=DelayKernel.zero(2, 1.0),
+        A3=DelayKernel.from_atoms([(0.0, np.diag([-0.5, -0.5 - g]))], 2, 1.0),
+        B=np.zeros((2, 0)),
+    )
+    assert g < rf.MULTIPLICITY_RADIUS
+    (report,) = rf.find_roots_in_region(s, [rf.Rect(-1.0, 1.0, -1.0, 1.0)])
+    roots = report.all_roots()
+    assert [r.multiplicity for r in roots] == [1, 1]
+    assert abs(roots[0].lam - (-0.5 - g)) <= 1e-12
+    assert abs(roots[1].lam - (-0.5)) <= 1e-12
+    assert report.completeness_note.endswith("winding count 2, located multiplicity 2")
 
 
 def test_unresolved_cells_keep_depth_first_order(monkeypatch):
