@@ -9,12 +9,14 @@ JSON/CSV files plus a short human summary on stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys as _sys
 import time
 from argparse import Namespace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,12 +27,14 @@ from .errors import (
     SystemParseError,
     SystemValidationError,
 )
-from .rootfinder import Rect, SpectrumReport, find_roots_in_region, verify_cluster_multiplicity
-from .simulate import HistorySegment, norm_profile, simulate
-from .reachability import rank_profile
-from .stability import StabilityVerdict, SystemAnalysis, classify_asymptotic
-from .structural import check_stabilizability, controllability_report
 from .sysmodel import NeutralSystem, load_system
+
+# Each command imports the modules it runs when it runs: simulate and reach
+# never compile the root finder or the verdict modules.
+if TYPE_CHECKING:
+    from .rootfinder import Rect, SpectrumReport
+    from .simulate import HistorySegment
+    from .stability import StabilityVerdict, SystemAnalysis
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,6 +99,7 @@ def _control_function(cfg: Namespace, sys_: NeutralSystem):
 
 
 def _history(cfg: Namespace, sys_: NeutralSystem) -> HistorySegment:
+    from .simulate import HistorySegment
     m = SIMULATE_GRID_M if cfg.grid_m is None else cfg.grid_m
     if cfg.history == "zero":
         return HistorySegment.zero(sys_, m)
@@ -106,16 +111,28 @@ def _history(cfg: Namespace, sys_: NeutralSystem) -> HistorySegment:
 
 
 def _spectrum_window(cfg: Namespace) -> Rect:
+    from .rootfinder import Rect
     return Rect(cfg.re_min, cfg.re_max, -cfg.im_max, cfg.im_max)
 
 
+def _unresolved(scan: SpectrumReport) -> int:
+    """Exit 2, with one record naming its window, when `scan` left cells unresolved."""
+    if not scan.unresolved_cells:
+        return EXIT_OK
+    _diag("warning", "unresolved_cells", count=len(scan.unresolved_cells),
+          window=dataclasses.asdict(scan.window))
+    return EXIT_NUMERICAL
+
+
 def _cmd_spectrum(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
+    from .rootfinder import find_roots_in_region
     sys_ = analysis.sys_
     (report,) = find_roots_in_region(sys_, [_spectrum_window(cfg)], sys_.chains)
     return _write_spectrum(sys_, report, out)
 
 
 def _write_spectrum(sys_: NeutralSystem, report: SpectrumReport, out: _Outputs) -> int:
+    from .rootfinder import verify_cluster_multiplicity
     grid = sys_.chains
     doc = report.to_json_dict()
     if grid is not None:
@@ -132,25 +149,22 @@ def _write_spectrum(sys_: NeutralSystem, report: SpectrumReport, out: _Outputs) 
           f"{len(report.unresolved_cells)} unresolved cell(s)")
     for r in roots[:20]:
         print(f"  {r.lam.real:+.9g} {r.lam.imag:+.9g}i  multiplicity {r.multiplicity}")
-    if report.unresolved_cells:
-        _diag("warning", "unresolved_cells", count=len(report.unresolved_cells))
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _unresolved(report)
 
 
-def _write_stability(verdict: StabilityVerdict, out: _Outputs) -> int:
+def _write_stability(verdict: StabilityVerdict, out: _Outputs) -> None:
     out.write_json("stability.json", verdict.to_json_dict())
     print(f"exponential: {verdict.exponential}; asymptotic: {verdict.asymptotic_case}")
-    if verdict.evidence["scan"]["unresolved_cells"]:
-        return EXIT_NUMERICAL
-    return EXIT_OK
 
 
 def _cmd_stability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
-    return _write_stability(classify_asymptotic(analysis), out)
+    from .stability import classify_asymptotic
+    _write_stability(classify_asymptotic(analysis), out)
+    return EXIT_OK
 
 
 def _cmd_stabilizability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
+    from .structural import check_stabilizability
     report = check_stabilizability(analysis)
     out.write_json("stabilizability.json", report.to_json_dict())
     print(f"stabilizability: {report.verdict}")
@@ -158,6 +172,7 @@ def _cmd_stabilizability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs
 
 
 def _cmd_controllability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
+    from .structural import controllability_report
     report = controllability_report(analysis)
     out.write_json("controllability.json", report.to_json_dict())
     print(report.summary())
@@ -165,6 +180,7 @@ def _cmd_controllability(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs
 
 
 def _cmd_simulate(cfg: Namespace, sys_: NeutralSystem, out: _Outputs) -> int:
+    from .simulate import norm_profile, simulate
     phi = _history(cfg, sys_)
     traj = simulate(sys_, phi, _control_function(cfg, sys_), T=cfg.T)
     out.write("trajectory.csv", traj.to_csv())
@@ -175,6 +191,7 @@ def _cmd_simulate(cfg: Namespace, sys_: NeutralSystem, out: _Outputs) -> int:
 
 
 def _cmd_reach(cfg: Namespace, sys_: NeutralSystem, out: _Outputs) -> int:
+    from .reachability import rank_profile
     T_list = cfg.T_list or tuple(sys_.h * f for f in (0.5, 1.5, 2.5, 3.5))
     m = REACH_GRID_M if cfg.grid_m is None else cfg.grid_m
     profile = rank_profile(sys_, T_list, m=m)
@@ -186,13 +203,12 @@ def _cmd_reach(cfg: Namespace, sys_: NeutralSystem, out: _Outputs) -> int:
 
 
 def _cmd_report(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
+    from .stability import classify_asymptotic
     sys_ = analysis.sys_
-    # the spectrum window rides along in the rightmost scan: one scan per system
-    analysis = SystemAnalysis(sys_, analysis.im_cap, windows=(_spectrum_window(cfg),))
     _, spectrum = analysis.scans
     codes = [_write_spectrum(sys_, spectrum, out)]
     verdict = classify_asymptotic(analysis)
-    codes.append(_write_stability(verdict, out))
+    _write_stability(verdict, out)
     if sys_.r >= 1:
         codes.append(_cmd_stabilizability(cfg, analysis, out))
         codes.append(_cmd_controllability(cfg, analysis, out))
@@ -248,9 +264,14 @@ def run(cfg: Namespace) -> int:
         _diag("error", "io_error", path=str(out.path), detail=str(exc))
         return EXIT_IO
 
-    subject = SystemAnalysis(sys_, im_cap=cfg.im_max) if cfg.command in _SCANS else sys_
     started = time.perf_counter()
+    subject = sys_
     try:
+        if cfg.command in _SCANS:
+            from .stability import SystemAnalysis
+            # report's spectrum window rides along in the rightmost scan: one scan per system
+            windows = (_spectrum_window(cfg),) if cfg.command == "report" else ()
+            subject = SystemAnalysis(sys_, im_cap=cfg.im_max, windows=windows)
         code = _COMMANDS[cfg.command](cfg, subject, out)
     except SimulationBlowUpError as exc:
         _diag("error", "simulation_blowup", t=exc.t_blowup)
@@ -267,6 +288,9 @@ def run(cfg: Namespace) -> int:
     except OSError as exc:
         _diag("error", "io_error", detail=str(exc))
         return EXIT_IO
+    # a verdict rests on the rightmost scan it read, cached on the analysis
+    if "scans" in vars(subject):
+        code = max(code, _unresolved(subject.scan))
 
     # wall-clock and provenance live outside the deterministic outputs
     out.write_json("run_meta.json", {

@@ -45,10 +45,10 @@ def _count_spectral_work(monkeypatch):
     counts = {"find_roots_in_region": 0, "rightmost_root_scan": 0,
               "matrix_spectral_structure": 0, "cluster_eigenvalues": 0}
     # the module attribute each caller looks up; every module that imported
-    # cluster_eigenvalues or find_roots_in_region by name holds its own
-    # reference to it
-    sites = [(rf, "find_roots_in_region"), (cli, "find_roots_in_region"),
-             (stability, "rightmost_root_scan"), (cm, "matrix_spectral_structure")]
+    # cluster_eigenvalues by name holds its own reference to it, while the CLI
+    # imports find_roots_in_region when a command runs and so reads rf's
+    sites = [(rf, "find_roots_in_region"), (stability, "rightmost_root_scan"),
+             (cm, "matrix_spectral_structure")]
     sites += [(module, "cluster_eigenvalues") for module in (_linalg, cm, stability)
               if getattr(module, "cluster_eigenvalues", None) is _linalg.cluster_eigenvalues]
     for module, name in sites:
@@ -205,6 +205,29 @@ def test_stderr_holds_only_json_lines(tmp_path, command, system):
         json.loads(line)
 
 
+@pytest.mark.parametrize("command", ["spectrum", "stability", "stabilizability",
+                                     "controllability", "report"])
+def test_result_read_off_unresolved_cells_exits_2_naming_the_window(tmp_path, monkeypatch,
+                                                                    capsys, command):
+    # no quadrisection: a cell that holds roots but none Newton locates stays unresolved
+    monkeypatch.setattr(rf, "MAX_DEPTH", 0)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_stderr_systems()["ex1_ctrl"]))
+    out = tmp_path / "out"
+    flags = REPORT_FLAGS if command == "report" else ()
+    assert run_cli(command, "--input", str(path), "--out", str(out), *flags) == cli.EXIT_NUMERICAL
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert {r["event"] for r in records} == {"unresolved_cells"}
+    assert all(r["count"] >= 1 for r in records)
+    # one record per scanned window: report's spectrum window rides along in
+    # the rightmost scan that every verdict reads
+    windows = [rf.Rect(**r["window"]) for r in records]
+    assert len(set(windows)) == len(windows) == (2 if command == "report" else 1)
+    if command in ("spectrum", "report"):
+        spectrum = json.loads((out / "spectrum.json").read_text())
+        assert rf.Rect(**spectrum["window"]) in windows
+
+
 def test_malformed_input_exits_3(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
@@ -235,6 +258,8 @@ def test_unknown_command_exits_1():
         ("stability", "--im-max", "inf"),
         ("spectrum", "--re-max", "inf"),
         ("spectrum", "--re-min", "-inf"),
+        ("spectrum", "--re-min", "2"),
+        ("report", "--re-min", "2"),
         ("simulate", "--control-amplitude", "inf"),
         ("report", "--control-frequency", "nan"),
         ("stability", "--re-min", "nan"),
@@ -260,9 +285,10 @@ def test_unknown_command_exits_1():
 )
 def test_malformed_or_infinite_arguments_exit_1(tmp_path, capsys, command, flag, value):
     # unparsable horizons and numbers, horizons no simulation grid can reach,
-    # scan windows and control waveforms that are not finite, the removed
-    # tolerance, chain-range and basis-policy flags (at any value), an unknown
-    # command, and runs whose arrays would exceed any address space;
+    # scan windows that are empty or not finite, control waveforms that are
+    # not finite, the removed tolerance, chain-range and basis-policy flags
+    # (at any value), an unknown command, and runs whose arrays would exceed
+    # any address space;
     # FLAG=VALUE, since argparse takes a bare -inf for a flag.  Each is one JSON record on stderr, not argparse's usage.
     path = _system_with_inputs(tmp_path)
     code = run_cli(command, "--input", str(path), "--out", str(tmp_path / "out"), f"{flag}={value}")
