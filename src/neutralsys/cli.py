@@ -124,9 +124,8 @@ def _unresolved(scan: SpectrumReport) -> int:
     return EXIT_NUMERICAL
 
 
-def _cmd_spectrum(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
+def _cmd_spectrum(cfg: Namespace, sys_: NeutralSystem, out: _Outputs) -> int:
     from .rootfinder import find_roots_in_region
-    sys_ = analysis.sys_
     (report,) = find_roots_in_region(sys_, [_spectrum_window(cfg)], sys_.chains)
     return _write_spectrum(sys_, report, out)
 
@@ -237,9 +236,11 @@ _COMMANDS = {
     "reach": _cmd_reach,
     "report": _cmd_report,
 }
-# The commands that scan for roots: each takes a SystemAnalysis, the others
-# the system alone.  report runs every other command, so it scans too.
-_SCANS = ("spectrum", "stability", "stabilizability", "controllability", "report")
+# The commands that read a verdict's root scan: each takes a SystemAnalysis,
+# the others the system alone.  report runs every other command.
+_VERDICTS = ("stability", "stabilizability", "controllability", "report")
+# The commands that scan for roots.
+_SCANS = ("spectrum", *_VERDICTS)
 
 
 def run(cfg: Namespace) -> int:
@@ -267,7 +268,7 @@ def run(cfg: Namespace) -> int:
     started = time.perf_counter()
     subject = sys_
     try:
-        if cfg.command in _SCANS:
+        if cfg.command in _VERDICTS:
             from .stability import SystemAnalysis
             # report's spectrum window rides along in the rightmost scan: one scan per system
             windows = (_spectrum_window(cfg),) if cfg.command == "report" else ()

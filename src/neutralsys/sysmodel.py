@@ -25,8 +25,17 @@ import numpy as np
 from .errors import SystemParseError, SystemValidationError
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float, copy=True)
+def _frozen(value, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """`value` as a read-only float array of finite numbers, of `shape` when
+    one is given; ValueError names `what` otherwise."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} is not a rectangular array of numbers") from None
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{what} must be {' x '.join(map(str, shape))}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -40,7 +49,7 @@ class DelayKernel:
     Point evaluation uses segments half-open on the right, [t_i, t_{i+1}),
     except the last segment which is closed at 0.  Atoms are (location,
     matrix) pairs with locations in [-h, 0]; they never take part in point
-    evaluation of the density.
+    evaluation of the density.  Every entry is finite, so 0 < h < inf.
     """
 
     breakpoints: np.ndarray
@@ -48,31 +57,22 @@ class DelayKernel:
     atoms: tuple[tuple[float, np.ndarray], ...] = ()
 
     def __post_init__(self):
-        bp = np.array(self.breakpoints, dtype=float)
-        seg = np.array(self.segments, dtype=float)
-        if bp.ndim != 1 or bp.size < 2:
-            raise ValueError("breakpoints must be a 1-d array with at least 2 entries")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if bp[-1] != 0.0:
-            raise ValueError("last breakpoint must be 0")
-        if bp[0] >= 0.0:
-            raise ValueError("first breakpoint must be -h < 0")
+        bp = _frozen(self.breakpoints, "breakpoints")
+        seg = _frozen(self.segments, "segments")
+        if bp.ndim != 1 or bp.size < 2 or not np.all(np.diff(bp) > 0) or bp[-1] != 0.0:
+            raise ValueError("breakpoints must be strictly increasing from -h to 0")
         if seg.ndim != 3 or seg.shape[0] != bp.size - 1 or seg.shape[1] != seg.shape[2]:
             raise ValueError("segments must have shape (len(breakpoints)-1, n, n)")
         n = seg.shape[1]
         h = -bp[0]
         atoms = []
-        for loc, mat in self.atoms:
-            loc = float(loc)
-            mat = _freeze(mat)
-            if not (-h <= loc <= 0.0):
-                raise ValueError(f"atom location {loc} outside [-{h}, 0]")
-            if mat.shape != (n, n):
-                raise ValueError(f"atom matrix must be {n} x {n}, got {mat.shape}")
-            atoms.append((loc, mat))
-        object.__setattr__(self, "breakpoints", _freeze(bp))
-        object.__setattr__(self, "segments", _freeze(seg))
+        for theta, mat in self.atoms:
+            theta = float(theta)
+            if not (-h <= theta <= 0.0):
+                raise ValueError(f"atom theta = {theta} outside [-{h}, 0]")
+            atoms.append((theta, _frozen(mat, "atom matrix", (n, n))))
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "segments", seg)
         object.__setattr__(self, "atoms", tuple(atoms))
 
     @property
@@ -105,9 +105,24 @@ class DelayKernel:
         return self.segments[np.clip(idx, 0, self.segments.shape[0] - 1)]
 
 
+def _check_sizes(n, r, h) -> None:
+    """The system's scalar rules; the document check reports them before it
+    builds the parts whose shapes depend on n and r."""
+    if n < 1:
+        raise ValueError(f"state dimension n must be positive, got {n}")
+    if r < 0:
+        raise ValueError(f"input dimension r must be non-negative, got {r}")
+    if not (0.0 < h < np.inf):
+        raise ValueError(f"delay h must satisfy 0 < h < inf, got {h}")
+
+
 @dataclass(frozen=True)
 class NeutralSystem:
-    """Immutable description of one neutral-type delay system."""
+    """Immutable description of one neutral-type delay system.
+
+    The constructor checks every rule a valid system keeps: A_minus1 is
+    n x n and B exactly n x r, every entry is finite, 0 < h < inf, both
+    kernels have the system's n and h, and A2 carries no atoms."""
 
     n: int
     r: int
@@ -118,25 +133,16 @@ class NeutralSystem:
     B: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("state dimension n must be positive")
-        if self.r < 0:
-            raise ValueError("input dimension r must be non-negative")
-        if not (self.h > 0.0):
-            raise ValueError("delay h must be positive")
-        A = np.array(self.A_minus1, dtype=float)
-        B = np.array(self.B, dtype=float).reshape(self.n, self.r)
-        if A.shape != (self.n, self.n):
-            raise ValueError(f"A_minus1 must be {self.n} x {self.n}, got {A.shape}")
+        _check_sizes(self.n, self.r, self.h)
         for name, ker in (("A2", self.A2), ("A3", self.A3)):
             if ker.n != self.n:
                 raise ValueError(f"{name} kernel dimension {ker.n} != n = {self.n}")
             if abs(ker.h - self.h) > 1e-12 * max(1.0, self.h):
                 raise ValueError(f"{name} kernel spans [-{ker.h}, 0], system h = {self.h}")
         if self.A2.atoms:
-            raise ValueError("A2 must not carry point terms")
-        object.__setattr__(self, "A_minus1", _freeze(A))
-        object.__setattr__(self, "B", _freeze(B))
+            raise ValueError("A2 must not carry atoms")
+        object.__setattr__(self, "A_minus1", _frozen(self.A_minus1, "A_minus1", (self.n, self.n)))
+        object.__setattr__(self, "B", _frozen(self.B, "B", (self.n, self.r)))
 
     @cached_property
     def terms(self):
@@ -185,134 +191,95 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_matrix(value, rows, cols, what, issues) -> bool:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        issues.append(("error", f"{what} is not a numeric matrix"))
-        return False
-    if arr.shape != (rows, cols):
-        issues.append(("error", f"{what} must be {rows} x {cols}, got shape {arr.shape}"))
-        return False
-    if not np.all(np.isfinite(arr)):
-        issues.append(("error", f"{what} contains non-finite entries"))
-        return False
-    return True
+def _numbers(value, what: str):
+    """`value` when it is a number or nested lists of numbers; ValueError
+    otherwise, so no JSON string or boolean is read as a number."""
+    def numeric(v):
+        return _is_number(v) or isinstance(v, list) and all(map(numeric, v))
+
+    if not numeric(value):
+        raise ValueError(f"{what} holds an entry that is not a number")
+    return value
 
 
-def _check_kernel(doc, name, n, h, issues, allow_atoms=True) -> None:
-    if not isinstance(doc, dict):
-        issues.append(("error", f"{name} must be an object with breakpoints/segments"))
-        return
-    bp = doc.get("breakpoints")
-    seg = doc.get("segments")
-    if bp is None or seg is None:
-        issues.append(("error", f"{name} must define breakpoints and segments"))
-        return
-    try:
-        bp = np.asarray(bp, dtype=float)
-    except (TypeError, ValueError):
-        issues.append(("error", f"{name}.breakpoints is not a numeric array"))
-        return
-    if bp.ndim != 1 or bp.size < 2:
-        issues.append(("error", f"{name}.breakpoints needs at least two entries"))
-        return
-    if np.any(np.diff(bp) <= 0):
-        issues.append(("error", f"{name}.breakpoints must be strictly increasing"))
-    if abs(bp[0] + h) > 1e-12 * max(1.0, h):
-        issues.append(("error", f"{name}.breakpoints must start at -h = {-h}"))
-    if bp[-1] != 0.0:
-        issues.append(("error", f"{name}.breakpoints must end at 0"))
-    if not isinstance(seg, list) or len(seg) != bp.size - 1:
-        issues.append(("error", f"{name}.segments must list one matrix per segment"))
-    else:
-        for i, mat in enumerate(seg):
-            _check_matrix(mat, n, n, f"{name}.segments[{i}]", issues)
-    atoms = doc.get("atoms", [])
-    if atoms and not allow_atoms:
-        issues.append(("error", f"{name} must not carry atoms"))
-        return
-    if not isinstance(atoms, list):
-        issues.append(("error", f"{name}.atoms must be a list"))
-        return
+def _kernel_from_document(doc, name: str) -> DelayKernel:
+    """The A2 or A3 kernel of a document; its ValueError names the kernel."""
+    atoms = doc.get("atoms", []) if isinstance(doc, dict) else None
+    if not isinstance(atoms, list) or "breakpoints" not in doc or "segments" not in doc:
+        raise ValueError(f"{name} must be an object with breakpoints, segments "
+                         "and optionally a list of atoms")
     for i, atom in enumerate(atoms):
-        if not isinstance(atom, dict) or "theta" not in atom or "matrix" not in atom:
-            issues.append(("error", f"{name}.atoms[{i}] must have theta and matrix"))
-            continue
-        theta = atom["theta"]
-        if not _is_number(theta) or not (-h <= theta <= 0.0):
-            issues.append(("error", f"{name}.atoms[{i}].theta must lie in [-h, 0]"))
-        _check_matrix(atom["matrix"], n, n, f"{name}.atoms[{i}].matrix", issues)
+        if not (isinstance(atom, dict) and _is_number(atom.get("theta")) and "matrix" in atom):
+            raise ValueError(f"{name}.atoms[{i}] must have a number theta and a matrix")
+    try:
+        return DelayKernel(_numbers(doc["breakpoints"], "breakpoints"),
+                           _numbers(doc["segments"], "segments"),
+                           tuple((atom["theta"], _numbers(atom["matrix"], "atom matrix"))
+                                 for atom in atoms))
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _system_of(doc) -> tuple[NeutralSystem | None, list[tuple[str, str]]]:
+    """The system a parsed document describes, None if any issue is an error,
+    and the issues.  The JSON types are checked here and every structural rule
+    by the constructors; a faulty part gives one issue."""
+    if not isinstance(doc, dict):
+        return None, [("error", "top level must be a JSON object")]
+    issues = [("error", f"missing required field '{key}'")
+              for key in ("n", "r", "h", "A_minus1", "A2", "A3", "B") if key not in doc]
+    if issues:
+        return None, issues
+    n, r, h = doc["n"], doc["r"], doc["h"]
+    issues = [("error", f"{key} must be {kind}") for key, kind, ok in (
+        ("n", "an integer", _is_int(n)), ("r", "an integer", _is_int(r)),
+        ("h", "a number", _is_number(h))) if not ok]
+    if issues:
+        return None, issues
+    try:
+        _check_sizes(n, r, h)
+    except ValueError as exc:
+        return None, [("error", str(exc))]
+    shapes = {"A_minus1": (n, n), "B": (n, r)}
+    parts = {}
+    for key in ("A_minus1", "B", "A2", "A3"):
+        try:
+            parts[key] = (_frozen(_numbers(doc[key], key), key, shapes[key]) if key in shapes
+                          else _kernel_from_document(doc[key], key))
+        except ValueError as exc:
+            issues.append(("error", str(exc)))
+    if issues:
+        return None, issues
+    try:
+        sys_ = NeutralSystem(n=n, r=r, h=float(h), **parts)
+    except ValueError as exc:
+        return None, [("error", str(exc))]
+    if r >= 1 and not np.any(sys_.B):
+        issues.append(("warning", "input matrix B is identically zero"))
+    return sys_, issues
 
 
 def validate_document(doc) -> ValidationReport:
     """Check a parsed system document against the file schema."""
-    issues: list[tuple[str, str]] = []
-    if not isinstance(doc, dict):
-        return ValidationReport.from_issues([("error", "top level must be a JSON object")])
-    for key in ("n", "r", "h", "A_minus1", "A2", "A3", "B"):
-        if key not in doc:
-            issues.append(("error", f"missing required field '{key}'"))
-    if issues:
-        return ValidationReport.from_issues(issues)
-
-    n, r, h = doc["n"], doc["r"], doc["h"]
-    if not _is_int(n) or n < 1:
-        issues.append(("error", "n must be a positive integer"))
-    if not _is_int(r) or r < 0:
-        issues.append(("error", "r must be a non-negative integer"))
-    if not _is_number(h) or not (h > 0):
-        issues.append(("error", "h must be a positive number"))
-    if issues:
-        return ValidationReport.from_issues(issues)
-
-    _check_matrix(doc["A_minus1"], n, n, "A_minus1", issues)
-    _check_matrix(doc["B"], n, r, "B", issues)
-    _check_kernel(doc["A2"], "A2", n, h, issues, allow_atoms=False)
-    _check_kernel(doc["A3"], "A3", n, h, issues, allow_atoms=True)
-
-    if r >= 1 and not issues:
-        if not np.any(np.asarray(doc["B"], dtype=float)):
-            issues.append(("warning", "input matrix B is identically zero"))
-    return ValidationReport.from_issues(issues)
-
-
-def _kernel_from_document(doc, allow_atoms=True) -> DelayKernel:
-    atoms = tuple(
-        (float(a["theta"]), np.asarray(a["matrix"], dtype=float))
-        for a in doc.get("atoms", [])
-    )
-    return DelayKernel(
-        np.asarray(doc["breakpoints"], dtype=float),
-        np.asarray(doc["segments"], dtype=float),
-        atoms if allow_atoms else (),
-    )
+    return ValidationReport.from_issues(_system_of(doc)[1])
 
 
 def system_from_document(doc) -> NeutralSystem:
-    report = validate_document(doc)
-    if not report.ok:
-        raise SystemValidationError(report)
-    n, r = doc["n"], doc["r"]
-    return NeutralSystem(
-        n=n,
-        r=r,
-        h=float(doc["h"]),
-        A_minus1=np.asarray(doc["A_minus1"], dtype=float),
-        A2=_kernel_from_document(doc["A2"], allow_atoms=False),
-        A3=_kernel_from_document(doc["A3"], allow_atoms=True),
-        B=np.asarray(doc["B"], dtype=float).reshape(n, r),
-    )
+    """The system of a parsed document, checked and built once; raises
+    SystemValidationError listing the issues."""
+    sys_, issues = _system_of(doc)
+    if sys_ is None:
+        raise SystemValidationError(ValidationReport.from_issues(issues))
+    return sys_
 
 
 def load_system(path) -> NeutralSystem:
     """Load and validate a system file; raises SystemParseError or
     SystemValidationError on bad input, OSError on unreadable paths."""
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SystemParseError(f"{path}: not valid JSON ({exc})") from exc
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+        raise SystemParseError(f"{path}: not UTF-8 JSON ({exc})") from exc
     return system_from_document(doc)
 
 

@@ -234,6 +234,18 @@ def test_malformed_input_exits_3(tmp_path):
     assert run_cli("spectrum", "--input", str(bad), "--out", str(tmp_path)) == 3
 
 
+def test_input_that_is_not_utf8_is_one_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    assert run_cli("stability", "--input", str(bad), "--out", str(tmp_path / "out")) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    records = [json.loads(line) for line in err.splitlines()]
+    assert [(r["level"], r["event"], r["path"]) for r in records] == [
+        ("error", "parse_error", str(bad))]
+    assert "utf-8" in records[0]["detail"]
+
+
 def test_invalid_dimensions_exit_1(tmp_path):
     doc = json.loads(json.dumps(EXAMPLE1_DOC))
     doc["A_minus1"] = [[1.0]]
@@ -375,7 +387,8 @@ SCALAR_DOC = {
 }
 
 
-@pytest.mark.parametrize("field, value", [("n", True), ("r", True), ("h", True), ("theta", False)])
+@pytest.mark.parametrize("field, value", [("n", True), ("r", True), ("h", True), ("theta", False),
+                                          ("A_minus1", [[False]]), ("B", [[True]])])
 def test_json_booleans_are_validation_errors(tmp_path, capsys, field, value):
     # each boolean equals a value the field would accept as a number
     doc = json.loads(json.dumps(SCALAR_DOC))

@@ -50,7 +50,8 @@ def test_load_system_loads_only_the_system_model(tmp_path):
 @pytest.mark.parametrize("command, runs, unloaded", [
     ("simulate", "neutralsys.simulate", SCAN_MODULES | {"neutralsys.reachability"}),
     ("reach", "neutralsys.reachability", SCAN_MODULES),
-    ("spectrum", "neutralsys.rootfinder", {"neutralsys.structural", "neutralsys.reachability"}),
+    ("spectrum", "neutralsys.rootfinder", {"neutralsys.stability", "neutralsys.structural",
+                                           "neutralsys.reachability"}),
 ])
 def test_command_loads_only_the_modules_it_runs(tmp_path, command, runs, unloaded):
     loaded = _loaded_after(tmp_path, (

@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
+from math import inf, nan
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as hst
 
+from neutralsys import cli
 from neutralsys.errors import SystemParseError, SystemValidationError
 from neutralsys.sysmodel import (
     DelayKernel,
@@ -15,7 +18,7 @@ from neutralsys.sysmodel import (
     validate_document,
 )
 
-from conftest import EXAMPLE1_DOC
+from conftest import EXAMPLE1_DOC, density_systems
 
 
 def test_load_example1(example1_file):
@@ -59,10 +62,6 @@ def test_malformed_json_rejected(tmp_path):
         (lambda d: d.update(h=-1.0), "h"),
         (lambda d: d["A2"].update(breakpoints=[-1.0, -0.5, -0.7, 0.0],
                                   segments=[[[0, 0], [0, 0]]] * 3), "increasing"),
-        (lambda d: d["A3"]["atoms"].append({"theta": 0.5, "matrix": [[0, 0], [0, 0]]}),
-         "theta"),
-        (lambda d: d["A2"].update(atoms=[{"theta": 0.0, "matrix": [[0, 0], [0, 0]]}]),
-         "atoms"),
     ],
 )
 def test_validation_errors(mutate, needle):
@@ -71,6 +70,68 @@ def test_validation_errors(mutate, needle):
     report = validate_document(doc)
     assert not report.ok
     assert any(needle in msg for sev, msg in report.issues if sev == "error")
+
+
+def _set(*path_and_value):
+    """A mutation that sets doc[path[0]]...[path[-1]] to value."""
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return mutate
+
+
+# Each row breaks one rule of a valid system in EXAMPLE1 given the input B = e2.
+INVALID_SYSTEMS = {
+    **{f"A_minus1={v}": (_set("A_minus1", 0, 1, v), "A_minus1") for v in (nan, inf, -inf)},
+    **{f"B={v}": (_set("B", 1, 0, v), "B") for v in (nan, inf, -inf)},
+    **{f"segment={v}": (_set("A3", "segments", 0, 0, 0, v), "segments") for v in (nan, inf, -inf)},
+    **{f"atom_matrix={v}": (_set("A3", "atoms", 0, "matrix", 1, 1, v), "atom matrix")
+       for v in (nan, inf, -inf)},
+    "breakpoint=nan": (lambda d: d["A3"].update(breakpoints=[-1.0, nan, 0.0],
+                                                segments=[[[0.0, 0.0], [0.0, 0.0]]] * 2),
+                       "breakpoints"),
+    "h=inf": (_set("h", inf), "h"),
+    "B_r_x_n": (_set("B", [[0.0, 1.0]]), "B"),
+    "A2_atom": (_set("A2", "atoms", [{"theta": 0.0, "matrix": [[0.0, 0.0], [0.0, 0.0]]}]),
+                "atoms"),
+    **{f"theta={v}": (_set("A3", "atoms", 0, "theta", v), "theta") for v in (0.5, -1.5)},
+}
+
+
+def _constructed(doc) -> NeutralSystem:
+    """The system a document describes, built by the constructors alone."""
+
+    def kernel(k):
+        return DelayKernel(np.array(k["breakpoints"]), np.array(k["segments"]),
+                           tuple((a["theta"], np.array(a["matrix"])) for a in k.get("atoms", [])))
+
+    return NeutralSystem(n=doc["n"], r=doc["r"], h=doc["h"], A_minus1=np.array(doc["A_minus1"]),
+                         A2=kernel(doc["A2"]), A3=kernel(doc["A3"]), B=np.array(doc["B"]))
+
+
+@pytest.mark.parametrize("mutate, needle", INVALID_SYSTEMS.values(), ids=INVALID_SYSTEMS)
+def test_documents_and_constructors_reject_the_same_systems(tmp_path, capsys, mutate, needle):
+    doc = json.loads(json.dumps(EXAMPLE1_DOC))
+    doc["r"], doc["B"] = 1, [[0.0], [1.0]]
+    assert validate_document(doc).issues == ()
+    mutate(doc)
+    with pytest.raises(ValueError) as raised:
+        _constructed(doc)
+    report = validate_document(doc)
+    assert not report.ok
+    # one issue, the constructor's own message, prefixed by its kernel's name
+    ((severity, message),) = report.issues
+    assert severity == "error" and message.endswith(str(raised.value)) and needle in message
+
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [r["event"] for r in records] == ["validation_error"]
+    assert records[0]["issues"] == [list(issue) for issue in report.issues]
 
 
 def test_zero_input_matrix_warns():
@@ -88,6 +149,14 @@ def test_roundtrip_serialization(example1_file, example2_file, tmp_path):
         doc = serialize_system(sys_)
         again = system_from_document(json.loads(json.dumps(doc)))
         assert systems_equal(sys_, again)
+
+
+@given(density_systems(), hst.integers(0, 2), hst.integers(0, 2**32 - 1))
+def test_roundtrip_serialization_of_density_systems(sys_, r, seed):
+    sys_ = replace(sys_, r=r, B=np.random.default_rng(seed).uniform(-1, 1, (sys_.n, r)))
+    doc = json.loads(json.dumps(serialize_system(sys_)))
+    assert not any(severity == "error" for severity, _ in validate_document(doc).issues)
+    assert systems_equal(system_from_document(doc), sys_)
 
 
 def test_kernel_eval_zero():
