@@ -1,27 +1,44 @@
-"""Shared rank and eigenvalue-clustering helpers."""
+"""Shared rank and eigenvalue-clustering helpers.
+
+Every rank decision in the package counts the singular values above a cut
+(`sigma_rank`) that the caller scales from its inputs: a matrix that should
+vanish has rounding noise for its sigma_1, and a cut relative to that counts
+the noise as rank.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-# Relative singular-value cutoff used by every rank decision in the package:
-# sigma_k counts toward the rank when sigma_k > max(shape) * sigma_1 * 1.1e-15.
-RANK_TOL_SCALE = 1.1e-15
+RANK_REL = 1e-8   # a rank cut is RANK_REL times a norm of the inputs
 
 
-def rank_tolerance(sigma: np.ndarray, shape) -> float:
-    if len(sigma) == 0 or sigma[0] == 0.0:
-        return 0.0
-    return max(shape) * float(sigma[0]) * RANK_TOL_SCALE
+def norm2(M: np.ndarray) -> float:
+    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
 
 
-def svd_rank(M) -> tuple[int, np.ndarray]:
-    """Numerical rank of M at the default cutoff, with its singular values."""
-    M = np.asarray(M)
-    if M.size == 0:
-        return 0, np.zeros(0)
-    sigma = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(sigma > rank_tolerance(sigma, M.shape))), sigma
+@dataclass(frozen=True)
+class Rank:
+    rank: int            # number of sigma above cut
+    sigma: np.ndarray    # singular values, descending
+    cut: float
+
+    @property
+    def margins(self) -> list[float | None]:
+        """[sigma_rank, sigma_(rank+1)] / cut, None where that sigma is absent
+        or the cut is 0: a near-tie shows as a margin near 1."""
+        return [float(self.sigma[k] / self.cut) if 0 <= k < self.sigma.size and self.cut > 0
+                else None for k in (self.rank - 1, self.rank)]
+
+
+def sigma_rank(sigma: np.ndarray, cut: float) -> Rank:
+    return Rank(int(np.count_nonzero(sigma > cut)), sigma, float(cut))
+
+
+def rank(M: np.ndarray, cut: float) -> Rank:
+    return sigma_rank(np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0), cut)
 
 
 def default_cluster_tol(A) -> float:
@@ -31,9 +48,7 @@ def default_cluster_tol(A) -> float:
     sqrt(eps); the default must sit comfortably above that to recover the
     intended multiplicity structure of moderately conditioned inputs.
     """
-    A = np.asarray(A, dtype=float)
-    scale = float(np.linalg.norm(A, 2)) if A.size else 0.0
-    return 1e-6 * max(1.0, scale)
+    return 1e-6 * max(1.0, norm2(np.asarray(A, dtype=float)))
 
 
 def cluster_eigenvalues(A, tol: float) -> tuple[list[tuple[complex, int]], np.ndarray]:

@@ -20,15 +20,15 @@ a factor R_k that is -lam, lam, 1, e^{lam w} - 1 or w phi0(w lam).  Hence
 
 A system is compiled once, on first use, into a TermTable (the cached
 NeutralSystem.terms) that stacks the M_k, dropping zero density segments,
-beside the a_k, the linear factors of the point terms and the segment
-widths.  delta_and_derivative evaluates D and D' together at a batch of
-points: one set of exponentials e^{lam a_k} and e^{lam w}, phi0 and
+beside their norms, the a_k, the linear factors of the point terms and the
+segment widths.  delta_and_derivative evaluates D and D' together at a batch
+of points: one set of exponentials e^{lam a_k} and e^{lam w}, phi0 and
 phi1 = phi0' computed from the latter, and one contraction of the stacked
 coefficients of D and D' with the M_k.  A table without segments skips the
-segment block altogether.  phi0 and phi1 switch to a short
-Taylor series for |w lam| below _SERIES_CUT, so the removable singularity at
-lam = 0 never produces cancellation.  delta, delta_batch, delta_derivative
-and delta_derivative_batch are views of that one evaluation.
+segment block.  phi0 and phi1 switch to a short Taylor series for |w lam|
+below _SERIES_CUT, so the removable singularity at lam = 0 never cancels.
+delta, delta_batch, delta_derivative, delta_derivative_batch and
+delta_and_scale (D and sum_k |c_k| ||M_k||_2) are views of that evaluation.
 
 Root chains: matrix_spectral_structure lists the eigenvalues mu of A with
 their multiplicities, once per system (the cached NeutralSystem.structure,
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cluster_eigenvalues, default_cluster_tol, rank_tolerance
+from ._linalg import cluster_eigenvalues, default_cluster_tol, norm2, rank, sigma_rank
 from .sysmodel import NeutralSystem
 
 _SERIES_CUT = 1e-4
@@ -88,11 +88,12 @@ class TermTable:
     point0 + lam * point1.  The segment terms follow, the nonzero A2
     segments and then the nonzero A3 segments, with R_k a segment integral
     of width w_k.  mats holds the M_k flattened to rows, stored complex so
-    the contraction needs no cast.
+    the contraction needs no cast, and norms their spectral norms.
     """
 
     n: int
     mats: np.ndarray     # (K, n*n)
+    norms: np.ndarray    # (K,) ||M_k||_2
     locs: np.ndarray     # (K,) a_k
     point0: np.ndarray   # (2, 1, P) (r0, a r0 + r1)
     point1: np.ndarray   # (2, 1, P) (r1, a r1)
@@ -115,9 +116,11 @@ class TermTable:
                     starts.append(bp[i])
                     widths.append(bp[i + 1] - bp[i])
                     is_a2.append(a2)
+        stack = np.array(mats, dtype=float)
         return cls(
             n=n,
-            mats=_readonly(np.array(mats, dtype=complex).reshape(len(mats), n * n)),
+            mats=_readonly(stack.astype(complex).reshape(len(mats), n * n)),
+            norms=_readonly(np.linalg.norm(stack, 2, axis=(1, 2))),
             locs=_readonly(np.concatenate([a, starts])),
             point0=_readonly(np.stack([r0, a * r0 + r1])[:, None, :]),
             point1=_readonly(np.stack([r1, a * r1])[:, None, :]),
@@ -142,16 +145,27 @@ def _coefficients(t: TermTable, lam: np.ndarray) -> np.ndarray:
     return coeff
 
 
-def delta_and_derivative(sys_: NeutralSystem, lams) -> tuple[np.ndarray, np.ndarray]:
-    """D(lam) and D'(lam) at an array of points; two arrays of shape (N, n, n)."""
-    t = sys_.terms
+def _evaluate(t: TermTable, lams) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients (2, N, K) and D, D' stacked as (2, N, n, n)."""
     lam = np.asarray(lams, dtype=complex).reshape(-1, 1)
     coeff = _coefficients(t, lam)
     # One (2N, terms) @ (terms, n*n) product: a stack of one point would go
     # through numpy's vector-matrix path and round differently, and a point's
     # D must not depend on how many other points share its batch.
-    D, dD = (coeff.reshape(2 * lam.shape[0], -1) @ t.mats).reshape(2, lam.shape[0], t.n, t.n)
-    return D, dD
+    return coeff, (coeff.reshape(2 * lam.shape[0], -1) @ t.mats).reshape(2, -1, t.n, t.n)
+
+
+def delta_and_derivative(sys_: NeutralSystem, lams) -> tuple[np.ndarray, np.ndarray]:
+    """D(lam) and D'(lam) at an array of points; two arrays of shape (N, n, n)."""
+    return tuple(_evaluate(sys_.terms, lams)[1])
+
+
+def delta_and_scale(sys_: NeutralSystem, lam: complex) -> tuple[np.ndarray, float]:
+    """D(lam), bitwise as `delta` gives it, and its term scale
+    sum_k |c_k(lam)| ||M_k||_2: a bound on ||D(lam)||_2 that stays at the size
+    of the terms where they cancel.  One evaluation of the coefficients."""
+    coeff, DD = _evaluate(sys_.terms, lam)
+    return DD[0, 0], float(np.abs(coeff[0, 0]) @ sys_.terms.norms)
 
 
 def delta_batch(sys_: NeutralSystem, lams) -> np.ndarray:
@@ -231,10 +245,10 @@ class MatrixSpectralStructure:
 def matrix_spectral_structure(A) -> MatrixSpectralStructure:
     """Eigenvalues of A with algebraic/geometric multiplicities and Jordan flags.
 
-    Eigenvalues are clustered at 1e-6 relative to the matrix scale and the
-    geometric multiplicity is the nullity of A - mu I at a rank cutoff no
-    finer than the cluster tolerance, so borderline calls stay auditable via
-    the recorded tolerances.
+    Eigenvalues are clustered at 1e-6 relative to the matrix scale, and the
+    geometric multiplicity is the nullity of A - mu I with the cluster
+    tolerance as the rank cut, so borderline calls stay auditable via the
+    recorded tolerance.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -242,11 +256,7 @@ def matrix_spectral_structure(A) -> MatrixSpectralStructure:
     clusters, raw = cluster_eigenvalues(A, tol)
     entries = []
     for mu, alg in clusters:
-        shifted = A - mu * np.eye(n)
-        sigma = np.linalg.svd(shifted, compute_uv=False)
-        cut = max(rank_tolerance(sigma, shifted.shape), tol)
-        rank = int(np.count_nonzero(sigma > cut))
-        geo = min(max(n - rank, 1), alg)
+        geo = min(max(n - rank(A - mu * np.eye(n), tol).rank, 1), alg)
         entries.append(
             SpectralEntry(
                 mu=mu,
@@ -332,8 +342,7 @@ def chain_grid(sys_: NeutralSystem) -> ChainGrid | None:
     zero the spectrum is retarded-like and there is no grid: None.
     """
     A = sys_.A_minus1
-    scale = float(np.linalg.norm(A, 2)) if np.any(A) else 0.0
-    zero_tol = np.sqrt(np.finfo(float).eps) * max(1.0, scale)
+    zero_tol = np.sqrt(np.finfo(float).eps) * max(1.0, norm2(A))
     kept = tuple(e for e in sys_.structure.entries if abs(e.mu) > zero_tol)
     if not kept:
         return None
@@ -362,44 +371,30 @@ class EigenvectorCandidate:
 def kernel_basis(sys_: NeutralSystem, lam: complex, tol: float = 1e-6) -> np.ndarray:
     """Orthonormal basis of the numerical null space of D(lam), shape (n, k).
 
-    tol is relative to the size of D's terms at lam (`_term_scale`), not to
-    the largest singular value: at a root where D vanishes altogether, every
-    direction is null.
+    tol is relative to the size of D's terms at lam (`delta_and_scale`), not
+    to the largest singular value: at a root where D vanishes altogether,
+    every direction is null.
     """
-    return _null_basis(delta(sys_, lam), tol * _term_scale(sys_, lam))
+    return _kernel(sys_, lam, tol)[2]
 
 
-def _term_scale(sys_: NeutralSystem, lam: complex) -> float:
-    """sum_k |c_k(lam)| ||M_k||_2, a bound on ||D(lam)||_2 that stays at the
-    size of the terms where they cancel."""
-    t = sys_.terms
-    norms = np.linalg.norm(t.mats.reshape(-1, t.n, t.n), 2, axis=(1, 2))
-    return float(np.abs(_coefficients(t, np.array([[complex(lam)]]))[0, 0]) @ norms)
-
-
-def _null_basis(D: np.ndarray, cutoff: float) -> np.ndarray:
+def _kernel(sys_: NeutralSystem, lam: complex, tol: float):
+    """D(lam), the cut tol * term scale, and the right singular vectors of D
+    whose singular values the rank does not count."""
+    D, scale = delta_and_scale(sys_, lam)
     _, sigma, vh = np.linalg.svd(D)
-    return vh[sigma <= cutoff].conj().T
+    cut = tol * scale
+    return D, cut, vh[sigma_rank(sigma, cut).rank:].conj().T
 
 
 def eigenvector_candidates(
     sys_: NeutralSystem, lam: complex, tol: float = 1e-6
 ) -> list[EigenvectorCandidate]:
     """One candidate per null direction of D(lam); empty if D is regular there."""
-    D = delta(sys_, lam)
-    cutoff = tol * _term_scale(sys_, lam)
-    basis = _null_basis(D, cutoff)
-    out = []
-    for j in range(basis.shape[1]):
-        C = basis[:, j]
-        residual = float(np.linalg.norm(D @ C))
-        head = C - np.exp(-lam * sys_.h) * (sys_.A_minus1 @ C)
-        out.append(
-            EigenvectorCandidate(
-                lam=complex(lam), C=C, head=head, residual=residual, tol=cutoff
-            )
-        )
-    return out
+    D, cut, basis = _kernel(sys_, lam, tol)
+    return [EigenvectorCandidate(lam=complex(lam), C=C, residual=float(np.linalg.norm(D @ C)),
+                                 head=C - np.exp(-lam * sys_.h) * (sys_.A_minus1 @ C), tol=cut)
+            for C in basis.T]
 
 
 def subspace_angle(u: np.ndarray, v: np.ndarray) -> float:

@@ -4,9 +4,14 @@ Each column of the probe matrix is the terminal state (head vector plus the
 trailing delay segment of z) reached from zero history by a unit pulse on
 one simulation step and one input channel.  Singular values of that matrix
 show how the reachable set fills out as T grows; the effective rank, the
-number of singular values at least RANK_TAU times the largest, is the
-auditable summary.  This is numerical evidence on a finite grid, not a proof
-about the infinite-dimensional reachable set.
+number of singular values above RANK_TAU times the largest (`_linalg.rank`),
+is the auditable summary.  This is numerical evidence on a finite grid, not a
+proof about the infinite-dimensional reachable set.
+
+The cut stays relative to sigma_1: the probe's singular values can show
+cliffs decades apart, and which one marks the rank of the reachable set is
+still open, so no scale of the inputs is yet the right one.  As sigma_1 grows
+with T, a later horizon can drop a value an earlier one kept.
 
 The stepper's coefficients do not depend on the step and the history is
 zero, so a pulse on step j gives the step-0 pulse response P delayed by j
@@ -26,11 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import sigma_rank
 from .simulate import _check_size, _history_grid, _integrate, _steps
 from .sysmodel import NeutralSystem
 
 CSV_SIGMAS = 12   # singular values per horizon in rank_profile.csv
-RANK_TAU = 1e-6   # relative cliff of the effective rank
+RANK_TAU = 1e-6   # effective-rank cut, relative to sigma_1
 
 
 @dataclass(frozen=True)
@@ -42,14 +48,8 @@ class SteeringProbe:
     singular_values: np.ndarray
 
     def effective_rank(self) -> int:
-        """Number of singular values at least RANK_TAU times the largest."""
-        return _effective_rank(self.singular_values)
-
-
-def _effective_rank(s: np.ndarray) -> int:
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s >= RANK_TAU * s[0]))
+        """Number of singular values above RANK_TAU times the largest."""
+        return sigma_rank(self.singular_values, RANK_TAU * self.singular_values[0]).rank
 
 
 def build_steering_probe(sys_: NeutralSystem, T: float, m: int = 100) -> SteeringProbe:
@@ -146,7 +146,7 @@ def rank_profile(sys_: NeutralSystem, T_list, m: int = 100) -> RankProfile:
         cols, T_eff = nsteps * sys_.r, nsteps * (sys_.h / m)
         s = (probe.singular_values if cols == probe.control_dim
              else np.linalg.svd(probe.matrix[:, -cols:], compute_uv=False))
-        rank = _effective_rank(s)
+        rank = sigma_rank(s, RANK_TAU * s[0]).rank
         entries.append(
             ProbeSummary(
                 T=T_eff,

@@ -1117,18 +1117,11 @@ def right_half_plane_ceiling(sys_: NeutralSystem) -> float | None:
     norms; the left side eventually exceeds C3 because |lam| >= x.  Returns
     None when V2 >= 1 and the bound degenerates.
     """
-    a_norm = float(np.linalg.norm(sys_.A_minus1, 2)) if np.any(sys_.A_minus1) else 0.0
-    v2 = sum(
-        (sys_.A2.breakpoints[i + 1] - sys_.A2.breakpoints[i])
-        * np.linalg.norm(sys_.A2.segments[i], 2)
-        for i in range(sys_.A2.segments.shape[0])
-    )
-    c3 = sum(
-        (sys_.A3.breakpoints[i + 1] - sys_.A3.breakpoints[i])
-        * np.linalg.norm(sys_.A3.segments[i], 2)
-        for i in range(sys_.A3.segments.shape[0])
-    )
-    c3 += sum(np.linalg.norm(M, 2) for _, M in sys_.A3.atoms)
+    t = sys_.terms   # the norms of I, A, the atoms, then of the segments
+    p = t.point0.shape[-1]
+    seg = t.widths * t.norms[p:]
+    a_norm, v2 = float(t.norms[1]), sum(seg[t.is_a2])
+    c3 = sum(seg[~t.is_a2]) + sum(t.norms[2:p])
     if v2 >= 1.0 - 1e-12:
         return None
     x = max(0.0, np.log(a_norm) / sys_.h if a_norm > 0 else 0.0)

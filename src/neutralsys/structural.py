@@ -5,7 +5,8 @@ The universal quantifiers in the rank conditions ("for all lam", "for all
 Re lam >= 0") reduce to finitely many checks: [D(lam) | B] can only lose rank
 where det D(lam) = 0, and [mu I - A | B] only at eigenvalues of A.  The root
 locations come from a windowed scan, so every verdict that depends on them
-carries the window as a caveat.
+carries the window as a caveat.  Each rank cut is RANK_REL times a scale of
+the test's inputs (`_linalg`), so no rank changes with the coordinates z -> Tz.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import rank_tolerance, svd_rank
-from .charmatrix import UNIT_CIRCLE_TOL, delta
+from ._linalg import RANK_REL, norm2, rank
+from .charmatrix import UNIT_CIRCLE_TOL, delta_and_scale
 from .stability import SystemAnalysis
 from .sysmodel import NeutralSystem
 
@@ -28,6 +29,8 @@ class RankTestResult:
     min_singular_value: float
     rank: int
     passes: bool
+    cut: float
+    margins: list   # [sigma_rank / cut, sigma_(rank+1) / cut], None where absent
 
     def to_json_dict(self) -> dict:
         return {
@@ -36,56 +39,58 @@ class RankTestResult:
             "min_singular_value": self.min_singular_value,
             "rank": self.rank,
             "passes": self.passes,
+            "cut": self.cut,
+            "margins": self.margins,
         }
 
 
-ROOT_SITE_REL_TOL = 1e-8
-
-
-def _rank_test(M: np.ndarray, point: complex, required: int,
-               rel_tol: float = 0.0) -> RankTestResult:
-    sigma = np.linalg.svd(M, compute_uv=False)
-    cut = rank_tolerance(sigma, M.shape)
-    if sigma.size:
-        cut = max(cut, rel_tol * float(sigma[0]))
-    rank = int(np.count_nonzero(sigma > cut))
+def _rank_test(M: np.ndarray, point: complex, required: int, cut: float) -> RankTestResult:
+    r = rank(M, cut)
     return RankTestResult(
         test_point=complex(point),
         matrix_shape=M.shape,
-        min_singular_value=float(sigma[-1]) if sigma.size else 0.0,
-        rank=rank,
-        passes=rank >= required,
+        min_singular_value=float(r.sigma[-1]) if r.sigma.size else 0.0,
+        rank=r.rank,
+        passes=r.rank >= required,
+        cut=r.cut,
+        margins=r.margins,
     )
 
 
 def hautus_at(sys_: NeutralSystem, lam: complex) -> RankTestResult:
     """Rank of [D(lam) | B]; full rank n everywhere except possibly at roots.
 
-    A singular value counts when it is above the default cutoff
-    (`_linalg.rank_tolerance`) and above ROOT_SITE_REL_TOL times the largest.
-    lam is meant to be a numerically located root, and there the vanishing
-    singular value only drops to the size of the localization error, far
-    above machine epsilon; off the roots the rank is full either way.
+    The cut is RANK_REL times the larger of ||B||_2 and the term scale of D
+    at lam (`charmatrix.delta_and_scale`), which stays at the size of D's
+    terms where they cancel.  lam is meant to be a numerically located root,
+    and there the vanishing singular value only drops to the size of the
+    localization error, far below that cut; off the roots the rank is full.
     """
-    M = np.hstack([delta(sys_, lam), sys_.B.astype(complex)])
-    return _rank_test(M, lam, sys_.n, ROOT_SITE_REL_TOL)
+    D, scale = delta_and_scale(sys_, lam)
+    M = np.hstack([D, sys_.B.astype(complex)])
+    return _rank_test(M, lam, sys_.n, RANK_REL * max(scale, norm2(sys_.B)))
 
 
 def hautus_matrix_pair(A, B, mu: complex) -> RankTestResult:
-    """Rank of [mu I - A | B] at the default cutoff."""
+    """Rank of [mu I - A | B], cut at RANK_REL max(1, ||A||_2, ||B||_2)."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n = A.shape[0]
     M = np.hstack([mu * np.eye(n) - A, B]).astype(complex)
-    return _rank_test(M, mu, n)
+    return _rank_test(M, mu, n, RANK_REL * max(1.0, norm2(A), norm2(B)))
 
 
-def _kalman_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """[B, AB, ..., A^{n-1}B]."""
+def _kalman(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, float]:
+    """[B, AB, ..., A^{n-1}B] and its cut RANK_REL ||B||_2 max(1, ||A||_2)^(n-1)."""
     blocks = [B]
     for _ in range(A.shape[0] - 1):
         blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
+    return np.hstack(blocks), RANK_REL * norm2(B) * max(1.0, norm2(A)) ** (A.shape[0] - 1)
+
+
+def _column_rank(M: np.ndarray) -> int:
+    """Rank of a set of columns, cut at RANK_REL times their norm."""
+    return rank(M, RANK_REL * norm2(M)).rank
 
 
 def kalman_rank(A, B_cols) -> int:
@@ -94,10 +99,7 @@ def kalman_rank(A, B_cols) -> int:
     B = np.asarray(B_cols, dtype=float)
     if B.ndim == 1:
         B = B.reshape(A.shape[0], 1)
-    if B.shape[1] == 0:
-        return 0
-    rank, _ = svd_rank(_kalman_matrix(A, B))
-    return rank
+    return rank(*_kalman(A, B)).rank
 
 
 # ------------------------------------------------------------ stabilizability
@@ -209,10 +211,10 @@ def check_null_controllability(analysis: SystemAnalysis) -> NullControllabilityR
         raise ValueError("null-controllability test needs at least one input")
 
     n = sys_.n
-    cond_ii = _rank_test(_kalman_matrix(sys_.A_minus1, sys_.B), 0.0, n)
+    kalman, cut = _kalman(sys_.A_minus1, sys_.B)
+    cond_ii = _rank_test(kalman, 0.0, n, cut)
 
-    b_rank, _ = svd_rank(sys_.B)
-    if b_rank == n:
+    if _column_rank(sys_.B) == n:
         note = "input matrix has full row rank; Hautus condition holds at every point"
         verdict = "yes" if cond_ii.passes else "no"
         return NullControllabilityResult(
@@ -256,9 +258,7 @@ def _column_basis(B: np.ndarray) -> np.ndarray:
     """First maximal independent subset of columns, in order."""
     cols: list[int] = []
     for j in range(B.shape[1]):
-        trial = B[:, cols + [j]]
-        rank, _ = svd_rank(trial)
-        if rank == len(cols) + 1:
+        if _column_rank(B[:, cols + [j]]) == len(cols) + 1:
             cols.append(j)
     return B[:, cols]
 
@@ -274,14 +274,11 @@ def controllability_indices(sys_: NeutralSystem, basis) -> tuple[list[int], list
     if basis.ndim == 1:
         basis = basis.reshape(sys_.n, 1)
     d = basis.shape[1]
-    rank_basis, _ = svd_rank(basis)
-    if rank_basis != d:
+    if _column_rank(basis) != d:
         raise ValueError("basis vectors must be linearly independent")
-    rank_B, _ = svd_rank(sys_.B)
-    if rank_B != d:
+    if _column_rank(sys_.B) != d:
         raise ValueError("basis must span the image of B")
-    joint, _ = svd_rank(np.hstack([sys_.B, basis]))
-    if joint != rank_B:
+    if _column_rank(np.hstack([sys_.B, basis])) != d:
         raise ValueError("basis vectors must lie in the image of B")
 
     A = sys_.A_minus1

@@ -83,6 +83,27 @@ def make_density_system(seed: int = 3) -> NeutralSystem:
     )
 
 
+def random_transform(rng: np.random.Generator, n: int, cond: float) -> np.ndarray:
+    """Random n x n matrix with condition number cond: random orthogonal
+    factors around singular values spread log-evenly over [1, cond]."""
+    Q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q1 @ np.diag(np.geomspace(cond, 1.0, n)) @ Q2
+
+
+def conjugate(sys_: NeutralSystem, T: np.ndarray) -> NeutralSystem:
+    """The same system in the coordinates z -> T z: every matrix acting on
+    the state becomes T M T^-1 and the input matrix T B."""
+    Ti = np.linalg.inv(T)
+
+    def kernel(ker):
+        return DelayKernel(ker.breakpoints, T @ ker.segments @ Ti,
+                           tuple((theta, T @ M @ Ti) for theta, M in ker.atoms))
+
+    return NeutralSystem(n=sys_.n, r=sys_.r, h=sys_.h, A_minus1=T @ sys_.A_minus1 @ Ti,
+                         A2=kernel(sys_.A2), A3=kernel(sys_.A3), B=T @ sys_.B)
+
+
 @hst.composite
 def density_systems(draw, n_max: int = 4):
     """n <= n_max, one to three A2 and A3 segments (some of them zero), up to two atoms."""

@@ -243,12 +243,15 @@ def test_term_table_is_built_once_and_does_not_pin_the_system():
 
 
 def test_eigenvector_candidates_evaluate_delta_once(monkeypatch):
+    # D(lam) and the term scale of its cut come from one set of coefficients
     calls = []
-    real = cm.delta
-    monkeypatch.setattr(cm, "delta", lambda s, lam: calls.append(lam) or real(s, lam))
+    real = cm._coefficients
+    monkeypatch.setattr(cm, "_coefficients", lambda t, lam: calls.append(lam) or real(t, lam))
     cands = cm.eigenvector_candidates(make_example1(0.0, 0.0), 2j * np.pi, tol=1e-8)
     assert len(cands) == 1
     assert len(calls) == 1
+    assert cm.kernel_basis(make_example1(0.0, 0.0), 2j * np.pi, tol=1e-8).shape == (2, 1)
+    assert len(calls) == 2
 
 
 def test_chain_grid_example2():

@@ -18,7 +18,8 @@ from neutralsys.cli import main
 from neutralsys.simulate import HistorySegment, simulate
 from neutralsys.sysmodel import load_system, save_system
 
-from conftest import EXAMPLE1_DOC, make_scalar_decay
+from conftest import (EXAMPLE1_DOC, conjugate, make_example2, make_scalar_decay,
+                      random_transform)
 
 REPORT_FLAGS = ("--grid-m", "64", "--T", "3")
 
@@ -112,6 +113,23 @@ def test_chain_right_of_one_half_scans_from_minus_one_half(tmp_path):
     assert run_cli("stabilizability", "--input", str(path), "--out", str(tmp_path / "sb")) == 0
     sb = json.loads((tmp_path / "sb" / "stabilizability.json").read_text())
     assert sb["verdict"] == "hypotheses_not_satisfied"
+
+
+def test_stabilizability_rank_tests_do_not_depend_on_coordinates(tmp_path):
+    # In new coordinates [mu I - A | B] of example 2 is rounding noise, not rank.
+    T = random_transform(np.random.default_rng(11), 2, 40.0)
+    path = tmp_path / "sys.json"
+    save_system(conjugate(make_example2(0.0), T), path)
+    assert run_cli("stabilizability", "--input", str(path), "--out", str(tmp_path / "sb")) == 0
+    sb = json.loads((tmp_path / "sb" / "stabilizability.json").read_text())
+    assert sb["condition_4_passes"] is False
+    tests = (sb["condition_3_hautus_at_scanned_rhp_roots"]
+             + sb["condition_4_hautus_pair_at_unit_eigenvalues"])
+    assert sb["condition_4_hautus_pair_at_unit_eigenvalues"]
+    for test in tests:
+        assert test["cut"] > 0.0
+        assert len(test["margins"]) == 2
+    assert all(t["rank"] == 0 for t in sb["condition_4_hautus_pair_at_unit_eigenvalues"])
 
 
 def test_missing_input_exits_3(tmp_path, capsys):

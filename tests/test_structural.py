@@ -8,7 +8,8 @@ from neutralsys import structural as sr
 from neutralsys.stability import SystemAnalysis
 from neutralsys.sysmodel import DelayKernel, NeutralSystem
 
-from conftest import make_example1, make_example2
+from conftest import (conjugate, make_density_system, make_example1, make_example2,
+                      make_reach_fixture, make_scalar_decay, random_transform)
 
 
 def plain_system(A, B, h=1.0, state_feedback=None):
@@ -109,6 +110,56 @@ def test_hautus_matrix_pair_cases():
     assert r2.rank == 2 and r2.passes
     r3 = sr.hautus_matrix_pair(np.diag([0.3, 0.7]), np.eye(2), 1.0)
     assert r3.passes
+    # mu I - A vanishes, so its sigma_1 is rounding noise, which a cut
+    # relative to sigma_1 would count as rank
+    T = random_transform(np.random.default_rng(5), 2, 30.0)
+    A = T @ -np.eye(2) @ np.linalg.inv(T)
+    (entry,) = cm.matrix_spectral_structure(A).entries
+    r4 = sr.hautus_matrix_pair(A, np.zeros((2, 0)), entry.mu)
+    assert r4.rank == 0 and not r4.passes
+    assert r4.cut == sr.RANK_REL * np.linalg.norm(A, 2)
+
+
+def test_rank_test_reports_cut_and_margins():
+    t = sr.hautus_matrix_pair(-np.eye(2), np.array([[0.0], [1.0]]), -1.0)
+    assert t.cut == sr.RANK_REL
+    assert t.margins == [1.0 / sr.RANK_REL, 0.0]
+    doc = t.to_json_dict()
+    assert doc["cut"] == t.cut and doc["margins"] == t.margins
+    full = sr.hautus_matrix_pair(np.diag([0.3, 0.7]), np.eye(2), 1.0)
+    assert full.rank == 2 and full.margins[1] is None
+    assert sr.hautus_matrix_pair(np.zeros((1, 1)), np.zeros((1, 0)), 0.0).margins[0] is None
+
+
+CONJUGATION_ROWS = {
+    "ex1_jordan": lambda: make_example1(-1.0, -1.0),
+    "ex1_ctrl": lambda: make_example1(1.0, 1.0, [[0.0], [1.0]]),
+    "ex1_unctrl": lambda: make_example1(1.0, 1.0, [[1.0], [0.0]]),
+    "ex2_repeated_g0": lambda: make_example2(0.0),
+    "ex2_repeated_g1": lambda: make_example2(1.0),
+    "ex2_column_input": lambda: make_example2(0.0, [[0.0], [1.0]]),
+    "ex2_full_input": lambda: make_example2(1.0, np.eye(2)),
+    "scalar_decay": make_scalar_decay,
+    "reach_fixture": make_reach_fixture,
+    "density": make_density_system,
+}
+
+
+def _rank_evidence(s):
+    """Every rank a change of coordinates must leave alone."""
+    structure = sorted((e.algebraic, e.geometric) for e in s.structure.entries)
+    pair = sorted(sr.hautus_matrix_pair(s.A_minus1, s.B, e.mu).rank for e in s.structure.sigma1)
+    return structure, pair, sr.kalman_rank(s.A_minus1, s.B)
+
+
+@pytest.mark.parametrize("name", CONJUGATION_ROWS)
+def test_ranks_invariant_under_change_of_coordinates(name):
+    s = CONJUGATION_ROWS[name]()
+    expected = _rank_evidence(s)
+    rng = np.random.default_rng(17)
+    for cond in np.geomspace(1.5, 1e3, 24):
+        T = random_transform(rng, s.n, cond)
+        assert _rank_evidence(conjugate(s, T)) == expected, f"cond(T) = {cond:.3g}"
 
 
 # --------------------------------------------------------- stabilizability
