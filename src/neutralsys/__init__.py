@@ -19,7 +19,7 @@ _SUBMODULE = {name: module for module, names in {
     "sysmodel": "DelayKernel NeutralSystem ValidationReport load_system save_system "
                 "serialize_system system_from_document validate_document",
     "charmatrix": "ChainGrid EigenvectorCandidate MatrixSpectralStructure chain_grid delta "
-                  "delta_derivative det_delta eigenvector_candidates kernel_basis "
+                  "delta_derivative eigenvector_candidates kernel_basis "
                   "matrix_spectral_structure",
     "rootfinder": "Circle Rect SpectrumReport count_roots_in_contour find_roots_in_region "
                   "rightmost_root_scan verify_cluster_multiplicity",

@@ -29,6 +29,9 @@ segment block.  phi0 and phi1 switch to a short Taylor series for |w lam|
 below _SERIES_CUT, so the removable singularity at lam = 0 never cancels.
 delta, delta_batch, delta_derivative, delta_derivative_batch and
 delta_and_scale (D and sum_k |c_k| ||M_k||_2) are views of that evaluation.
+The package itself evaluates through delta_and_derivative and
+delta_and_scale; the four delta* views stay because the benchmark tracer
+(bench/spans.py) wraps them by name to count the points evaluated.
 
 Root chains: matrix_spectral_structure lists the eigenvalues mu of A with
 their multiplicities, once per system (the cached NeutralSystem.structure,
@@ -187,15 +190,6 @@ def delta_derivative(sys_: NeutralSystem, lam: complex) -> np.ndarray:
     return delta_and_derivative(sys_, lam)[1][0]
 
 
-def det_delta(sys_: NeutralSystem, lam: complex) -> complex:
-    """det D(lam) via pivoted elimination."""
-    return complex(np.linalg.det(delta(sys_, lam)))
-
-
-def det_delta_batch(sys_: NeutralSystem, lams) -> np.ndarray:
-    return np.linalg.det(delta_batch(sys_, lams))
-
-
 @dataclass(frozen=True)
 class SpectralEntry:
     mu: complex
@@ -279,7 +273,6 @@ class ChainGrid:
 
     eigenvalues: tuple[SpectralEntry, ...]
     radius: float
-    r0: float
     h: float
 
     def abscissas(self) -> list[float]:
@@ -347,7 +340,7 @@ def chain_grid(sys_: NeutralSystem) -> ChainGrid | None:
     if not kept:
         return None
     r0 = chain_centers_radius0([e.mu for e in kept], sys_.h)
-    return ChainGrid(eigenvalues=kept, radius=0.5 * r0, r0=r0, h=sys_.h)
+    return ChainGrid(eigenvalues=kept, radius=0.5 * r0, h=sys_.h)
 
 
 @dataclass(frozen=True)

@@ -208,11 +208,15 @@ def _cmd_report(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
     codes = [_write_spectrum(sys_, spectrum, out)]
     verdict = classify_asymptotic(analysis)
     _write_stability(verdict, out)
-    if sys_.r >= 1:
-        codes.append(_cmd_stabilizability(cfg, analysis, out))
-        codes.append(_cmd_controllability(cfg, analysis, out))
-        codes.append(_cmd_reach(cfg, sys_, out))
-    codes.append(_cmd_simulate(cfg, sys_, out))
+    blowup = None
+    try:
+        if sys_.r >= 1:
+            codes.append(_cmd_stabilizability(cfg, analysis, out))
+            codes.append(_cmd_controllability(cfg, analysis, out))
+            codes.append(_cmd_reach(cfg, sys_, out))
+        codes.append(_cmd_simulate(cfg, sys_, out))
+    except SimulationBlowUpError as exc:
+        blowup = exc   # run reports it once index.json lists what was written
 
     consistency = {
         "exponential_stable_implies_exp_regime": (
@@ -221,6 +225,8 @@ def _cmd_report(cfg: Namespace, analysis: SystemAnalysis, out: _Outputs) -> int:
     }
     # the files this report wrote, not whatever else the directory holds
     out.write_json("index.json", {"files": sorted(out.written), "consistency": consistency})
+    if blowup is not None:
+        raise blowup
     if not all(consistency.values()):
         _diag("error", "inconsistent_verdicts", detail=consistency)
         return EXIT_NUMERICAL

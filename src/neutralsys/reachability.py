@@ -43,13 +43,8 @@ RANK_TAU = 1e-6   # effective-rank cut, relative to sigma_1
 class SteeringProbe:
     T: float
     control_dim: int
-    state_dim: int
     matrix: np.ndarray
     singular_values: np.ndarray
-
-    def effective_rank(self) -> int:
-        """Number of singular values above RANK_TAU times the largest."""
-        return sigma_rank(self.singular_values, RANK_TAU * self.singular_values[0]).rank
 
 
 def build_steering_probe(sys_: NeutralSystem, T: float, m: int = 100) -> SteeringProbe:
@@ -81,7 +76,6 @@ def build_steering_probe(sys_: NeutralSystem, T: float, m: int = 100) -> Steerin
     return SteeringProbe(
         T=nsteps * (sys_.h / m),
         control_dim=nsteps * r,
-        state_dim=state.shape[0],
         matrix=state,
         singular_values=np.linalg.svd(state, compute_uv=False),
     )

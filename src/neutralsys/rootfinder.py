@@ -74,7 +74,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -91,12 +91,6 @@ from .sysmodel import NeutralSystem
 class Circle:
     center: complex
     radius: float
-
-    def points(self, t: np.ndarray) -> np.ndarray:
-        return self.center + self.radius * np.exp(2j * np.pi * np.asarray(t))
-
-    def perimeter(self) -> float:
-        return 2.0 * np.pi * self.radius
 
     def inflate(self, factor: float) -> "Circle":
         return Circle(self.center, self.radius * factor)
@@ -126,27 +120,6 @@ class Rect:
     def diameter(self) -> float:
         w, v = self.widths()
         return float(np.hypot(w, v))
-
-    def perimeter(self) -> float:
-        w, v = self.widths()
-        return 2.0 * (w + v)
-
-    def points(self, t: np.ndarray) -> np.ndarray:
-        """Counterclockwise boundary point at parameter t in [0, 1)."""
-        t = np.mod(np.asarray(t, dtype=float), 1.0)
-        w, v = self.widths()
-        per = self.perimeter()
-        s = t * per
-        out = np.empty(s.shape, dtype=complex)
-        m0 = s < w
-        m1 = (s >= w) & (s < w + v)
-        m2 = (s >= w + v) & (s < 2 * w + v)
-        m3 = s >= 2 * w + v
-        out[m0] = self.re_min + s[m0] + 1j * self.im_min
-        out[m1] = self.re_max + 1j * (self.im_min + (s[m1] - w))
-        out[m2] = self.re_max - (s[m2] - w - v) + 1j * self.im_max
-        out[m3] = self.re_min + 1j * (self.im_max - (s[m3] - 2 * w - v))
-        return out
 
     def inflate(self, factor: float) -> "Rect":
         c = self.center
@@ -789,12 +762,7 @@ class SpectrumReport:
             return doc
 
         return {
-            "window": {
-                "re_min": self.window.re_min,
-                "re_max": self.window.re_max,
-                "im_min": self.window.im_min,
-                "im_max": self.window.im_max,
-            },
+            "window": asdict(self.window),
             "total_count": self.total_count,
             "clusters": [
                 {
@@ -809,14 +777,7 @@ class SpectrumReport:
             ],
             "unclustered_roots": [root_doc(r) for r in self.unclustered_roots],
             "unresolved_cells": [
-                {
-                    "re_min": u.cell.re_min,
-                    "re_max": u.cell.re_max,
-                    "im_min": u.cell.im_min,
-                    "im_max": u.cell.im_max,
-                    "count": u.count,
-                    "reason": u.reason,
-                }
+                {**asdict(u.cell), "count": u.count, "reason": u.reason}
                 for u in self.unresolved_cells
             ],
             "completeness_note": self.completeness_note,

@@ -56,36 +56,27 @@ def _history_grid(sys_: NeutralSystem, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HistorySegment:
-    """Initial state samples on [-h, 0] over a uniform grid of m+1 points."""
+    """Initial state samples, one row per point of the uniform grid of m+1
+    points on [-h, 0] (`_history_grid`); m is the row count less one."""
 
-    grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must hold at least two points")
-        steps = np.diff(grid)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("grid must be uniform and increasing")
-        if grid[-1] != 0.0:
-            raise ValueError("grid must end at 0")
-        if values.shape[0] != grid.size or values.ndim != 2:
-            raise ValueError("values must have shape (len(grid), n)")
+        if values.ndim != 2 or values.shape[0] < 2:
+            raise ValueError("values must have shape (m + 1, n) with m >= 1")
         if not np.all(np.isfinite(values)):
             raise ValueError("history values must be finite")
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
     @property
     def m(self) -> int:
-        return self.grid.size - 1
+        return self.values.shape[0] - 1
 
     @classmethod
     def constant(cls, sys_: NeutralSystem, vec, m: int) -> "HistorySegment":
-        vec = np.asarray(vec).reshape(sys_.n)
-        return cls(_history_grid(sys_, m), np.tile(vec, (m + 1, 1)))
+        _history_grid(sys_, m)   # refuses m before the samples are allocated
+        return cls(np.tile(np.asarray(vec).reshape(sys_.n), (m + 1, 1)))
 
     @classmethod
     def zero(cls, sys_: NeutralSystem, m: int) -> "HistorySegment":
@@ -93,9 +84,8 @@ class HistorySegment:
 
     @classmethod
     def random(cls, sys_: NeutralSystem, m: int, seed: int) -> "HistorySegment":
-        rng = np.random.default_rng(seed)
-        grid = _history_grid(sys_, m)
-        return cls(grid, rng.uniform(-1.0, 1.0, size=(m + 1, sys_.n)))
+        _history_grid(sys_, m)
+        return cls(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m + 1, sys_.n)))
 
 
 @dataclass(frozen=True)
@@ -241,8 +231,6 @@ def simulate(
     the blow-up time attached.
     """
     m = phi.m
-    if abs(phi.grid[0] + sys_.h) > 1e-9 * max(1.0, sys_.h):
-        raise ValueError(f"history grid spans [{phi.grid[0]}, 0], system delay is {sys_.h}")
     if phi.values.shape[1] != sys_.n:
         raise ValueError(f"history has {phi.values.shape[1]} components, state dimension is {sys_.n}")
     if not (0 < T < np.inf):

@@ -28,7 +28,7 @@ from functools import cached_property
 # (bench/spans.py) looks it up on this module by name to count the structures
 # built, and a missing name fails the traced runs.
 from .charmatrix import UNIT_CIRCLE_TOL, matrix_spectral_structure
-from .rootfinder import Rect, SpectrumReport, rightmost_root_scan
+from .rootfinder import LocatedRoot, Rect, SpectrumReport, rightmost_root_scan
 from .sysmodel import NeutralSystem
 
 _CASE_EXPLANATIONS = {
@@ -59,6 +59,11 @@ class StabilityVerdict:
         }
 
 
+def _in_closed_rhp(real: float) -> bool:
+    """Re >= 0, the one closed-right-half-plane test of every verdict."""
+    return real >= 0.0
+
+
 def _stability_gap(abscissa: float | None) -> float:
     # Margin below the imaginary axis that scanned roots must clear for a
     # 'stable' call; beyond the window, roots live near the chain abscissa.
@@ -73,7 +78,8 @@ class SystemAnalysis:
 
     The rightmost root scan is computed on first use and then kept, so the
     verdicts of one system see the same scan and a verdict that needs none
-    computes none.  The further `windows` ride along in that one scan.
+    computes none.  The further `windows` ride along in that one scan.  Its
+    ordered roots, and those with Re >= 0, are likewise derived once.
     """
 
     sys_: NeutralSystem
@@ -89,6 +95,14 @@ class SystemAnalysis:
     def scan(self) -> SpectrumReport:
         return self.scans[0]
 
+    @cached_property
+    def roots(self) -> tuple[LocatedRoot, ...]:
+        return self.scan.all_roots()
+
+    @cached_property
+    def rhp_roots(self) -> tuple[LocatedRoot, ...]:
+        return tuple(r for r in self.roots if _in_closed_rhp(r.lam.real))
+
     def window_note(self, claim: str, caveat: str) -> str:
         """'<claim> [floor, ceiling] x [-cap, cap]; <caveat>', plus the number
         of unresolved scan cells when there are any."""
@@ -103,8 +117,7 @@ class SystemAnalysis:
 
     def scan_evidence(self) -> dict:
         report = self.scan
-        roots = report.all_roots()
-        rightmost = max((r.lam.real for r in roots), default=None)
+        rightmost = max((r.lam.real for r in self.roots), default=None)
         return {
             "window": {
                 "re_min": report.window.re_min,
@@ -112,7 +125,7 @@ class SystemAnalysis:
                 "im_max": report.window.im_max,
             },
             "re_floor": report.window.re_min,
-            "roots_found": len(roots),
+            "roots_found": len(self.roots),
             "total_multiplicity": report.total_count,
             "rightmost_root_re": rightmost,
             "unresolved_cells": len(report.unresolved_cells),
@@ -124,20 +137,18 @@ def _exponential_verdict(analysis: SystemAnalysis) -> tuple[str, dict]:
     grid = analysis.sys_.chains
     report = analysis.scan
     rho = analysis.sys_.structure.spectral_radius
-    roots = report.all_roots()
-    has_rhp_root = any(r.lam.real >= 0.0 for r in roots)
     gap = _stability_gap(None if grid is None else max(grid.abscissas()))
     detail = {"spectral_radius": rho, "unit_tol": UNIT_CIRCLE_TOL, "gap": gap}
     if rho >= 1.0 - UNIT_CIRCLE_TOL:
         detail["reason"] = "difference matrix spectral radius at or above 1"
         return "not_stable", detail
-    if has_rhp_root:
+    if analysis.rhp_roots:
         detail["reason"] = "characteristic root with Re >= 0 in the scan window"
         return "not_stable", detail
     if report.unresolved_cells:
         detail["reason"] = "scan left unresolved cells"
         return "undetermined_window", detail
-    if all(r.lam.real < -gap for r in roots):
+    if all(r.lam.real < -gap for r in analysis.roots):
         detail["reason"] = "Schur difference matrix and scanned roots clear the gap"
         return "stable", detail
     detail["reason"] = "roots inside the stability gap; window evidence inconclusive"
@@ -155,9 +166,8 @@ def classify_asymptotic(analysis: SystemAnalysis) -> StabilityVerdict:
     report = analysis.scan
     exp_verdict, exp_detail = _exponential_verdict(analysis)
 
-    roots = report.all_roots()
     sigma1 = structure.sigma1
-    if any(r.lam.real >= 0.0 for r in roots):
+    if analysis.rhp_roots:
         case = "spectrum_in_RHP_unstable"
     elif not sigma1:
         case = "exp_regime"
@@ -173,7 +183,7 @@ def classify_asymptotic(analysis: SystemAnalysis) -> StabilityVerdict:
         "matrix_structure": structure.to_json_dict(),
         "exponential_detail": exp_detail,
     }
-    if any(u.cell.re_max >= 0.0 for u in report.unresolved_cells):
+    if any(_in_closed_rhp(u.cell.re_max) for u in report.unresolved_cells):
         evidence["caveat"] = (
             "unresolved scan cells touch the closed right half-plane; the label "
             "rests on the roots that were located"

@@ -12,6 +12,7 @@ the test's inputs (`_linalg`), so no rank changes with the coordinates z -> Tz.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,9 +148,7 @@ def check_stabilizability(analysis: SystemAnalysis) -> StabilizabilityReport:
     sigma1 = structure.sigma1
     cond2 = all(e.algebraic == 1 for e in sigma1)
 
-    report = analysis.scan
-    rhp_roots = [r for r in report.all_roots() if r.lam.real >= 0.0]
-    tests3 = tuple(hautus_at(sys_, r.lam) for r in rhp_roots)
+    tests3 = tuple(hautus_at(sys_, r.lam) for r in analysis.rhp_roots)
     cond3 = all(t.passes for t in tests3)
 
     tests4 = tuple(hautus_matrix_pair(sys_.A_minus1, sys_.B, e.mu) for e in sigma1)
@@ -226,8 +225,7 @@ def check_null_controllability(analysis: SystemAnalysis) -> NullControllabilityR
             window_note=note,
         )
 
-    report = analysis.scan
-    tests = tuple(hautus_at(sys_, r.lam) for r in report.all_roots())
+    tests = tuple(hautus_at(sys_, r.lam) for r in analysis.roots)
     cond_i = all(t.passes for t in tests)
     witness = next((t for t in tests if not t.passes), None)
     if witness is None and not cond_ii.passes:
@@ -302,6 +300,9 @@ class BasisIndices:
 
 # The bases the index search walks: every ordering of one column basis of Im B.
 BASIS_POLICY = "permutations"
+# More orderings than this (a basis of 8 or more columns) are not walked: the
+# time bounds are refused, and the verdict still stands.
+MAX_BASIS_ORDERINGS = 5040
 
 
 @dataclass(frozen=True)
@@ -327,6 +328,11 @@ class TimeBounds:
         }
 
 
+def _refused(reason: str) -> TimeBounds:
+    return TimeBounds(m_min=None, m_max=None, time_lower=None, time_sufficient=None,
+                      single_input_exact=False, refused=True, refusal_reason=reason)
+
+
 def controllability_time_bounds(
     analysis: SystemAnalysis,
     verdict: NullControllabilityResult | None = None,
@@ -334,26 +340,21 @@ def controllability_time_bounds(
     """Index bounds m_min = max over bases of m_1 and m_max = min over bases of
     max_i m_i, with times (m_min h, m_max h); the bases are the orderings of
     one column basis of Im B.  Refuses to bound the time when the system is
-    not null-controllable.  For one input the time nh is sharp: controllable
-    for T > nh and not controllable at T = nh."""
+    not null-controllable, or when that basis has more than
+    MAX_BASIS_ORDERINGS orderings.  For one input the time nh is sharp:
+    controllable for T > nh and not controllable at T = nh."""
     sys_ = analysis.sys_
     if sys_.r < 1:
         raise ValueError("time bounds need at least one input")
     if verdict is None:
         verdict = check_null_controllability(analysis)
     if verdict.verdict == "no":
-        bounds = TimeBounds(
-            m_min=None,
-            m_max=None,
-            time_lower=None,
-            time_sufficient=None,
-            single_input_exact=False,
-            refused=True,
-            refusal_reason="system is not null-controllable; witness recorded in the verdict",
-        )
-        return bounds, ()
-
+        return _refused("system is not null-controllable; witness recorded in the verdict"), ()
     base = _column_basis(sys_.B)
+    orderings = math.factorial(base.shape[1])
+    if orderings > MAX_BASIS_ORDERINGS:
+        return _refused(f"the column basis of Im B has {orderings} orderings, more than "
+                        f"the {MAX_BASIS_ORDERINGS} the index search walks"), ()
     records = []
     for order in itertools.permutations(range(base.shape[1])):
         n_chain, m = controllability_indices(sys_, base[:, list(order)])
@@ -409,8 +410,10 @@ class ControllabilityReport:
                 f"  witness point {w.real:+.6g}{w.imag:+.6g}i with rank {nc.witness.rank}"
             )
         b = self.bounds
-        if b.refused:
+        if b.refused and nc.verdict == "no":
             lines.append("controllability time: no finite time (system not null-controllable)")
+        elif b.refused:
+            lines.append(f"controllability time: not bounded; {b.refusal_reason}")
         else:
             lines.append(
                 f"controllability indices: m_min = {b.m_min}, m_max = {b.m_max} "

@@ -1,8 +1,20 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as hst
 
 from neutralsys.sysmodel import DelayKernel, NeutralSystem
+
+
+def bench_module(name: str):
+    """bench/<name>.py of this checkout, loaded by its path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_example1(alpha: float, beta: float, B=None) -> NeutralSystem:

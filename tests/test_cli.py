@@ -699,3 +699,35 @@ def test_report_writes_what_reach_and_simulate_write(tmp_path):
         assert run_cli(command, "--input", str(path), "--out", str(out), *flags) == 0
         for name in names:
             assert (out / name).read_bytes() == (report_out / name).read_bytes()
+
+
+# x' = 800 x: the simulation overflows at t = 2.255 of --T 10
+BLOWUP_DOC = {
+    "n": 1, "r": 0, "h": 1.0, "A_minus1": [[0.0]],
+    "A2": {"breakpoints": [-1.0, 0.0], "segments": [[[0.0]]]},
+    "A3": {"breakpoints": [-1.0, 0.0], "segments": [[[0.0]]],
+           "atoms": [{"theta": 0.0, "matrix": [[800.0]]}]},
+    "B": [[]],
+}
+
+
+def test_simulate_blowup_is_one_record(tmp_path, capsys):
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(BLOWUP_DOC))
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--input", str(path), "--out", str(out), "--T", "10") == 2
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert records == [{"event": "simulation_blowup", "level": "error", "t": 2.255}]
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_report_blowup_still_writes_its_index(tmp_path, capsys):
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(BLOWUP_DOC))
+    out = tmp_path / "out"
+    assert run_cli("report", "--input", str(path), "--out", str(out), "--T", "10") == 2
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [r["event"] for r in records] == ["simulation_blowup"]
+    index = json.loads((out / "index.json").read_text())
+    assert index["files"] == ["roots.csv", "spectrum.json", "stability.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["index.json", *index["files"]]

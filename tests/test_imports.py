@@ -4,6 +4,7 @@ Each cold-start case runs in a fresh interpreter, because this process has
 imported every module already.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 import neutralsys
 
-from conftest import EXAMPLE1_DOC
+from conftest import EXAMPLE1_DOC, bench_module
 
 SRC = Path(neutralsys.__file__).resolve().parents[1]
 # the root finder and the verdict modules
@@ -83,3 +84,11 @@ def test_dir_lists_every_export_and_unknown_names_raise():
     with pytest.raises(AttributeError, match="no_such_name"):
         neutralsys.no_such_name
     assert not hasattr(neutralsys, "no_such_name")
+
+
+def test_every_benchmark_entry_point_resolves():
+    # the benchmark tracer looks each entry point up on its module by name,
+    # and a missing one fails the traced benchmark runs
+    for layer, names in bench_module("spans").ENTRY_POINTS.items():
+        module = importlib.import_module(f"neutralsys.{layer}")
+        assert [n for n in names if not callable(getattr(module, n, None))] == [], layer

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from neutralsys import reachability
-from neutralsys.reachability import build_steering_probe, rank_profile
+from neutralsys.reachability import RANK_TAU, build_steering_probe, rank_profile
 from neutralsys.simulate import _integrate
 from neutralsys.sysmodel import DelayKernel, NeutralSystem
 
@@ -74,7 +74,8 @@ def test_rank_profile_runs_one_simulation(monkeypatch):
     for T, entry in zip(horizons, profile.entries):
         probe = build_steering_probe(s, T, m=40)
         assert entry.T == probe.T
-        assert entry.effective_rank == probe.effective_rank()
+        cut = RANK_TAU * probe.singular_values[0]
+        assert entry.effective_rank == np.count_nonzero(probe.singular_values > cut)
         assert np.array_equal(entry.singular_values, probe.singular_values)
 
 
@@ -117,7 +118,7 @@ def test_zero_input_matrix_gives_zero_probe():
     probe = build_steering_probe(s, 1.5, m=50)
     assert np.all(probe.matrix == 0.0)
     assert np.all(probe.singular_values == 0.0)
-    assert probe.effective_rank() == 0
+    assert rank_profile(s, [1.5], m=50).entries[0].effective_rank == 0
 
 
 def test_scalar_ode_reachable_immediately():
@@ -130,9 +131,8 @@ def test_scalar_ode_reachable_immediately():
 def test_probe_dimensions():
     s = make_reach_fixture()
     probe = build_steering_probe(s, 2.5, m=50)
-    assert probe.state_dim == 2 * 51 + 2
     assert probe.control_dim == 125  # one column per step
-    assert probe.matrix.shape == (probe.state_dim, probe.control_dim)
+    assert probe.matrix.shape == (2 * 51 + 2, probe.control_dim)
     sv = probe.singular_values
     assert np.all(sv[:-1] >= sv[1:]) and np.all(sv >= 0.0)
 

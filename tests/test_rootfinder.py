@@ -17,18 +17,30 @@ from conftest import (
 )
 
 
+def dense_boundary(contour, nodes):
+    """nodes + 1 counterclockwise points on a circle or rectangle, the last on
+    the first, built here and not from the scan's own contour code."""
+    t = np.arange(nodes + 1) / nodes
+    if isinstance(contour, rf.Circle):
+        return contour.center + contour.radius * np.exp(2j * np.pi * t)
+    r = contour
+    w, v = r.re_max - r.re_min, r.im_max - r.im_min
+    knots = np.array([0.0, w, w + v, 2.0 * w + v, 2.0 * (w + v)])
+    s = t * knots[-1]
+    return (np.interp(s, knots, [r.re_min, r.re_max, r.re_max, r.re_min, r.re_min])
+            + 1j * np.interp(s, knots, [r.im_min, r.im_min, r.im_max, r.im_max, r.im_min]))
+
+
 def winding_oracle(sys_, contour, nodes=10_000):
     """Independent count: cumulative principal phase over a dense fixed grid."""
-    t = np.arange(nodes + 1) / nodes
-    vals = cm.det_delta_batch(sys_, contour.points(t))
+    vals = np.linalg.det(cm.delta_batch(sys_, dense_boundary(contour, nodes)))
     phases = np.angle(vals[1:] / vals[:-1])
     return int(round(float(np.sum(phases)) / (2 * np.pi)))
 
 
 def logderiv_oracle(sys_, circle, nodes=20_000):
     """Cross-check via (1/2 pi i) contour integral of trace(D^{-1} D')."""
-    t = np.arange(nodes) / nodes
-    pts = circle.points(t)
+    pts = dense_boundary(circle, nodes)[:-1]
     D = cm.delta_batch(sys_, pts)
     dD = cm.delta_derivative_batch(sys_, pts)
     traces = np.trace(np.linalg.solve(D, dD), axis1=-2, axis2=-1)
@@ -52,7 +64,7 @@ def test_count_example2_no_rhp_roots():
 def test_count_example1_far_cluster_against_oracle():
     s = make_example1(1.0, 2.0)
     grid = cm.chain_grid(s)
-    c = rf.Circle(grid.center(0, 5), grid.r0 / 3.0)
+    c = rf.Circle(grid.center(0, 5), 2.0 * grid.radius / 3.0)
     assert rf.count_roots_in_contour(s, c) == 2
     assert winding_oracle(s, c) == 2
     assert logderiv_oracle(s, c) == pytest.approx(2.0, abs=1e-6)
@@ -561,8 +573,8 @@ def test_delay_length_rescaling_identity():
                                          ((atom_loc / h, h * atom_M),)),
                           B=np.zeros((2, 0)))
     lams = rng.uniform(-3, 3, 20) + 1j * rng.uniform(-8, 8, 20)
-    d_h = cm.det_delta_batch(sys_h, lams)
-    d_1 = cm.det_delta_batch(sys_1, h * lams)
+    d_h = np.linalg.det(cm.delta_batch(sys_h, lams))
+    d_1 = np.linalg.det(cm.delta_batch(sys_1, h * lams))
     assert np.max(np.abs(d_1 - h**2 * d_h) / np.abs(d_1)) < 1e-12
 
     (rep_h,) = rf.find_roots_in_region(sys_h, [rf.Rect(-1.5, 1.5, -6.0, 6.0)])
@@ -578,7 +590,7 @@ def test_newton_refines_to_residual():
     s = make_example1(1.0, 2.0)
     lam, resid, ok = rf.newton_root(s, 0.2 + 6.0j)
     assert ok
-    assert abs(cm.det_delta(s, lam)) <= 1e-9 * (1 + abs(lam)) ** 2
+    assert abs(np.linalg.det(cm.delta(s, lam))) <= 1e-9 * (1 + abs(lam)) ** 2
 
 
 def test_spectrum_report_serialization():
@@ -1048,3 +1060,19 @@ def test_cell_seeds_are_fixed_by_the_cell_corners(cell, expected):
     # Every scan's roots, and so every written output, rest on these starts:
     # a change to the cell seeding shows here before it shows in an output.
     assert rf._cell_seeds(cell) == expected
+
+
+def test_owned_roots_margin_and_half_open_sides():
+    cell = rf.Rect(0.0, 1.0, 0.0, 1.0)
+    inner = rf.LocatedRoot(0.5 + 0.5j, 1, 0.0)
+    near = rf.LocatedRoot(0.95 + 0.5j, 1, 0.0)
+    assert rf._owned_roots(cell, [inner], margin=0.1) == [inner]
+    # within the margin of a side: the cell cannot take its roots
+    assert rf._owned_roots(cell, [inner, near], margin=0.1) is None
+    assert rf._owned_roots(cell, [inner, near], margin=0.01) == [inner, near]
+    # a root on the corner four cells share belongs to the one it starts,
+    # which lies on its sides and so cannot take it either
+    corner = rf.LocatedRoot(1.0 + 1.0j, 1, 0.0)
+    cells = [rf.Rect(0.0, 1.0, 0.0, 1.0), rf.Rect(1.0, 2.0, 0.0, 1.0),
+             rf.Rect(0.0, 1.0, 1.0, 2.0), rf.Rect(1.0, 2.0, 1.0, 2.0)]
+    assert [rf._owned_roots(c, [corner], margin=0.0) for c in cells] == [[], [], [], None]

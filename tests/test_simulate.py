@@ -49,7 +49,7 @@ def test_eigenmode_reproduced_neutral_chain():
     C = cm.kernel_basis(s, lam, tol=1e-8)[:, 0]
     m = 2000
     grid = np.linspace(-1.0, 0.0, m + 1)
-    phi = HistorySegment(grid, np.exp(lam * grid)[:, None] * C[None, :])
+    phi = HistorySegment(np.exp(lam * grid)[:, None] * C[None, :])
     traj = simulate(s, phi, None, T=1.0)
     exact = np.exp(lam * traj.times)[:, None] * C[None, :]
     dev = np.linalg.norm(traj.z_values - exact, axis=1)
@@ -66,7 +66,7 @@ def test_eigenmode_reproduced_distributed_system():
     C = cm.kernel_basis(s, lam, tol=1e-6)[:, 0]
     m = 1000
     grid = np.linspace(-1.0, 0.0, m + 1)
-    phi = HistorySegment(grid, np.exp(lam * grid)[:, None] * C[None, :])
+    phi = HistorySegment(np.exp(lam * grid)[:, None] * C[None, :])
     traj = simulate(s, phi, None, T=1.0)
     exact = np.exp(lam * traj.times)[:, None] * C[None, :]
     dev = np.linalg.norm(traj.z_values - exact, axis=1) / np.linalg.norm(exact, axis=1)
@@ -79,7 +79,7 @@ def test_linearity():
     rng = np.random.default_rng(8)
     phi1 = HistorySegment.random(s, m, seed=1)
     phi2 = HistorySegment.random(s, m, seed=2)
-    phi_sum = HistorySegment(phi1.grid, phi1.values + phi2.values)
+    phi_sum = HistorySegment(phi1.values + phi2.values)
     u1 = rng.standard_normal((m * 3, 1))
     u2 = rng.standard_normal((m * 3, 1))
     t1 = simulate(s, phi1, u1, T=3.0)
@@ -317,18 +317,19 @@ def test_window_operator_matches_per_step_formula_on_random_systems(sys_, m, see
 def test_history_validation():
     s = make_scalar_decay()
     with pytest.raises(ValueError):
-        HistorySegment(np.array([0.0, 1.0]), np.zeros((2, 1)))  # ends at 1
+        HistorySegment(np.zeros(5))  # not one row per grid point
     with pytest.raises(ValueError):
-        HistorySegment(np.array([-1.0, -0.4, 0.0]), np.zeros((3, 1)))  # nonuniform
+        HistorySegment(np.zeros((1, 1)))  # m = 0
     with pytest.raises(ValueError):
-        simulate(s, HistorySegment.zero(s, 4), None, T=1.0)  # m too small
+        HistorySegment(np.array([[0.0], [np.inf]]))
+    with pytest.raises(ValueError):
+        HistorySegment.zero(s, 4)  # m too small
+    with pytest.raises(ValueError):
+        simulate(s, HistorySegment(np.zeros((5, 1))), None, T=1.0)  # m too small
     with pytest.raises(ValueError):
         simulate(s, HistorySegment.zero(s, 100), None, T=-1.0)
-    # wrong delay span and wrong state dimension are rejected
-    bad_span = HistorySegment(np.linspace(-2.0, 0.0, 101), np.zeros((101, 1)))
-    with pytest.raises(ValueError):
-        simulate(s, bad_span, None, T=1.0)
-    bad_dim = HistorySegment(np.linspace(-1.0, 0.0, 101), np.zeros((101, 2)))
+    # a wrong state dimension is rejected
+    bad_dim = HistorySegment(np.zeros((101, 2)))
     with pytest.raises(ValueError):
         simulate(s, bad_dim, None, T=1.0)
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from neutralsys import rootfinder as rf
 from neutralsys import stability as st
-from neutralsys.sysmodel import DelayKernel, NeutralSystem
+from neutralsys.sysmodel import DelayKernel, NeutralSystem, system_from_document
 
-from conftest import make_example1, make_example2, make_scalar_decay
+from conftest import bench_module, make_example1, make_example2, make_scalar_decay
 
 
 def make_rotation_case_i(c: float = 1.0) -> NeutralSystem:
@@ -172,3 +173,16 @@ def test_eigenvalues_below_the_chain_cutoff_place_no_chain_abscissa():
     assert analysis.scan.window.re_min == -1.0
     assert v.evidence["exponential_detail"]["gap"] == 0.1
     assert "no root chains" in analysis.scan.completeness_note
+
+
+@pytest.mark.parametrize("name", ["density", "dense_n2", "rand_n2_r1"])
+def test_unresolved_scan_cells_leave_the_window_undetermined(monkeypatch, name):
+    # with no quadrisection the window's one cell stays unresolved, and it
+    # reaches into the closed right half-plane
+    monkeypatch.setattr(rf, "MAX_DEPTH", 0)
+    sys_ = system_from_document(bench_module("corpus").build(1)[name])
+    verdict = st.classify_asymptotic(st.SystemAnalysis(sys_))
+    assert verdict.exponential == "undetermined_window"
+    assert verdict.evidence["exponential_detail"]["reason"] == "scan left unresolved cells"
+    assert verdict.evidence["scan"]["unresolved_cells"] > 0
+    assert "closed right half-plane" in verdict.evidence["caveat"]

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -84,7 +86,7 @@ def test_hautus_passes_off_roots():
     rng = np.random.default_rng(3)
     for _ in range(10):
         lam = complex(rng.uniform(-3, 3), rng.uniform(-20, 20))
-        if abs(cm.det_delta(s, lam)) > 1e-6:
+        if abs(np.linalg.det(cm.delta(s, lam))) > 1e-6:
             assert sr.hautus_at(s, lam).passes
 
 
@@ -221,7 +223,7 @@ def test_null_controllability_example1_bad_column():
     assert report.witness.rank == 1
     # the recorded witness is an actual characteristic root
     lam = report.witness.test_point
-    assert abs(cm.det_delta(make_example1(1.0, 1.0, [[1.0], [0.0]]), lam)) < 1e-8
+    assert abs(np.linalg.det(cm.delta(make_example1(1.0, 1.0, [[1.0], [0.0]]), lam))) < 1e-8
 
 
 def test_null_controllability_kalman_failure():
@@ -305,6 +307,27 @@ def test_time_bounds_refused_when_not_controllable():
     assert bounds.refused
     assert bounds.m_min is None and bounds.time_lower is None
     assert records == ()
+
+
+def test_time_bounds_walk_the_ordering_limit_itself(monkeypatch):
+    monkeypatch.setattr(sr, "MAX_BASIS_ORDERINGS", 6)
+    s = plain_system(np.zeros((3, 3)), np.eye(3), state_feedback=-np.eye(3))
+    bounds, records = sr.controllability_time_bounds(SystemAnalysis(s))
+    assert not bounds.refused and len(records) == 6
+
+
+def test_time_bounds_refused_beyond_the_ordering_limit():
+    # 8! = 40,320 orderings of the column basis: refused without walking them
+    s = plain_system(np.zeros((8, 8)), np.eye(8), state_feedback=-np.eye(8))
+    started = time.perf_counter()
+    report = sr.controllability_report(SystemAnalysis(s))
+    assert time.perf_counter() - started < 1.0
+    assert report.null_controllability.verdict == "yes"
+    assert report.bounds.refused and report.indices == ()
+    assert "40320 orderings" in report.bounds.refusal_reason
+    assert report.bounds.m_min is None
+    assert report.bounds.refusal_reason in report.summary()
+    assert "not null-controllable" not in report.summary()
 
 
 def test_h_scaling_of_times():
