@@ -25,15 +25,13 @@ array beside numpy's own SVD buffer.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._linalg import sigma_rank
 from .simulate import _check_size, _history_grid, _integrate, _steps
-from .sysmodel import NeutralSystem
+from .sysmodel import NeutralSystem, csv_table
 
 CSV_SIGMAS = 12   # singular values per horizon in rank_profile.csv
 RANK_TAU = 1e-6   # effective-rank cut, relative to sigma_1
@@ -97,14 +95,12 @@ class RankProfile:
     monotone: bool
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["T"] + [f"sigma_{i + 1}" for i in range(CSV_SIGMAS)] + ["effective_rank"])
+        header = ["T"] + [f"sigma_{i + 1}" for i in range(CSV_SIGMAS)] + ["effective_rank"]
+        rows = []
         for e in self.entries:
-            sig = e.singular_values
-            padded = list(sig[:CSV_SIGMAS]) + [0.0] * max(0, CSV_SIGMAS - len(sig))
-            writer.writerow([repr(e.T)] + [repr(float(s)) for s in padded] + [e.effective_rank])
-        return buf.getvalue()
+            sig = e.singular_values[:CSV_SIGMAS].tolist()
+            rows.append([e.T] + sig + [0.0] * (CSV_SIGMAS - len(sig)) + [e.effective_rank])
+        return csv_table(header, rows)
 
     def to_json_dict(self) -> dict:
         return {

@@ -71,17 +71,16 @@ MIN_CELL_DIAMETER is only the size at which an unmatched cell is given up.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
 
 from .charmatrix import ChainGrid, delta_and_derivative
 from .errors import ContourError, PhaseTrackingError, RootOnContourError
-from .sysmodel import NeutralSystem
+from .simulate import _check_size
+from .sysmodel import NeutralSystem, csv_table
 
 
 # ----------------------------------------------------------------- contours
@@ -177,9 +176,6 @@ def residual_bound(lam: complex, n: int) -> float:
 
 
 # ------------------------------------------------------- winding computation
-
-
-_MAX_SIDE_SEGMENTS = 1e7   # start segments of one fresh side; a longer side is refused
 
 
 def _node_density(sys_: NeutralSystem) -> float:
@@ -348,6 +344,7 @@ class _EdgeCache:
 
     def __init__(self, sys_: NeutralSystem):
         self.sys_ = sys_
+        self.node_entries = sys_.n ** 2 + len(sys_.terms.locs)
         self.log_floor = np.log(BOUNDARY_TOL)
         self.edges: dict[tuple, _Edge] = {}
         self.starting: dict[tuple, tuple] = {}   # (origin, scale, arc, start) -> key
@@ -427,10 +424,10 @@ class _EdgeCache:
         # an arc runs once around its circle, from u = 0 to u = 1
         length = 2.0 * np.pi * scale if arc else b - a
         segs = max(min_segs, np.ceil(_node_density(self.sys_) * length))
-        if not segs <= _MAX_SIDE_SEGMENTS:   # also an infinite or NaN count
-            raise ValueError(
-                f"contour side of length {length:g} needs {segs:g} nodes, more than "
-                f"{_MAX_SIDE_SEGMENTS:g}; narrow the window")
+        # The batch, this side included, is sampled in one call that holds
+        # the n^2 entries of D and D' and the K term coefficients per node.
+        nodes = batch.size + segs + 1
+        _check_size(nodes * self.node_entries, f"entries of {nodes:g} contour nodes")
         segs = int(segs)
         u = np.arange(segs + 1) / segs if arc else np.linspace(a, b, segs + 1)
         p = _edge_points(origin, scale, arc, u)
@@ -742,12 +739,15 @@ class SpectrumReport:
     unresolved_cells: tuple[UnresolvedCell, ...]
     total_count: int
     completeness_note: str
+    # every root of the report, ordered once when it is built
+    _roots: tuple[LocatedRoot, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        roots = [*self.unclustered_roots, *(r for c in self.clusters for r in c.roots)]
+        object.__setattr__(self, "_roots", _ordered(roots))
 
     def all_roots(self) -> tuple[LocatedRoot, ...]:
-        roots = list(self.unclustered_roots)
-        for c in self.clusters:
-            roots.extend(c.roots)
-        return _ordered(roots)
+        return self._roots
 
     def to_json_dict(self) -> dict:
         def root_doc(r: LocatedRoot) -> dict:
@@ -784,22 +784,12 @@ class SpectrumReport:
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["re", "im", "multiplicity", "residual", "chain_m", "chain_k"])
+        rows = []
         for r in self.all_roots():
             m, k = r.chain_label if r.chain_label is not None else ("", "")
-            writer.writerow(
-                [
-                    repr(float(r.lam.real)),
-                    repr(float(r.lam.imag)),
-                    r.multiplicity,
-                    repr(float(r.residual)),
-                    m,
-                    k,
-                ]
-            )
-        return buf.getvalue()
+            lam = complex(r.lam)
+            rows.append([lam.real, lam.imag, r.multiplicity, float(r.residual), m, k])
+        return csv_table(["re", "im", "multiplicity", "residual", "chain_m", "chain_k"], rows)
 
 
 # -------------------------------------------------------------- region scan

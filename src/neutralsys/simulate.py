@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationBlowUpError
-from .sysmodel import NeutralSystem
+from .sysmodel import NeutralSystem, csv_table
 
 _FINITE_CHECK_STRIDE = 50
-_MAX_SIZE = 1e7   # grid intervals, time steps or probe entries of one run; a larger run is refused
+_MAX_SIZE = 1e7   # grid intervals, time steps or probe entries of one run, or contour-node
+                  # entries of one sampling call; a larger one is refused
 
 
 def _check_size(count: float, what: str) -> None:
@@ -95,8 +96,6 @@ class Trajectory:
     m2_norm: np.ndarray
 
     def to_csv(self) -> str:
-        # One float table, each value written by repr: the row strings are
-        # what csv.writer would write for the same cells.
         n = self.z_values.shape[1]
         if np.iscomplexobj(self.z_values) and np.any(self.z_values.imag):
             header = ["t"] + [f"z{j + 1}_{part}" for j in range(n) for part in ("re", "im")]
@@ -104,9 +103,7 @@ class Trajectory:
         else:
             header = ["t"] + [f"z{j + 1}" for j in range(n)]
             z = np.real(self.z_values)
-        table = np.column_stack([self.times, z, self.m2_norm]).tolist()
-        rows = [",".join(header + ["m2_norm"])] + [",".join(map(repr, row)) for row in table]
-        return "\n".join(rows) + "\n"
+        return csv_table(header + ["m2_norm"], np.column_stack([self.times, z, self.m2_norm]).tolist())
 
 
 def _kernel_weights(kernel, grid: np.ndarray, dt: float):

@@ -79,7 +79,7 @@ class SystemAnalysis:
     The rightmost root scan is computed on first use and then kept, so the
     verdicts of one system see the same scan and a verdict that needs none
     computes none.  The further `windows` ride along in that one scan.  Its
-    ordered roots, and those with Re >= 0, are likewise derived once.
+    roots with Re >= 0 are likewise derived once.
     """
 
     sys_: NeutralSystem
@@ -95,7 +95,7 @@ class SystemAnalysis:
     def scan(self) -> SpectrumReport:
         return self.scans[0]
 
-    @cached_property
+    @property
     def roots(self) -> tuple[LocatedRoot, ...]:
         return self.scan.all_roots()
 

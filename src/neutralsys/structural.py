@@ -114,7 +114,7 @@ class StabilizabilityReport:
     condition_3_passes: bool
     condition_4: tuple[RankTestResult, ...]   # [mu I - A | B] at unit eigenvalues
     condition_4_passes: bool
-    verdict: str                # regularly_stabilizable_within_window |
+    verdict: str                # regularly_stabilizable | regularly_stabilizable_within_window |
                                 # hypotheses_not_satisfied | sufficient_conditions_fail
     window_note: str
     structure: dict
@@ -137,18 +137,35 @@ class StabilizabilityReport:
         }
 
 
+def _hautus_at_roots(analysis: SystemAnalysis, roots, claim: str, caveat: str):
+    """The Hautus tests [D(lam) | B] at the scanned roots `roots()` and the
+    window note '<claim with the count> [window]; <caveat>'.  A B of full row
+    rank settles the condition at every point: then no tests, no note (None)
+    and no scan read."""
+    if _column_rank(analysis.sys_.B) == analysis.sys_.n:
+        return (), None
+    tests = tuple(hautus_at(analysis.sys_, r.lam) for r in roots())
+    return tests, analysis.window_note(claim.format(len(tests)), caveat)
+
+
 def check_stabilizability(analysis: SystemAnalysis) -> StabilizabilityReport:
     """Regular-stabilizability test: two hypotheses on the difference matrix,
     then the two rank conditions, the first checked at every scanned root with
     Re >= 0 (rank can only drop there) and the second at unit-circle
-    eigenvalues (elsewhere mu I - A is invertible)."""
+    eigenvalues (elsewhere mu I - A is invertible).  A B of full row rank
+    settles condition 3 everywhere, hence 'regularly_stabilizable' without a
+    window caveat."""
     sys_ = analysis.sys_
     structure = sys_.structure
     cond1 = structure.spectral_radius <= 1.0 + UNIT_CIRCLE_TOL
     sigma1 = structure.sigma1
     cond2 = all(e.algebraic == 1 for e in sigma1)
 
-    tests3 = tuple(hautus_at(sys_, r.lam) for r in analysis.rhp_roots)
+    tests3, note = _hautus_at_roots(
+        analysis, lambda: analysis.rhp_roots,
+        "condition 3 checked at {} root(s) with Re >= 0 inside",
+        "roots outside the window are not covered",
+    )
     cond3 = all(t.passes for t in tests3)
 
     tests4 = tuple(hautus_matrix_pair(sys_.A_minus1, sys_.B, e.mu) for e in sigma1)
@@ -156,15 +173,12 @@ def check_stabilizability(analysis: SystemAnalysis) -> StabilizabilityReport:
 
     if not (cond1 and cond2):
         verdict = "hypotheses_not_satisfied"
-    elif cond3 and cond4:
-        verdict = "regularly_stabilizable_within_window"
-    else:
+    elif not (cond3 and cond4):
         verdict = "sufficient_conditions_fail"
-
-    note = analysis.window_note(
-        f"condition 3 checked at {len(tests3)} root(s) with Re >= 0 inside",
-        "roots outside the window are not covered",
-    )
+    elif note is None:
+        verdict = "regularly_stabilizable"
+    else:
+        verdict = "regularly_stabilizable_within_window"
     return StabilizabilityReport(
         condition_1=cond1,
         condition_2=cond2,
@@ -173,7 +187,7 @@ def check_stabilizability(analysis: SystemAnalysis) -> StabilizabilityReport:
         condition_4=tests4,
         condition_4_passes=cond4,
         verdict=verdict,
-        window_note=note,
+        window_note=note or "input matrix has full row rank; condition 3 holds at every point",
         structure=structure.to_json_dict(),
     )
 
@@ -203,49 +217,30 @@ class NullControllabilityResult:
 
 def check_null_controllability(analysis: SystemAnalysis) -> NullControllabilityResult:
     """Null-controllability for some horizon: Kalman condition on (A, B) exact,
-    Hautus condition checked at every scanned root.  An invertible B settles
-    the Hautus condition globally, hence verdict 'yes' without a window caveat."""
+    Hautus condition checked at every scanned root.  A B of full row rank
+    settles the Hautus condition everywhere, hence 'yes' without a window
+    caveat."""
     sys_ = analysis.sys_
     if sys_.r < 1:
         raise ValueError("null-controllability test needs at least one input")
 
-    n = sys_.n
     kalman, cut = _kalman(sys_.A_minus1, sys_.B)
-    cond_ii = _rank_test(kalman, 0.0, n, cut)
+    cond_ii = _rank_test(kalman, 0.0, sys_.n, cut)
 
-    if _column_rank(sys_.B) == n:
-        note = "input matrix has full row rank; Hautus condition holds at every point"
-        verdict = "yes" if cond_ii.passes else "no"
-        return NullControllabilityResult(
-            condition_i=(),
-            condition_i_passes=True,
-            condition_ii=cond_ii,
-            verdict=verdict,
-            witness=None if cond_ii.passes else cond_ii,
-            window_note=note,
-        )
-
-    tests = tuple(hautus_at(sys_, r.lam) for r in analysis.roots)
-    cond_i = all(t.passes for t in tests)
-    witness = next((t for t in tests if not t.passes), None)
-    if witness is None and not cond_ii.passes:
-        witness = cond_ii
-
-    if not cond_i or not cond_ii.passes:
-        verdict = "no"
-    else:
-        verdict = "yes_within_window"
-    note = analysis.window_note(
-        f"Hautus condition checked at {len(tests)} scanned root(s) in",
+    tests, note = _hautus_at_roots(
+        analysis, lambda: analysis.roots,
+        "Hautus condition checked at {} scanned root(s) in",
         "rank can only drop at roots of det D",
     )
+    # the first failing Hautus test, else a failing Kalman test
+    witness = next((t for t in (*tests, cond_ii) if not t.passes), None)
     return NullControllabilityResult(
         condition_i=tests,
-        condition_i_passes=cond_i,
+        condition_i_passes=all(t.passes for t in tests),
         condition_ii=cond_ii,
-        verdict=verdict,
+        verdict="no" if witness is not None else "yes" if note is None else "yes_within_window",
         witness=witness,
-        window_note=note,
+        window_note=note or "input matrix has full row rank; Hautus condition holds at every point",
     )
 
 

@@ -316,6 +316,14 @@ def save_system(sys_: NeutralSystem, path) -> None:
     Path(path).write_text(json.dumps(serialize_system(sys_), indent=2, sort_keys=True))
 
 
+def csv_table(header, rows) -> str:
+    """CSV text of a header and rows, one line each, every cell written as
+    its str: for a Python float that is the shortest round-trip form, the
+    repr that the csv module writes too.  The cells are numbers, names and
+    empty strings, so none needs quoting."""
+    return "\n".join(",".join(map(str, row)) for row in [header, *rows]) + "\n"
+
+
 def systems_equal(a: NeutralSystem, b: NeutralSystem) -> bool:
     """Field-by-field equality (exact float comparison, atoms in order)."""
     if (a.n, a.r, a.h) != (b.n, b.r, b.h):

@@ -15,11 +15,11 @@ from neutralsys import charmatrix as cm
 from neutralsys import _linalg, cli, stability
 from neutralsys import rootfinder as rf
 from neutralsys.cli import main
-from neutralsys.simulate import HistorySegment, simulate
+from neutralsys.simulate import _MAX_SIZE, HistorySegment, simulate
 from neutralsys.sysmodel import load_system, save_system
 
-from conftest import (EXAMPLE1_DOC, conjugate, make_example2, make_scalar_decay,
-                      random_transform)
+from conftest import (EXAMPLE1_DOC, bench_module, conjugate, make_example2,
+                      make_reach_fixture, make_scalar_decay, random_transform)
 
 REPORT_FLAGS = ("--grid-m", "64", "--T", "3")
 
@@ -379,12 +379,26 @@ def test_each_command_takes_only_the_options_it_reads(capsys, command, option):
     assert listed == COMMAND_OPTIONS[command]
 
 
-@pytest.mark.parametrize("im_max", ["1e308", "1e12"])
+@pytest.mark.parametrize("im_max, n8", [("1e308", False), ("1e12", False), ("20000", True)],
+                         ids=["1e308", "1e12", "20000-n8"])
 @pytest.mark.parametrize("command", ["spectrum", "stability"])
-def test_window_too_long_to_sample_is_a_usage_error(tmp_path, capsys, command, im_max):
+def test_window_too_long_to_sample_is_a_usage_error(tmp_path, capsys, monkeypatch, command,
+                                                     im_max, n8):
     # 1e308 makes a side's node count infinite, 1e12 finite but far past the
-    # ceiling; both are refused before any node is allocated.
+    # ceiling; both are refused before any node is allocated.  At n = 8 a
+    # 20000 cap keeps every side short, but the window's nodes together,
+    # each holding D, D' and the term coefficients, pass the size limit.
     path = _system_with_inputs(tmp_path)
+    if n8:
+        path.write_text(json.dumps(bench_module("corpus").build(1)["rand_n8_r1"]))
+    sample = rf._sample_nodes
+
+    def bounded(sys_, pts, log_floor):
+        entries = len(pts) * (sys_.n ** 2 + len(sys_.terms.locs))
+        assert entries <= _MAX_SIZE, f"sampling {len(pts)} nodes at once"
+        return sample(sys_, pts, log_floor)
+
+    monkeypatch.setattr(rf, "_sample_nodes", bounded)
     start = time.perf_counter()
     code = run_cli(command, "--input", str(path), "--out", str(tmp_path / "out"), f"--im-max={im_max}")
     assert time.perf_counter() - start < 1.0
@@ -656,17 +670,34 @@ def test_report_index_lists_only_the_files_it_wrote(tmp_path):
     assert index["files"] == ["roots.csv", "spectrum.json", "stability.json", "trajectory.csv"]
 
 
+def test_spectrum_report_orders_its_roots_once(tmp_path, monkeypatch, capsys):
+    sys_ = make_reach_fixture()
+    (report,) = rf.find_roots_in_region(sys_, [rf.Rect(-2.0, 1.0, -10.0, 10.0)], sys_.chains)
+
+    def ordered_again(roots):
+        raise AssertionError("the report's roots were ordered again")
+
+    monkeypatch.setattr(rf, "_ordered", ordered_again)
+    roots = report.all_roots()
+    assert len(roots) > 1 and report.all_roots() is roots
+    assert len(report.to_csv().splitlines()) == 1 + len(roots)
+    assert cli._write_spectrum(sys_, report, cli._Outputs(tmp_path)) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith(f"{len(roots)} root(s)")
+
+
+FREE3_DOC = {
+    "n": 3, "r": 3, "h": 1.0,
+    "A_minus1": np.zeros((3, 3)).tolist(),
+    "A2": {"breakpoints": [-1.0, 0.0], "segments": [np.zeros((3, 3)).tolist()]},
+    "A3": {"breakpoints": [-1.0, 0.0], "segments": [np.zeros((3, 3)).tolist()],
+           "atoms": [{"theta": 0.0, "matrix": (-np.eye(3)).tolist()}]},
+    "B": np.eye(3).tolist(),
+}
+
+
 def test_controllability_with_full_row_rank_input_runs_no_scan(tmp_path, monkeypatch):
-    doc = {
-        "n": 3, "r": 3, "h": 1.0,
-        "A_minus1": np.zeros((3, 3)).tolist(),
-        "A2": {"breakpoints": [-1.0, 0.0], "segments": [np.zeros((3, 3)).tolist()]},
-        "A3": {"breakpoints": [-1.0, 0.0], "segments": [np.zeros((3, 3)).tolist()],
-               "atoms": [{"theta": 0.0, "matrix": (-np.eye(3)).tolist()}]},
-        "B": np.eye(3).tolist(),
-    }
     path = tmp_path / "free3.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(FREE3_DOC))
     counts = _count_spectral_work(monkeypatch)
     out = tmp_path / "out"
     assert run_cli("controllability", "--input", str(path), "--out", str(out)) == 0
@@ -674,6 +705,22 @@ def test_controllability_with_full_row_rank_input_runs_no_scan(tmp_path, monkeyp
                       "matrix_spectral_structure": 0, "cluster_eigenvalues": 0}
     verdict = json.loads((out / "controllability.json").read_text())
     assert verdict["null_controllability"]["verdict"] == "yes"
+
+
+def test_stabilizability_with_full_row_rank_input_runs_no_scan(tmp_path, monkeypatch, capsys):
+    # B = I settles condition 3 at every point; conditions 1, 2 and 4 read the
+    # difference-matrix structure alone
+    path = tmp_path / "free3.json"
+    path.write_text(json.dumps(FREE3_DOC))
+    counts = _count_spectral_work(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli("stabilizability", "--input", str(path), "--out", str(out)) == 0
+    assert counts == {"find_roots_in_region": 0, "rightmost_root_scan": 0,
+                      "matrix_spectral_structure": 1, "cluster_eigenvalues": 1}
+    assert capsys.readouterr().out == "stabilizability: regularly_stabilizable\n"
+    doc = json.loads((out / "stabilizability.json").read_text())
+    assert doc["condition_3_hautus_at_scanned_rhp_roots"] == []
+    assert doc["window_note"] == "input matrix has full row rank; condition 3 holds at every point"
 
 
 def test_report_verdicts_match_standalone_commands(tmp_path):

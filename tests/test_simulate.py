@@ -314,6 +314,63 @@ def test_window_operator_matches_per_step_formula_on_random_systems(sys_, m, see
     _assert_matches_oracle(s, hist0, controls, nsteps, m)
 
 
+# The step-response oracle: from zero history under u = 1 on every channel,
+# D(lam) zhat(lam) = -B 1 / lam for Re lam above the growth bound.
+ORACLE_LAMS = 4.0 + 1j * np.array([0.0, 1.3, 4.0, 9.0])
+ORACLE_T = 12.0
+# Max relative error of the Richardson transform 2 zhat(200) - zhat(100): its
+# first-order part cancels, and the trapezoid's second-order part, about
+# (dt |lam|)^2, stays below 5e-4 at h = 1 on 40 drawn systems.
+ORACLE_BOUND = 1e-3
+
+
+@hst.composite
+def grid_density_systems(draw):
+    """n <= 4, r <= 2 and h in {0.5, 1}, with every breakpoint and atom on the
+    m = 100 grid (a snapped off-grid atom errs at first order without a
+    smooth error term to extrapolate away).  ||A_minus1|| = 0.5, the A2
+    norm integral 0.25 and the A3 norm integral plus atoms at most 0.75, so
+    no root lies right of Re lam = 2 (`rootfinder.right_half_plane_ceiling`)."""
+    n, r = draw(hst.integers(1, 4)), draw(hst.integers(1, 2))
+    h = draw(hst.sampled_from([0.5, 1.0]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+
+    def unit(q):
+        G = rng.uniform(-1, 1, (q, n, n))
+        return G / np.linalg.norm(G, 2, axis=(1, 2))[:, None, None]
+
+    def kernel(atoms=()):
+        q = int(rng.integers(1, 4))
+        nodes = np.sort(rng.choice(np.arange(1, 100), q - 1, replace=False))
+        bp = -h + h * np.concatenate([[0], nodes, [100]]) / 100
+        return DelayKernel(bp, unit(q) * (0.25 / h), atoms)
+
+    atoms = tuple((-h + h * int(rng.integers(0, 101)) / 100, 0.25 * unit(1)[0])
+                  for _ in range(int(rng.integers(0, 3))))
+    return NeutralSystem(n=n, r=r, h=h, A_minus1=0.5 * unit(1)[0], A2=kernel(),
+                         A3=kernel(atoms), B=rng.uniform(-1, 1, (n, r)))
+
+
+def _step_transform(s, m):
+    """Trapezoid Laplace transform, at ORACLE_LAMS, of the zero-history
+    unit-step response simulated to ORACLE_T on the grid of m per delay."""
+    traj = simulate(s, HistorySegment.zero(s, m), lambda t: np.ones(s.r), T=ORACLE_T)
+    w = np.full(traj.times.size, s.h / m)
+    w[0] = w[-1] = 0.5 * w[0]
+    return (np.exp(-np.outer(ORACLE_LAMS, traj.times)) * w) @ traj.z_values
+
+
+@given(grid_density_systems())
+@settings(max_examples=20, deadline=None)
+def test_step_response_transform_matches_characteristic_matrix(s):
+    assert rf.right_half_plane_ceiling(s) <= 2.0
+    richardson = 2.0 * _step_transform(s, 200) - _step_transform(s, 100)
+    exact = np.array([-np.linalg.solve(cm.delta(s, lam), s.B.sum(axis=1)) / lam
+                      for lam in ORACLE_LAMS])
+    err = np.linalg.norm(richardson - exact, axis=1) / np.linalg.norm(exact, axis=1)
+    assert err.max() <= ORACLE_BOUND
+
+
 def test_history_validation():
     s = make_scalar_decay()
     with pytest.raises(ValueError):
