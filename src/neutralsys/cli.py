@@ -143,10 +143,9 @@ def _write_spectrum(sys_: NeutralSystem, report: SpectrumReport, out: _Outputs) 
         ]
     out.write_json("spectrum.json", doc)
     out.write("roots.csv", report.to_csv())
-    roots = report.all_roots()
-    print(f"{len(roots)} root(s), total multiplicity {report.total_count} in window; "
+    print(f"{len(report.roots)} root(s), total multiplicity {report.total_count} in window; "
           f"{len(report.unresolved_cells)} unresolved cell(s)")
-    for r in roots[:20]:
+    for r in report.roots[:20]:
         print(f"  {r.lam.real:+.9g} {r.lam.imag:+.9g}i  multiplicity {r.multiplicity}")
     return _unresolved(report)
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import sigma_rank
-from .simulate import _check_size, _history_grid, _integrate, _steps
-from .sysmodel import NeutralSystem, csv_table
+from .simulate import _history_grid, _integrate, _steps
+from .sysmodel import NeutralSystem, _check_size, csv_table
 
 CSV_SIGMAS = 12   # singular values per horizon in rank_profile.csv
 RANK_TAU = 1e-6   # effective-rank cut, relative to sigma_1

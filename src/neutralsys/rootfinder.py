@@ -72,15 +72,14 @@ MIN_CELL_DIAMETER is only the size at which an unmatched cell is given up.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
 
 import numpy as np
 
 from .charmatrix import ChainGrid, delta_and_derivative
 from .errors import ContourError, PhaseTrackingError, RootOnContourError
-from .simulate import _check_size
-from .sysmodel import NeutralSystem, csv_table
+from .sysmodel import NeutralSystem, _check_size, csv_table
 
 
 # ----------------------------------------------------------------- contours
@@ -713,41 +712,27 @@ def _ordered(roots) -> tuple[LocatedRoot, ...]:
     return tuple(r for run in runs for r in sorted(run, key=lambda r: r.lam.imag))
 
 
-@dataclass(frozen=True)
-class RootCluster:
-    """Roots inside one chain circle; count is their total multiplicity."""
-
-    center: complex
-    radius: float
-    count: int
-    roots: tuple[LocatedRoot, ...]
-    chain_label: tuple[int, int] | None = None
+UNRESOLVED_REASON = "refinement limit reached with roots unmatched"
 
 
 @dataclass(frozen=True)
 class UnresolvedCell:
     cell: Rect
     count: int
-    reason: str
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """One window's located roots, each once and in `_ordered` order, labeled
+    with the chain circle of grid that holds them; a chain cluster is its
+    label's roots, counted with multiplicity, in grid's circle."""
+
     window: Rect
-    clusters: tuple[RootCluster, ...]
-    unclustered_roots: tuple[LocatedRoot, ...]
+    roots: tuple[LocatedRoot, ...]
     unresolved_cells: tuple[UnresolvedCell, ...]
     total_count: int
     completeness_note: str
-    # every root of the report, ordered once when it is built
-    _roots: tuple[LocatedRoot, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        roots = [*self.unclustered_roots, *(r for c in self.clusters for r in c.roots)]
-        object.__setattr__(self, "_roots", _ordered(roots))
-
-    def all_roots(self) -> tuple[LocatedRoot, ...]:
-        return self._roots
+    grid: ChainGrid | None
 
     def to_json_dict(self) -> dict:
         def root_doc(r: LocatedRoot) -> dict:
@@ -761,23 +746,28 @@ class SpectrumReport:
                 doc["chain_m"], doc["chain_k"] = r.chain_label
             return doc
 
+        def cluster_doc(label: tuple[int, int], roots: list[LocatedRoot]) -> dict:
+            center = self.grid.center(*label)
+            return {
+                "center": {"re": center.real, "im": center.imag},
+                "radius": self.grid.radius,
+                "count": sum(r.multiplicity for r in roots),
+                "chain_m": label[0],
+                "chain_k": label[1],
+                "roots": [root_doc(r) for r in roots],
+            }
+
+        clusters: dict[tuple[int, int], list[LocatedRoot]] = {}
+        for r in self.roots:
+            if r.chain_label is not None:
+                clusters.setdefault(r.chain_label, []).append(r)
         return {
             "window": asdict(self.window),
             "total_count": self.total_count,
-            "clusters": [
-                {
-                    "center": {"re": c.center.real, "im": c.center.imag},
-                    "radius": c.radius,
-                    "count": c.count,
-                    "chain_m": None if c.chain_label is None else c.chain_label[0],
-                    "chain_k": None if c.chain_label is None else c.chain_label[1],
-                    "roots": [root_doc(r) for r in c.roots],
-                }
-                for c in self.clusters
-            ],
-            "unclustered_roots": [root_doc(r) for r in self.unclustered_roots],
+            "clusters": [cluster_doc(label, rs) for label, rs in sorted(clusters.items())],
+            "unclustered_roots": [root_doc(r) for r in self.roots if r.chain_label is None],
             "unresolved_cells": [
-                {**asdict(u.cell), "count": u.count, "reason": u.reason}
+                {**asdict(u.cell), "count": u.count, "reason": UNRESOLVED_REASON}
                 for u in self.unresolved_cells
             ],
             "completeness_note": self.completeness_note,
@@ -785,7 +775,7 @@ class SpectrumReport:
 
     def to_csv(self) -> str:
         rows = []
-        for r in self.all_roots():
+        for r in self.roots:
             m, k = r.chain_label if r.chain_label is not None else ("", "")
             lam = complex(r.lam)
             rows.append([lam.real, lam.imag, r.multiplicity, float(r.residual), m, k])
@@ -969,8 +959,7 @@ def find_roots_in_region(
             if (w, path) in resolved:
                 continue
             if depth >= MAX_DEPTH or cell.diameter() <= MIN_CELL_DIAMETER:
-                unmatched[w].append((path, UnresolvedCell(
-                    cell, cnt, "refinement limit reached with roots unmatched")))
+                unmatched[w].append((path, UnresolvedCell(cell, cnt)))
                 continue
             splits.append((w, cell, cnt, path, cell.quadrants()))
         child_counts = edges.counts([child for *_, children in splits for child in children])
@@ -995,28 +984,8 @@ def _spectrum_report(rect: Rect, total: int, roots, unmatched, nonadditive,
                      grid: ChainGrid | None) -> SpectrumReport:
     """One window's report; unmatched holds (path, unresolved cell) pairs."""
     unresolved = [u for _, u in sorted(unmatched, key=lambda e: e[0])]
-    merged = _merge_roots(roots)
-
-    clusters: dict[tuple[int, int], list[LocatedRoot]] = {}
-    loose: list[LocatedRoot] = []
-    for r in merged:
-        label = grid.label_for(r.lam) if grid is not None else None
-        r = replace(r, chain_label=label)
-        if label is None:
-            loose.append(r)
-        else:
-            clusters.setdefault(label, []).append(r)
-
-    cluster_objs = tuple(
-        RootCluster(
-            center=grid.center(m, k),
-            radius=grid.radius,
-            count=sum(r.multiplicity for r in rs),
-            roots=_ordered(rs),
-            chain_label=(m, k),
-        )
-        for (m, k), rs in sorted(clusters.items())
-    )
+    merged = _ordered(replace(r, chain_label=grid.label_for(r.lam) if grid is not None else None)
+                      for r in _merge_roots(roots))
 
     located = sum(r.multiplicity for r in merged) + sum(u.count for u in unresolved)
     note = (
@@ -1033,14 +1002,7 @@ def _spectrum_report(rect: Rect, total: int, roots, unmatched, nonadditive,
     elif located != total:
         note += " (mismatch: roots in neighbouring cells merged at merge_tol)"
 
-    return SpectrumReport(
-        window=rect,
-        clusters=cluster_objs,
-        unclustered_roots=_ordered(loose),
-        unresolved_cells=tuple(unresolved),
-        total_count=total,
-        completeness_note=note,
-    )
+    return SpectrumReport(rect, merged, tuple(unresolved), total, note, grid)
 
 
 def verify_cluster_multiplicity(sys_: NeutralSystem, pairs) -> list[tuple[int, int, bool]]:

@@ -26,17 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationBlowUpError
-from .sysmodel import NeutralSystem, csv_table
+from .sysmodel import NeutralSystem, _check_size, csv_table
 
 _FINITE_CHECK_STRIDE = 50
-_MAX_SIZE = 1e7   # grid intervals, time steps or probe entries of one run, or contour-node
-                  # entries of one sampling call; a larger one is refused
-
-
-def _check_size(count: float, what: str) -> None:
-    """Refuse a run before it allocates arrays of count rows or entries."""
-    if not count <= _MAX_SIZE:
-        raise ValueError(f"{count:g} {what} exceed the limit of {_MAX_SIZE:g}")
 
 
 def _steps(sys_: NeutralSystem, T: float, m: int) -> int:

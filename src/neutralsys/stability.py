@@ -95,13 +95,9 @@ class SystemAnalysis:
     def scan(self) -> SpectrumReport:
         return self.scans[0]
 
-    @property
-    def roots(self) -> tuple[LocatedRoot, ...]:
-        return self.scan.all_roots()
-
     @cached_property
     def rhp_roots(self) -> tuple[LocatedRoot, ...]:
-        return tuple(r for r in self.roots if _in_closed_rhp(r.lam.real))
+        return tuple(r for r in self.scan.roots if _in_closed_rhp(r.lam.real))
 
     def window_note(self, claim: str, caveat: str) -> str:
         """'<claim> [floor, ceiling] x [-cap, cap]; <caveat>', plus the number
@@ -117,7 +113,7 @@ class SystemAnalysis:
 
     def scan_evidence(self) -> dict:
         report = self.scan
-        rightmost = max((r.lam.real for r in self.roots), default=None)
+        rightmost = max((r.lam.real for r in report.roots), default=None)
         return {
             "window": {
                 "re_min": report.window.re_min,
@@ -125,7 +121,7 @@ class SystemAnalysis:
                 "im_max": report.window.im_max,
             },
             "re_floor": report.window.re_min,
-            "roots_found": len(self.roots),
+            "roots_found": len(report.roots),
             "total_multiplicity": report.total_count,
             "rightmost_root_re": rightmost,
             "unresolved_cells": len(report.unresolved_cells),
@@ -148,7 +144,7 @@ def _exponential_verdict(analysis: SystemAnalysis) -> tuple[str, dict]:
     if report.unresolved_cells:
         detail["reason"] = "scan left unresolved cells"
         return "undetermined_window", detail
-    if all(r.lam.real < -gap for r in analysis.roots):
+    if all(r.lam.real < -gap for r in analysis.scan.roots):
         detail["reason"] = "Schur difference matrix and scanned roots clear the gap"
         return "stable", detail
     detail["reason"] = "roots inside the stability gap; window evidence inconclusive"

@@ -228,7 +228,7 @@ def check_null_controllability(analysis: SystemAnalysis) -> NullControllabilityR
     cond_ii = _rank_test(kalman, 0.0, sys_.n, cut)
 
     tests, note = _hautus_at_roots(
-        analysis, lambda: analysis.roots,
+        analysis, lambda: analysis.scan.roots,
         "Hautus condition checked at {} scanned root(s) in",
         "rank can only drop at roots of det D",
     )
@@ -396,8 +396,9 @@ class ControllabilityReport:
             f"  Kalman rank condition on (A, B): "
             f"{'holds' if nc.condition_ii.passes else 'fails'} "
             f"(rank {nc.condition_ii.rank} of {nc.condition_ii.matrix_shape[0]})",
-            f"  Hautus condition at characteristic roots: "
-            f"{'holds on the scanned window' if nc.condition_i_passes else 'fails'}",
+            "  Hautus condition at characteristic roots: " + (
+                "holds at every point (input matrix has full row rank)" if nc.verdict == "yes"
+                else "holds on the scanned window" if nc.condition_i_passes else "fails"),
         ]
         if nc.witness is not None:
             w = nc.witness.test_point

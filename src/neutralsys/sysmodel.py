@@ -105,6 +105,16 @@ class DelayKernel:
         return self.segments[np.clip(idx, 0, self.segments.shape[0] - 1)]
 
 
+_MAX_SIZE = 1e7   # grid intervals, time steps or probe entries of one run, or contour-node
+                  # entries of one sampling call; a larger one is refused
+
+
+def _check_size(count: float, what: str) -> None:
+    """Refuse a run before it allocates arrays of count rows or entries."""
+    if not count <= _MAX_SIZE:
+        raise ValueError(f"{count:g} {what} exceed the limit of {_MAX_SIZE:g}")
+
+
 def _check_sizes(n, r, h) -> None:
     """The system's scalar rules; the document check reports them before it
     builds the parts whose shapes depend on n and r."""

@@ -78,7 +78,7 @@ def test_criterion_03_eigenvector_collinearity():
         center = grid.center(0, k)
         r = grid.radius
         box = rf.Rect(center.real - r, center.real + r, center.imag - r, center.imag + r)
-        roots = [rt for rt in rf.find_roots_in_region(s, [box])[0].all_roots()
+        roots = [rt for rt in rf.find_roots_in_region(s, [box])[0].roots
                  if abs(rt.lam - center) <= r]
         assert len(roots) == 2
         v1 = cm.kernel_basis(s, roots[0].lam, tol=1e-6)[:, 0]

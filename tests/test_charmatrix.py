@@ -351,7 +351,7 @@ def test_kernel_is_found_where_d_vanishes():
     # the largest of them finds no kernel at a root of geometric multiplicity 2.
     s = make_example2(0.0)
     (report,) = rf.find_roots_in_region(s, [rf.Rect(-1.0, 1.0, -40.0, 40.0)], grid=s.chains)
-    roots = report.all_roots()
+    roots = report.roots
     assert roots
     for r in roots:
         assert cm.kernel_basis(s, r.lam).shape == (2, 2)

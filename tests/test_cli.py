@@ -15,8 +15,8 @@ from neutralsys import charmatrix as cm
 from neutralsys import _linalg, cli, stability
 from neutralsys import rootfinder as rf
 from neutralsys.cli import main
-from neutralsys.simulate import _MAX_SIZE, HistorySegment, simulate
-from neutralsys.sysmodel import load_system, save_system
+from neutralsys.simulate import HistorySegment, simulate
+from neutralsys.sysmodel import _MAX_SIZE, load_system, save_system
 
 from conftest import (EXAMPLE1_DOC, bench_module, conjugate, make_example2,
                       make_reach_fixture, make_scalar_decay, random_transform)
@@ -678,8 +678,8 @@ def test_spectrum_report_orders_its_roots_once(tmp_path, monkeypatch, capsys):
         raise AssertionError("the report's roots were ordered again")
 
     monkeypatch.setattr(rf, "_ordered", ordered_again)
-    roots = report.all_roots()
-    assert len(roots) > 1 and report.all_roots() is roots
+    roots = report.roots
+    assert len(roots) > 1 and report.roots is roots
     assert len(report.to_csv().splitlines()) == 1 + len(roots)
     assert cli._write_spectrum(sys_, report, cli._Outputs(tmp_path)) == cli.EXIT_OK
     assert capsys.readouterr().out.startswith(f"{len(roots)} root(s)")
@@ -695,7 +695,7 @@ FREE3_DOC = {
 }
 
 
-def test_controllability_with_full_row_rank_input_runs_no_scan(tmp_path, monkeypatch):
+def test_controllability_with_full_row_rank_input_runs_no_scan(tmp_path, monkeypatch, capsys):
     path = tmp_path / "free3.json"
     path.write_text(json.dumps(FREE3_DOC))
     counts = _count_spectral_work(monkeypatch)
@@ -705,6 +705,9 @@ def test_controllability_with_full_row_rank_input_runs_no_scan(tmp_path, monkeyp
                       "matrix_spectral_structure": 0, "cluster_eigenvalues": 0}
     verdict = json.loads((out / "controllability.json").read_text())
     assert verdict["null_controllability"]["verdict"] == "yes"
+    # no root is tested, so the Hautus line names the full row rank, not a window
+    assert ("  Hautus condition at characteristic roots: holds at every point "
+            "(input matrix has full row rank)") in capsys.readouterr().out.splitlines()
 
 
 def test_stabilizability_with_full_row_rank_input_runs_no_scan(tmp_path, monkeypatch, capsys):

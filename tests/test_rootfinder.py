@@ -90,7 +90,7 @@ def test_count_skimming_contour_is_exact():
 def test_find_roots_example1_degenerate():
     s = make_example1(0.0, 0.0)
     (report,) = rf.find_roots_in_region(s, [rf.Rect(-1.0, 1.0, -7.0, 7.0)])
-    roots = {np.round(r.lam, 6): r.multiplicity for r in report.all_roots()}
+    roots = {np.round(r.lam, 6): r.multiplicity for r in report.roots}
     assert report.total_count == 8
     assert not report.unresolved_cells
     assert roots[np.round(0.0 + 0.0j, 6)] == 4
@@ -101,7 +101,7 @@ def test_find_roots_example1_degenerate():
 def test_find_roots_scalar_decay():
     s = make_scalar_decay()
     (report,) = rf.find_roots_in_region(s, [rf.Rect(-2.0, 0.5, -1.0, 1.0)])
-    roots = report.all_roots()
+    roots = report.roots
     assert len(roots) == 1
     assert roots[0].lam == pytest.approx(-1.0, abs=1e-9)
     assert roots[0].multiplicity == 1
@@ -110,7 +110,7 @@ def test_find_roots_scalar_decay():
 def test_find_roots_example2_near_axis():
     s = make_example2(0.0)
     (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.1, 1.0, -40.0, 40.0)])
-    roots = report.all_roots()
+    roots = report.roots
     assert report.total_count == 24
     assert sum(r.multiplicity for r in roots) == 24
     assert all(r.lam.real < 0.0 for r in roots)
@@ -120,14 +120,14 @@ def test_find_roots_example2_near_axis():
 def test_residual_bound_invariant():
     s = make_example1(1.0, 2.0)
     (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.5, 1.0, -30.0, 30.0)])
-    for r in report.all_roots():
+    for r in report.roots:
         assert r.residual <= 1e-9 * (1.0 + abs(r.lam)) ** s.n
 
 
 def test_conjugate_pairing():
     s = make_example2(0.0)
     (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -40.0, 40.0)])
-    roots = sorted(r.lam for r in report.all_roots() if abs(r.lam.imag) > 1e-9)
+    roots = sorted(r.lam for r in report.roots if abs(r.lam.imag) > 1e-9)
     by_conj = {np.round(r, 5) for r in roots}
     assert {np.round(np.conj(r), 5) for r in roots} == by_conj
 
@@ -343,7 +343,7 @@ def test_window_through_a_root_is_counted_once_before_it_is_inflated(monkeypatch
     assert counted.count(rect) == 1
     assert counted.count(rect.inflate(1.01)) == 1
     assert report.total_count == 1
-    assert [r.lam for r in report.all_roots()] == [pytest.approx(-1.0, abs=1e-9)]
+    assert [r.lam for r in report.roots] == [pytest.approx(-1.0, abs=1e-9)]
 
 
 @hst.composite
@@ -423,7 +423,7 @@ def test_equal_windows_are_scanned_once(monkeypatch):
     assert first is second
     assert _bits(first) == _bits(alone)
     assert (counted, seeds) == alone_work
-    assert alone.total_count > 0 and alone.clusters
+    assert alone.total_count > 0 and any(r.chain_label is not None for r in alone.roots)
 
 
 @pytest.mark.parametrize("sys_", [make_example1(1.0, 2.0), make_example2(0.0)])
@@ -471,7 +471,7 @@ def test_verify_cluster_multiplicity_low_k_honest():
 def test_rightmost_scan_scalar():
     s = make_scalar_decay()
     (report,) = rf.rightmost_root_scan(s, 10.0)
-    roots = report.all_roots()
+    roots = report.roots
     assert len(roots) == 1
     assert roots[0].lam == pytest.approx(-1.0, abs=1e-9)
     assert "finite slice" in report.completeness_note
@@ -479,13 +479,13 @@ def test_rightmost_scan_scalar():
 
 def test_rightmost_scan_example2_clean_rhp():
     (report,) = rf.rightmost_root_scan(make_example2(1.0), 60.0)
-    assert all(r.lam.real < 0.0 for r in report.all_roots())
+    assert all(r.lam.real < 0.0 for r in report.roots)
 
 
 def test_rightmost_scan_example1_axis_roots():
     s = make_example1(0.0, 0.0)
     (report,) = rf.rightmost_root_scan(s, 20.0)
-    roots = report.all_roots()
+    roots = report.roots
     expected = {0: 4, 1: 2, -1: 2, 2: 2, -2: 2, 3: 2, -3: 2}
     assert len(roots) == len(expected)
     for r in roots:
@@ -497,7 +497,7 @@ def test_rightmost_scan_example1_axis_roots():
 def test_rightmost_scan_ceiling_covers_rhp_roots():
     # the two real right-half-plane roots sit beyond the chain abscissa + 1
     (report,) = rf.rightmost_root_scan(make_example1(1.0, 2.0), 8.0)
-    rhp = [r for r in report.all_roots() if r.lam.real > 0]
+    rhp = [r for r in report.roots if r.lam.real > 0]
     reals = sorted(r.lam.real for r in rhp)
     # frozen from an independent scalar Newton iteration on each factor
     assert len(rhp) == 2
@@ -509,14 +509,20 @@ def test_chain_labels_in_report():
     s = make_example2(0.0)
     grid = cm.chain_grid(s)
     (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -20.0, 20.0)], grid=grid)
-    assert report.clusters
-    for cluster in report.clusters:
-        assert cluster.chain_label is not None
-        assert cluster.count == sum(r.multiplicity for r in cluster.roots)
-        for r in cluster.roots:
-            assert abs(r.lam - cluster.center) < cluster.radius
+    doc = report.to_json_dict()
+    assert doc["clusters"]
+    for cluster in doc["clusters"]:
+        m, k = cluster["chain_m"], cluster["chain_k"]
+        center = complex(cluster["center"]["re"], cluster["center"]["im"])
+        assert center == grid.center(m, k) and cluster["radius"] == grid.radius
+        assert cluster["count"] == sum(r["multiplicity"] for r in cluster["roots"])
+        for r in cluster["roots"]:
+            assert (r["chain_m"], r["chain_k"]) == (m, k)
+            assert abs(complex(r["re"], r["im"]) - center) < grid.radius
+    listed = sum(len(c["roots"]) for c in doc["clusters"]) + len(doc["unclustered_roots"])
+    assert listed == len(report.roots)
     # the isolated real double root lies outside every chain circle
-    assert any(abs(r.lam.imag) < 1e-6 for r in report.unclustered_roots)
+    assert any(abs(r["im"]) < 1e-6 and "chain_m" not in r for r in doc["unclustered_roots"])
 
 
 def _cluster_root_distances(sys_, grid, k):
@@ -524,7 +530,7 @@ def _cluster_root_distances(sys_, grid, k):
     center = grid.center(0, k)
     r = grid.radius
     box = rf.Rect(center.real - r, center.real + r, center.imag - r, center.imag + r)
-    roots = [rt for rt in rf.find_roots_in_region(sys_, [box])[0].all_roots()
+    roots = [rt for rt in rf.find_roots_in_region(sys_, [box])[0].roots
              if abs(rt.lam - center) <= r]
     return sorted(abs(rt.lam - center) for rt in roots)
 
@@ -543,7 +549,7 @@ def test_cluster_convergence_trend(sys_):
 def test_no_duplicate_roots_in_report():
     s = make_example2(0.0)
     (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -40.0, 40.0)])
-    roots = [r.lam for r in report.all_roots()]
+    roots = [r.lam for r in report.roots]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             assert abs(roots[i] - roots[j]) > 1e-6
@@ -579,8 +585,8 @@ def test_delay_length_rescaling_identity():
 
     (rep_h,) = rf.find_roots_in_region(sys_h, [rf.Rect(-1.5, 1.5, -6.0, 6.0)])
     (rep_1,) = rf.find_roots_in_region(sys_1, [rf.Rect(-3.0, 3.0, -12.0, 12.0)])
-    roots_h = [r.lam for r in rep_h.all_roots()]
-    roots_1 = [r.lam / h for r in rep_1.all_roots()]
+    roots_h = [r.lam for r in rep_h.roots]
+    roots_1 = [r.lam / h for r in rep_1.roots]
     assert len(roots_h) == len(roots_1) == 9
     for z in roots_h:
         assert min(abs(z - w) for w in roots_1) < 1e-8
@@ -603,7 +609,7 @@ def test_spectrum_report_serialization():
     csv_text = report.to_csv()
     lines = csv_text.strip().splitlines()
     assert lines[0] == "re,im,multiplicity,residual,chain_m,chain_k"
-    assert len(lines) == 1 + len(report.all_roots())
+    assert len(lines) == 1 + len(report.roots)
 
 
 def test_root_on_contour_inflation():
@@ -829,7 +835,7 @@ def test_region_scan_batches_newton_once_per_level(monkeypatch):
     monkeypatch.setattr(rf, "newton_roots", recording_newton_roots)
     monkeypatch.setattr(rf, "newton_root", no_single_seed)
     (report,) = rf.find_roots_in_region(s, [rect])
-    assert sum(r.multiplicity for r in report.all_roots()) == report.total_count == 26
+    assert sum(r.multiplicity for r in report.roots) == report.total_count == 26
     assert all(len(depths) == 1 for depths in call_depths)
     levels = [depths.pop() for depths in call_depths]
     assert levels == sorted(set(levels))
@@ -856,7 +862,7 @@ def test_region_scan_counts_each_stage_circles_in_one_call(monkeypatch, chained)
     monkeypatch.setattr(rf, "newton_roots", recording_newton_roots)
     grid = s.chains if chained else None
     (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -40.0, 40.0)], grid=grid)
-    assert sum(r.multiplicity for r in report.all_roots()) == report.total_count == 26
+    assert sum(r.multiplicity for r in report.roots) == report.total_count == 26
     assert 0 < calls["circles"] <= calls["newton"]
 
 
@@ -875,7 +881,7 @@ def test_close_simple_roots_are_located_apart(g):
     )
     assert g < rf.MULTIPLICITY_RADIUS
     (report,) = rf.find_roots_in_region(s, [rf.Rect(-1.0, 1.0, -1.0, 1.0)])
-    roots = report.all_roots()
+    roots = report.roots
     assert [r.multiplicity for r in roots] == [1, 1]
     assert abs(roots[0].lam - (-0.5 - g)) <= 1e-12
     assert abs(roots[1].lam - (-0.5)) <= 1e-12
@@ -910,7 +916,7 @@ def test_root_on_split_line_names_the_nonadditive_cell(monkeypatch):
     assert rect.quadrants()[0].re_max == -1.0
     monkeypatch.setattr(rf, "NEWTON_MAX_COUNT", 0)   # no Newton before the split
     (report,) = rf.find_roots_in_region(s, [rect])
-    roots = report.all_roots()
+    roots = report.roots
     assert len(roots) == 1 and roots[0].multiplicity == 1
     assert roots[0].lam == pytest.approx(-1.0, abs=1e-12)
     assert (
@@ -933,11 +939,8 @@ def test_conjugate_pairs_list_negative_imaginary_first(gap):
         pair = [rf.LocatedRoot(complex(re, sign * im), 1, 0.0),
                 rf.LocatedRoot(complex(re + gap, -sign * im), 1, 0.0)]
         for roots in ([far, *pair], [*pair[::-1], far]):
-            report = rf.SpectrumReport(
-                window=rf.Rect(-1.0, 1.0, -10.0, 10.0), clusters=(),
-                unclustered_roots=tuple(roots), unresolved_cells=(), total_count=3,
-                completeness_note="")
-            for ordered in (rf._ordered(roots), report.all_roots(),
+            report = rf._spectrum_report(rf.Rect(-1.0, 1.0, -10.0, 10.0), 3, roots, [], [], None)
+            for ordered in (rf._ordered(roots), report.roots,
                             rf._merge_roots(roots)):
                 assert [r.lam.imag for r in ordered] == [-im, im, 5.0]
 
@@ -974,9 +977,9 @@ def test_chain_seeded_scan_matches_unseeded_scan(sys_, chain, frac, width, im_ca
     (seeded,) = rf.find_roots_in_region(sys_, [rect], grid=grid)
     assert seeded.total_count == plain.total_count
     assert not seeded.unresolved_cells
-    _root_sets_match(seeded.all_roots(), plain.all_roots(), rf.MERGE_TOL)
-    loose = [(r.lam, r.multiplicity) for r in plain.all_roots() if grid.label_for(r.lam) is None]
-    assert [(r.lam, r.multiplicity) for r in seeded.unclustered_roots] == loose
+    _root_sets_match(seeded.roots, plain.roots, rf.MERGE_TOL)
+    loose = [(r.lam, r.multiplicity) for r in plain.roots if grid.label_for(r.lam) is None]
+    assert [(r.lam, r.multiplicity) for r in seeded.roots if r.chain_label is None] == loose
 
 
 def _seed_counting(monkeypatch):
@@ -999,7 +1002,7 @@ def test_chain_seed_converging_outside_its_circle_is_discarded(monkeypatch, stra
     rect = rf.Rect(-1.0, 1.5, -20.0, 20.0)
     grid = s.chains
     (plain,) = rf.find_roots_in_region(s, [rect])
-    roots = [r.lam for r in plain.all_roots()]
+    roots = [r.lam for r in plain.roots]
     loose = [lam for lam in roots if grid.label_for(lam) is None]
     assert loose
     newton_roots = rf.newton_roots
@@ -1024,8 +1027,8 @@ def test_chain_seed_converging_outside_its_circle_is_discarded(monkeypatch, stra
     chain_batches.clear()
     (seeded,) = rf.find_roots_in_region(s, [rect], grid=grid)
     assert seeded.total_count == plain.total_count == total
-    assert [(r.lam, r.multiplicity) for r in seeded.all_roots()] == [
-        (r.lam, r.multiplicity) for r in plain.all_roots()]
+    assert [(r.lam, r.multiplicity) for r in seeded.roots] == [
+        (r.lam, r.multiplicity) for r in plain.roots]
 
 
 def test_chain_seeds_spare_most_newton_seeds_on_the_shared_scan(monkeypatch):

@@ -98,6 +98,33 @@ def test_classify_case_i():
     assert "premise" in v.evidence
 
 
+def make_rotation_with_tail_root() -> NeutralSystem:
+    """ROADMAP item 10's reproducer: the rotation case i system with a further
+    A3 atom 0.01 I at theta = -0.3, which moves chain roots past the default
+    |Im| cap of 40 across the imaginary axis."""
+    rotation = make_rotation_case_i(1.0)
+    atoms = [(0.0, -np.eye(2)), (-0.3, 0.01 * np.eye(2))]
+    return NeutralSystem(n=2, r=0, h=1.0, A_minus1=rotation.A_minus1, A2=rotation.A2,
+                         A3=DelayKernel.from_atoms(atoms, 2, 1.0), B=rotation.B)
+
+
+def test_item10_reproducer_has_a_root_right_of_the_axis_past_the_cap():
+    sys_ = make_rotation_with_tail_root()
+    (report,) = rf.find_roots_in_region(sys_, [rf.Rect(0.0, 0.5, 55.0, 60.0)], sys_.chains)
+    assert report.total_count == 1
+    (root,) = report.roots
+    assert root.multiplicity == 1
+    assert root.lam.real == pytest.approx(2.227e-5, rel=1e-3)
+    assert root.lam.imag == pytest.approx(58.1366, abs=1e-4)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: case i reads only the scanned window, "
+                   "which misses the root at 2.227e-5 + 58.137i past the |Im| cap")
+def test_item10_reproducer_is_not_case_i_stable():
+    v = st.classify_asymptotic(st.SystemAnalysis(make_rotation_with_tail_root()))
+    assert v.asymptotic_case != "case_i_stable"
+
+
 def test_trichotomy_exclusive_labels():
     fixtures = [
         make_scalar_decay(),
