@@ -9,10 +9,11 @@ essential: a segment that straddles the near field of a root can wrap its
 phase by a full turn that the pi/2 rule alone cannot see.  The count is the
 accumulated phase over 2 pi, asserted integral; no quadrature of the
 logarithmic derivative is involved.  A fresh side starts at 2n(1 + h) nodes
-per unit of length, two per radian of the far-field phase rate n h, and
-refinement does the rest.  Since the samples feed only integer counts and
-inflate decisions, for n <= 2 det D and det' are computed from the entries
-in closed form; LAPACK serves larger n and every node near the floor.
+per unit of length, two per radian of the far-field phase rate n h, and one
+on the real axis if it crosses it; refinement does the rest.  Since the
+samples feed only integer counts and inflate decisions, for n <= 2 det D and
+det' are computed from the entries in closed form; LAPACK serves larger n
+and every node near the floor.
 
 Edges: every contour is counted from its sides on one edge cache and one
 refiner.  A rectangle has four sides, each a straight edge keyed by its two
@@ -24,8 +25,9 @@ contours of all its windows, multiplicity circles included, on one cache.
 A split cuts each side of its parent into two halves that keep the parent's
 refined nodes and gain one node at the split point, and samples only the
 four half-edges of its split cross, each once for the two siblings that run
-along it in opposite directions.  All new nodes of a quadrisection level go
-through one batched evaluation per refinement round.  A sample within the
+along it in opposite directions; a side that two settled edges cover end to
+end is their join.  All new nodes of a quadrisection level go through one
+batched evaluation per refinement round.  A sample within the
 boundary tolerance of a root, or refinement pinned or exhausted next to one,
 poisons only the edges it lies on.  A contour with such a side is inflated
 by 1% and counted again on the same cache, up to a bounded number of times;
@@ -33,9 +35,15 @@ this is the one retry path of every count, so a split line through a root
 shows as children that do not add up to their parent.
 
 Location: one scan takes several windows in lockstep, equal ones once, each
-with its own cells, roots and report.  With a chain grid, one batched Newton
-solve first runs from every chain center in the windows, where the large-|k|
-roots of chain m sit near (ln|mu_m| + i(arg mu_m + 2 pi k))/h.
+with its own cells, roots and report.  D has real coefficients, so its roots
+are symmetric about the real axis.  A window symmetric about it counts as L,
+its part below its first split line y1, plus M, its part below -y1.  If it
+splits, only L's quadrants are scanned, what M holds is mirrored above y1,
+and the rest of M's count is reported as the part above y1, unresolved.
+With a chain grid, one batched Newton solve first runs from every chain
+center in the windows, where the large-|k| roots of chain m sit near
+(ln|mu_m| + i(arg mu_m + 2 pi k))/h; a chain circle above y1 takes the
+mirror images of its mirror's roots.
 Quadrisection of the rectangles, one level at a time, then discards root-free
 cells.  A cell whose winding count equals the multiplicity of the known chain
 roots it owns (half-open: [re_min, re_max) x [im_min, im_max), and none within
@@ -43,11 +51,8 @@ two multiplicity radii of a side) takes them and is neither searched nor
 split; every other cell goes on as without a grid, so roots outside the chain
 circles come from the same cells and seeds.  Small cells seed Newton
 iterations.  The seeds of every such cell of every window on a level run
-through one batched Newton solve (`newton_roots`): each iterate evaluates D
-and D' once, takes one batched det and one batched solve for all seeds still
-running, while each seed keeps its own stopping rules.  Only the running
-seeds' state is kept, compacted when seeds stop, so an iterate costs the
-arithmetic of its seeds and not a gather and scatter of every seed's state.
+through one batched Newton solve (`newton_roots`), each seed with its own
+stopping rules.
 One rule turns a stage's Newton results into located roots (`_candidates`):
 each cell, or each window with its chain seeds, takes its seeds' results in
 seed order, the same as alone, and keeps the distinct converged roots inside
@@ -134,15 +139,18 @@ class Rect:
             self.im_min <= lam.imag <= self.im_max
         )
 
-    def quadrants(self) -> tuple["Rect", ...]:
-        """Split into four cells at a slightly off-center point.
+    def conjugate(self) -> "Rect":
+        return Rect(self.re_min, self.re_max, -self.im_max, -self.im_min)
 
-        The offset SPLIT_OFFSET keeps split lines away from the axes and other
-        symmetric loci where quasipolynomial roots habitually sit.
-        """
+    def split_point(self) -> tuple[float, float]:
+        """The corner the quadrants share.  The offset SPLIT_OFFSET keeps split
+        lines off the axes and other symmetric loci where roots habitually sit."""
         w, v = self.widths()
-        xc = self.re_min + (0.5 + SPLIT_OFFSET) * w
-        yc = self.im_min + (0.5 + SPLIT_OFFSET) * v
+        return self.re_min + (0.5 + SPLIT_OFFSET) * w, self.im_min + (0.5 + SPLIT_OFFSET) * v
+
+    def quadrants(self) -> tuple["Rect", ...]:
+        """Split into four cells at the split point."""
+        xc, yc = self.split_point()
         return (
             Rect(self.re_min, xc, self.im_min, yc),
             Rect(xc, self.re_max, self.im_min, yc),
@@ -332,13 +340,13 @@ class _EdgeCache:
     """Winding numbers of contours from phase increments kept per edge.
 
     An edge is a side keyed by its line or arc and its two end parameters.
-    A side that is not cached is taken from a cached edge that starts or
-    ends where the side does and runs past it: that edge is split at the
-    side's other end into two halves, which keep its refined nodes and gain
-    that one node, and it is dropped.  Any other side is sampled afresh at
-    the node density, with MIN_NODES split over the sides of its contour.
-    One `windings` call sends every new node of all its contours through
-    one `_sample_nodes` call per refinement round.
+    A side that is not cached is taken from a cached edge, or the join of
+    two settled ones, that starts or ends where the side does and runs past
+    it: that edge is split at the side's other end into two halves, which
+    keep its refined nodes and gain that one node, and it is dropped.  Any
+    other side is sampled afresh, with MIN_NODES split over the sides of its
+    contour.  One `windings` call sends every new node of all its contours
+    through one `_sample_nodes` call per refinement round.
     """
 
     def __init__(self, sys_: NeutralSystem):
@@ -406,6 +414,16 @@ class _EdgeCache:
         if edge is not None:
             return edge
         a, b = key[3:]
+        # the join of the settled edge the side starts with and the next one
+        head = self.starting.get(key[:4], key)
+        tail = self.starting.get(head[:3] + head[4:])
+        lo, hi = self.edges.get(head), self.edges.get(tail)
+        if head[4] < b and lo and hi and None not in (lo.phase, hi.phase):
+            del self.edges[head], self.edges[tail]
+            nodes = (np.concatenate((getattr(lo, x), getattr(hi, x)[1:]))
+                     for x in ("u", "p", "sign", "est"))
+            self._put(head[:4] + tail[4:], _Edge(*key[:3], *nodes, phase=lo.phase + hi.phase))
+            return self._edge(key, min_segs, batch, todo)
         for parent_key, s in (
             (self.starting.get(key[:4]), b),
             (self.ending.get(key[:3] + (b,)), a),
@@ -429,11 +447,14 @@ class _EdgeCache:
         _check_size(nodes * self.node_entries, f"entries of {nodes:g} contour nodes")
         segs = int(segs)
         u = np.arange(segs + 1) / segs if arc else np.linspace(a, b, segs + 1)
+        if scale == 1j and a < 0.0 < b:   # a node where a real root on the side sits
+            k = np.searchsorted(u, 0.0)
+            u = u if u[k] == 0.0 else np.concatenate((u[:k], [0.0], u[k:]))
         p = _edge_points(origin, scale, arc, u)
-        edge = _Edge(origin, scale, arc, u, p, np.empty(segs + 1, dtype=complex), np.empty(segs + 1))
+        edge = _Edge(origin, scale, arc, u, p, np.empty(u.size, dtype=complex), np.empty(u.size))
         idx = np.concatenate([[batch.corner(complex(p[0]))], batch.add(p[1:-1]),
                               [batch.corner(complex(p[-1]))]])
-        todo.append((edge, slice(None), idx, 0, segs))
+        todo.append((edge, slice(None), idx, 0, u.size - 1))
         return self._put(key, edge)
 
     def _split(self, key: tuple, s: float, min_segs: int, batch: _NodeBatch, todo: list) -> None:
@@ -860,10 +881,14 @@ def _chain_roots(sys_, windows, totals, grid: ChainGrid | None, edges: _EdgeCach
     and counts all its candidates' multiplicity circles in one `counts` call
     on the scan's edge cache; a root of multiplicity 0 is dropped.  The roots
     only spare the scan work, so a window with a circle that cannot be
-    counted keeps none.
+    counted keeps none.  In a symmetric window, a circle above the first split
+    line seeds nothing and takes the mirror images of its mirror's roots.
     """
-    centers = [grid.centers_in(rect) if grid is not None and total > 0 else []
-               for rect, total in zip(windows, totals)]
+    def above(rect, c):
+        return _symmetric(rect) and c.imag - grid.radius > rect.split_point()[1]
+
+    centers = [[c for c in grid.centers_in(rect) if not above(rect, c)]
+               if grid is not None and total > 0 else [] for rect, total in zip(windows, totals)]
     union = list(dict.fromkeys(c for cs in centers for c in cs))
     results = dict(zip(union, newton_roots(sys_, union))) if union else {}
     found = []
@@ -873,9 +898,17 @@ def _chain_roots(sys_, windows, totals, grid: ChainGrid | None, edges: _EdgeCach
             counts = edges.counts([circle for *_, circle in cands])
         except ContourError:
             counts = []
-        found.append([LocatedRoot(lam, count, absdet)
-                      for (lam, absdet, _), count in zip(cands, counts) if count > 0])
+        roots = [LocatedRoot(lam, count, absdet)
+                 for (lam, absdet, _), count in zip(cands, counts) if count > 0]
+        found.append(roots + [replace(r, lam=r.lam.conjugate()) for r in roots
+                              if above(rect, grid.center(*grid.label_for(r.lam)).conjugate())])
     return found
+
+
+def _symmetric(rect: Rect) -> bool:
+    """Whether rect is symmetric about the real axis, as the roots of D are,
+    with a first split line that does not overflow."""
+    return rect.im_min == -rect.im_max and np.isfinite(rect.split_point()[1])
 
 
 def _owned_roots(cell: Rect, known: list[LocatedRoot], margin: float):
@@ -912,11 +945,19 @@ def find_roots_in_region(
     The windows are scanned in lockstep, equal ones once, on one edge cache
     with one Newton batch, one count of all multiplicity circles and one
     count of all children per level; each report is the one its window gets
-    alone, to the bit.
+    alone, to the bit.  A symmetric window is mirrored (module docstring).
     """
     windows = list(dict.fromkeys(rects))
     edges = _EdgeCache(sys_)
-    totals = edges.counts(windows)
+    # A symmetric window counts as L + M, L its part below its first split line
+    # y1 and M its part below -y1, the mirror image of the rest: as 2 M + S, S
+    # the strip between -y1 and y1.  The first split joins M's and S's sides.
+    parts = [(Rect(r.re_min, r.re_max, r.im_min, -y1), Rect(r.re_min, r.re_max, -y1, y1))
+             if _symmetric(r) else (r,) for r in windows for y1 in [r.split_point()[1]]]
+    counts = iter(edges.counts([part for ps in parts for part in ps]))
+    counts = [[next(counts) for _ in ps] for ps in parts]
+    totals = [2 * cs[0] + cs[1] if len(cs) == 2 else cs[0] for cs in counts]
+    lower = {w: (ps[0], cs[0]) for w, (ps, cs) in enumerate(zip(parts, counts)) if len(ps) == 2}
     known = _chain_roots(sys_, windows, totals, grid, edges)
     # a known root this close to a side may have been counted by a multiplicity
     # circle that crosses it, or be the root an inflated recount took in
@@ -929,6 +970,7 @@ def find_roots_in_region(
              if total > 0]
     # per window: located roots, (path, unresolved cell), (cell, count, children's sum)
     roots, unmatched, nonadditive = ([[] for _ in windows] for _ in range(3))
+    mirrored = {}   # the symmetric windows that split: (M, count of M)
     depth = 0
     while level:
         resolved = set()
@@ -961,11 +1003,16 @@ def find_roots_in_region(
             if depth >= MAX_DEPTH or cell.diameter() <= MIN_CELL_DIAMETER:
                 unmatched[w].append((path, UnresolvedCell(cell, cnt)))
                 continue
-            splits.append((w, cell, cnt, path, cell.quadrants()))
-        child_counts = edges.counts([child for *_, children in splits for child in children])
+            children = cell.quadrants()
+            if not path and w in lower:
+                # the lower two quadrants make up L; the upper two mirror M
+                mirrored[w], children = lower[w], children[:2]
+            splits.append((w, cell, cnt, path, children))
+        child_counts = iter(edges.counts([child for *_, children in splits for child in children]))
         next_level = []
-        for j, (w, cell, cnt, path, children) in enumerate(splits):
-            cs = child_counts[4 * j:4 * j + 4]
+        for w, cell, cnt, path, children in splits:
+            cs = [next(child_counts) for _ in children]
+            cs.append(mirrored[w][1] if not path and w in mirrored else 0)
             if sum(cs) != cnt:
                 nonadditive[w].append((cell, cnt, sum(cs)))
             next_level.extend(
@@ -975,17 +1022,30 @@ def find_roots_in_region(
             )
         level = next_level
         depth += 1
-    reports = {rect: _spectrum_report(rect, total, roots[w], unmatched[w], nonadditive[w], grid)
+    reports = {rect: _spectrum_report(rect, total, roots[w], unmatched[w], nonadditive[w], grid,
+                                      mirrored.get(w))
                for w, (rect, total) in enumerate(zip(windows, totals))}
     return [reports[rect] for rect in rects]
 
 
 def _spectrum_report(rect: Rect, total: int, roots, unmatched, nonadditive,
-                     grid: ChainGrid | None) -> SpectrumReport:
-    """One window's report; unmatched holds (path, unresolved cell) pairs."""
+                     grid: ChainGrid | None, mirror=None) -> SpectrumReport:
+    """One window's report; unmatched holds (path, unresolved cell) pairs, and
+    mirror (M, count of M) for a window scanned below its split line (Location)."""
+    merged = _merge_roots(roots)
+    if mirror is not None:
+        m, count = mirror
+        below = [r for r in merged if r.lam.imag < m.im_max]
+        cells = [(path, u) for path, u in unmatched if u.cell.im_max <= m.im_max]
+        count -= sum(r.multiplicity for r in below) + sum(u.count for _, u in cells)
+        merged += [replace(r, lam=r.lam.conjugate()) for r in below]
+        unmatched = unmatched + [((path[0] - 2,) + path[1:], replace(u, cell=u.cell.conjugate()))
+                                 for path, u in cells]
+        if count:   # the part above y1, the mirror image of M
+            unmatched.append(((), UnresolvedCell(m.conjugate(), count)))
     unresolved = [u for _, u in sorted(unmatched, key=lambda e: e[0])]
     merged = _ordered(replace(r, chain_label=grid.label_for(r.lam) if grid is not None else None)
-                      for r in _merge_roots(roots))
+                      for r in merged)
 
     located = sum(r.multiplicity for r in merged) + sum(u.count for u in unresolved)
     note = (

@@ -625,11 +625,17 @@ def test_report_contour_failure_in_either_window_writes_nothing(tmp_path, monkey
     windows = {"spectrum": rf.Rect(-1.0, 1.0, -40.0, 40.0),
                "stability": stability.SystemAnalysis(load_system(path)).scan.window}
     assert windows["spectrum"] != windows["stability"]
-    target = windows[failing]
+    # both windows are symmetric about the real axis, so each is counted
+    # from its strip between minus and plus its first split line y1, and
+    # from its part below -y1
+    window = windows[failing]
+    y1 = window.split_point()[1]
+    target = rf.Rect(window.re_min, window.re_max, -y1, y1)
     windings = rf._EdgeCache.windings
 
     def root_on_target(self, contours):
-        # the target window and every inflation of it come too close to a root
+        # the target window's strip and every inflation of it come too close
+        # to a root
         return [rf.RootOnContourError("contour sample too close to a root")
                 if isinstance(c, rf.Rect) and abs(c.center - target.center) < 1e-9 else count
                 for c, count in zip(contours, windings(self, contours))]

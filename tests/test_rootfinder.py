@@ -11,8 +11,10 @@ from neutralsys.stability import SystemAnalysis
 from neutralsys.sysmodel import DelayKernel, NeutralSystem
 from conftest import (
     density_systems,
+    make_density_system,
     make_example1,
     make_example2,
+    make_reach_fixture,
     make_scalar_decay,
 )
 
@@ -290,14 +292,16 @@ def _table_centers(grid, k_lo, k_hi):
     density_systems(n_max=3),
     hst.integers(0, 2), hst.floats(0.0, 1.0), hst.floats(0.1, 3.0),
     hst.floats(-40.0, 30.0), hst.floats(0.5, 30.0),
-    hst.floats(0.0, 0.999), hst.floats(0.0, 1.0),
+    hst.floats(0.0, 0.999), hst.floats(0.0, 1.0), hst.booleans(),
 )
 @settings(max_examples=50, deadline=None)
-def test_chain_centers_by_formula_match_the_table(sys_, chain, frac, width, y0, height, rho, turn):
+def test_chain_centers_by_formula_match_the_table(sys_, chain, frac, width, y0, height, rho, turn,
+                                                  symmetric):
     grid = sys_.chains
     assume(grid is not None)
     assert grid.radius <= np.pi / (3.0 * grid.h)
-    k_span = int(np.ceil((max(abs(y0), abs(y0 + height)) * grid.h + np.pi) / (2.0 * np.pi))) + 1
+    im_max = max(abs(y0), abs(y0 + height), height)
+    k_span = int(np.ceil((im_max * grid.h + np.pi) / (2.0 * np.pi))) + 1
     table = _table_centers(grid, -k_span, k_span)
     for (m, k), c in table.items():
         assert grid.center(m, k) == c
@@ -310,10 +314,13 @@ def test_chain_centers_by_formula_match_the_table(sys_, chain, frac, width, y0, 
             assert grid.label_for(mid) == label
             assert label is None or label[0] != m
 
-    # the chain seeds of a window straddling one chain's abscissa
+    # the chain seeds of a window straddling one chain's abscissa; in a
+    # window symmetric about the real axis, a center whose circle lies above
+    # the first split line y1 seeds nothing
     mu = grid.eigenvalues[chain % len(grid.eigenvalues)].mu
     x0 = float(np.log(abs(mu)) / grid.h) - frac * width
-    rect = rf.Rect(x0, x0 + width, y0, y0 + height)
+    rect = rf.Rect(x0, x0 + width, *((-height, height) if symmetric else (y0, y0 + height)))
+    y1 = rect.split_point()[1]
     seeds = []
 
     def no_roots(sys_, centers):
@@ -323,14 +330,21 @@ def test_chain_centers_by_formula_match_the_table(sys_, chain, frac, width, y0, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rf, "newton_roots", no_roots)
         assert rf._chain_roots(sys_, [rect], [1], grid, rf._EdgeCache(sys_)) == [[]]
-    assert seeds == [c for c in table.values() if rect.contains(c)]
+    assert seeds == [c for c in table.values()
+                     if rect.contains(c) and not (symmetric and c.imag - grid.radius > y1)]
 
 
 def test_window_through_a_root_is_counted_once_before_it_is_inflated(monkeypatch):
     # The left side of the window runs through the root -1.  The window is
-    # inflated on the scan's cache, not first counted again on a fresh one.
+    # symmetric about the real axis, so it is counted from its part below
+    # -y1, y1 its first split line, and its strip between -y1 and y1.  The
+    # strip runs through the root and is inflated on the scan's cache, not
+    # first counted again on a fresh one; the part below -y1 keeps clear of
+    # it.  The window itself is never counted.
     s = make_scalar_decay()
     rect = rf.Rect(-1.0, 1.0, -40.0, 40.0)
+    y1 = rect.split_point()[1]
+    strip, mirror = rf.Rect(-1.0, 1.0, -y1, y1), rf.Rect(-1.0, 1.0, -40.0, -y1)
     counted = []
     windings = rf._EdgeCache.windings
 
@@ -340,8 +354,10 @@ def test_window_through_a_root_is_counted_once_before_it_is_inflated(monkeypatch
 
     monkeypatch.setattr(rf._EdgeCache, "windings", recording)
     (report,) = rf.find_roots_in_region(s, [rect])
-    assert counted.count(rect) == 1
-    assert counted.count(rect.inflate(1.01)) == 1
+    assert rect not in counted
+    assert counted.count(strip) == 1
+    assert counted.count(strip.inflate(1.01)) == 1
+    assert counted.count(mirror) == 1
     assert report.total_count == 1
     assert [r.lam for r in report.roots] == [pytest.approx(-1.0, abs=1e-9)]
 
@@ -386,6 +402,12 @@ def _bits(report):
 # chain roots, a window nested in the other with a shared side
 @example(make_example1(1.0, 2.0), [rf.Rect(-0.6, 1.0, -20.0, 20.0), rf.Rect(-0.6, 0.3, -9.0, 20.0)],
          True)
+# a symmetric window, scanned below its first split line and mirrored
+@example(make_example2(0.0), [rf.Rect(-0.6, 1.0, -20.0, 20.0)], True)
+# a symmetric window nested in a non-symmetric one that shares its lower
+# side, and a narrower symmetric window nested in both
+@example(make_example2(0.0), [rf.Rect(-0.6, 1.0, -20.0, 30.0), rf.Rect(-0.6, 1.0, -20.0, 20.0),
+                              rf.Rect(-0.6, 0.3, -20.0, 20.0)], True)
 def test_each_window_of_one_scan_is_reported_as_alone(sys_, rects, chained):
     grid = sys_.chains if chained else None
     try:
@@ -889,23 +911,28 @@ def test_close_simple_roots_are_located_apart(g):
 
 
 def test_unresolved_cells_keep_depth_first_order(monkeypatch):
-    # The list a depth-first stack scan gives: last child first.
+    # The list a depth-first stack scan gives: last child first.  The window
+    # is symmetric, so only its cells below the first split line y1 are
+    # scanned, and they come last.  Before them come the part above y1, with
+    # the 6 roots below -y1 that lie in the cells crossing -y1, and the
+    # mirror image of the one cell that lies below -y1.
     s = make_example2(0.0)
     monkeypatch.setattr(rf, "MAX_DEPTH", 2)
     (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -40.0, 40.0)])
     x0, x1, x2 = -0.6, -0.17777969599999988, 0.22192000000000012
-    y0, y1, y2 = -18.888984799999996, 1.0960000000000036, 21.080984800000003
+    y0, y1 = -18.888984799999996, 1.0960000000000036
     assert [
         (u.cell.re_min, u.cell.re_max, u.cell.im_min, u.cell.im_max, u.count)
         for u in report.unresolved_cells
     ] == [
-        (x1, x2, y2, 40.0, 6),
-        (x1, x2, y1, y2, 6),
+        (x0, 1.0, y1, 40.0, 6),
+        (x1, x2, -y0, 40.0, 6),
         (x1, x2, y0, y1, 6),
         (x0, x1, y0, y1, 2),
         (x1, x2, -40.0, y0, 6),
     ]
     assert report.total_count == 26
+    assert report.completeness_note.endswith("winding count 26, located multiplicity 26")
 
 
 def test_root_on_split_line_names_the_nonadditive_cell(monkeypatch):
@@ -1079,3 +1106,160 @@ def test_owned_roots_margin_and_half_open_sides():
     cells = [rf.Rect(0.0, 1.0, 0.0, 1.0), rf.Rect(1.0, 2.0, 0.0, 1.0),
              rf.Rect(0.0, 1.0, 1.0, 2.0), rf.Rect(1.0, 2.0, 1.0, 2.0)]
     assert [rf._owned_roots(c, [corner], margin=0.0) for c in cells] == [[], [], [], None]
+
+
+def _mirrored_and_plain(sys_, rects, grid):
+    """The reports of one scan of rects, and of the same scan with the
+    symmetric-window predicate off, which scans every window whole."""
+    mirrored = rf.find_roots_in_region(sys_, rects, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rf, "_symmetric", lambda rect: False)
+        plain = rf.find_roots_in_region(sys_, rects, grid)
+    return mirrored, plain
+
+
+def _assert_mirror_matches_plain(mirrored, plain):
+    # Every cell that reaches down to the real axis is the whole scan's, so
+    # a root at or below the first split line y1 keeps its bits; a root above
+    # it is the conjugate of one located below -y1.
+    y1 = mirrored.window.split_point()[1]
+    assert mirrored.total_count == plain.total_count
+    assert mirrored.unresolved_cells == plain.unresolved_cells == ()
+    assert mirrored.completeness_note == plain.completeness_note
+    assert len(mirrored.roots) == len(plain.roots)
+    for r in mirrored.roots:
+        if r.lam.imag <= y1:
+            assert r in plain.roots
+        else:
+            near = [p for p in plain.roots if abs(p.lam - r.lam) <= 1e-11]
+            assert [(p.multiplicity, p.chain_label) for p in near] == [
+                (r.multiplicity, r.chain_label)], r
+
+
+@pytest.mark.parametrize("sys_", [
+    make_example1(-1.0, -1.0), make_example1(1.0, 1.0), make_example2(0.0), make_example2(1.0),
+    make_scalar_decay(), make_reach_fixture(), make_density_system(),
+], ids=["ex1_jordan", "ex1_ctrl", "ex2_g0", "ex2_g1", "scalar_decay", "reach", "density"])
+def test_mirrored_scan_matches_the_whole_scan_on_the_fixtures(sys_):
+    # the CLI's verdict and spectrum windows, in lockstep
+    mirrored, plain = _mirrored_and_plain(sys_, [rf.Rect(-1.0, 1.0, -40.0, 40.0)], sys_.chains)
+    _assert_mirror_matches_plain(mirrored[0], plain[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rf, "_symmetric", lambda rect: False)
+        (plain,) = rf.rightmost_root_scan(sys_, 40.0)
+    (mirrored,) = rf.rightmost_root_scan(sys_, 40.0)
+    _assert_mirror_matches_plain(mirrored, plain)
+
+
+@given(density_systems(n_max=3), hst.floats(-2.0, 0.5), hst.floats(0.2, 2.5),
+       hst.floats(0.5, 20.0), hst.booleans())
+@settings(max_examples=30, deadline=None)
+def test_mirrored_scan_matches_the_whole_scan(sys_, x0, width, cap, chained):
+    rect = rf.Rect(x0, x0 + width, -cap, cap)
+    try:
+        (mirrored,), (plain,) = _mirrored_and_plain(sys_, [rect], sys_.chains if chained else None)
+    except ContourError:
+        assume(False)
+    assume(not plain.unresolved_cells and "not additive" not in plain.completeness_note)
+    _assert_mirror_matches_plain(mirrored, plain)
+
+
+@given(density_systems(n_max=3), hst.floats(-2.0, 0.5), hst.floats(0.2, 2.5),
+       hst.floats(0.5, 20.0))
+@settings(max_examples=30, deadline=None)
+def test_every_root_of_a_symmetric_window_has_its_conjugate(sys_, x0, width, cap):
+    # D has real coefficients: a located root's conjugate is located too,
+    # with its multiplicity, in the mirror image of its chain circle.
+    grid = sys_.chains
+    rect = rf.Rect(x0, x0 + width, -cap, cap)
+    try:
+        (report,) = rf.find_roots_in_region(sys_, [rect], grid)
+    except ContourError:
+        assume(False)
+    assume(not report.unresolved_cells)
+    for r in report.roots:
+        partners = [p for p in report.roots if abs(p.lam - r.lam.conjugate()) <= rf.MERGE_TOL]
+        assert [p.multiplicity for p in partners] == [r.multiplicity], r
+        label = r.chain_label and grid.label_for(grid.center(*r.chain_label).conjugate())
+        assert partners[0].chain_label == label
+
+
+def test_part_above_the_split_line_is_unresolved_when_the_mirror_check_fails(monkeypatch):
+    # lam I - A with roots -0.5 +- i: the root -0.5 - i lies just below -y1.
+    # Newton is made to report it just above -y1, inside its multiplicity
+    # circle, so it is located but not mirrored, and the count of the part
+    # below -y1 exceeds what lies there by its 1.
+    A = np.array([[-0.5, 1.0], [-1.0, -0.5]])
+    s = NeutralSystem(n=2, r=0, h=1.0, A_minus1=np.zeros((2, 2)), A2=DelayKernel.zero(2, 1.0),
+                      A3=DelayKernel.from_atoms([(0.0, A)], 2, 1.0), B=np.zeros((2, 0)))
+    rect = rf.Rect(-1.0, 1.0, -36.495, 36.495)
+    y1 = rect.split_point()[1]
+    assert y1 < 1.0 < y1 + 1e-4
+    monkeypatch.setattr(rf, "NEWTON_MAX_COUNT", 0)   # no Newton before the first split
+    (held,) = rf.find_roots_in_region(s, [rect])
+    assert [r.lam for r in held.roots] == [pytest.approx(-0.5 - 1j, abs=1e-12),
+                                           pytest.approx(-0.5 + 1j, abs=1e-12)]
+    assert held.roots[1].lam == held.roots[0].lam.conjugate()
+    note = held.completeness_note
+    assert not held.unresolved_cells and note.endswith("winding count 2, located multiplicity 2")
+
+    newton_roots = rf.newton_roots
+    moved = complex(-0.5, -1.0 + 2e-4)
+
+    def moved_across(sys_, seeds):
+        return [(moved, absdet, ok) if ok and abs(lam - (-0.5 - 1j)) < 1e-6 else (lam, absdet, ok)
+                for lam, absdet, ok in newton_roots(sys_, seeds)]
+
+    monkeypatch.setattr(rf, "newton_roots", moved_across)
+    (report,) = rf.find_roots_in_region(s, [rect])
+    assert [(r.lam, r.multiplicity) for r in report.roots] == [(moved, 1)]
+    assert report.unresolved_cells == (rf.UnresolvedCell(rf.Rect(-1.0, 1.0, y1, 36.495), 1),)
+    assert report.completeness_note == note
+
+
+def test_first_split_samples_only_the_cross_of_the_lower_part(monkeypatch):
+    # The window is counted from its part below -y1, y1 its first split
+    # line, and its strip between -y1 and y1.  The first split joins their
+    # sides and samples only its cross: the new vertical line, and one node
+    # on the strip's top side.
+    s = make_example2(0.0)
+    rect = rf.Rect(-0.6, 1.0, -40.0, 40.0)
+    y1 = rect.split_point()[1]
+    calls = []
+    counts, evaluate = rf._EdgeCache.counts, rf.delta_and_derivative
+
+    def recording(sys_, lams):
+        calls[-1][1].append(np.array(lams, dtype=complex).ravel())
+        return evaluate(sys_, lams)
+
+    def counting(self, contours):
+        contours = list(contours)
+        calls.append((contours, []))
+        return counts(self, contours)
+
+    monkeypatch.setattr(rf, "delta_and_derivative", recording)
+    monkeypatch.setattr(rf._EdgeCache, "counts", counting)
+    monkeypatch.setattr(rf, "MAX_DEPTH", 1)
+    rf.find_roots_in_region(s, [rect])
+    (points,) = [np.concatenate(pts) for contours, pts in calls
+                 if contours == list(rect.quadrants()[:2])]
+    xc = rect.split_point()[0]
+    assert np.all((points.real == xc) | (points.imag == y1))
+    assert np.count_nonzero(points.imag == y1) == 1
+
+
+def test_vertical_side_across_the_real_axis_samples_it(monkeypatch):
+    # The left side runs through the root -1 at Im = 0: the first batch
+    # flags it, and the side is given up without refining toward it.
+    s = make_scalar_decay()
+    calls = []
+    sample = rf._sample_nodes
+
+    def counted(sys_, pts, log_floor):
+        calls.append(pts.size)
+        return sample(sys_, pts, log_floor)
+
+    monkeypatch.setattr(rf, "_sample_nodes", counted)
+    (count,) = rf._EdgeCache(s).windings([rf.Rect(-1.0, 1.0, -40.0, 1.096)])
+    assert isinstance(count, rf.RootOnContourError)
+    assert len(calls) == 1
