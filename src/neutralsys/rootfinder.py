@@ -52,25 +52,37 @@ split; every other cell goes on as without a grid, so roots outside the chain
 circles come from the same cells and seeds.  Small cells seed Newton
 iterations.  The seeds of every such cell of every window on a level run
 through one batched Newton solve (`newton_roots`), each seed with its own
-stopping rules.
-One rule turns a stage's Newton results into located roots (`_candidates`):
+stopping rules; a seed whose steps shrink linearly, as they do only near a
+multiple root, pauses there with the limit they extrapolate to.
+One rule turns a stage's Newton results into located roots (`_locate`):
 each cell, or each window with its chain seeds, takes its seeds' results in
-seed order, the same as alone, and keeps the distinct converged roots inside
-it, a chain root only inside its own chain circle.  Multiplicity of a kept
-root is counted in a tight circle around it, sized from every root kept
-beside it, and a stage counts all its circles in one call: one per level,
-one per window for the chain seeds.  A cell is accepted only when its
-located multiplicities, in seed order, reach its winding count; the cells
-that fail are split, and their children's winding counts must add up to
-theirs.  Cells that cannot be resolved are reported, never dropped, in
-depth-first order.
+seed order, the same as alone, and keeps the distinct converged or paused
+roots inside it, a chain root only inside its own chain circle
+(`_candidates`).  Multiplicity of a kept root is counted in a tight circle
+around it, sized from every root kept beside it, and a stage counts all its
+circles in one call: one per level, one per window for the chain seeds.  A
+circle that counts m >= 2 roots has its contour moments taken, all of a
+stage's in one batch (`_cluster_moments`): they give the cluster's
+centroid, or for m = 2 two simple roots that Newton then polishes.  What
+the moments cannot decide is left to Newton: the paused seeds of that cell
+or window resume from their saved state, and it is located from the results
+they reach, the same as if no seed had paused.  A cell is accepted only
+when its located multiplicities, in seed order, reach its winding count,
+or, when they fall short, once the conjugates of its roots that it holds
+and lacks are added; the cells that fail are split, and their children's
+winding counts must add up to theirs.  Cells that cannot be resolved are
+reported, never dropped, in depth-first order.
 
 The root finder has no setting: every tolerance, budget and radius is a
 module constant, and each cell's random Newton starts are seeded from its
-corners alone, so they do not depend on the traversal order.  A located
+corners alone, so they do not depend on the traversal order.  A simple
 root's accuracy comes from Newton: a seed stops once its step is at most
 1e-12 (1 + |lam|), and its iterate counts as a root only when
-|det D| <= RESIDUAL_COEFF (1 + |lam|)^n.
+|det D| <= RESIDUAL_COEFF (1 + |lam|)^n.  Newton reaches a root of
+multiplicity m only to about eps^(1/m), so a multiple root is the centroid
+of its cluster's moments instead, except within AXIS_TOL of the imaginary
+axis, where the side the centroid falls on is rounding noise and Newton's
+root is kept.
 MIN_CELL_DIAMETER is only the size at which an unmatched cell is given up.
 """
 
@@ -79,6 +91,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,6 +189,11 @@ PHASE_MAX_DEPTH = 32        # refinement rounds before an edge is given up
 CONTOUR_RETRIES = 5         # 1% inflations of a contour next to a root
 SPLIT_OFFSET = 0.0137       # quadrisection point, as a fraction past the middle
 MIN_CELL_DIAMETER = 1e-8    # an unmatched cell this small is reported, not split
+LINEAR_RATIOS = (0.3, 0.95) # successive Newton step ratios of a linear tail...
+LINEAR_STEP = 1e-4          # ...once the step is at most this times 1 + |lam|
+MOMENT_NODES = 64           # trapezoid nodes of a cluster's contour moments
+MOMENT_COUNT_TOL = 1e-8     # a cluster's s0 must be its count to within this
+AXIS_TOL = 1e-12            # a centroid with |Re| <= this times 1 + |lam| is left to Newton
 
 
 def residual_bound(lam: complex, n: int) -> float:
@@ -235,12 +253,7 @@ def _closed_form_sample(D: np.ndarray, dD: np.ndarray, log_floor: float):
     node whose det is below the floor or not finite, or whose det' is not
     finite, an overflowed product included, goes to `_lapack_sample`."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if D.shape[-1] == 1:
-            det, ddet = D[:, 0, 0], dD[:, 0, 0]
-        else:
-            a, b, c, d = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
-            det = a * d - b * c
-            ddet = dD[:, 0, 0] * d + a * dD[:, 1, 1] - dD[:, 0, 1] * c - b * dD[:, 1, 0]
+        det, ddet = _closed_form_det(D, dD)
         absdet = np.abs(det)
         sign = det / absdet
         est = absdet / np.abs(ddet)
@@ -249,6 +262,14 @@ def _closed_form_sample(D: np.ndarray, dD: np.ndarray, log_floor: float):
     if lapack.any():
         sign[lapack], est[lapack], bad[lapack] = _lapack_sample(D[lapack], dD[lapack], log_floor)
     return sign, est, bad
+
+
+def _closed_form_det(D: np.ndarray, dD: np.ndarray):
+    """det D and det' for a stack of 1x1 or 2x2 D and D'."""
+    if D.shape[-1] == 1:
+        return D[:, 0, 0], dD[:, 0, 0]
+    a, b, c, d = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
+    return a * d - b * c, dD[:, 0, 0] * d + a * dD[:, 1, 1] - dD[:, 0, 1] * c - b * dD[:, 1, 0]
 
 
 def _needs_split(dphi, chord, e0, e1):
@@ -387,6 +408,8 @@ class _EdgeCache:
         root is inflated by 1% and counted again on this cache, up to
         CONTOUR_RETRIES times, before RootOnContourError is raised."""
         contours = list(contours)
+        if not contours:
+            return []
         counts = self.windings(contours)
         for _ in range(CONTOUR_RETRIES):
             retry = [i for i, c in enumerate(counts) if isinstance(c, RootOnContourError)]
@@ -594,45 +617,96 @@ def count_roots_in_contour(sys_: NeutralSystem, contour) -> int:
 # ------------------------------------------------------------------- Newton
 
 
+class NewtonState(NamedTuple):
+    """Where a seed's plain Newton iteration resumes: its iterate, its best
+    iterate and |det D| there, its stall count, its previous iterate and det,
+    and the steps it has taken."""
+
+    lam: complex
+    best_lam: complex
+    best_abs: float
+    stall: int
+    prev_lam: complex
+    prev_det: complex
+    steps: int
+
+    @classmethod
+    def start(cls, lam0) -> "NewtonState":
+        return cls(lam0, lam0, np.inf, 0, lam0, lam0, 0)
+
+
+class Paused(tuple):
+    """The result (lam, |det D|, False) of a seed paused in its linear tail:
+    lam is the limit its geometric steps extrapolate to, its distance `slack`
+    from the seed's iterate bounds how far the seed has yet to go, and
+    `state` resumes the seed's plain Newton (`newton_roots`)."""
+
+    def __new__(cls, lam: complex, absdet: float, state: NewtonState):
+        paused = super().__new__(cls, (lam, absdet, False))
+        paused.state = state
+        paused.slack = abs(lam - state.lam)
+        return paused
+
+
 # A seed may run to where det D overflows, e.g. far left, where e^{-lam h}
 # does (a chain center where det' vanishes nudges its seed there).  Such a
 # seed fails on its non-finite det, so the overflow is no warning.
 @np.errstate(over="ignore", invalid="ignore")
-def newton_roots(sys_: NeutralSystem, seeds) -> list[tuple[complex, float, bool]]:
+def newton_roots(sys_, seeds) -> list[tuple[complex, float, bool]]:
     """Newton iteration on det D from every seed at once.
 
     Returns one (lam, |det D(lam)|, converged) per seed, in seed order.  The
     Newton correction uses the Jacobi identity det' = det * trace(D^{-1} D'),
     so the step is 1/trace(D^{-1} D') and no determinant magnitudes enter until
     convergence is checked.  A seed falls back to a secant step when D is
-    singular at its iterate.  Multiple roots converge linearly, hence the
-    generous iteration budget.  Each seed keeps its own best iterate, stall
+    singular at its iterate.  Each seed keeps its own best iterate, stall
     count and iteration budget; the seeds still running share one evaluation
-    of D and D', one det and one solve per iterate.  Each iterate of a seed
-    is the one it takes alone (`newton_root`), to the bit.
+    of D and D', one det and one solve per iterate.
+
+    A seed given as a start point pauses in its linear tail: once the ratio
+    of its successive steps lies in LINEAR_RATIOS twice running, with the
+    step at most LINEAR_STEP (1 + |lam|), it stops, which Newton does near a
+    multiple root and not near a simple one, where it converges
+    quadratically.  Its result is then a `Paused`: the limit its geometric
+    steps extrapolate to, with its state.  A seed given as a `NewtonState`,
+    a paused seed's or `NewtonState.start`, runs plain Newton to the end, so
+    its iterates are those of a seed that never pauses (`newton_root`), to
+    the bit.
     """
-    lam = np.array(seeds, dtype=complex).reshape(-1)
+    fresh = np.array([not isinstance(s, NewtonState) for s in seeds], dtype=bool)
+    states = [s if isinstance(s, NewtonState) else NewtonState.start(s) for s in seeds]
+    lam, best_lam, prev_lam, prev_det = (np.array([s[k] for s in states], dtype=complex)
+                                         for k in (0, 1, 4, 5))
+    best_abs = np.array([s.best_abs for s in states], dtype=float)
+    stall, steps = (np.array([s[k] for s in states], dtype=int) for k in (3, 6))
     out_lam, out_abs = lam.copy(), np.full(lam.size, np.inf)
     failed = np.zeros(lam.size, dtype=bool)   # det went non-finite
+    paused = {}
     # The state of the running seeds, at positions `at`; it is compacted only
-    # when seeds stop.  Every running seed has a previous iterate after the
-    # first pass, so that is when the secant step becomes possible.
+    # when seeds stop.  A seed has taken steps + it steps on pass it.  `last`
+    # is the size of a fresh seed's last step and `linear` whether its ratio
+    # to the one before lay in LINEAR_RATIOS.
     at = np.arange(lam.size)
-    best_lam, best_abs = lam.copy(), out_abs.copy()
-    prev_lam = prev_det = lam   # read from the second pass on
-    stall = np.zeros(lam.size, dtype=int)
+    last = np.full(lam.size, np.inf)
+    linear = np.zeros(lam.size, dtype=bool)
+    pausing = bool(fresh.any())
+    most = int(steps.max(initial=0))
     # Seeds whose step fell below 1e-12 (1 + |lam|), as (positions, iterates,
     # best iterates, best |det|): each takes one more det at its new iterate,
     # in the next batch, and stops.
     owed = None
 
-    def settle(owed, absdet):
-        pos, owed_lam, owed_best, owed_abs = owed
-        better = absdet < owed_abs
-        out_lam[pos] = np.where(better, owed_lam, owed_best)
-        out_abs[pos] = np.where(better, absdet, owed_abs)
+    def keep(mask):
+        nonlocal at, lam, best_lam, best_abs, stall, prev_lam, prev_det, steps, fresh, last, linear
+        at, lam, best_lam, best_abs, stall, prev_lam, prev_det, steps, fresh, last, linear = (
+            x[mask] for x in (at, lam, best_lam, best_abs, stall, prev_lam, prev_det, steps, fresh,
+                              last, linear))
 
-    for it in range(NEWTON_MAX_ITER):
+    for it in range(NEWTON_MAX_ITER + 1):
+        if most + it >= NEWTON_MAX_ITER:
+            spent = steps + it >= NEWTON_MAX_ITER
+            out_lam[at[spent]], out_abs[at[spent]] = best_lam[spent], best_abs[spent]
+            keep(~spent)
         m = lam.size
         if m == 0 and owed is None:
             break
@@ -640,7 +714,10 @@ def newton_roots(sys_: NeutralSystem, seeds) -> list[tuple[complex, float, bool]
         det = np.linalg.det(D)
         absdet = np.abs(det)
         if owed is not None:
-            settle(owed, absdet[m:])
+            pos, owed_lam, owed_best, owed_abs = owed
+            better = absdet[m:] < owed_abs
+            out_lam[pos] = np.where(better, owed_lam, owed_best)
+            out_abs[pos] = np.where(better, absdet[m:], owed_abs)
             owed = None
             D, dD, det, absdet = D[:m], dD[:m], det[:m], absdet[:m]
         better = absdet < best_abs
@@ -653,8 +730,8 @@ def newton_roots(sys_: NeutralSystem, seeds) -> list[tuple[complex, float, bool]
             stop = ~go
             out_lam[at[stop]], out_abs[at[stop]] = best_lam[stop], best_abs[stop]
             failed[at[~finite]] = True
-            at, lam, best_lam, best_abs, stall, prev_lam, prev_det, D, dD, det = (
-                x[go] for x in (at, lam, best_lam, best_abs, stall, prev_lam, prev_det, D, dD, det))
+            D, dD, det = D[go], dD[go], det[go]
+            keep(go)
         if at.size == 0:
             continue
         trace = _solve_traces(D, dD)
@@ -664,23 +741,39 @@ def newton_roots(sys_: NeutralSystem, seeds) -> list[tuple[complex, float, bool]
         else:
             step = np.empty_like(det)
             step[newton] = 1.0 / trace[newton]
-            secant = ~newton & (det != prev_det) if it > 0 else np.zeros_like(newton)
+            secant = ~newton & (det != prev_det) & (steps + it > 0)
             step[secant] = det[secant] * (lam[secant] - prev_lam[secant]) / (det[secant] - prev_det[secant])
             nudge = ~newton & ~secant
             step[nudge] = 1e-7 * (1.0 + np.abs(lam[nudge])) * (0.6 + 0.8j)
         prev_lam, prev_det = lam, det
         lam = lam - step
-        done = np.abs(step) <= 1e-12 * (1.0 + np.abs(lam))
-        if done.any():
+        scale = 1.0 + np.abs(lam)
+        done = np.abs(step) <= 1e-12 * scale
+        stop, stopping = done, bool(done.any())
+        if stopping:
             owed = (at[done], lam[done], best_lam[done], best_abs[done])
-            keep = ~done
-            at, lam, best_lam, best_abs, stall, prev_lam, prev_det = (
-                x[keep] for x in (at, lam, best_lam, best_abs, stall, prev_lam, prev_det))
-    if owed is not None:
-        settle(owed, np.abs(np.linalg.det(delta_and_derivative(sys_, owed[1])[0])))
-    out_lam[at], out_abs[at] = best_lam, best_abs
+        if pausing:
+            # the step as taken, between iterates, so a seed's ratios do not
+            # depend on the batch it runs in
+            size = np.abs(prev_lam - lam)
+            ratio = size / last
+            band = (ratio >= LINEAR_RATIOS[0]) & (ratio <= LINEAR_RATIOS[1])
+            pause = band & linear
+            last, linear = size, band
+            if pause.any():
+                pause &= fresh & (size <= LINEAR_STEP * scale) & ~done
+                for i in np.flatnonzero(pause):
+                    state = NewtonState(lam[i], best_lam[i], float(best_abs[i]), int(stall[i]),
+                                        prev_lam[i], prev_det[i], int(steps[i]) + it + 1)
+                    tail = (prev_lam[i] - lam[i]) * (ratio[i] / (1.0 - ratio[i]))
+                    paused[int(at[i])] = Paused(lam[i] - tail, float(best_abs[i]), state)
+                stop, stopping = done | pause, True
+        if stopping:
+            keep(~stop)
+            pausing = bool(fresh.any())
     ok = ~failed & (out_abs <= residual_bound(out_lam, sys_.n))
-    return [(out_lam[i], float(out_abs[i]), bool(ok[i])) for i in range(out_lam.size)]
+    return [paused[i] if i in paused else (out_lam[i], float(out_abs[i]), bool(ok[i]))
+            for i in range(out_lam.size)]
 
 
 def _solve_traces(D: np.ndarray, dD: np.ndarray) -> np.ndarray:
@@ -701,9 +794,51 @@ def _solve_traces(D: np.ndarray, dD: np.ndarray) -> np.ndarray:
 def newton_root(sys_: NeutralSystem, lam0: complex) -> tuple[complex, float, bool]:
     """Newton iteration on det D from lam0; returns (lam, |det D(lam)|, converged).
 
-    The one-seed view of `newton_roots`.
+    The one-seed view of `newton_roots`, run to the end without pausing.
     """
-    return newton_roots(sys_, [lam0])[0]
+    return newton_roots(sys_, [NewtonState.start(lam0)])[0]
+
+
+# ---------------------------------------------------------- cluster moments
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _cluster_moments(sys_: NeutralSystem, clusters) -> list[tuple]:
+    """(s0, mean, spread, delta) of the roots inside each circle that counts
+    m >= 2 of them, from the moments s_p = (1/2 pi i) oint (lam - mu)^p
+    trace(D^{-1} D') dlam by the trapezoid rule on MOMENT_NODES equispaced
+    nodes (Delves and Lyness); clusters holds (circle, m) pairs.
+
+    s0 counts the roots with multiplicity and mean = c + s1/s0 is their
+    centroid, well conditioned when each root is not.  About the mean, the
+    power sums t_p of the m roots vanish for p = 2..m only when the roots
+    coincide, so spread, the largest |t_p/s0|^(1/p), is how far they lie from
+    one root; two roots lie at mean +- delta, delta^2 = t_2/s0.  All nodes of
+    all circles go through one evaluation of D and D'; a node where D is
+    singular makes its circle's moments NaN.
+    """
+    if not clusters:
+        return []
+    z = (np.array([c.radius for c, _ in clusters])[:, None]
+         * np.exp(2j * np.pi * np.arange(MOMENT_NODES) / MOMENT_NODES))
+    centers = np.array([c.center for c, _ in clusters])
+    D, dD = delta_and_derivative(sys_, (centers[:, None] + z).ravel())
+    if sys_.n <= 2:
+        det, ddet = _closed_form_det(D, dD)
+        trace = ddet / det
+    else:
+        trace = _solve_traces(D, dD)
+    # dlam = i (lam - c) dtheta: (1/2 pi i) oint f dlam is the mean of f (lam - c)
+    w = trace.reshape(z.shape) * z / MOMENT_NODES
+    s0 = w.sum(axis=1)
+    d = (w * z).sum(axis=1) / s0
+    out = []
+    for i, (_, m) in enumerate(clusters):
+        u = z[i] - d[i]
+        t = [(w[i] * u ** p).sum() / s0[i] for p in range(2, m + 1)]
+        spread = np.max([abs(tp) ** (1.0 / p) for p, tp in enumerate(t, 2)])
+        out.append((s0[i], centers[i] + d[i], float(spread), np.sqrt(t[0])))
+    return out
 
 
 # ----------------------------------------------------------- report objects
@@ -814,26 +949,135 @@ def _cell_rng(cell: Rect) -> np.random.Generator:
 
 
 def _candidates(rect: Rect, results, circles=None):
-    """One stage's Newton results, in seed order, as (lam, |det D|, circle)
-    for each distinct root they locate in rect, a cell or a window, with the
-    circle that counts its multiplicity.
+    """One stage's Newton results, in seed order, as (result, seed circle,
+    circle) for each distinct root they locate in rect, a cell or a window:
+    the seed's own circle where circles are given, else None, and the circle
+    that counts the root's multiplicity.
 
     A converged result is kept when it lies in rect and, where circles are
     given, in its own seed's circle, and is not within MERGE_TOL of one kept
-    before it.  Each circle's radius is at most MULTIPLICITY_RADIUS, a
-    quarter of rect's diameter and 0.45 times the gap to every other root
-    kept in rect, but no less than 4 MERGE_TOL.
+    before it.  A paused one is kept the same way, but its slack, and that of
+    a paused root kept before it, widen each of these tolerances: it stands
+    for the root its seed is still heading to.  Each circle's radius is at most
+    MULTIPLICITY_RADIUS, a quarter of rect's diameter and 0.45 times the gap
+    to every other root kept in rect, but no less than 4 MERGE_TOL.
     """
+    def slack(res):
+        return res.slack if isinstance(res, Paused) else 0.0
+
     kept = []
-    for i, (lam, absdet, ok) in enumerate(results):
-        if (ok and rect.contains(lam) and (circles is None or circles[i].contains(lam))
-                and all(abs(lam - k) > MERGE_TOL for k, _ in kept)):
-            kept.append((lam, absdet))
+    for i, res in enumerate(results):
+        lam, _, ok = res
+        own = None if circles is None else circles[i]
+        e = slack(res)
+        if ((ok or isinstance(res, Paused))
+                and rect.re_min - e <= lam.real <= rect.re_max + e
+                and rect.im_min - e <= lam.imag <= rect.im_max + e
+                and (own is None or abs(lam - own.center) <= own.radius + e)
+                and all(abs(lam - k[0]) > MERGE_TOL + e + slack(k) for k, _ in kept)):
+            kept.append((res, own))
     cap = min(MULTIPLICITY_RADIUS, 0.25 * rect.diameter())
-    radii = [min([cap] + [0.45 * abs(lam - other) for other, _ in kept if other != lam])
-             for lam, _ in kept]
-    return [(lam, absdet, Circle(lam, max(radius, 4.0 * MERGE_TOL)))
-            for (lam, absdet), radius in zip(kept, radii)]
+    radii = [min([cap] + [0.45 * abs(res[0] - other[0]) for other, _ in kept if other is not res])
+             for res, _ in kept]
+    return [(res, own, Circle(res[0], max(radius, 4.0 * MERGE_TOL)))
+            for (res, own), radius in zip(kept, radii)]
+
+
+def _cluster_root(moments, m: int, rect: Rect, own: Circle | None):
+    """What the moments of a circle that counts m >= 2 roots decide: their
+    centroid, one root of multiplicity m; for m = 2, the pair of simple roots
+    mean +- delta when they lie more than MERGE_TOL apart; else None, which
+    leaves the roots to Newton.  None also when s0 is not m to within
+    MOMENT_COUNT_TOL, when the centroid lies outside rect or the seed's own
+    circle, or when it lies within AXIS_TOL (1 + |lam|) of the imaginary
+    axis, where its side of the axis is rounding noise."""
+    s0, mean, spread, delta = moments
+    if not abs(s0 - m) <= MOMENT_COUNT_TOL:
+        return None
+    if m == 2 and 2.0 * abs(delta) > MERGE_TOL:
+        return mean + delta, mean - delta
+    if (spread <= 0.5 * MERGE_TOL and rect.contains(mean) and (own is None or own.contains(mean))
+            and abs(mean.real) > AXIS_TOL * (1.0 + abs(mean))):
+        return mean
+    return None
+
+
+def _locate(sys_: NeutralSystem, edges: "_EdgeCache", groups, count) -> list[list[LocatedRoot]]:
+    """The located roots of each group (rect, Newton results in seed order,
+    the seeds' own circles or None), in seed order; count takes a list of
+    circles per group and returns their counts, or None for a group whose
+    circles could not be counted, which locates nothing.
+
+    Every root `_candidates` keeps is counted in its circle, and a root of
+    multiplicity 0 is dropped.  The moments of every circle that counts two
+    or more (`_cluster_moments`, one batch for all) decide it
+    (`_cluster_root`): a centroid is located with its multiplicity and
+    |det D| there, and a pair of simple roots each after plain Newton from
+    its estimate.  What the moments leave undecided keeps Newton's root,
+    except where a paused seed stood for it, or a pair was not confirmed
+    there: then every paused seed of the group resumes plain Newton, and the
+    group is located again from the results a seed that never pauses gets,
+    so its roots are Newton's wherever the moments do not decide them.
+    """
+    results = [list(res) for _, res, _ in groups]
+    located = [[] for _ in groups]
+    todo = list(range(len(groups)))
+    while todo:
+        cands = {g: _candidates(groups[g][0], results[g], groups[g][2]) for g in todo}
+        mults = dict(zip(todo, count([[circle for *_, circle in cands[g]] for g in todo])))
+        clusters = [(circle, m) for g in todo if mults[g] is not None
+                    for (*_, circle), m in zip(cands[g], mults[g]) if m >= 2]
+        moments = iter(_cluster_moments(sys_, clusters))
+        stale, pairs, centroids = set(), [], []
+        for g in todo:
+            roots = located[g] = []
+            for (res, own, _), m in zip(cands[g], mults[g] or ()):
+                found = _cluster_root(next(moments), m, groups[g][0], own) if m >= 2 else None
+                if isinstance(found, tuple):
+                    pairs.append((g, len(roots), res, own, m, found))
+                elif found is not None:
+                    centroids.append((g, len(roots)))
+                    found = LocatedRoot(found, m, np.nan)
+                elif isinstance(res, Paused):
+                    stale.add(g)
+                elif m > 0:
+                    found = LocatedRoot(res[0], m, res[1])
+                roots.append(found)
+        pairs = [pair for pair in pairs if pair[0] not in stale]
+        polished = iter(newton_roots(sys_, [NewtonState.start(lam) for *_, ests in pairs
+                                            for lam in ests]) if pairs else [])
+        for g, k, res, own, m, _ in pairs:
+            pair = [next(polished), next(polished)]
+            if (all(ok and groups[g][0].contains(lam) and (own is None or own.contains(lam))
+                    for lam, _, ok in pair) and abs(pair[0][0] - pair[1][0]) > MERGE_TOL):
+                located[g][k] = [LocatedRoot(lam, 1, absdet) for lam, absdet, _ in pair]
+            elif isinstance(res, Paused):
+                stale.add(g)
+            else:
+                located[g][k] = LocatedRoot(res[0], m, res[1])
+        todo = sorted(stale)
+        if todo:
+            resumed = iter(newton_roots(sys_, [r.state for g in todo for r in results[g]
+                                               if isinstance(r, Paused)]))
+            for g in todo:
+                results[g] = [next(resumed) if isinstance(r, Paused) else r for r in results[g]]
+        centroids = [(g, k) for g, k in centroids if g not in stale]
+        if centroids:
+            lams = np.array([located[g][k].lam for g, k in centroids])
+            residuals = np.abs(np.linalg.det(delta_and_derivative(sys_, lams)[0]))
+            for (g, k), residual in zip(centroids, residuals.tolist()):
+                located[g][k] = replace(located[g][k], residual=residual)
+    return [[r for found in roots if found is not None
+             for r in (found if isinstance(found, list) else [found])] for roots in located]
+
+
+def _conjugates(cell: Rect, roots: list[LocatedRoot]) -> list[LocatedRoot]:
+    """The conjugates of the roots that lie in cell and more than MERGE_TOL
+    from every root, each with its root's multiplicity and residual: D has
+    real coefficients, so they are roots of the cell that its seeds missed."""
+    return [replace(r, lam=r.lam.conjugate()) for r in roots
+            if cell.contains(r.lam.conjugate())
+            and all(abs(r.lam.conjugate() - other.lam) > MERGE_TOL for other in roots)]
 
 
 def _cell_seeds(cell: Rect) -> list[complex]:
@@ -877,32 +1121,34 @@ def _chain_roots(sys_, windows, totals, grid: ChainGrid | None, edges: _EdgeCach
     their centers.
 
     Each window takes its centers' results in its own order through
-    `_candidates`, keeping a root only inside its own seed's chain circle,
-    and counts all its candidates' multiplicity circles in one `counts` call
-    on the scan's edge cache; a root of multiplicity 0 is dropped.  The roots
-    only spare the scan work, so a window with a circle that cannot be
-    counted keeps none.  In a symmetric window, a circle above the first split
-    line seeds nothing and takes the mirror images of its mirror's roots.
+    `_locate`, keeping a root only inside its own seed's chain circle, and
+    counts all its candidates' multiplicity circles in one `counts` call on
+    the scan's edge cache.  The roots only spare the scan work, so a window
+    with a circle that cannot be counted keeps none.  In a symmetric window,
+    a circle above the first split line seeds nothing and takes the mirror
+    images of its mirror's roots.
     """
     def above(rect, c):
         return _symmetric(rect) and c.imag - grid.radius > rect.split_point()[1]
+
+    def count_each(circle_lists):
+        counts = []
+        for circles in circle_lists:
+            try:
+                counts.append(edges.counts(circles))
+            except ContourError:
+                counts.append(None)
+        return counts
 
     centers = [[c for c in grid.centers_in(rect) if not above(rect, c)]
                if grid is not None and total > 0 else [] for rect, total in zip(windows, totals)]
     union = list(dict.fromkeys(c for cs in centers for c in cs))
     results = dict(zip(union, newton_roots(sys_, union))) if union else {}
-    found = []
-    for rect, cs in zip(windows, centers):
-        cands = _candidates(rect, [results[c] for c in cs], [Circle(c, grid.radius) for c in cs])
-        try:
-            counts = edges.counts([circle for *_, circle in cands])
-        except ContourError:
-            counts = []
-        roots = [LocatedRoot(lam, count, absdet)
-                 for (lam, absdet, _), count in zip(cands, counts) if count > 0]
-        found.append(roots + [replace(r, lam=r.lam.conjugate()) for r in roots
-                              if above(rect, grid.center(*grid.label_for(r.lam)).conjugate())])
-    return found
+    groups = [(rect, [results[c] for c in cs], [Circle(c, grid.radius) for c in cs])
+              for rect, cs in zip(windows, centers)]
+    return [roots + [replace(r, lam=r.lam.conjugate()) for r in roots
+                     if above(rect, grid.center(*grid.label_for(r.lam)).conjugate())]
+            for rect, roots in zip(windows, _locate(sys_, edges, groups, count_each))]
 
 
 def _symmetric(rect: Rect) -> bool:
@@ -938,8 +1184,9 @@ def find_roots_in_region(
     whose winding count equals the multiplicity of the chain roots it owns
     takes them without Newton or a split.  A report also carries any cells
     whose winding count located roots did not match before the cell reached
-    MAX_DEPTH or MIN_CELL_DIAMETER; a root's accuracy is Newton's, not the
-    cell size.  Each cell's random Newton starts are seeded from its corners,
+    MAX_DEPTH or MIN_CELL_DIAMETER; a root's accuracy is Newton's or, for a
+    multiple root, its moments', not the cell size.  Each cell's random
+    Newton starts are seeded from its corners,
     so a report depends on the system, its window and the grid alone.
 
     The windows are scanned in lockstep, equal ones once, on one edge cache
@@ -963,6 +1210,11 @@ def find_roots_in_region(
     # circle that crosses it, or be the root an inflated recount took in
     margin = 2.0 * MULTIPLICITY_RADIUS
     per_cell = 1 + NEWTON_RESTARTS
+
+    def count_all(circle_lists):
+        counts = iter(edges.counts([c for circles in circle_lists for c in circles]))
+        return [[next(counts) for _ in circles] for circles in circle_lists]
+
     # A cell is (window, rect, count, path); the path numbers each quadrant
     # last child first, so sorting a window's unresolved cells by path gives
     # the order of a depth-first scan.
@@ -986,13 +1238,12 @@ def find_roots_in_region(
         ]
         seeds = [s for _, cell, _, _ in tries for s in _cell_seeds(cell)]
         results = newton_roots(sys_, seeds) if seeds else []
-        cands = [_candidates(cell, results[j * per_cell:(j + 1) * per_cell])
+        cells = [(cell, results[j * per_cell:(j + 1) * per_cell], None)
                  for j, (_, cell, _, _) in enumerate(tries)]
-        # zip takes each cell's multiplicities from this iterator in turn
-        mults = iter(edges.counts([circle for cs in cands for *_, circle in cs]))
-        for (w, cell, cnt, path), cs in zip(tries, cands):
-            found = _accept_cell(cnt, [LocatedRoot(lam, m, absdet)
-                                       for (lam, absdet, _), m in zip(cs, mults) if m > 0])
+        for (w, cell, cnt, path), located in zip(tries, _locate(sys_, edges, cells, count_all)):
+            found = _accept_cell(cnt, located)
+            if found is None and sum(r.multiplicity for r in located) < cnt:
+                found = _accept_cell(cnt, located + _conjugates(cell, located))
             if found is not None:
                 roots[w].extend(found)
                 resolved.add((w, path))

@@ -646,12 +646,17 @@ def test_rect_requires_nondegenerate():
         rf.Rect(1.0, 1.0, -1.0, 1.0)
 
 
-def scalar_newton_reference(sys_, lam0, max_iter):
-    """Newton iteration on det D from one seed, one point at a time."""
+def scalar_newton_reference(sys_, lam0, max_iter, pause=False):
+    """Newton iteration on det D from one seed, one point at a time.  With
+    pause, the seed stops in its linear tail as a start point given to
+    `newton_roots` does, and (limit of its steps, best |det|, False) is
+    returned."""
     lam = complex(lam0)
     prev_lam = prev_det = None
     best = (np.inf, lam)
     stall = 0
+    last, linear = np.inf, False
+    lo, hi = rf.LINEAR_RATIOS
     for _ in range(max_iter):
         D, dD = cm.delta(sys_, lam), cm.delta_derivative(sys_, lam)
         det = complex(np.linalg.det(D))
@@ -684,8 +689,20 @@ def scalar_newton_reference(sys_, lam0, max_iter):
             if absdet < best[0]:
                 best = (absdet, lam)
             break
+        moved = prev_lam - lam
+        ratio = np.abs(moved) / last
+        band = lo <= ratio <= hi
+        if pause and band and linear and np.abs(moved) <= rf.LINEAR_STEP * (1.0 + abs(lam)):
+            return lam - moved * (ratio / (1.0 - ratio)), best[0], False
+        last, linear = np.abs(moved), band
     absdet, lam = best
     return lam, absdet, absdet <= rf.residual_bound(lam, sys_.n)
+
+
+def _resumed(sys_, batch):
+    """newton_roots' results with every paused seed resumed, in one batch."""
+    resumed = iter(rf.newton_roots(sys_, [got.state for got in batch if isinstance(got, rf.Paused)]))
+    return [next(resumed) if isinstance(got, rf.Paused) else got for got in batch]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -702,23 +719,27 @@ def scalar_newton_reference(sys_, lam0, max_iter):
 def test_newton_roots_match_newton_root_seed_for_seed(monkeypatch, sys_, seeds, max_iter):
     # With NEWTON_MAX_ITER = 2 a seed that lost its Newton step to the singular
     # one would stop before reaching the root.  On the last pass only the
-    # seeds whose step fell below tolerance take their final det.
+    # seeds whose step fell below tolerance take their final det.  A seed
+    # that paused at a multiple root resumes to newton_root's result.
     monkeypatch.setattr(rf, "NEWTON_MAX_ITER", max_iter)
     batch = rf.newton_roots(sys_, seeds)
     assert len(batch) == len(seeds)
-    for seed, got in zip(seeds, batch):
+    for seed, got, final in zip(seeds, batch, _resumed(sys_, batch)):
         assert isinstance(got[0], np.complex128)
-        assert got == rf.newton_root(sys_, seed)
-        assert got == scalar_newton_reference(sys_, seed, max_iter)
+        assert got == scalar_newton_reference(sys_, seed, max_iter, pause=True)
+        assert final == rf.newton_root(sys_, seed)
+        assert final == scalar_newton_reference(sys_, seed, max_iter)
 
 
 def _assert_newton_matches_scalar_reference(sys_, seeds, max_iter):
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
         mp.setattr(rf, "NEWTON_MAX_ITER", max_iter)
         batch = rf.newton_roots(sys_, seeds)
-        for seed, got in zip(seeds, batch):
-            assert got == scalar_newton_reference(sys_, seed, max_iter), seed
-    return batch
+        finals = _resumed(sys_, batch)
+        for seed, got, final in zip(seeds, batch, finals):
+            assert got == scalar_newton_reference(sys_, seed, max_iter, pause=True), seed
+            assert final == scalar_newton_reference(sys_, seed, max_iter), seed
+    return finals
 
 
 @given(
@@ -888,10 +909,11 @@ def test_region_scan_counts_each_stage_circles_in_one_call(monkeypatch, chained)
     assert 0 < calls["circles"] <= calls["newton"]
 
 
-@pytest.mark.parametrize("g", [3e-4, 5e-5])
+@pytest.mark.parametrize("g", [3e-4, 5e-5, 2e-6, 1.5e-6])
 def test_close_simple_roots_are_located_apart(g):
     # Two simple roots closer than MULTIPLICITY_RADIUS: each root's circle is
-    # sized from the other, so neither counts as a double root.
+    # sized from the other, so neither counts as a double root.  Closer than
+    # 4 MERGE_TOL, one circle holds both, and its second moment parts them.
     s = NeutralSystem(
         n=2,
         r=0,
@@ -908,6 +930,59 @@ def test_close_simple_roots_are_located_apart(g):
     assert abs(roots[0].lam - (-0.5 - g)) <= 1e-12
     assert abs(roots[1].lam - (-0.5)) <= 1e-12
     assert report.completeness_note.endswith("winding count 2, located multiplicity 2")
+
+
+def _doubled(sys_):
+    """Two uncoupled copies of a scalar system: each of its roots, doubled."""
+    I = np.eye(2)
+
+    def kernel(k):
+        return DelayKernel(k.breakpoints, k.segments * I, tuple((t, M * I) for t, M in k.atoms))
+
+    return NeutralSystem(n=2, r=0, h=sys_.h, A_minus1=sys_.A_minus1 * I, A2=kernel(sys_.A2),
+                         A3=kernel(sys_.A3), B=np.zeros((2, 0)))
+
+
+@given(density_systems(n_max=1), hst.floats(-2.0, 0.5), hst.floats(0.2, 2.5),
+       hst.floats(0.5, 6.0))
+@settings(max_examples=30, deadline=None)
+def test_double_roots_are_located_at_their_centroid(sys_, x0, width, cap):
+    # Newton reaches a double root only to about 1e-11; the centroid of its
+    # multiplicity circle's moments lies within 1e-13 of the scalar system's
+    # simple root.  Roots within AXIS_TOL of the imaginary axis keep Newton's.
+    rect = rf.Rect(x0, x0 + width, -cap, cap)
+    (single,) = rf.find_roots_in_region(sys_, [rect])
+    assume(not single.unresolved_cells)
+    assume(all(r.multiplicity == 1 and abs(r.lam.real) > 1e-9 for r in single.roots))
+    (double,) = rf.find_roots_in_region(_doubled(sys_), [rect])
+    assert double.total_count == 2 * single.total_count
+    assert not double.unresolved_cells
+    assert len(double.roots) == len(single.roots)
+    for r in double.roots:
+        assert r.multiplicity == 2
+        assert min(abs(r.lam - s.lam) for s in single.roots) <= 1e-13, r
+
+
+def test_root_on_the_imaginary_axis_keeps_newtons_bits():
+    # reach_fixture's double root lam = 0: the sign of its centroid's real
+    # part is rounding noise, so both windows of report keep Newton's root.
+    windows = (rf.Rect(-1.0, 1.0, -40.0, 40.0),)
+    scans = SystemAnalysis(make_reach_fixture(), windows=windows).scans
+    at_zero = [[(r.lam, r.multiplicity) for r in report.roots if abs(r.lam) < 1e-6]
+               for report in scans]
+    assert at_zero == [[(complex(-7.771365053801237e-13, -2.5050652546005285e-13), 2)],
+                       [(complex(4.0736219967390813e-13, -8.537568187518427e-13), 2)]]
+
+
+def test_conjugates_complete_a_cell_only_with_roots_it_lacks():
+    cell = rf.Rect(-1.0, 1.0, -1.0, 2.0)
+    lower = rf.LocatedRoot(complex(-0.25, -0.9), 2, 1e-20)
+    real = rf.LocatedRoot(complex(0.5, 1e-13), 1, 1e-17)
+    high = rf.LocatedRoot(complex(0.1, 1.5), 1, 1e-17)
+    paired = rf.LocatedRoot(complex(0.3, 0.5), 1, 1e-17)
+    mirror = rf.LocatedRoot(complex(0.3, -0.5 + 1e-7), 1, 1e-17)
+    assert rf._conjugates(cell, [lower, real, high, paired, mirror]) == [
+        rf.LocatedRoot(complex(-0.25, 0.9), 2, 1e-20)]
 
 
 def test_unresolved_cells_keep_depth_first_order(monkeypatch):
