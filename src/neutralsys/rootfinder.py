@@ -50,12 +50,12 @@ roots it owns (half-open: [re_min, re_max) x [im_min, im_max), and none within
 two multiplicity radii of a side) takes them and is neither searched nor
 split; every other cell goes on as without a grid, so roots outside the chain
 circles come from the same cells and seeds.  Small cells seed Newton
-iterations.  The seeds of every such cell of every window on a level run
-through one batched Newton solve (`newton_roots`), each seed with its own
-stopping rules; a seed whose steps shrink linearly, as they do only near a
-multiple root, pauses there with the limit they extrapolate to.
-One rule turns a stage's Newton results into located roots (`_locate`):
-each cell, or each window with its chain seeds, takes its seeds' results in
+iterations.  One rule turns a stage's seeds into located roots (`_locate`):
+the seeds of every such cell of every window on a level, or of every window
+with its chain seeds, run through one batched Newton solve (`newton_roots`),
+each distinct seed once and with its own stopping rules; a seed whose steps
+shrink linearly, as they do only near a multiple root, pauses there with the
+limit they extrapolate to.  Each cell or window takes its seeds' results in
 seed order, the same as alone, and keeps the distinct converged or paused
 roots inside it, a chain root only inside its own chain circle
 (`_candidates`).  Multiplicity of a kept root is counted in a tight circle
@@ -65,12 +65,12 @@ circle that counts m >= 2 roots has its contour moments taken, all of a
 stage's in one batch (`_cluster_moments`): they give the cluster's
 centroid, or for m = 2 two simple roots that Newton then polishes.  What
 the moments cannot decide is left to Newton: the paused seeds of that cell
-or window resume from their saved state, and it is located from the results
-they reach, the same as if no seed had paused.  A cell is accepted only
-when its located multiplicities, in seed order, reach its winding count,
-or, when they fall short, once the conjugates of its roots that it holds
-and lacks are added; the cells that fail are split, and their children's
-winding counts must add up to theirs.  Cells that cannot be resolved are
+or window run again from their seeds with pausing off, and it is located
+from the results they reach, the same as if no seed had paused.  A cell is
+accepted only when the multiplicities of its located roots in seed order,
+then of the conjugates of its roots that it holds and lacks, reach its
+winding count; the cells that fail are split, and their children's winding
+counts must add up to theirs.  Cells that cannot be resolved are
 reported, never dropped, in depth-first order.
 
 The root finder has no setting: every tolerance, budget and radius is a
@@ -91,7 +91,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -617,34 +616,16 @@ def count_roots_in_contour(sys_: NeutralSystem, contour) -> int:
 # ------------------------------------------------------------------- Newton
 
 
-class NewtonState(NamedTuple):
-    """Where a seed's plain Newton iteration resumes: its iterate, its best
-    iterate and |det D| there, its stall count, its previous iterate and det,
-    and the steps it has taken."""
-
-    lam: complex
-    best_lam: complex
-    best_abs: float
-    stall: int
-    prev_lam: complex
-    prev_det: complex
-    steps: int
-
-    @classmethod
-    def start(cls, lam0) -> "NewtonState":
-        return cls(lam0, lam0, np.inf, 0, lam0, lam0, 0)
-
-
 class Paused(tuple):
     """The result (lam, |det D|, False) of a seed paused in its linear tail:
-    lam is the limit its geometric steps extrapolate to, its distance `slack`
-    from the seed's iterate bounds how far the seed has yet to go, and
-    `state` resumes the seed's plain Newton (`newton_roots`)."""
+    lam is the limit its geometric steps extrapolate to, and `slack`, its
+    distance from the seed's iterate, bounds how far the seed has yet to go.
+    The seed's plain Newton result is that of a run from the same seed with
+    pausing off (`newton_roots`)."""
 
-    def __new__(cls, lam: complex, absdet: float, state: NewtonState):
+    def __new__(cls, lam: complex, absdet: float, slack: float):
         paused = super().__new__(cls, (lam, absdet, False))
-        paused.state = state
-        paused.slack = abs(lam - state.lam)
+        paused.slack = slack
         return paused
 
 
@@ -652,7 +633,7 @@ class Paused(tuple):
 # does (a chain center where det' vanishes nudges its seed there).  Such a
 # seed fails on its non-finite det, so the overflow is no warning.
 @np.errstate(over="ignore", invalid="ignore")
-def newton_roots(sys_, seeds) -> list[tuple[complex, float, bool]]:
+def newton_roots(sys_, seeds, *, pause: bool = True) -> list[tuple[complex, float, bool]]:
     """Newton iteration on det D from every seed at once.
 
     Returns one (lam, |det D(lam)|, converged) per seed, in seed order.  The
@@ -663,50 +644,41 @@ def newton_roots(sys_, seeds) -> list[tuple[complex, float, bool]]:
     count and iteration budget; the seeds still running share one evaluation
     of D and D', one det and one solve per iterate.
 
-    A seed given as a start point pauses in its linear tail: once the ratio
-    of its successive steps lies in LINEAR_RATIOS twice running, with the
-    step at most LINEAR_STEP (1 + |lam|), it stops, which Newton does near a
-    multiple root and not near a simple one, where it converges
-    quadratically.  Its result is then a `Paused`: the limit its geometric
-    steps extrapolate to, with its state.  A seed given as a `NewtonState`,
-    a paused seed's or `NewtonState.start`, runs plain Newton to the end, so
-    its iterates are those of a seed that never pauses (`newton_root`), to
-    the bit.
+    With pause, a seed pauses in its linear tail: once the ratio of its
+    successive steps lies in LINEAR_RATIOS twice running, with the step at
+    most LINEAR_STEP (1 + |lam|), it stops, which Newton does near a multiple
+    root and not near a simple one, where it converges quadratically.  Its
+    result is then a `Paused`: the limit its geometric steps extrapolate to.
+    Pausing only stops a seed, so up to its pause a seed's iterates are
+    those of the same seed run with pause off (`newton_root`), to the bit.
     """
-    fresh = np.array([not isinstance(s, NewtonState) for s in seeds], dtype=bool)
-    states = [s if isinstance(s, NewtonState) else NewtonState.start(s) for s in seeds]
-    lam, best_lam, prev_lam, prev_det = (np.array([s[k] for s in states], dtype=complex)
-                                         for k in (0, 1, 4, 5))
-    best_abs = np.array([s.best_abs for s in states], dtype=float)
-    stall, steps = (np.array([s[k] for s in states], dtype=int) for k in (3, 6))
+    lam = np.array(seeds, dtype=complex)
+    best_lam, prev_lam, prev_det = lam.copy(), lam.copy(), lam.copy()
+    best_abs = np.full(lam.size, np.inf)
+    stall = np.zeros(lam.size, dtype=int)
     out_lam, out_abs = lam.copy(), np.full(lam.size, np.inf)
     failed = np.zeros(lam.size, dtype=bool)   # det went non-finite
     paused = {}
     # The state of the running seeds, at positions `at`; it is compacted only
-    # when seeds stop.  A seed has taken steps + it steps on pass it.  `last`
-    # is the size of a fresh seed's last step and `linear` whether its ratio
-    # to the one before lay in LINEAR_RATIOS.
+    # when seeds stop.  `last` is the size of a seed's last step and `linear`
+    # whether its ratio to the one before lay in LINEAR_RATIOS.
     at = np.arange(lam.size)
     last = np.full(lam.size, np.inf)
     linear = np.zeros(lam.size, dtype=bool)
-    pausing = bool(fresh.any())
-    most = int(steps.max(initial=0))
     # Seeds whose step fell below 1e-12 (1 + |lam|), as (positions, iterates,
     # best iterates, best |det|): each takes one more det at its new iterate,
     # in the next batch, and stops.
     owed = None
 
     def keep(mask):
-        nonlocal at, lam, best_lam, best_abs, stall, prev_lam, prev_det, steps, fresh, last, linear
-        at, lam, best_lam, best_abs, stall, prev_lam, prev_det, steps, fresh, last, linear = (
-            x[mask] for x in (at, lam, best_lam, best_abs, stall, prev_lam, prev_det, steps, fresh,
-                              last, linear))
+        nonlocal at, lam, best_lam, best_abs, stall, prev_lam, prev_det, last, linear
+        at, lam, best_lam, best_abs, stall, prev_lam, prev_det, last, linear = (
+            x[mask] for x in (at, lam, best_lam, best_abs, stall, prev_lam, prev_det, last, linear))
 
     for it in range(NEWTON_MAX_ITER + 1):
-        if most + it >= NEWTON_MAX_ITER:
-            spent = steps + it >= NEWTON_MAX_ITER
-            out_lam[at[spent]], out_abs[at[spent]] = best_lam[spent], best_abs[spent]
-            keep(~spent)
+        if it == NEWTON_MAX_ITER:   # the budget is spent
+            out_lam[at], out_abs[at] = best_lam, best_abs
+            keep(np.zeros(at.size, dtype=bool))
         m = lam.size
         if m == 0 and owed is None:
             break
@@ -741,7 +713,7 @@ def newton_roots(sys_, seeds) -> list[tuple[complex, float, bool]]:
         else:
             step = np.empty_like(det)
             step[newton] = 1.0 / trace[newton]
-            secant = ~newton & (det != prev_det) & (steps + it > 0)
+            secant = ~newton & (det != prev_det) & (it > 0)
             step[secant] = det[secant] * (lam[secant] - prev_lam[secant]) / (det[secant] - prev_det[secant])
             nudge = ~newton & ~secant
             step[nudge] = 1e-7 * (1.0 + np.abs(lam[nudge])) * (0.6 + 0.8j)
@@ -752,25 +724,22 @@ def newton_roots(sys_, seeds) -> list[tuple[complex, float, bool]]:
         stop, stopping = done, bool(done.any())
         if stopping:
             owed = (at[done], lam[done], best_lam[done], best_abs[done])
-        if pausing:
+        if pause:
             # the step as taken, between iterates, so a seed's ratios do not
             # depend on the batch it runs in
             size = np.abs(prev_lam - lam)
             ratio = size / last
             band = (ratio >= LINEAR_RATIOS[0]) & (ratio <= LINEAR_RATIOS[1])
-            pause = band & linear
+            tail = band & linear
             last, linear = size, band
-            if pause.any():
-                pause &= fresh & (size <= LINEAR_STEP * scale) & ~done
-                for i in np.flatnonzero(pause):
-                    state = NewtonState(lam[i], best_lam[i], float(best_abs[i]), int(stall[i]),
-                                        prev_lam[i], prev_det[i], int(steps[i]) + it + 1)
-                    tail = (prev_lam[i] - lam[i]) * (ratio[i] / (1.0 - ratio[i]))
-                    paused[int(at[i])] = Paused(lam[i] - tail, float(best_abs[i]), state)
-                stop, stopping = done | pause, True
+            if tail.any():
+                tail &= (size <= LINEAR_STEP * scale) & ~done
+                for i in np.flatnonzero(tail):
+                    limit = lam[i] - (prev_lam[i] - lam[i]) * (ratio[i] / (1.0 - ratio[i]))
+                    paused[int(at[i])] = Paused(limit, float(best_abs[i]), abs(limit - lam[i]))
+                stop, stopping = done | tail, True
         if stopping:
             keep(~stop)
-            pausing = bool(fresh.any())
     ok = ~failed & (out_abs <= residual_bound(out_lam, sys_.n))
     return [paused[i] if i in paused else (out_lam[i], float(out_abs[i]), bool(ok[i]))
             for i in range(out_lam.size)]
@@ -796,7 +765,7 @@ def newton_root(sys_: NeutralSystem, lam0: complex) -> tuple[complex, float, boo
 
     The one-seed view of `newton_roots`, run to the end without pausing.
     """
-    return newton_roots(sys_, [NewtonState.start(lam0)])[0]
+    return newton_roots(sys_, [lam0], pause=False)[0]
 
 
 # ---------------------------------------------------------- cluster moments
@@ -1003,23 +972,31 @@ def _cluster_root(moments, m: int, rect: Rect, own: Circle | None):
 
 
 def _locate(sys_: NeutralSystem, edges: "_EdgeCache", groups, count) -> list[list[LocatedRoot]]:
-    """The located roots of each group (rect, Newton results in seed order,
-    the seeds' own circles or None), in seed order; count takes a list of
-    circles per group and returns their counts, or None for a group whose
-    circles could not be counted, which locates nothing.
+    """The located roots of each group (rect, seeds, the seeds' own circles
+    or None), in seed order; count takes a list of circles per group and
+    returns their counts, or None for a group whose circles could not be
+    counted, which locates nothing.
 
-    Every root `_candidates` keeps is counted in its circle, and a root of
-    multiplicity 0 is dropped.  The moments of every circle that counts two
-    or more (`_cluster_moments`, one batch for all) decide it
+    The stage's one Newton batch runs each distinct seed of all groups once,
+    pausing in linear tails, and each group takes its seeds' results in its
+    own order.  Every root `_candidates` keeps is counted in its circle, and
+    a root of multiplicity 0 is dropped.  The moments of every circle that
+    counts two or more (`_cluster_moments`, one batch for all) decide it
     (`_cluster_root`): a centroid is located with its multiplicity and
     |det D| there, and a pair of simple roots each after plain Newton from
     its estimate.  What the moments leave undecided keeps Newton's root,
     except where a paused seed stood for it, or a pair was not confirmed
-    there: then every paused seed of the group resumes plain Newton, and the
-    group is located again from the results a seed that never pauses gets,
-    so its roots are Newton's wherever the moments do not decide them.
+    there: then the group's paused seeds run again from their seeds with
+    pausing off, and the group is located again from the results a seed
+    that never pauses gets, so its roots are Newton's wherever the moments
+    do not decide them.
     """
-    results = [list(res) for _, res, _ in groups]
+    def run(seeds, pause):
+        seeds = list(dict.fromkeys(seeds))
+        return dict(zip(seeds, newton_roots(sys_, seeds, pause=pause))) if seeds else {}
+
+    ran = run([s for _, seeds, _ in groups for s in seeds], True)
+    results = [[ran[s] for s in seeds] for _, seeds, _ in groups]
     located = [[] for _ in groups]
     todo = list(range(len(groups)))
     while todo:
@@ -1044,10 +1021,9 @@ def _locate(sys_: NeutralSystem, edges: "_EdgeCache", groups, count) -> list[lis
                     found = LocatedRoot(res[0], m, res[1])
                 roots.append(found)
         pairs = [pair for pair in pairs if pair[0] not in stale]
-        polished = iter(newton_roots(sys_, [NewtonState.start(lam) for *_, ests in pairs
-                                            for lam in ests]) if pairs else [])
-        for g, k, res, own, m, _ in pairs:
-            pair = [next(polished), next(polished)]
+        polished = run([lam for *_, ests in pairs for lam in ests], False)
+        for g, k, res, own, m, ests in pairs:
+            pair = [polished[lam] for lam in ests]
             if (all(ok and groups[g][0].contains(lam) and (own is None or own.contains(lam))
                     for lam, _, ok in pair) and abs(pair[0][0] - pair[1][0]) > MERGE_TOL):
                 located[g][k] = [LocatedRoot(lam, 1, absdet) for lam, absdet, _ in pair]
@@ -1056,11 +1032,11 @@ def _locate(sys_: NeutralSystem, edges: "_EdgeCache", groups, count) -> list[lis
             else:
                 located[g][k] = LocatedRoot(res[0], m, res[1])
         todo = sorted(stale)
-        if todo:
-            resumed = iter(newton_roots(sys_, [r.state for g in todo for r in results[g]
-                                               if isinstance(r, Paused)]))
-            for g in todo:
-                results[g] = [next(resumed) if isinstance(r, Paused) else r for r in results[g]]
+        rerun = run([s for g in todo for s, r in zip(groups[g][1], results[g])
+                     if isinstance(r, Paused)], False)
+        for g in todo:
+            results[g] = [rerun[s] if isinstance(r, Paused) else r
+                          for s, r in zip(groups[g][1], results[g])]
         centroids = [(g, k) for g, k in centroids if g not in stale]
         if centroids:
             lams = np.array([located[g][k].lam for g, k in centroids])
@@ -1117,16 +1093,16 @@ def _merge_roots(roots: list[LocatedRoot]) -> list[LocatedRoot]:
 
 def _chain_roots(sys_, windows, totals, grid: ChainGrid | None, edges: _EdgeCache):
     """Roots found by Newton from the chain centers inside each window that
-    holds roots, one list per window, from one Newton batch over the union of
-    their centers.
+    holds roots, one list per window, from one `_locate` stage, which runs
+    each center once.
 
-    Each window takes its centers' results in its own order through
-    `_locate`, keeping a root only inside its own seed's chain circle, and
-    counts all its candidates' multiplicity circles in one `counts` call on
-    the scan's edge cache.  The roots only spare the scan work, so a window
-    with a circle that cannot be counted keeps none.  In a symmetric window,
-    a circle above the first split line seeds nothing and takes the mirror
-    images of its mirror's roots.
+    Each window takes its centers' results in its own order, keeping a root
+    only inside its own seed's chain circle, and counts all its candidates'
+    multiplicity circles in one `counts` call on the scan's edge cache.  The
+    roots only spare the scan work, so a window with a circle that cannot be
+    counted keeps none.  In a symmetric window, a circle above the first
+    split line seeds nothing and takes the mirror images of its mirror's
+    roots.
     """
     def above(rect, c):
         return _symmetric(rect) and c.imag - grid.radius > rect.split_point()[1]
@@ -1142,10 +1118,7 @@ def _chain_roots(sys_, windows, totals, grid: ChainGrid | None, edges: _EdgeCach
 
     centers = [[c for c in grid.centers_in(rect) if not above(rect, c)]
                if grid is not None and total > 0 else [] for rect, total in zip(windows, totals)]
-    union = list(dict.fromkeys(c for cs in centers for c in cs))
-    results = dict(zip(union, newton_roots(sys_, union))) if union else {}
-    groups = [(rect, [results[c] for c in cs], [Circle(c, grid.radius) for c in cs])
-              for rect, cs in zip(windows, centers)]
+    groups = [(rect, cs, [Circle(c, grid.radius) for c in cs]) for rect, cs in zip(windows, centers)]
     return [roots + [replace(r, lam=r.lam.conjugate()) for r in roots
                      if above(rect, grid.center(*grid.label_for(r.lam)).conjugate())]
             for rect, roots in zip(windows, _locate(sys_, edges, groups, count_each))]
@@ -1209,7 +1182,6 @@ def find_roots_in_region(
     # a known root this close to a side may have been counted by a multiplicity
     # circle that crosses it, or be the root an inflated recount took in
     margin = 2.0 * MULTIPLICITY_RADIUS
-    per_cell = 1 + NEWTON_RESTARTS
 
     def count_all(circle_lists):
         counts = iter(edges.counts([c for circles in circle_lists for c in circles]))
@@ -1236,14 +1208,9 @@ def find_roots_in_region(
             if (w, path) not in resolved
             and (cell.diameter() <= NEWTON_CELL_SIZE or cnt <= NEWTON_MAX_COUNT)
         ]
-        seeds = [s for _, cell, _, _ in tries for s in _cell_seeds(cell)]
-        results = newton_roots(sys_, seeds) if seeds else []
-        cells = [(cell, results[j * per_cell:(j + 1) * per_cell], None)
-                 for j, (_, cell, _, _) in enumerate(tries)]
+        cells = [(cell, _cell_seeds(cell), None) for _, cell, _, _ in tries]
         for (w, cell, cnt, path), located in zip(tries, _locate(sys_, edges, cells, count_all)):
-            found = _accept_cell(cnt, located)
-            if found is None and sum(r.multiplicity for r in located) < cnt:
-                found = _accept_cell(cnt, located + _conjugates(cell, located))
+            found = _accept_cell(cnt, located + _conjugates(cell, located))
             if found is not None:
                 roots[w].extend(found)
                 resolved.add((w, path))

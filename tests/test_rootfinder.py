@@ -323,7 +323,7 @@ def test_chain_centers_by_formula_match_the_table(sys_, chain, frac, width, y0, 
     y1 = rect.split_point()[1]
     seeds = []
 
-    def no_roots(sys_, centers):
+    def no_roots(sys_, centers, **kwargs):
         seeds.extend(centers)
         return [(c, np.inf, False) for c in centers]
 
@@ -648,9 +648,8 @@ def test_rect_requires_nondegenerate():
 
 def scalar_newton_reference(sys_, lam0, max_iter, pause=False):
     """Newton iteration on det D from one seed, one point at a time.  With
-    pause, the seed stops in its linear tail as a start point given to
-    `newton_roots` does, and (limit of its steps, best |det|, False) is
-    returned."""
+    pause, the seed stops in its linear tail as `newton_roots` with pause
+    does, and (limit of its steps, best |det|, False) is returned."""
     lam = complex(lam0)
     prev_lam = prev_det = None
     best = (np.inf, lam)
@@ -699,10 +698,12 @@ def scalar_newton_reference(sys_, lam0, max_iter, pause=False):
     return lam, absdet, absdet <= rf.residual_bound(lam, sys_.n)
 
 
-def _resumed(sys_, batch):
-    """newton_roots' results with every paused seed resumed, in one batch."""
-    resumed = iter(rf.newton_roots(sys_, [got.state for got in batch if isinstance(got, rf.Paused)]))
-    return [next(resumed) if isinstance(got, rf.Paused) else got for got in batch]
+def _resumed(sys_, seeds, batch):
+    """newton_roots' results with every paused seed run again from its seed
+    with pausing off, in one batch."""
+    rerun = iter(rf.newton_roots(sys_, [seed for seed, got in zip(seeds, batch)
+                                        if isinstance(got, rf.Paused)], pause=False))
+    return [next(rerun) if isinstance(got, rf.Paused) else got for got in batch]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -720,11 +721,12 @@ def test_newton_roots_match_newton_root_seed_for_seed(monkeypatch, sys_, seeds, 
     # With NEWTON_MAX_ITER = 2 a seed that lost its Newton step to the singular
     # one would stop before reaching the root.  On the last pass only the
     # seeds whose step fell below tolerance take their final det.  A seed
-    # that paused at a multiple root resumes to newton_root's result.
+    # that paused at a multiple root, run again with pausing off, gets
+    # newton_root's result.
     monkeypatch.setattr(rf, "NEWTON_MAX_ITER", max_iter)
     batch = rf.newton_roots(sys_, seeds)
     assert len(batch) == len(seeds)
-    for seed, got, final in zip(seeds, batch, _resumed(sys_, batch)):
+    for seed, got, final in zip(seeds, batch, _resumed(sys_, seeds, batch)):
         assert isinstance(got[0], np.complex128)
         assert got == scalar_newton_reference(sys_, seed, max_iter, pause=True)
         assert final == rf.newton_root(sys_, seed)
@@ -735,7 +737,7 @@ def _assert_newton_matches_scalar_reference(sys_, seeds, max_iter):
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
         mp.setattr(rf, "NEWTON_MAX_ITER", max_iter)
         batch = rf.newton_roots(sys_, seeds)
-        finals = _resumed(sys_, batch)
+        finals = _resumed(sys_, seeds, batch)
         for seed, got, final in zip(seeds, batch, finals):
             assert got == scalar_newton_reference(sys_, seed, max_iter, pause=True), seed
             assert final == scalar_newton_reference(sys_, seed, max_iter), seed
@@ -867,9 +869,9 @@ def test_region_scan_batches_newton_once_per_level(monkeypatch):
     newton_roots = rf.newton_roots
     per_cell = 1 + rf.NEWTON_RESTARTS
 
-    def recording_newton_roots(sys_, seeds):
+    def recording_newton_roots(sys_, seeds, **kwargs):
         call_depths.append({depth_of[c] for c in seeds[::per_cell]})
-        return newton_roots(sys_, seeds)
+        return newton_roots(sys_, seeds, **kwargs)
 
     def no_single_seed(*args, **kwargs):
         raise AssertionError("region scan ran a single-seed Newton iteration")
@@ -897,9 +899,9 @@ def test_region_scan_counts_each_stage_circles_in_one_call(monkeypatch, chained)
         calls["circles"] += any(isinstance(c, rf.Circle) for c in contours)
         return counts(self, contours)
 
-    def recording_newton_roots(sys_, seeds):
+    def recording_newton_roots(sys_, seeds, **kwargs):
         calls["newton"] += 1
-        return newton_roots(sys_, seeds)
+        return newton_roots(sys_, seeds, **kwargs)
 
     monkeypatch.setattr(rf._EdgeCache, "counts", recording_counts)
     monkeypatch.setattr(rf, "newton_roots", recording_newton_roots)
@@ -963,15 +965,64 @@ def test_double_roots_are_located_at_their_centroid(sys_, x0, width, cap):
         assert min(abs(r.lam - s.lam) for s in single.roots) <= 1e-13, r
 
 
+def _recording_newton_roots(mp):
+    """Patch rf.newton_roots to record (seeds, pause, results) per call."""
+    calls = []
+    newton_roots = rf.newton_roots
+
+    def recording(sys_, seeds, *, pause=True):
+        results = newton_roots(sys_, seeds, pause=pause)
+        calls.append((list(seeds), pause, results))
+        return results
+
+    mp.setattr(rf, "newton_roots", recording)
+    return calls
+
+
 def test_root_on_the_imaginary_axis_keeps_newtons_bits():
     # reach_fixture's double root lam = 0: the sign of its centroid's real
     # part is rounding noise, so both windows of report keep Newton's root.
+    # The seeds that paused there run again from their seeds with pausing
+    # off, and get what a seed that never pauses gets.
+    s = make_reach_fixture()
     windows = (rf.Rect(-1.0, 1.0, -40.0, 40.0),)
-    scans = SystemAnalysis(make_reach_fixture(), windows=windows).scans
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recording_newton_roots(mp)
+        scans = SystemAnalysis(s, windows=windows).scans
     at_zero = [[(r.lam, r.multiplicity) for r in report.roots if abs(r.lam) < 1e-6]
                for report in scans]
     assert at_zero == [[(complex(-7.771365053801237e-13, -2.5050652546005285e-13), 2)],
                        [(complex(4.0736219967390813e-13, -8.537568187518427e-13), 2)]]
+    paused, reruns = set(), []
+    for seeds, pause, results in calls:
+        if not pause and seeds and set(seeds) <= paused:
+            reruns.append((seeds, results))
+        paused.update(seed for seed, res in zip(seeds, results) if isinstance(res, rf.Paused))
+    assert reruns
+    for seeds, results in reruns:
+        assert results == [rf.newton_root(s, seed) for seed in seeds]
+
+
+def test_lockstep_chain_batch_runs_each_center_once():
+    # report's two windows on ex1_ctrl overlap: the first Newton batch of
+    # their lockstep scan runs the union of their seeding chain centers, each
+    # center once.  In a symmetric window, a center whose circle lies above
+    # the first split line seeds nothing.
+    s = make_example1(1.0, 1.0)
+    grid = s.chains
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recording_newton_roots(mp)
+        reports = rf.rightmost_root_scan(s, 40.0, (rf.Rect(-1.0, 1.0, -40.0, 40.0),))
+    windows = [r.window for r in reports]
+    assert windows[0] != windows[1]
+    centers = [[c for c in grid.centers_in(rect) if c.imag - grid.radius <= rect.split_point()[1]]
+               for rect in windows]
+    union = list(dict.fromkeys(centers[0] + centers[1]))
+    assert len(union) < len(centers[0]) + len(centers[1])
+    seeds, pause, _ = calls[0]
+    assert pause
+    assert len(set(seeds)) == len(seeds)
+    assert seeds == union
 
 
 def test_conjugates_complete_a_cell_only_with_roots_it_lacks():
@@ -1088,9 +1139,9 @@ def _seed_counting(monkeypatch):
     calls = []
     newton_roots = rf.newton_roots
 
-    def counted(sys_, seeds):
+    def counted(sys_, seeds, **kwargs):
         calls.append(len(seeds))
-        return newton_roots(sys_, seeds)
+        return newton_roots(sys_, seeds, **kwargs)
 
     monkeypatch.setattr(rf, "newton_roots", counted)
     return calls
@@ -1110,8 +1161,8 @@ def test_chain_seed_converging_outside_its_circle_is_discarded(monkeypatch, stra
     newton_roots = rf.newton_roots
     chain_batches = []
 
-    def stray_chain_seeds(sys_, seeds):
-        results = newton_roots(sys_, seeds)
+    def stray_chain_seeds(sys_, seeds, **kwargs):
+        results = newton_roots(sys_, seeds, **kwargs)
         if chain_batches:
             return results
         chain_batches.append(seeds)
@@ -1281,9 +1332,9 @@ def test_part_above_the_split_line_is_unresolved_when_the_mirror_check_fails(mon
     newton_roots = rf.newton_roots
     moved = complex(-0.5, -1.0 + 2e-4)
 
-    def moved_across(sys_, seeds):
+    def moved_across(sys_, seeds, **kwargs):
         return [(moved, absdet, ok) if ok and abs(lam - (-0.5 - 1j)) < 1e-6 else (lam, absdet, ok)
-                for lam, absdet, ok in newton_roots(sys_, seeds)]
+                for lam, absdet, ok in newton_roots(sys_, seeds, **kwargs)]
 
     monkeypatch.setattr(rf, "newton_roots", moved_across)
     (report,) = rf.find_roots_in_region(s, [rect])
