@@ -7,13 +7,14 @@ triggers: a phase increment of pi/2 or more, and a segment longer than the
 estimated distance |det/det'| to the nearest zero.  The second trigger is
 essential: a segment that straddles the near field of a root can wrap its
 phase by a full turn that the pi/2 rule alone cannot see.  The count is the
-accumulated phase over 2 pi, asserted integral; no quadrature of the
-logarithmic derivative is involved.  A fresh side starts at 2n(1 + h) nodes
-per unit of length, two per radian of the far-field phase rate n h, and one
-on the real axis if it crosses it; refinement does the rest.  Since the
-samples feed only integer counts and inflate decisions, for n <= 2 det D and
-det' are computed from the entries in closed form; LAPACK serves larger n
-and every node near the floor.
+accumulated phase over 2 pi, asserted integral; it takes no quadrature of
+the logarithmic derivative.  A fresh side starts at 2n(1 + h) nodes per unit
+of length, two per radian of the far-field phase rate n h, and one on the
+real axis if it crosses it; refinement does the rest.  Each node keeps its
+phase and the log-derivative det'/det, so the samples feed integer counts,
+inflate decisions and a multiplicity circle's contour moments.  For n <= 2
+det D and det' are computed from the entries in closed form; LAPACK serves
+larger n and every node near the floor.
 
 Edges: every contour is counted from its sides on one edge cache and one
 refiner.  A rectangle has four sides, each a straight edge keyed by its two
@@ -61,8 +62,9 @@ roots inside it, a chain root only inside its own chain circle
 (`_candidates`).  Multiplicity of a kept root is counted in a tight circle
 around it, sized from every root kept beside it, and a stage counts all its
 circles in one call: one per level, one per window for the chain seeds.  A
-circle that counts m >= 2 roots has its contour moments taken, all of a
-stage's in one batch (`_cluster_moments`): they give the cluster's
+circle that counts m >= 2 roots has its contour moments taken from the
+log-derivative its count sampled at its start nodes, with no further
+evaluation of D (`_cluster_moments`): they give the cluster's
 centroid, or for m = 2 two simple roots that Newton then polishes.  What
 the moments cannot decide is left to Newton: the paused seeds of that cell
 or window run again from their seeds with pausing off, and it is located
@@ -190,7 +192,6 @@ SPLIT_OFFSET = 0.0137       # quadrisection point, as a fraction past the middle
 MIN_CELL_DIAMETER = 1e-8    # an unmatched cell this small is reported, not split
 LINEAR_RATIOS = (0.3, 0.95) # successive Newton step ratios of a linear tail...
 LINEAR_STEP = 1e-4          # ...once the step is at most this times 1 + |lam|
-MOMENT_NODES = 64           # trapezoid nodes of a cluster's contour moments
 MOMENT_COUNT_TOL = 1e-8     # a cluster's s0 must be its count to within this
 AXIS_TOL = 1e-12            # a centroid with |Re| <= this times 1 + |lam| is left to Newton
 
@@ -214,18 +215,20 @@ def _node_density(sys_: NeutralSystem) -> float:
 
 
 def _sample_nodes(sys_: NeutralSystem, pts: np.ndarray, log_floor: float):
-    """Phase, nearest-zero distance estimate and a too-close flag at nodes.
+    """Phase, log-derivative dlog = det'/det = trace(D^{-1} D') and a
+    too-close flag at nodes.
 
-    The distance estimate is |det/det'| = 1/|trace(D^{-1} D')|, which
-    underestimates the true distance near a multiple root.  It drives the
-    proximity refinement: a segment longer than the estimate could hide a full
-    phase turn between its endpoints (the aliasing case the plain pi/2 rule
-    cannot see).  A node is flagged where log|det D| is below the floor or
-    not finite, a singular D included; its phase is void and its estimate is
-    left at infinity.  These three feed only integer counts and the decision
-    to inflate, so for n <= 2 det D and det' come from the entries in closed
-    form (`_closed_form_sample`), and LAPACK (`_lapack_sample`) serves larger
-    n and every node the closed form would flag.
+    1/|dlog| = |det/det'| estimates the distance to the nearest zero, and
+    underestimates it near a multiple root.  It drives the proximity
+    refinement: a segment longer than the estimate could hide a full phase
+    turn between its endpoints (the aliasing case the plain pi/2 rule cannot
+    see).  A node is flagged where log|det D| is below the floor or not
+    finite, a singular D included; its phase is void and its dlog is 0 (no
+    estimate), as is a NaN one.  An overflowed dlog stays infinite.  For
+    n <= 2 det D and det' come from the entries in closed form
+    (`_closed_form_sample`), and LAPACK (`_lapack_sample`) serves larger n
+    and every node the closed form would flag; both work node by node, so
+    dlog is also what a multiplicity circle's moments take (`_cluster_moments`).
     """
     D, dD = delta_and_derivative(sys_, pts)
     if sys_.n <= 2:
@@ -239,11 +242,11 @@ def _lapack_sample(D: np.ndarray, dD: np.ndarray, log_floor: float):
     bad = ~np.isfinite(logabs) | (logabs < log_floor)
     if bad.any():
         D, dD = D[~bad], dD[~bad]
-    est = np.full(len(bad), np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        est[~bad] = 1.0 / np.abs(_solve_traces(D, dD))
-    est[~np.isfinite(est)] = np.inf
-    return sign, est, bad
+    dlog = np.zeros(len(bad), dtype=complex)
+    with np.errstate(invalid="ignore"):
+        dlog[~bad] = _solve_traces(D, dD)
+    dlog[np.isnan(np.abs(dlog))] = 0.0
+    return sign, dlog, bad
 
 
 def _closed_form_sample(D: np.ndarray, dD: np.ndarray, log_floor: float):
@@ -252,29 +255,27 @@ def _closed_form_sample(D: np.ndarray, dD: np.ndarray, log_floor: float):
     node whose det is below the floor or not finite, or whose det' is not
     finite, an overflowed product included, goes to `_lapack_sample`."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det, ddet = _closed_form_det(D, dD)
+        if D.shape[-1] == 1:
+            det, ddet = D[:, 0, 0], dD[:, 0, 0]
+        else:
+            a, b, c, d = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
+            det = a * d - b * c
+            ddet = dD[:, 0, 0] * d + a * dD[:, 1, 1] - dD[:, 0, 1] * c - b * dD[:, 1, 0]
         absdet = np.abs(det)
         sign = det / absdet
-        est = absdet / np.abs(ddet)
+        dlog = ddet / det
         lapack = ~(np.isfinite(absdet) & (absdet >= np.exp(log_floor)) & np.isfinite(ddet))
     bad = np.zeros(len(det), dtype=bool)
     if lapack.any():
-        sign[lapack], est[lapack], bad[lapack] = _lapack_sample(D[lapack], dD[lapack], log_floor)
-    return sign, est, bad
+        sign[lapack], dlog[lapack], bad[lapack] = _lapack_sample(D[lapack], dD[lapack], log_floor)
+    return sign, dlog, bad
 
 
-def _closed_form_det(D: np.ndarray, dD: np.ndarray):
-    """det D and det' for a stack of 1x1 or 2x2 D and D'."""
-    if D.shape[-1] == 1:
-        return D[:, 0, 0], dD[:, 0, 0]
-    a, b, c, d = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
-    return a * d - b * c, dD[:, 0, 0] * d + a * dD[:, 1, 1] - dD[:, 0, 1] * c - b * dD[:, 1, 0]
-
-
-def _needs_split(dphi, chord, e0, e1):
+@np.errstate(over="ignore", invalid="ignore")
+def _needs_split(dphi, chord, d0, d1):
     # Split on a large phase increment, or whenever the segment is long
-    # relative to the estimated distance to the nearest zero.
-    return (np.abs(dphi) >= 0.5 * np.pi) | (chord > 0.5 * np.minimum(e0, e1))
+    # relative to the estimated distance 1/|dlog| to the nearest zero.
+    return (np.abs(dphi) >= 0.5 * np.pi) | (chord * np.maximum(np.abs(d0), np.abs(d1)) > 0.5)
 
 
 def _integral_count(total_phase: float) -> int:
@@ -291,10 +292,11 @@ def _integral_count(total_phase: float) -> int:
 class _Edge:
     """Samples of det D along one side of a contour, the line origin +
     scale*u or the arc origin + scale*e^{2 pi i u}: nodes at ascending
-    parameters `u`, with their points `p`, phases `sign` and nearest-zero
-    estimates `est`.  Once refined, `phase` is the increment of arg det D
-    from the first node to the last, unless `error` holds why refinement
-    stopped; until then both are None."""
+    parameters `u`, with their points `p`, phases `sign` and log-derivatives
+    `dlog` (`_sample_nodes`); refinement only inserts nodes between them.
+    Once refined, `phase` is the increment of arg det D from the first node
+    to the last, unless `error` holds why refinement stopped; until then
+    both are None."""
 
     origin: complex
     scale: complex
@@ -302,7 +304,7 @@ class _Edge:
     u: np.ndarray
     p: np.ndarray
     sign: np.ndarray
-    est: np.ndarray
+    dlog: np.ndarray
     phase: float | None = None
     error: ContourError | None = None
 
@@ -443,7 +445,7 @@ class _EdgeCache:
         if head[4] < b and lo and hi and None not in (lo.phase, hi.phase):
             del self.edges[head], self.edges[tail]
             nodes = (np.concatenate((getattr(lo, x), getattr(hi, x)[1:]))
-                     for x in ("u", "p", "sign", "est"))
+                     for x in ("u", "p", "sign", "dlog"))
             self._put(head[:4] + tail[4:], _Edge(*key[:3], *nodes, phase=lo.phase + hi.phase))
             return self._edge(key, min_segs, batch, todo)
         for parent_key, s in (
@@ -473,7 +475,7 @@ class _EdgeCache:
             k = np.searchsorted(u, 0.0)
             u = u if u[k] == 0.0 else np.concatenate((u[:k], [0.0], u[k:]))
         p = _edge_points(origin, scale, arc, u)
-        edge = _Edge(origin, scale, arc, u, p, np.empty(u.size, dtype=complex), np.empty(u.size))
+        edge = _Edge(origin, scale, arc, u, p, *np.empty((2, u.size), dtype=complex))
         idx = np.concatenate([[batch.corner(complex(p[0]))], batch.add(p[1:-1]),
                               [batch.corner(complex(p[-1]))]])
         todo.append((edge, slice(None), idx, 0, u.size - 1))
@@ -491,13 +493,13 @@ class _EdgeCache:
             return
         k = int(np.searchsorted(parent.u, s))
         ps = _edge_points(*key[:3], np.array([s]))
-        u, p, sign, est = (
+        u, p, sign, dlog = (
             np.concatenate((x[:k], v, x[k:]))
-            for x, v in ((parent.u, [s]), (parent.p, ps), (parent.sign, [0j]), (parent.est, [0.0]))
+            for x, v in ((parent.u, [s]), (parent.p, ps), (parent.sign, [0j]), (parent.dlog, [0j]))
         )
         i = batch.corner(complex(ps[0]))
-        lower = self._put(halves[0], _Edge(*key[:3], u[:k + 1], p[:k + 1], sign[:k + 1], est[:k + 1]))
-        upper = self._put(halves[1], _Edge(*key[:3], u[k:], p[k:], sign[k:], est[k:]))
+        lower = self._put(halves[0], _Edge(*key[:3], u[:k + 1], p[:k + 1], sign[:k + 1], dlog[:k + 1]))
+        upper = self._put(halves[1], _Edge(*key[:3], u[k:], p[k:], sign[k:], dlog[k:]))
         todo.append((lower, k, i, k - 1, k))
         todo.append((upper, 0, i, 0, 1))
 
@@ -515,9 +517,9 @@ class _EdgeCache:
                 dead[j] = True
 
         if batch.size:
-            sm, em, bad = _sample_nodes(self.sys_, np.concatenate(batch.blocks), self.log_floor)
+            sm, dm, bad = _sample_nodes(self.sys_, np.concatenate(batch.blocks), self.log_floor)
             for j, (edge, slots, idx, _, _) in enumerate(todo):
-                edge.sign[slots], edge.est[slots] = sm[idx], em[idx]
+                edge.sign[slots], edge.dlog[slots] = sm[idx], dm[idx]
                 if np.any(bad[idx]):
                     poison(np.array([j]), RootOnContourError("contour sample too close to a root"))
 
@@ -525,20 +527,20 @@ class _EdgeCache:
         # lo and hi of each edge in a row, by their start and end nodes.
         work = [(j, lo, hi) for j, (_, _, _, lo, hi) in enumerate(todo) if hi > lo and not dead[j]]
         eid = np.repeat(np.array([j for j, _, _ in work], dtype=int), [hi - lo for _, lo, hi in work])
-        u0, u1, p0, p1, s0, s1, e0, e1 = (
+        u0, u1, p0, p1, s0, s1, d0, d1 = (
             np.concatenate([getattr(edges[j], name)[lo + end:hi + end] for j, lo, hi in work]
                            or [np.empty(0)])
-            for name in ("u", "p", "sign", "est") for end in (0, 1)
+            for name in ("u", "p", "sign", "dlog") for end in (0, 1)
         )
         origin, scale = (np.array([getattr(edge, name) for edge in edges], dtype=complex)
                          for name in ("origin", "scale"))
         arc = np.array([edge.arc for edge in edges], dtype=bool)
 
-        added = []   # (edge indices, parameters, points, phases, estimates) of new nodes
+        added = []   # (edge indices, parameters, points, phases, log-derivatives) of new nodes
         exhausted = np.empty(0, dtype=int)
         for _ in range(PHASE_MAX_DEPTH):
             chord = np.abs(p1 - p0)
-            need = _needs_split(np.angle(s1 / s0), chord, e0, e1)
+            need = _needs_split(np.angle(s1 / s0), chord, d0, d1)
             if not need.any():
                 break
             pinned = need & (chord < 1e-13 * (1.0 + np.abs(p0)))
@@ -551,17 +553,17 @@ class _EdgeCache:
                 break
             j, um = eid[need], um[need]
             pm = _edge_points(origin[j], scale[j], arc[j], um)
-            sm, em, bad = _sample_nodes(self.sys_, pm, self.log_floor)
+            sm, dm, bad = _sample_nodes(self.sys_, pm, self.log_floor)
             poison(j[bad], RootOnContourError("contour sample too close to a root"))
-            added.append((j, um, pm, sm, em))
+            added.append((j, um, pm, sm, dm))
             eid = np.concatenate([j, j])
             u0, u1 = np.concatenate([u0[need], um]), np.concatenate([um, u1[need]])
             p0, p1 = np.concatenate([p0[need], pm]), np.concatenate([pm, p1[need]])
             s0, s1 = np.concatenate([s0[need], sm]), np.concatenate([sm, s1[need]])
-            e0, e1 = np.concatenate([e0[need], em]), np.concatenate([em, e1[need]])
+            d0, d1 = np.concatenate([d0[need], dm]), np.concatenate([dm, d1[need]])
             live = ~dead[eid]
-            eid, u0, u1, p0, p1, s0, s1, e0, e1 = (
-                x[live] for x in (eid, u0, u1, p0, p1, s0, s1, e0, e1))
+            eid, u0, u1, p0, p1, s0, s1, d0, d1 = (
+                x[live] for x in (eid, u0, u1, p0, p1, s0, s1, d0, d1))
         else:
             exhausted = np.unique(eid)
 
@@ -575,15 +577,15 @@ class _EdgeCache:
                 lo, hi = bounds[i], bounds[i + 1]
                 edge = edges[i]
                 o = np.argsort(np.concatenate([edge.u, new[0][lo:hi]]), kind="stable")
-                edge.u, edge.p, edge.sign, edge.est = (
+                edge.u, edge.p, edge.sign, edge.dlog = (
                     np.concatenate([old, x[lo:hi]])[o]
-                    for old, x in zip((edge.u, edge.p, edge.sign, edge.est), new)
+                    for old, x in zip((edge.u, edge.p, edge.sign, edge.dlog), new)
                 )
         for i in exhausted:
             # a zero hugging the edge is retryable (inflate), anything else is a
             # genuine tracking failure
             edge = edges[i]
-            if np.any(edge.est < 1e-9 * (1.0 + np.abs(edge.p))):
+            if np.any(np.abs(edge.dlog) * 1e-9 * (1.0 + np.abs(edge.p)) > 1.0):
                 poison(np.array([i]), RootOnContourError(
                     "refinement exhausted next to a zero on the contour"))
             else:
@@ -661,51 +663,42 @@ def newton_roots(sys_, seeds, *, pause: bool = True) -> list[tuple[complex, floa
     paused = {}
     # The state of the running seeds, at positions `at`; it is compacted only
     # when seeds stop.  `last` is the size of a seed's last step and `linear`
-    # whether its ratio to the one before lay in LINEAR_RATIOS.
+    # whether its ratio to the one before lay in LINEAR_RATIOS.  A `final`
+    # seed's step fell below 1e-12 (1 + |lam|): it takes one more det at its
+    # new iterate, in the next batch, and stops.
     at = np.arange(lam.size)
     last = np.full(lam.size, np.inf)
-    linear = np.zeros(lam.size, dtype=bool)
-    # Seeds whose step fell below 1e-12 (1 + |lam|), as (positions, iterates,
-    # best iterates, best |det|): each takes one more det at its new iterate,
-    # in the next batch, and stops.
-    owed = None
+    linear, final = np.zeros((2, lam.size), dtype=bool)
 
     def keep(mask):
-        nonlocal at, lam, best_lam, best_abs, stall, prev_lam, prev_det, last, linear
-        at, lam, best_lam, best_abs, stall, prev_lam, prev_det, last, linear = (
-            x[mask] for x in (at, lam, best_lam, best_abs, stall, prev_lam, prev_det, last, linear))
+        nonlocal at, lam, best_lam, best_abs, stall, prev_lam, prev_det, last, linear, final
+        at, lam, best_lam, best_abs, stall, prev_lam, prev_det, last, linear, final = (
+            x[mask] for x in
+            (at, lam, best_lam, best_abs, stall, prev_lam, prev_det, last, linear, final))
 
     for it in range(NEWTON_MAX_ITER + 1):
-        if it == NEWTON_MAX_ITER:   # the budget is spent
-            out_lam[at], out_abs[at] = best_lam, best_abs
-            keep(np.zeros(at.size, dtype=bool))
-        m = lam.size
-        if m == 0 and owed is None:
+        if it == NEWTON_MAX_ITER:   # the budget is spent: only final seeds go on
+            out_lam[at[~final]], out_abs[at[~final]] = best_lam[~final], best_abs[~final]
+            keep(final)
+        if lam.size == 0:
             break
-        D, dD = delta_and_derivative(sys_, lam if owed is None else np.concatenate([lam, owed[1]]))
+        D, dD = delta_and_derivative(sys_, lam)
         det = np.linalg.det(D)
         absdet = np.abs(det)
-        if owed is not None:
-            pos, owed_lam, owed_best, owed_abs = owed
-            better = absdet[m:] < owed_abs
-            out_lam[pos] = np.where(better, owed_lam, owed_best)
-            out_abs[pos] = np.where(better, absdet[m:], owed_abs)
-            owed = None
-            D, dD, det, absdet = D[:m], dD[:m], det[:m], absdet[:m]
         better = absdet < best_abs
         best_lam = np.where(better, lam, best_lam)
         best_abs = np.where(better, absdet, best_abs)
         finite = np.isfinite(absdet)
         stall = np.where(better, 0, stall + finite)
-        go = finite & (stall <= 12)
+        go = finite & (stall <= 12) & ~final
         if not go.all():
             stop = ~go
             out_lam[at[stop]], out_abs[at[stop]] = best_lam[stop], best_abs[stop]
-            failed[at[~finite]] = True
+            failed[at[~finite & ~final]] = True
             D, dD, det = D[go], dD[go], det[go]
             keep(go)
         if at.size == 0:
-            continue
+            break
         trace = _solve_traces(D, dD)
         newton = np.isfinite(trace) & (trace != 0.0)
         if newton.all():
@@ -720,10 +713,7 @@ def newton_roots(sys_, seeds, *, pause: bool = True) -> list[tuple[complex, floa
         prev_lam, prev_det = lam, det
         lam = lam - step
         scale = 1.0 + np.abs(lam)
-        done = np.abs(step) <= 1e-12 * scale
-        stop, stopping = done, bool(done.any())
-        if stopping:
-            owed = (at[done], lam[done], best_lam[done], best_abs[done])
+        final = np.abs(step) <= 1e-12 * scale
         if pause:
             # the step as taken, between iterates, so a seed's ratios do not
             # depend on the batch it runs in
@@ -733,13 +723,11 @@ def newton_roots(sys_, seeds, *, pause: bool = True) -> list[tuple[complex, floa
             tail = band & linear
             last, linear = size, band
             if tail.any():
-                tail &= (size <= LINEAR_STEP * scale) & ~done
+                tail &= (size <= LINEAR_STEP * scale) & ~final
                 for i in np.flatnonzero(tail):
                     limit = lam[i] - (prev_lam[i] - lam[i]) * (ratio[i] / (1.0 - ratio[i]))
                     paused[int(at[i])] = Paused(limit, float(best_abs[i]), abs(limit - lam[i]))
-                stop, stopping = done | tail, True
-        if stopping:
-            keep(~stop)
+                keep(~tail)
     ok = ~failed & (out_abs <= residual_bound(out_lam, sys_.n))
     return [paused[i] if i in paused else (out_lam[i], float(out_abs[i]), bool(ok[i]))
             for i in range(out_lam.size)]
@@ -772,33 +760,36 @@ def newton_root(sys_: NeutralSystem, lam0: complex) -> tuple[complex, float, boo
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _cluster_moments(sys_: NeutralSystem, clusters) -> list[tuple]:
+def _cluster_moments(edges: "_EdgeCache", clusters) -> list[tuple]:
     """(s0, mean, spread, delta) of the roots inside each circle that counts
     m >= 2 of them, from the moments s_p = (1/2 pi i) oint (lam - mu)^p
-    trace(D^{-1} D') dlam by the trapezoid rule on MOMENT_NODES equispaced
-    nodes (Delves and Lyness); clusters holds (circle, m) pairs.
+    trace(D^{-1} D') dlam by the trapezoid rule on the MIN_NODES equispaced
+    start nodes of the circle's edge in edges, where its count sampled the
+    trace as dlog (Delves and Lyness); clusters holds (circle, m) pairs.
+    No D is evaluated, and the nodes refinement inserted are skipped.
 
     s0 counts the roots with multiplicity and mean = c + s1/s0 is their
     centroid, well conditioned when each root is not.  About the mean, the
     power sums t_p of the m roots vanish for p = 2..m only when the roots
     coincide, so spread, the largest |t_p/s0|^(1/p), is how far they lie from
-    one root; two roots lie at mean +- delta, delta^2 = t_2/s0.  All nodes of
-    all circles go through one evaluation of D and D'; a node where D is
-    singular makes its circle's moments NaN.
+    one root; two roots lie at mean +- delta, delta^2 = t_2/s0.  A circle
+    whose edge was given up (its count is then an inflated circle's), or
+    that started at more nodes, as it does only when n (1 + h) > 5,093,
+    gets NaN moments.
     """
     if not clusters:
         return []
-    z = (np.array([c.radius for c, _ in clusters])[:, None]
-         * np.exp(2j * np.pi * np.arange(MOMENT_NODES) / MOMENT_NODES))
+    start = np.arange(MIN_NODES) / MIN_NODES
+    z = np.array([c.radius for c, _ in clusters])[:, None] * np.exp(2j * np.pi * start)
     centers = np.array([c.center for c, _ in clusters])
-    D, dD = delta_and_derivative(sys_, (centers[:, None] + z).ravel())
-    if sys_.n <= 2:
-        det, ddet = _closed_form_det(D, dD)
-        trace = ddet / det
-    else:
-        trace = _solve_traces(D, dD)
+    trace = np.full(z.shape, np.nan, dtype=complex)
+    for i, (circle, _) in enumerate(clusters):
+        edge = edges.edges[_sides(circle)[0][0]]
+        k = np.searchsorted(edge.u, start)
+        if edge.error is None and np.array_equal(edge.u[k], start):
+            trace[i] = edge.dlog[k]
     # dlam = i (lam - c) dtheta: (1/2 pi i) oint f dlam is the mean of f (lam - c)
-    w = trace.reshape(z.shape) * z / MOMENT_NODES
+    w = trace * z / MIN_NODES
     s0 = w.sum(axis=1)
     d = (w * z).sum(axis=1) / s0
     out = []
@@ -1004,7 +995,7 @@ def _locate(sys_: NeutralSystem, edges: "_EdgeCache", groups, count) -> list[lis
         mults = dict(zip(todo, count([[circle for *_, circle in cands[g]] for g in todo])))
         clusters = [(circle, m) for g in todo if mults[g] is not None
                     for (*_, circle), m in zip(cands[g], mults[g]) if m >= 2]
-        moments = iter(_cluster_moments(sys_, clusters))
+        moments = iter(_cluster_moments(edges, clusters))
         stale, pairs, centroids = set(), [], []
         for g in todo:
             roots = located[g] = []
@@ -1166,8 +1157,9 @@ def find_roots_in_region(
     with one Newton batch, one count of all multiplicity circles and one
     count of all children per level; each report is the one its window gets
     alone, to the bit.  A symmetric window is mirrored (module docstring).
+    Windows that differ in the sign of a zero differ in their reports.
     """
-    windows = list(dict.fromkeys(rects))
+    windows = list({repr(rect): rect for rect in rects}.values())
     edges = _EdgeCache(sys_)
     # A symmetric window counts as L + M, L its part below its first split line
     # y1 and M its part below -y1, the mirror image of the rest: as 2 M + S, S
@@ -1240,10 +1232,10 @@ def find_roots_in_region(
             )
         level = next_level
         depth += 1
-    reports = {rect: _spectrum_report(rect, total, roots[w], unmatched[w], nonadditive[w], grid,
+    reports = {repr(rect): _spectrum_report(rect, total, roots[w], unmatched[w], nonadditive[w], grid,
                                       mirrored.get(w))
                for w, (rect, total) in enumerate(zip(windows, totals))}
-    return [reports[rect] for rect in rects]
+    return [reports[repr(rect)] for rect in rects]
 
 
 def _spectrum_report(rect: Rect, total: int, roots, unmatched, nonadditive,
