@@ -61,11 +61,14 @@ seed order, the same as alone, and keeps the distinct converged or paused
 roots inside it, a chain root only inside its own chain circle
 (`_candidates`).  Multiplicity of a kept root is counted in a tight circle
 around it, sized from every root kept beside it, and a stage counts all its
-circles in one call: one per level, one per window for the chain seeds.  A
-circle that counts m >= 2 roots has its contour moments taken from the
-log-derivative its count sampled at its start nodes, with no further
-evaluation of D (`_cluster_moments`): they give the cluster's
-centroid, or for m = 2 two simple roots that Newton then polishes.  What
+circles in one call: one per level, one for the chain seeds of all windows.
+One count rule holds for every stage: if a circle cannot be counted, no
+cell or window of the stage locates anything, so its cells split and its
+windows keep no chain roots.  A circle that counts m >= 2 roots has its
+contour moments taken from the log-derivative its count sampled at its
+start nodes, with no further evaluation of D (`_cluster_moments`): they
+give the cluster's centroid, or for m = 2 two simple roots that Newton
+then polishes.  What
 the moments cannot decide is left to Newton: the paused seeds of that cell
 or window run again from their seeds with pausing off, and it is located
 from the results they reach, the same as if no seed had paused.  A cell is
@@ -632,8 +635,8 @@ class Paused(tuple):
 
 
 # A seed may run to where det D overflows, e.g. far left, where e^{-lam h}
-# does (a chain center where det' vanishes nudges its seed there).  Such a
-# seed fails on its non-finite det, so the overflow is no warning.
+# does.  Such a seed fails on its non-finite det, so the overflow is no
+# warning.
 @np.errstate(over="ignore", invalid="ignore")
 def newton_roots(sys_, seeds, *, pause: bool = True) -> list[tuple[complex, float, bool]]:
     """Newton iteration on det D from every seed at once.
@@ -641,10 +644,12 @@ def newton_roots(sys_, seeds, *, pause: bool = True) -> list[tuple[complex, floa
     Returns one (lam, |det D(lam)|, converged) per seed, in seed order.  The
     Newton correction uses the Jacobi identity det' = det * trace(D^{-1} D'),
     so the step is 1/trace(D^{-1} D') and no determinant magnitudes enter until
-    convergence is checked.  A seed falls back to a secant step when D is
-    singular at its iterate.  Each seed keeps its own best iterate, stall
-    count and iteration budget; the seeds still running share one evaluation
-    of D and D', one det and one solve per iterate.
+    convergence is checked.  A seed stops at an iterate where det D is
+    exactly 0, a root that no iterate can beat, and at one where it has no
+    step, its trace 0 or not finite; either way it returns its best iterate.
+    Each seed keeps its own best iterate, stall count and iteration budget;
+    the seeds still running share one evaluation of D and D', one det and
+    one solve per iterate.
 
     With pause, a seed pauses in its linear tail: once the ratio of its
     successive steps lies in LINEAR_RATIOS twice running, with the step at
@@ -655,7 +660,7 @@ def newton_roots(sys_, seeds, *, pause: bool = True) -> list[tuple[complex, floa
     those of the same seed run with pause off (`newton_root`), to the bit.
     """
     lam = np.array(seeds, dtype=complex)
-    best_lam, prev_lam, prev_det = lam.copy(), lam.copy(), lam.copy()
+    best_lam = lam.copy()
     best_abs = np.full(lam.size, np.inf)
     stall = np.zeros(lam.size, dtype=int)
     out_lam, out_abs = lam.copy(), np.full(lam.size, np.inf)
@@ -670,16 +675,16 @@ def newton_roots(sys_, seeds, *, pause: bool = True) -> list[tuple[complex, floa
     last = np.full(lam.size, np.inf)
     linear, final = np.zeros((2, lam.size), dtype=bool)
 
-    def keep(mask):
-        nonlocal at, lam, best_lam, best_abs, stall, prev_lam, prev_det, last, linear, final
-        at, lam, best_lam, best_abs, stall, prev_lam, prev_det, last, linear, final = (
-            x[mask] for x in
-            (at, lam, best_lam, best_abs, stall, prev_lam, prev_det, last, linear, final))
+    def stop(go):
+        """Stop the seeds outside go at their best iterates; keep the rest."""
+        nonlocal at, lam, best_lam, best_abs, stall, last, linear, final
+        out_lam[at[~go]], out_abs[at[~go]] = best_lam[~go], best_abs[~go]
+        at, lam, best_lam, best_abs, stall, last, linear, final = (
+            x[go] for x in (at, lam, best_lam, best_abs, stall, last, linear, final))
 
     for it in range(NEWTON_MAX_ITER + 1):
         if it == NEWTON_MAX_ITER:   # the budget is spent: only final seeds go on
-            out_lam[at[~final]], out_abs[at[~final]] = best_lam[~final], best_abs[~final]
-            keep(final)
+            stop(final)
         if lam.size == 0:
             break
         D, dD = delta_and_derivative(sys_, lam)
@@ -690,28 +695,20 @@ def newton_roots(sys_, seeds, *, pause: bool = True) -> list[tuple[complex, floa
         best_abs = np.where(better, absdet, best_abs)
         finite = np.isfinite(absdet)
         stall = np.where(better, 0, stall + finite)
-        go = finite & (stall <= 12) & ~final
+        go = finite & (absdet != 0.0) & (stall <= 12) & ~final
         if not go.all():
-            stop = ~go
-            out_lam[at[stop]], out_abs[at[stop]] = best_lam[stop], best_abs[stop]
             failed[at[~finite & ~final]] = True
-            D, dD, det = D[go], dD[go], det[go]
-            keep(go)
+            D, dD = D[go], dD[go]
+            stop(go)
         if at.size == 0:
             break
         trace = _solve_traces(D, dD)
-        newton = np.isfinite(trace) & (trace != 0.0)
-        if newton.all():
-            step = 1.0 / trace
-        else:
-            step = np.empty_like(det)
-            step[newton] = 1.0 / trace[newton]
-            secant = ~newton & (det != prev_det) & (it > 0)
-            step[secant] = det[secant] * (lam[secant] - prev_lam[secant]) / (det[secant] - prev_det[secant])
-            nudge = ~newton & ~secant
-            step[nudge] = 1e-7 * (1.0 + np.abs(lam[nudge])) * (0.6 + 0.8j)
-        prev_lam, prev_det = lam, det
-        lam = lam - step
+        go = np.isfinite(trace) & (trace != 0.0)
+        if not go.all():
+            trace = trace[go]
+            stop(go)
+        step = 1.0 / trace
+        prev_lam, lam = lam, lam - step
         scale = 1.0 + np.abs(lam)
         final = np.abs(step) <= 1e-12 * scale
         if pause:
@@ -727,25 +724,21 @@ def newton_roots(sys_, seeds, *, pause: bool = True) -> list[tuple[complex, floa
                 for i in np.flatnonzero(tail):
                     limit = lam[i] - (prev_lam[i] - lam[i]) * (ratio[i] / (1.0 - ratio[i]))
                     paused[int(at[i])] = Paused(limit, float(best_abs[i]), abs(limit - lam[i]))
-                keep(~tail)
+                stop(~tail)
     ok = ~failed & (out_abs <= residual_bound(out_lam, sys_.n))
     return [paused[i] if i in paused else (out_lam[i], float(out_abs[i]), bool(ok[i]))
             for i in range(out_lam.size)]
 
 
 def _solve_traces(D: np.ndarray, dD: np.ndarray) -> np.ndarray:
-    """trace(D^{-1} D') for a stack of matrices; NaN where D is singular."""
-    try:
-        return np.trace(np.linalg.solve(D, dD), axis1=-2, axis2=-1)
-    except np.linalg.LinAlgError:
-        # The batched solve fails as a whole; only the singular ones lose the step.
-        trace = np.full(len(D), np.nan, dtype=complex)
-        for i in range(len(D)):
-            try:
-                trace[i] = np.trace(np.linalg.solve(D[i], dD[i]))
-            except np.linalg.LinAlgError:
-                pass
-        return trace
+    """trace(D^{-1} D') for a stack of matrices, none of them singular.
+
+    `solve` raises only where the LU it factors has a zero pivot.  There
+    `np.linalg.det` is exactly 0 and `slogdet` gives -inf, and both callers
+    drop such matrices first: Newton stops at det 0, and the contour sampler
+    at a log|det| that is not finite.
+    """
+    return np.trace(np.linalg.solve(D, dD), axis1=-2, axis2=-1)
 
 
 def newton_root(sys_: NeutralSystem, lam0: complex) -> tuple[complex, float, bool]:
@@ -962,17 +955,18 @@ def _cluster_root(moments, m: int, rect: Rect, own: Circle | None):
     return None
 
 
-def _locate(sys_: NeutralSystem, edges: "_EdgeCache", groups, count) -> list[list[LocatedRoot]]:
+def _locate(sys_: NeutralSystem, edges: "_EdgeCache", groups) -> list[list[LocatedRoot]]:
     """The located roots of each group (rect, seeds, the seeds' own circles
-    or None), in seed order; count takes a list of circles per group and
-    returns their counts, or None for a group whose circles could not be
-    counted, which locates nothing.
+    or None), in seed order.
 
     The stage's one Newton batch runs each distinct seed of all groups once,
     pausing in linear tails, and each group takes its seeds' results in its
-    own order.  Every root `_candidates` keeps is counted in its circle, and
-    a root of multiplicity 0 is dropped.  The moments of every circle that
-    counts two or more (`_cluster_moments`, one batch for all) decide it
+    own order.  Every root `_candidates` keeps is counted in its circle, all
+    circles of the stage in one `counts` call on edges, and a root of
+    multiplicity 0 is dropped.  If a circle cannot be counted, no group
+    locates anything: its roots only spare the scan work, so a cell then
+    splits and a window keeps no chain roots.  The moments of every circle
+    that counts two or more (`_cluster_moments`, one batch for all) decide it
     (`_cluster_root`): a centroid is located with its multiplicity and
     |det D| there, and a pair of simple roots each after plain Newton from
     its estimate.  What the moments leave undecided keeps Newton's root,
@@ -992,14 +986,18 @@ def _locate(sys_: NeutralSystem, edges: "_EdgeCache", groups, count) -> list[lis
     todo = list(range(len(groups)))
     while todo:
         cands = {g: _candidates(groups[g][0], results[g], groups[g][2]) for g in todo}
-        mults = dict(zip(todo, count([[circle for *_, circle in cands[g]] for g in todo])))
-        clusters = [(circle, m) for g in todo if mults[g] is not None
+        try:
+            counts = iter(edges.counts([circle for g in todo for *_, circle in cands[g]]))
+        except ContourError:
+            return [[] for _ in groups]
+        mults = {g: [next(counts) for _ in cands[g]] for g in todo}
+        clusters = [(circle, m) for g in todo
                     for (*_, circle), m in zip(cands[g], mults[g]) if m >= 2]
         moments = iter(_cluster_moments(edges, clusters))
         stale, pairs, centroids = set(), [], []
         for g in todo:
             roots = located[g] = []
-            for (res, own, _), m in zip(cands[g], mults[g] or ()):
+            for (res, own, _), m in zip(cands[g], mults[g]):
                 found = _cluster_root(next(moments), m, groups[g][0], own) if m >= 2 else None
                 if isinstance(found, tuple):
                     pairs.append((g, len(roots), res, own, m, found))
@@ -1085,34 +1083,24 @@ def _merge_roots(roots: list[LocatedRoot]) -> list[LocatedRoot]:
 def _chain_roots(sys_, windows, totals, grid: ChainGrid | None, edges: _EdgeCache):
     """Roots found by Newton from the chain centers inside each window that
     holds roots, one list per window, from one `_locate` stage, which runs
-    each center once.
+    each center once and counts the multiplicity circles of all windows in
+    one call on the scan's edge cache.
 
     Each window takes its centers' results in its own order, keeping a root
-    only inside its own seed's chain circle, and counts all its candidates'
-    multiplicity circles in one `counts` call on the scan's edge cache.  The
-    roots only spare the scan work, so a window with a circle that cannot be
-    counted keeps none.  In a symmetric window, a circle above the first
-    split line seeds nothing and takes the mirror images of its mirror's
-    roots.
+    only inside its own seed's chain circle.  If a circle cannot be counted,
+    no window keeps any (`_locate`).  In a symmetric window, a circle above
+    the first split line seeds nothing and takes the mirror images of its
+    mirror's roots.
     """
     def above(rect, c):
         return _symmetric(rect) and c.imag - grid.radius > rect.split_point()[1]
-
-    def count_each(circle_lists):
-        counts = []
-        for circles in circle_lists:
-            try:
-                counts.append(edges.counts(circles))
-            except ContourError:
-                counts.append(None)
-        return counts
 
     centers = [[c for c in grid.centers_in(rect) if not above(rect, c)]
                if grid is not None and total > 0 else [] for rect, total in zip(windows, totals)]
     groups = [(rect, cs, [Circle(c, grid.radius) for c in cs]) for rect, cs in zip(windows, centers)]
     return [roots + [replace(r, lam=r.lam.conjugate()) for r in roots
                      if above(rect, grid.center(*grid.label_for(r.lam)).conjugate())]
-            for rect, roots in zip(windows, _locate(sys_, edges, groups, count_each))]
+            for rect, roots in zip(windows, _locate(sys_, edges, groups))]
 
 
 def _symmetric(rect: Rect) -> bool:
@@ -1156,7 +1144,8 @@ def find_roots_in_region(
     The windows are scanned in lockstep, equal ones once, on one edge cache
     with one Newton batch, one count of all multiplicity circles and one
     count of all children per level; each report is the one its window gets
-    alone, to the bit.  A symmetric window is mirrored (module docstring).
+    alone, to the bit, unless a stage has a circle that cannot be counted
+    (`_locate`).  A symmetric window is mirrored (module docstring).
     Windows that differ in the sign of a zero differ in their reports.
     """
     windows = list({repr(rect): rect for rect in rects}.values())
@@ -1174,10 +1163,6 @@ def find_roots_in_region(
     # a known root this close to a side may have been counted by a multiplicity
     # circle that crosses it, or be the root an inflated recount took in
     margin = 2.0 * MULTIPLICITY_RADIUS
-
-    def count_all(circle_lists):
-        counts = iter(edges.counts([c for circles in circle_lists for c in circles]))
-        return [[next(counts) for _ in circles] for circles in circle_lists]
 
     # A cell is (window, rect, count, path); the path numbers each quadrant
     # last child first, so sorting a window's unresolved cells by path gives
@@ -1201,7 +1186,7 @@ def find_roots_in_region(
             and (cell.diameter() <= NEWTON_CELL_SIZE or cnt <= NEWTON_MAX_COUNT)
         ]
         cells = [(cell, _cell_seeds(cell), None) for _, cell, _, _ in tries]
-        for (w, cell, cnt, path), located in zip(tries, _locate(sys_, edges, cells, count_all)):
+        for (w, cell, cnt, path), located in zip(tries, _locate(sys_, edges, cells)):
             found = _accept_cell(cnt, located + _conjugates(cell, located))
             if found is not None:
                 roots[w].extend(found)

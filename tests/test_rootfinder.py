@@ -19,6 +19,13 @@ from conftest import (
 )
 
 
+FIXTURE_SYSTEMS = [
+    make_example1(-1.0, -1.0), make_example1(1.0, 1.0), make_example2(0.0), make_example2(1.0),
+    make_scalar_decay(), make_reach_fixture(), make_density_system(),
+]
+FIXTURE_IDS = ["ex1_jordan", "ex1_ctrl", "ex2_g0", "ex2_g1", "scalar_decay", "reach", "density"]
+
+
 def dense_boundary(contour, nodes):
     """nodes + 1 counterclockwise points on a circle or rectangle, the last on
     the first, built here and not from the scan's own contour code."""
@@ -664,19 +671,18 @@ def test_rect_requires_nondegenerate():
 
 
 def scalar_newton_reference(sys_, lam0, max_iter, pause=False):
-    """Newton iteration on det D from one seed, one point at a time.  With
-    pause, the seed stops in its linear tail as `newton_roots` with pause
-    does, and (limit of its steps, best |det|, False) is returned."""
+    """Newton iteration on det D from one seed, one point at a time.  The
+    seed stops at det D = 0 and where its trace gives no step.  With pause,
+    the seed stops in its linear tail as `newton_roots` with pause does, and
+    (limit of its steps, best |det|, False) is returned."""
     lam = complex(lam0)
-    prev_lam = prev_det = None
     best = (np.inf, lam)
     stall = 0
     last, linear = np.inf, False
     lo, hi = rf.LINEAR_RATIOS
     for _ in range(max_iter):
         D, dD = cm.delta(sys_, lam), cm.delta_derivative(sys_, lam)
-        det = complex(np.linalg.det(D))
-        absdet = float(np.abs(det))   # inf past the largest float, where abs() raises
+        absdet = float(np.abs(np.linalg.det(D)))   # inf past the largest float, where abs() raises
         if not np.isfinite(absdet):
             return best[1], best[0], False
         if absdet < best[0]:
@@ -686,20 +692,13 @@ def scalar_newton_reference(sys_, lam0, max_iter, pause=False):
             stall += 1
             if stall > 12:
                 break
-        step = None
-        try:
-            trace = np.trace(np.linalg.solve(D, dD))
-            if np.isfinite(trace) and trace != 0.0:
-                step = 1.0 / trace
-        except np.linalg.LinAlgError:
-            pass
-        if step is None:
-            if prev_lam is not None and det != prev_det:
-                step = det * (lam - prev_lam) / (det - prev_det)
-            else:
-                step = 1e-7 * (1.0 + abs(lam)) * (0.6 + 0.8j)
-        prev_lam, prev_det = lam, det
-        lam = lam - step
+        if absdet == 0.0:
+            break
+        trace = np.trace(np.linalg.solve(D, dD))
+        if not (np.isfinite(trace) and trace != 0.0):
+            break
+        step = 1.0 / trace
+        prev_lam, lam = lam, lam - step
         if abs(step) <= 1e-12 * (1.0 + abs(lam)):
             absdet = float(np.abs(np.linalg.det(cm.delta(sys_, lam))))
             if absdet < best[0]:
@@ -728,7 +727,7 @@ def _resumed(sys_, seeds, batch):
 @pytest.mark.parametrize(
     "sys_, seeds",
     [
-        # D(-1) = 0: the batched solve fails for the whole stack at the first iterate
+        # D(-1) = 0: that seed stops at its first iterate, before the batch's solve
         (make_scalar_decay(), [0.3 + 0.2j, -1.0, -3.0 + 1.0j, 5.0j, -0.999]),
         # D(0) = 0; -800 overflows e^{-lam h} and stops on a non-finite det
         (make_example1(0.0, 0.0), [0.1 + 0.1j, 0.0, 0.2 + 6.0j, -0.5 - 6.5j, 2.0, -800.0]),
@@ -748,6 +747,63 @@ def test_newton_roots_match_newton_root_seed_for_seed(monkeypatch, sys_, seeds, 
         assert got == scalar_newton_reference(sys_, seed, max_iter, pause=True)
         assert final == rf.newton_root(sys_, seed)
         assert final == scalar_newton_reference(sys_, seed, max_iter)
+
+
+def _counting_evaluations(monkeypatch):
+    """The number of points of each D evaluation the root finder makes."""
+    points = []
+    evaluate = rf.delta_and_derivative
+
+    def counted(sys_, lams):
+        points.append(np.size(lams))
+        return evaluate(sys_, lams)
+
+    monkeypatch.setattr(rf, "delta_and_derivative", counted)
+    return points
+
+
+@pytest.mark.parametrize("sys_, seed", [
+    (make_scalar_decay(), -1.0),
+    # the chain center ln 0.5, where D's first diagonal entry lam (1 - 0.5 e^{-lam}) is 0
+    (make_reach_fixture(), make_reach_fixture().chains.center(1, 0)),
+], ids=["scalar_decay", "reach_chain_center"])
+def test_seed_at_a_root_stops_at_its_first_iterate(monkeypatch, sys_, seed):
+    assert np.linalg.det(cm.delta(sys_, seed)) == 0.0
+    points = _counting_evaluations(monkeypatch)
+    ((lam, absdet, ok),) = rf.newton_roots(sys_, [seed])
+    assert lam == complex(seed) and absdet == 0.0 and ok
+    assert points == [1]
+
+
+def test_seed_without_a_newton_step_stops_at_its_first_iterate(monkeypatch):
+    # ex1_jordan's chain center 0: D(0) = I and D'(0) = I - A_{-1} has trace
+    # 0, so det' = 0 there
+    s = make_example1(-1.0, -1.0)
+    center = s.chains.center(0, 0)
+    assert center == 0.0
+    points = _counting_evaluations(monkeypatch)
+    ((lam, absdet, ok),) = rf.newton_roots(s, [center])
+    assert lam == center and absdet == abs(np.linalg.det(cm.delta(s, center))) and not ok
+    assert points == [1]
+
+
+def test_chain_batch_of_the_jordan_fixture_is_not_held_by_its_center(monkeypatch):
+    # The center 0, where det' = 0, stops at once and does not hold the
+    # batch beyond the 8 evaluations the other centers take.
+    evaluations = []
+    points = _counting_evaluations(monkeypatch)
+    newton_roots = rf.newton_roots
+
+    def recording_newton_roots(sys_, seeds, **kwargs):
+        start = len(points)
+        try:
+            return newton_roots(sys_, seeds, **kwargs)
+        finally:
+            evaluations.append(len(points) - start)
+
+    monkeypatch.setattr(rf, "newton_roots", recording_newton_roots)
+    rf.rightmost_root_scan(make_example1(-1.0, -1.0), 40.0)
+    assert evaluations[0] == 8
 
 
 def _assert_newton_matches_scalar_reference(sys_, seeds, max_iter):
@@ -833,7 +889,10 @@ def test_closed_form_sampler_agrees_with_lapack(n, seed):
         sign_l, dlog_l, bad_l = rf._lapack_sample(D, dD, log_floor)
         est, est_l = 1.0 / np.abs(dlog), 1.0 / np.abs(dlog_l)
         _, logabs = np.linalg.slogdet(D)
-        log_trace = np.log(np.abs(rf._solve_traces(D, dD)))
+        # the trace only where D is not singular, as the sampler takes it
+        log_trace = np.full(len(D), np.nan)
+        solvable = np.isfinite(logabs)
+        log_trace[solvable] = np.log(np.abs(rf._solve_traces(D[solvable], dD[solvable])))
         log_norm, log_dnorm = (np.log(np.abs(X).max(axis=(1, 2))) for X in (D, dD))
         # relative rounding bounds of det and of det' = det trace(D^{-1} D')
         # computed from the entries, in logarithms past the largest float
@@ -852,6 +911,60 @@ def test_closed_form_sampler_agrees_with_lapack(n, seed):
     assert np.all(np.abs(est[finite] - est_l[finite])
                   <= eps * (k_det + k_ddet)[finite] * est_l[finite])
     assert np.all(np.isinf(est[ok & (log_trace == -np.inf)]))
+
+
+@hst.composite
+def _near_singular_stacks(draw):
+    """A stack of n x n complex matrices, n <= 4: some with an exactly zero
+    row or column or two proportional rows, some scaled by 1e-200 to 1e-60,
+    some with small integer entries."""
+    n = draw(hst.integers(1, 4))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(draw(hst.integers(1, 8))):
+        kind = draw(hst.sampled_from(["plain", "zero_row", "zero_col", "proportional", "integer"]))
+        if kind == "integer":
+            M = (rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n))).astype(complex)
+        else:
+            M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        i, j = rng.integers(0, n, 2)
+        if kind == "zero_row":
+            M[i] = 0.0
+        elif kind == "zero_col":
+            M[:, i] = 0.0
+        elif kind == "proportional" and i != j:
+            M[i] = complex(*rng.standard_normal(2)) * M[j]
+        if draw(hst.booleans()):
+            M *= 10.0 ** draw(hst.floats(-200.0, -60.0))
+        stack.append(M)
+    return np.array(stack)
+
+
+@given(_near_singular_stacks())
+@settings(max_examples=200, deadline=None)
+def test_solve_does_not_raise_where_det_is_nonzero(D):
+    # _solve_traces rests on this: solve raises only at a zero pivot of its
+    # LU, where det is exactly 0, and slogdet gives -inf only there too.
+    rhs = np.ones_like(D)
+    det = np.linalg.det(D)
+    _, logabs = np.linalg.slogdet(D)
+    np.linalg.solve(D[det != 0.0], rhs[det != 0.0])
+    assert np.all(det[logabs == -np.inf] == 0.0)
+
+
+@pytest.mark.parametrize("sys_", FIXTURE_SYSTEMS, ids=FIXTURE_IDS)
+def test_scans_solve_only_nonsingular_matrices(monkeypatch, sys_):
+    solve_traces = rf._solve_traces
+    solved = []
+
+    def checked(D, dD):
+        solved.append(len(D))
+        assert np.all(np.isfinite(np.linalg.slogdet(D)[1]))
+        return solve_traces(D, dD)
+
+    monkeypatch.setattr(rf, "_solve_traces", checked)
+    rf.rightmost_root_scan(sys_, 40.0, (rf.Rect(-1.0, 1.0, -40.0, 40.0),))
+    assert solved
 
 
 def test_window_count_samples_at_most_sixty_percent_of_the_old_points(monkeypatch):
@@ -927,6 +1040,34 @@ def test_region_scan_counts_each_stage_circles_in_one_call(monkeypatch, chained)
     (report,) = rf.find_roots_in_region(s, [rf.Rect(-0.6, 1.0, -40.0, 40.0)], grid=grid)
     assert sum(r.multiplicity for r in report.roots) == report.total_count == 26
     assert 0 < calls["circles"] <= calls["newton"]
+
+
+@pytest.mark.parametrize("stage", [1, 2], ids=["chain_stage", "first_level"])
+def test_a_stage_whose_circles_cannot_be_counted_locates_nothing(monkeypatch, stage):
+    # The stage-th count of circles alone fails: the first is the chain
+    # stage's, the second the first quadrisection level's.  That stage's
+    # windows keep no chain roots, or its cells split, and the scan still
+    # locates every root.
+    s = make_example2(0.0)
+    rect = rf.Rect(-0.6, 1.0, -20.0, 20.0)
+    (plain,) = rf.find_roots_in_region(s, [rect], grid=s.chains)
+    counts, calls = rf._EdgeCache.counts, []
+
+    def failing(self, contours):
+        contours = list(contours)
+        if contours and all(isinstance(c, rf.Circle) for c in contours):
+            calls.append(contours)
+            if len(calls) == stage:
+                raise rf.RootOnContourError("made to fail")
+        return counts(self, contours)
+
+    monkeypatch.setattr(rf._EdgeCache, "counts", failing)
+    (report,) = rf.find_roots_in_region(s, [rect], grid=s.chains)
+    assert len(calls) > stage
+    assert report.total_count == plain.total_count
+    assert report.unresolved_cells == ()
+    assert [r.multiplicity for r in report.roots] == [r.multiplicity for r in plain.roots]
+    assert all(abs(r.lam - p.lam) <= rf.MERGE_TOL for r, p in zip(report.roots, plain.roots))
 
 
 @pytest.mark.parametrize("g", [3e-4, 5e-5, 2e-6, 1.5e-6])
@@ -1358,10 +1499,7 @@ def _assert_mirror_matches_plain(mirrored, plain):
                 (r.multiplicity, r.chain_label)], r
 
 
-@pytest.mark.parametrize("sys_", [
-    make_example1(-1.0, -1.0), make_example1(1.0, 1.0), make_example2(0.0), make_example2(1.0),
-    make_scalar_decay(), make_reach_fixture(), make_density_system(),
-], ids=["ex1_jordan", "ex1_ctrl", "ex2_g0", "ex2_g1", "scalar_decay", "reach", "density"])
+@pytest.mark.parametrize("sys_", FIXTURE_SYSTEMS, ids=FIXTURE_IDS)
 def test_mirrored_scan_matches_the_whole_scan_on_the_fixtures(sys_):
     # the CLI's verdict and spectrum windows, in lockstep
     mirrored, plain = _mirrored_and_plain(sys_, [rf.Rect(-1.0, 1.0, -40.0, 40.0)], sys_.chains)
